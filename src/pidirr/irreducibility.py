@@ -21,7 +21,6 @@ residual is kept as an optimizer-noise diagnostic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .distributions import JointDistribution
@@ -33,12 +32,7 @@ from .parts import (
     almost_pairs,
     almosts,
 )
-from .union_info import (
-    UnionMeasure,
-    max_workers,
-    union_information,
-    whole_mutual_information,
-)
+from .union_info import UnionMeasure, union_information, whole_mutual_information
 
 __all__ = [
     "ORDERING_SLACK",
@@ -108,69 +102,52 @@ def _require_predictors(d: JointDistribution) -> int:
     return n
 
 
-def _evaluate(m: UnionMeasure, d: JointDistribution, families: list[PartFamily]) -> list[float]:
-    workers = max_workers()
-    if workers > 1 and len(families) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda fam: union_information(m, d, fam), families))
-    return [union_information(m, d, fam) for fam in families]
+def _scan(
+    m: UnionMeasure, d: JointDistribution, families: list[PartFamily], whole: float
+) -> tuple[float, float, int]:
+    """Whole minus the largest union information over ``families``.
 
-
-def _argmax_first(values: list[float]) -> int:
-    """Index of the maximum; ties go to the earliest (enumeration order)."""
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
-
-
-def _clamp(raw: float, whole: float) -> tuple[float, float]:
+    Returns the value clamped to ``[0, whole]``, the pre-clamp residual, and
+    the index of the maximizing family; ties go to the earliest
+    (enumeration order).
+    """
+    values = [union_information(m, d, fam) for fam in families]
+    best = max(range(len(values)), key=values.__getitem__)
+    raw = whole - values[best]
     clamped = min(max(raw, 0.0), whole)
-    return clamped, raw - clamped
+    return clamped, raw - clamped, best
+
+
+def _singletons(n: int) -> PartFamily:
+    return PartFamily(tuple(PartSpec((i,)) for i in range(n)))
 
 
 def ibe(d: JointDistribution, m: UnionMeasure | None = None) -> float:
     """Information beyond the elements: whole minus the singletons' union."""
     n = _require_predictors(d)
-    m = m or UnionMeasure()
-    fam = PartFamily(tuple(PartSpec((i,)) for i in range(n)))
-    whole = whole_mutual_information(d)
-    value, _ = _clamp(whole - union_information(m, d, fam), whole)
+    value, _, _ = _scan(m or UnionMeasure(), d, [_singletons(n)], whole_mutual_information(d))
     return value
 
 
 def ibdp(d: JointDistribution, m: UnionMeasure | None = None) -> tuple[float, PartitionSpec]:
     """Information beyond disjoint parts, with the maximizing bipartition."""
-    n = _require_predictors(d)
-    m = m or UnionMeasure()
-    bipartitions = all_bipartitions(n)
-    values = _evaluate(m, d, [b.family() for b in bipartitions])
-    best = _argmax_first(values)
-    whole = whole_mutual_information(d)
-    value, _ = _clamp(whole - values[best], whole)
+    bipartitions = all_bipartitions(_require_predictors(d))
+    families = [b.family() for b in bipartitions]
+    value, _, best = _scan(m or UnionMeasure(), d, families, whole_mutual_information(d))
     return value, bipartitions[best]
 
 
 def ib2p(d: JointDistribution, m: UnionMeasure | None = None) -> tuple[float, PartFamily]:
     """Information beyond two parts, with the maximizing Almost pair."""
-    n = _require_predictors(d)
-    m = m or UnionMeasure()
-    pairs = almost_pairs(n)
-    values = _evaluate(m, d, pairs)
-    best = _argmax_first(values)
-    whole = whole_mutual_information(d)
-    value, _ = _clamp(whole - values[best], whole)
+    pairs = almost_pairs(_require_predictors(d))
+    value, _, best = _scan(m or UnionMeasure(), d, pairs, whole_mutual_information(d))
     return value, pairs[best]
 
 
 def ibap(d: JointDistribution, m: UnionMeasure | None = None) -> float:
     """Information beyond all parts: whole minus the Almosts' union."""
-    n = _require_predictors(d)
-    m = m or UnionMeasure()
-    fam = PartFamily(tuple(almosts(n)))
-    whole = whole_mutual_information(d)
-    value, _ = _clamp(whole - union_information(m, d, fam), whole)
+    fam = PartFamily(tuple(almosts(_require_predictors(d))))
+    value, _, _ = _scan(m or UnionMeasure(), d, [fam], whole_mutual_information(d))
     return value
 
 
@@ -185,23 +162,12 @@ def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> Irreduci
     m = m or UnionMeasure()
     whole = whole_mutual_information(d)
 
-    singletons = PartFamily(tuple(PartSpec((i,)) for i in range(n)))
     bipartitions = all_bipartitions(n)
     pairs = almost_pairs(n)
-    all_almosts = PartFamily(tuple(almosts(n)))
-
-    u_elements = union_information(m, d, singletons)
-    u_biparts = _evaluate(m, d, [b.family() for b in bipartitions])
-    u_pairs = _evaluate(m, d, pairs)
-    u_almosts = union_information(m, d, all_almosts)
-
-    bi_best = _argmax_first(u_biparts)
-    pair_best = _argmax_first(u_pairs)
-
-    v_ibe, r_ibe = _clamp(whole - u_elements, whole)
-    v_ibdp, r_ibdp = _clamp(whole - u_biparts[bi_best], whole)
-    v_ib2p, r_ib2p = _clamp(whole - u_pairs[pair_best], whole)
-    v_ibap, r_ibap = _clamp(whole - u_almosts, whole)
+    v_ibe, r_ibe, _ = _scan(m, d, [_singletons(n)], whole)
+    v_ibdp, r_ibdp, bi_best = _scan(m, d, [b.family() for b in bipartitions], whole)
+    v_ib2p, r_ib2p, pair_best = _scan(m, d, pairs, whole)
+    v_ibap, r_ibap, _ = _scan(m, d, [PartFamily(tuple(almosts(n)))], whole)
 
     chain = [("ibap", v_ibap), ("ib2p", v_ib2p), ("ibdp", v_ibdp), ("ibe", v_ibe), ("whole_mi", whole)]
     for (lo_name, lo), (hi_name, hi) in zip(chain, chain[1:]):

@@ -5,10 +5,8 @@ Two measures are provided behind one configuration type:
 * ``minsyn`` (default): the minimum, over all joint distributions q on the
   full outcome space that preserve every part-target marginal
   ``q(P_i, Y) = p(P_i, Y)``, of the whole-target mutual information
-  ``I_q(X_all ; Y)``.  The objective is convex in q and the feasible set is
-  the intersection of an affine subspace with the nonnegative orthant, so
-  projected gradient descent with Dykstra-style feasibility projection finds
-  the global optimum.
+  ``I_q(X_all ; Y)``.  Every feasible q has the same ``H(Y)``, so this is a
+  convex program in ``-H_q(Y | X_all)`` over a polytope.
 * ``maxmi``: the largest single-part mutual information ``max_i I(P_i ; Y)``.
   A deliberately weak baseline kept to demonstrate that the irreducibility
   layer is measure-pluggable; it satisfies the same property list but does
@@ -20,18 +18,25 @@ equivalent relabelings, weak monotonicity under appending parts, order
 invariance, single-part self-redundancy, and the whole-information upper
 bound); :func:`check_axioms` verifies them numerically on a suite.
 
-The minimization is parameterized over the product of the declared alphabets
-rather than the base support, because the optimum generally moves mass onto
-outcomes the base distribution never produces.  Cells that any preserved
-marginal pins to zero are eliminated up front; this leaves the feasible set
-unchanged and keeps the optimizer away from gradient blow-ups at forced
-zeros.
+The minimization runs over the product of the declared alphabets, not the
+base support, because the optimum generally moves mass onto outcomes the base
+never produces; cells that a preserved marginal pins to zero are dropped.
+The solver is a primal log-barrier method (Boyd & Vandenberghe, *Convex
+Optimization*, ch. 11): damped Newton steps in the constraint null space on
+``-H(Y|X) - mu * sum(ln q)``, from the maximum-entropy feasible point, with
+``mu`` divided by ten per stage.  It stops once the duality gap
+``cells * mu`` is below a tenth of the tolerance, or once the objective
+reaches the largest single-part mutual information, which no feasible point
+can beat.  Some cells are zero at every feasible point without being pinned
+(cyclic families with structured zeros); a barrier needs a strictly positive
+start, so when the maximum-entropy start comes out thin, one linear program
+finds the largest feasible support and the solver works on that face alone
+(facial reduction).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -56,17 +61,23 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-#: Stop a descent run once the objective sits this close to the per-part
-#: lower bound; no feasible point can be better.
+#: Stop once the objective sits this close to the per-part lower bound (bits);
+#: no feasible point can be better.
 _CERTIFICATE_SLACK = 1e-11
 
-#: Plateau rule: converged when 50 consecutive iterations improve the
-#: objective by less than this many bits.
-_PLATEAU_IMPROVEMENT = 1e-10
-_PLATEAU_WINDOW = 50
+#: A maximum-entropy start whose smallest cell is below this fraction of its
+#: largest may be converging onto a face; the support LP then decides.
+_THIN_START = 1e-4
 
-#: Masses below this are clipping residue, not signal.
-_DUST_FLOOR = 1e-13
+#: Sweeps of iterative proportional fitting, and the residual that ends them.
+_IPF_SWEEPS = 1000
+_IPF_RESIDUAL = 1e-14
+
+#: A stage is centred once the Newton decrement of ``f/mu - sum(ln q)`` is this small.
+_CENTRED = 1e-9
+
+#: Newton steps per solve before it is declared stuck.
+_MAX_NEWTON_STEPS = 500
 
 
 class MeasureKind(str, Enum):
@@ -91,38 +102,37 @@ class MeasureKind(str, Enum):
 
 @dataclass(frozen=True)
 class UnionMeasure:
-    """Union-information measure selection plus optimizer settings."""
+    """Which union-information measure to compute, and how accurately.
+
+    ``tolerance`` (bits) bounds how far a ``minsyn`` value may lie above the
+    true minimum: the barrier solver stops once its duality gap is below a
+    tenth of it.  The solver is deterministic, so nothing else is tunable.
+    ``maxmi`` values are exact.
+    """
 
     kind: MeasureKind = MeasureKind.MIN_SYNERGY
     tolerance: float = 1e-6
-    max_iterations: int = 10000
-    restarts: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
     def settings_dict(self) -> dict:
-        return {
-            "measure": self.kind.value,
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "restarts": self.restarts,
-            "seed": self.seed,
-        }
+        return {"measure": self.kind.value, "tolerance": self.tolerance}
 
 
 class UnionConvergenceError(RuntimeError):
-    """No restart of the minimizer met the convergence rule."""
+    """The barrier solver stopped before its duality gap closed.
 
-    def __init__(self, message: str, best_value: float):
+    ``value`` (bits) is the objective at the last feasible iterate, an upper
+    bound on the union information; ``gap`` (bits) bounds how far above the
+    minimum the last centred iterate lay, and is infinite if none was.
+    """
+
+    def __init__(self, message: str, value: float, gap: float):
         super().__init__(message)
-        self.best_value = best_value
+        self.value = value
+        self.gap = gap
 
 
 def _part_selector(d: JointDistribution, part: PartSpec) -> VariableSelector:
@@ -150,110 +160,80 @@ def whole_mutual_information(d: JointDistribution) -> float:
     return d.mutual_information(d.whole_selector(), d.target_selector())
 
 
+def _null_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of ``a``, one column per direction."""
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    tol = s[0] * max(a.shape) * np.finfo(float).eps
+    rank = int((s > tol).sum())
+    return vt[rank:].T.copy()
+
+
 class MarginalPolytope:
     """Feasible set of the minimum-synergy program, reduced to live cells.
 
     Cells enumerate the product of the declared alphabets (not just the base
     support).  A cell is dropped when some preserved marginal forces it to
     zero; every feasible q vanishes there, so the reduction is exact.  The
-    base pmf itself is feasible and serves as the canonical start.
+    base pmf itself is feasible and anchors the affine projection.
     """
 
     def __init__(self, base: JointDistribution, parts: Sequence[PartSpec]):
         if not parts:
             raise ValueError("need at least one part")
-        n = base.n_predictors
         for p in parts:
-            p.validate(n, allow_full=True)
+            p.validate(base.n_predictors, allow_full=True)
         preds = base.predictor_indices
         t = base.target_index
         self.base = base
         self.parts = tuple(parts)
-
         marginals = [_part_target_marginal(base, p) for p in parts]
-        part_positions = [
-            [preds[i] for i in p.member_indices] for p in parts
-        ]
+        positions = [[preds[i] for i in p.member_indices] + [t] for p in parts]
 
-        cells: list[tuple] = []
+        self.cells: list[tuple] = []
+        cell_keys: list[list[tuple]] = []
         for combo in iter_product(*base.alphabets):
-            keep = True
-            for positions, marg in zip(part_positions, marginals):
-                key = tuple(combo[i] for i in positions) + (combo[t],)
-                if key not in marg:
-                    keep = False
-                    break
-            if keep:
-                cells.append(combo)
-        self.cells = cells
-        ncells = len(cells)
+            keys = [tuple(combo[i] for i in pos) for pos in positions]
+            if all(k in marg for k, marg in zip(keys, marginals)):
+                self.cells.append(combo)
+                cell_keys.append(keys)
+        ncells = len(self.cells)
 
-        # Group indices for the objective: one group per whole-predictor
-        # configuration, one per target symbol.
+        # The objective's groups: one per whole-predictor configuration.
         xkeys: dict[tuple, int] = {}
-        ykeys: dict[str, int] = {}
-        xidx = np.empty(ncells, dtype=np.intp)
-        yidx = np.empty(ncells, dtype=np.intp)
-        for c, combo in enumerate(cells):
-            xk = tuple(combo[i] for i in preds)
-            yk = combo[t]
-            xidx[c] = xkeys.setdefault(xk, len(xkeys))
-            yidx[c] = ykeys.setdefault(yk, len(ykeys))
-        self.xidx, self.yidx = xidx, yidx
-        self.nx, self.ny = len(xkeys), len(ykeys)
+        self.xidx = np.array(
+            [xkeys.setdefault(tuple(c[i] for i in preds), len(xkeys)) for c in self.cells],
+            dtype=np.intp,
+        )
+        self.nx = len(xkeys)
 
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        for positions, marg in zip(part_positions, marginals):
-            row_of_key = {k: i for i, k in enumerate(marg)}
-            block = np.zeros((len(marg), ncells))
-            for c, combo in enumerate(cells):
-                key = tuple(combo[i] for i in positions) + (combo[t],)
-                block[row_of_key[key], c] = 1.0
-            rows.append(block)
-            rhs.extend(marg.values())
-        self.A = np.vstack(rows) if rows else np.zeros((0, ncells))
-        self.b = np.asarray(rhs)
+        # One block of rows per part; each cell sits in exactly one row of
+        # each block, which is what iterative proportional fitting rescales.
+        self.A = np.zeros((sum(len(marg) for marg in marginals), ncells))
+        self.b = np.array([p for marg in marginals for p in marg.values()])
+        self.blocks: list[slice] = []
+        for j, marg in enumerate(marginals):
+            start = self.blocks[-1].stop if self.blocks else 0
+            row_of_key = {k: start + i for i, k in enumerate(marg)}
+            for c, keys in enumerate(cell_keys):
+                self.A[row_of_key[keys[j]], c] = 1.0
+            self.blocks.append(slice(start, start + len(marg)))
 
-        x0 = np.zeros(ncells)
-        index_of_cell = {combo: c for c, combo in enumerate(cells)}
+        index_of_cell = {combo: c for c, combo in enumerate(self.cells)}
+        self.x0 = np.zeros(ncells)
         for outcome, p in base.pmf.items():
-            x0[index_of_cell[outcome]] = p
-        self.x0 = x0
-        residual = np.abs(self.A @ x0 - self.b).max() if len(self.b) else 0.0
+            self.x0[index_of_cell[outcome]] = p
+        residual = self.residual(self.x0)
         if residual > 1e-9:
             raise AssertionError(
                 f"base distribution violates its own marginals by {residual}"
             )
-        self._x_indicator: np.ndarray | None = None
-        self._y_indicator: np.ndarray | None = None
 
         self.lower_bound = max(part_mutual_information(base, p) for p in parts)
         self.upper_bound = whole_mutual_information(base)
 
         # Orthonormal basis of the constraint null space; movement inside it
         # preserves every marginal exactly.
-        if self.A.shape[0]:
-            _, s, vt = np.linalg.svd(self.A, full_matrices=True)
-            tol = s[0] * max(self.A.shape) * np.finfo(float).eps if s.size else 0.0
-            rank = int((s > tol).sum())
-            self.null_basis = vt[rank:].T.copy()
-        else:
-            self.null_basis = np.eye(ncells)
-
-    # -- geometry ----------------------------------------------------------
-
-    @property
-    def x_indicator(self) -> np.ndarray:
-        if self._x_indicator is None:
-            self._x_indicator = _group_matrix(self.xidx, self.nx)
-        return self._x_indicator
-
-    @property
-    def y_indicator(self) -> np.ndarray:
-        if self._y_indicator is None:
-            self._y_indicator = _group_matrix(self.yidx, self.ny)
-        return self._y_indicator
+        self.null_basis = _null_basis(self.A)
 
     def project_affine(self, v: np.ndarray) -> np.ndarray:
         w = v - self.x0
@@ -261,322 +241,145 @@ class MarginalPolytope:
 
     def residual(self, q: np.ndarray) -> float:
         """Worst marginal-constraint violation."""
-        if not len(self.b):
-            return 0.0
         return float(np.abs(self.A @ q - self.b).max())
 
-    def project(self, v: np.ndarray, max_iter: int = 2500, tol: float = 1e-15) -> np.ndarray:
-        """Dykstra alternation between the affine subspace and the orthant.
 
-        Iterates until the orthant-exact iterate also satisfies the
-        marginals tightly; small-increment stalls alone are not trusted,
-        since near-tangential faces make increments shrink long before the
-        iterate is feasible.
-        """
-        x = np.asarray(v, dtype=float)
-        x0 = self.x0
-        basis = self.null_basis
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        for it in range(max_iter):
-            w = x + p
-            y = x0 + basis @ (basis.T @ (w - x0))
-            p = w - y
-            z = y + q
-            xn = np.maximum(z, 0.0)
-            q = z - xn
-            delta = np.abs(xn - x).max()
-            x = xn
-            if delta < tol:
-                break
-            if delta < 1e-12 and (it & 7) == 0 and self.residual(x) < 1e-12:
-                break
-        # Affine-exact polish: safe whenever it stays essentially nonnegative.
-        y = self.project_affine(x)
-        if y.min() > -1e-11:
-            return np.maximum(y, 0.0)
-        return x
-
-    # -- objective ----------------------------------------------------------
-
-    def mi_bits(self, q: np.ndarray) -> float:
-        qx = np.bincount(self.xidx, weights=q, minlength=self.nx)
-        qy = np.bincount(self.yidx, weights=q, minlength=self.ny)
-        return float(_neg_plogp(qx) + _neg_plogp(qy) - _neg_plogp(q))
-
-    def mi_grad(self, q: np.ndarray) -> np.ndarray:
-        # Boundary clipping leaves float dust (~1e-15) in cells that are
-        # really zero; log-ratios of dust masses poison descent directions,
-        # so anything below the dust floor is treated as an exact zero.
-        # With exact zeros the clamped logs reproduce the correct one-sided
-        # derivatives (cancellation inside an empty group, a large negative
-        # pull inside a populated one).
-        eps = 1e-18
-        qc = np.where(q > _DUST_FLOOR, q, 0.0)
-        qx = np.bincount(self.xidx, weights=qc, minlength=self.nx)
-        qy = np.bincount(self.yidx, weights=qc, minlength=self.ny)
-        # The additive -1/ln2 constant lies in the constraint row space
-        # (each part's rows sum to the all-ones vector) and is annihilated
-        # by the null-space projection, so it is omitted.
-        return (
-            np.log2(np.maximum(qc, eps))
-            - np.log2(np.maximum(qx, eps))[self.xidx]
-            - np.log2(np.maximum(qy, eps))[self.yidx]
-        )
-
-
-def _neg_plogp(v: np.ndarray) -> float:
-    vv = v[v > 0.0]
-    return float(-(vv * np.log2(vv)).sum())
-
-
-def _run_projected_gradient(
-    poly: MarginalPolytope,
-    q: np.ndarray,
-    max_iterations: int,
-    barrier_mu: float = 0.0,
-):
-    """Projected-gradient loop on the objective, optionally barrier-smoothed.
-
-    With ``barrier_mu`` > 0 the objective becomes
-    ``I(q) - mu * sum(log2(q + mu))``: a shifted barrier that is smooth at
-    the boundary (gradient bounded by ~1/ln2 per cell), pulls iterates off
-    degenerate faces, and vanishes as mu goes to zero.  Returns
-    ``(q, value, converged)`` where ``value`` is the smoothed objective.
-
-    Steps follow the negative gradient projected into the constraint null
-    space, so marginals stay exact.  While the step stays inside the
-    orthant it is taken directly; beyond the first boundary crossing the
-    candidate is either projected back onto the feasible set (which lets
-    the iterate slide along a face) or capped at the boundary, whichever
-    first improves the objective.
-    """
-    mu = barrier_mu
-
-    def value(v: np.ndarray) -> float:
-        base = poly.mi_bits(v)
-        if mu > 0.0:
-            base -= mu * float(np.log2(v + mu).sum())
-        return base
-
-    def gradient(v: np.ndarray) -> np.ndarray:
-        g = poly.mi_grad(v)
-        if mu > 0.0:
-            g = g - mu / ((v + mu) * _LN2)
-        return g
-
-    nb = poly.null_basis
-    f = value(q)
-    if nb.shape[1] == 0:
-        return q, f, True
-    certificate = poly.lower_bound + _CERTIFICATE_SLACK if mu == 0.0 else -math.inf
-    step = 1.0
-    window_anchor = f
-    window_count = 0
-    recovered = False
-    prev_q: np.ndarray | None = None
-    prev_grad: np.ndarray | None = None
-    for it in range(max_iterations):
-        if f <= certificate:
-            return q, f, True
-        g = gradient(q)
-        direction = -(nb @ (nb.T @ g))
-        dnorm = np.abs(direction).max()
-        if dnorm < 1e-15:
-            return q, f, True
-        # Barzilai-Borwein trial step; keeps line searches from inheriting a
-        # microscopic step after one deep backtrack.  Capped so candidates
-        # never leave the projection's fast-convergence neighborhood.
-        step_cap = 4.0 / dnorm
-        if prev_q is not None:
-            dq = q - prev_q
-            dg = direction - prev_grad
-            denom = -(dq @ dg)
-            if denom > 1e-300:
-                step = float(np.clip((dq @ dq) / denom, 1e-10, step_cap))
-            else:
-                step = max(step * 4.0, 1e-3)
-        step = min(step, step_cap)
-        prev_q, prev_grad = q.copy(), direction.copy()
-        # Dust cells count as already at the boundary.  A meaningful outward
-        # push on one invalidates straight-line steps entirely (the clip
-        # would break the marginals), so those iterations go through the
-        # projection; harmless sub-dust pushes are merely clipped.
-        blocked = (direction < -1e-12) & (q <= _DUST_FLOOR)
-        neg = (direction < 0.0) & (q > _DUST_FLOOR)
-        if blocked.any():
-            t_boundary = 0.0
-        elif neg.any():
-            t_boundary = float((q[neg] / -direction[neg]).min())
-        else:
-            t_boundary = math.inf
-        accepted = False
-        tried_capped = False
-        for _ in range(80):
-            if step <= t_boundary:
-                # Stays inside the orthant: affine feasibility is preserved.
-                cand = np.maximum(q + step * direction, 0.0)
-                fc = value(cand)
-                if fc < f - 1e-15:
-                    accepted = True
-                    break
-            else:
-                if not tried_capped and t_boundary > 0.0:
-                    # Cheap first try: stop at the first blocking face.
-                    tried_capped = True
-                    cand = np.maximum(q + 0.999 * t_boundary * direction, 0.0)
-                    fc = value(cand)
-                    if fc < f - 1e-15:
-                        accepted = True
-                        break
-                cand = poly.project(q + step * direction)
-                fc = value(cand)
-                if fc < f - 1e-15 and poly.residual(cand) < 1e-10:
-                    accepted = True
-                    break
-            step *= 0.5
-            if step * dnorm < 1e-16:
-                break
-        if not accepted:
-            if not recovered:
-                # One fresh attempt from a cleanly projected iterate.
-                recovered = True
-                requeued = poly.project(q)
-                if poly.residual(requeued) < 1e-10:
-                    q = requeued
-                    f = value(q)
-                step = 1.0
-                prev_q = prev_grad = None
-                continue
-            return q, f, True  # no descent representable in floats
-        q, f = cand, fc
-        step = min(step * 2.0, step_cap)
-        if (it + 1) % 128 == 0:
-            # Kill accumulated float drift off the affine subspace.
-            requeued = poly.project(q)
-            if poly.residual(requeued) < 1e-10:
-                q = requeued
-                f = value(q)
-        window_count += 1
-        if window_count >= _PLATEAU_WINDOW:
-            if window_anchor - f < _PLATEAU_IMPROVEMENT:
-                return q, f, True
-            window_anchor = f
-            window_count = 0
-    return q, f, False
-
-
-#: Barrier ladder used to escape boundary-degenerate stalls.
-_BARRIER_LADDER = (1e-3, 1e-5, 1e-7, 1e-9)
-
-
-def _descend(poly: MarginalPolytope, start: np.ndarray, max_iterations: int):
-    """One plain projected-gradient run; returns (q, value, converged)."""
-    q = poly.project(start)
-    if poly.residual(q) > 1e-9:
-        q = poly.x0.copy()  # projection failed; the base pmf is always feasible
-    return _run_projected_gradient(poly, q, max_iterations)
-
-
-def _ladder_refine(poly: MarginalPolytope, q: np.ndarray, f: float, max_iterations: int):
-    """Shifted-barrier homotopy pass from a stalled endpoint.
-
-    Boundary-degenerate faces (for example an entire predictor
-    configuration emptied out) make the exact objective first-order blind
-    and can stall every plain run above the optimum.  The smoothed
-    objective sees through them: re-run the same loop along decreasing
-    smoothing levels, then hand the endpoint back to an exact pass.
-    """
-    converged = False
-    for _ in range(3):
-        qb = q
-        for mu in _BARRIER_LADDER:
-            qb, _, _ = _run_projected_gradient(poly, qb, 600, barrier_mu=mu)
-        qb, fb, conv_b = _run_projected_gradient(poly, qb, max_iterations)
-        improved = fb < f - 1e-12
-        if fb < f:
-            q, f = qb, fb
-            converged = converged or conv_b
-        if not improved:
+def _max_entropy(poly: MarginalPolytope, live: np.ndarray) -> np.ndarray:
+    """Iterative proportional fitting from uniform over the ``live`` cells;
+    it converges to the feasible point of largest entropy on them."""
+    a = poly.A[:, live]
+    q = np.full(a.shape[1], 1.0 / a.shape[1])
+    for _ in range(_IPF_SWEEPS):
+        worst = 0.0
+        for rows in poly.blocks:
+            marg = a[rows] @ q
+            worst = max(worst, float(np.abs(marg - poly.b[rows]).max()))
+            q *= (poly.b[rows] / marg) @ a[rows]
+        if worst < _IPF_RESIDUAL:
             break
-    return q, f, converged
+    return q
+
+
+def _maximal_support(poly: MarginalPolytope) -> np.ndarray:
+    """Mask of the cells some feasible point makes positive, by one LP.
+
+    Over the cone ``A y = s b``, ``y >= 0``, maximize ``sum(t)`` subject to
+    ``0 <= t <= min(y, 1)``.  Scaling a feasible point up drives ``t`` to 1
+    on its support, so the optimum has ``t = 1`` exactly on the largest
+    support and 0 elsewhere.
+    """
+    from scipy.optimize import linprog  # costly import, needed on this path only
+
+    rows, n = poly.A.shape
+    eye = np.eye(n)
+    res = linprog(
+        np.concatenate([np.zeros(n), -np.ones(n), [0.0]]),
+        A_ub=np.hstack([-eye, eye, np.zeros((n, 1))]),
+        b_ub=np.zeros(n),
+        A_eq=np.hstack([poly.A, np.zeros((rows, n)), -poly.b[:, None]]),
+        b_eq=np.zeros(rows),
+        bounds=[(0.0, None)] * n + [(0.0, 1.0)] * n + [(0.0, None)],
+    )
+    if res.status != 0:
+        raise UnionConvergenceError(
+            f"maximal-support LP failed: {res.message}", math.inf, math.inf
+        )
+    return res.x[n:2 * n] > 0.5
+
+
+def _interior_start(poly: MarginalPolytope):
+    """A strictly positive feasible start on the smallest face holding every
+    feasible point: ``(live cell mask, start on them, null basis of them)``."""
+    live = np.ones(len(poly.cells), dtype=bool)
+    q = poly.project_affine(_max_entropy(poly, live))
+    if q.min() >= _THIN_START * q.max():
+        return live, q, poly.null_basis
+    live = _maximal_support(poly)
+    basis = _null_basis(poly.A[:, live])
+    x0 = poly.x0[live]  # the base pmf is feasible, so it lies on the face
+    q = x0 + basis @ (basis.T @ (_max_entropy(poly, live) - x0))
+    if not q.min() > 0.0:
+        raise UnionConvergenceError(
+            "no strictly positive start on the feasible face", math.inf, math.inf
+        )
+    return live, q, basis
+
+
+def _barrier_newton(poly: MarginalPolytope, tolerance: float) -> float:
+    """Minimum of ``I_q(X;Y)`` in bits, at most ``0.1 * tolerance`` above it."""
+    live, q, basis = _interior_start(poly)
+    xidx, nx = poly.xidx[live], poly.nx
+    hy = poly.base.entropy(poly.base.target_selector())
+    counts = np.bincount(xidx, minlength=nx)
+    # In an x-group with one live cell the Hessian block 1/q - 1/q_x is
+    # exactly 0; assembling it from the two huge terms leaves only rounding.
+    shared, multi = counts[xidx] > 1, counts > 1
+    group_basis = np.zeros((nx, basis.shape[1]))
+    np.add.at(group_basis, xidx, basis)
+
+    def objective(v: np.ndarray):
+        """``f = -H(Y|X)`` in nats, its gradient, and the x-group masses."""
+        vx = np.bincount(xidx, weights=v, minlength=nx)
+        grad = np.log(v / vx[xidx])
+        return float(v @ grad), grad, vx
+
+    # I_q(X;Y) = hy + f / ln 2 bits, since every feasible q has H(Y) = hy.
+    f_stop = (poly.lower_bound + _CERTIFICATE_SLACK - hy) * _LN2
+    mu_end = 0.1 * tolerance * _LN2 / q.size  # its gap cells * mu_end is the target
+    f, grad, qx = objective(q)
+    mu = max((f - f_stop) / q.size, mu_end)
+    gap = math.inf
+    for _ in range(_MAX_NEWTON_STEPS):
+        if f <= f_stop:
+            break
+        inv = 1.0 / q
+        g = basis.T @ (grad - mu * inv)
+        w = np.zeros(nx)
+        w[multi] = 1.0 / qx[multi]
+        d = np.where(shared, inv, 0.0) + mu * inv * inv
+        hess = (basis.T * d) @ basis - (group_basis.T * w) @ group_basis
+        try:
+            dz = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:
+            dz = np.linalg.lstsq(hess, -g, rcond=None)[0]
+        decrement = -(g @ dz)
+        if decrement <= _CENTRED * mu:
+            gap = q.size * mu
+            if mu <= mu_end:
+                break
+            mu = max(mu / 10.0, mu_end)
+            continue
+        dq = basis @ dz
+        falling = dq < 0.0
+        step = min(1.0, 0.99 * float((q[falling] / -dq[falling]).min())) if falling.any() else 1.0
+        # Halve while the step overshoots the minimum along the line by more
+        # than half the starting slope.  Slopes of a convex function need no
+        # differences of rounded values, which vanish as mu gets small.
+        while True:
+            cand = q + step * dq
+            fc, gc, qxc = objective(cand)
+            if (gc - mu / cand) @ dq <= 0.5 * decrement or step < 1e-12:
+                break
+            step *= 0.5
+        q, f, grad, qx = cand, fc, gc, qxc
+    else:
+        raise UnionConvergenceError(
+            f"minimum-synergy barrier solver did not close its gap in "
+            f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap / _LN2!r} bits)",
+            value=hy + f / _LN2,
+            gap=gap / _LN2,
+        )
+    return hy + f / _LN2
 
 
 def _min_synergy_value(d: JointDistribution, parts: Sequence[PartSpec], m: UnionMeasure) -> float:
     poly = MarginalPolytope(d, parts)
-    spread = poly.upper_bound - poly.lower_bound
-    if spread <= _CERTIFICATE_SLACK:
-        return poly.upper_bound
-
-    starts = [poly.x0]
-    if m.restarts >= 2:
-        # Projection of the independent coupling: exactly optimal whenever
-        # no constraint ties the predictors to the target, and a strong
-        # start otherwise.
-        px = np.bincount(poly.xidx, weights=poly.x0, minlength=poly.nx)
-        py = np.bincount(poly.yidx, weights=poly.x0, minlength=poly.ny)
-        indep = px[poly.xidx] * py[poly.yidx]
-        total = indep.sum()
-        if total > 0:
-            starts.append(poly.project(indep / total))
-
-    results = []
-    best = math.inf
-    best_q = poly.x0
-    for start in starts:
-        q, value, converged = _descend(poly, start, m.max_iterations)
-        results.append((value, converged))
-        if value < best:
-            best, best_q = value, q
-        if best <= poly.lower_bound + _CERTIFICATE_SLACK:
-            break  # no feasible point can do better
-
-    # The objective is convex, so converged runs agree up to optimizer
-    # noise; the remaining perturbed restarts exist to guard against
-    # projection stalls and only run when the first attempts disagree.
-    agreed = (
-        len(results) >= 2
-        and all(c for _, c in results)
-        and max(v for v, _ in results) - min(v for v, _ in results) < 0.1 * m.tolerance
-    )
-    certified = best <= poly.lower_bound + _CERTIFICATE_SLACK
-    if not (agreed or certified):
-        seeds = np.random.SeedSequence(m.seed).spawn(max(m.restarts - len(starts), 0))
-        scale = max(poly.x0.max(), 1e-3) * 0.25
-        for ss in seeds:
-            rng = np.random.Generator(np.random.PCG64(ss))
-            noise = rng.standard_normal(poly.x0.shape) * scale
-            q, value, converged = _descend(poly, poly.project(poly.x0 + noise), m.max_iterations)
-            results.append((value, converged))
-            if value < best:
-                best, best_q = value, q
-            if best <= poly.lower_bound + _CERTIFICATE_SLACK:
-                break
-
-    agreed = (
-        len(results) >= 2
-        and all(c for _, c in results)
-        and max(v for v, _ in results) - min(v for v, _ in results) < 0.1 * m.tolerance
-    )
-    if best > poly.lower_bound + _CERTIFICATE_SLACK and not agreed:
-        # Degenerate boundary faces can stall every plain run; let the
-        # barrier homotopy have the final word.
-        _, value, converged = _ladder_refine(poly, best_q, best, m.max_iterations)
-        if value < best:
-            best = value
-            results.append((value, converged))
-
-    if not any(c for _, c in results):
-        raise UnionConvergenceError(
-            f"minimum-synergy optimizer failed to converge after "
-            f"{m.max_iterations} x {m.restarts} iterations (best bound {best!r})",
-            best_value=best,
-        )
-    return float(min(max(best, poly.lower_bound - m.tolerance), poly.upper_bound + m.tolerance))
-
-
-def _max_single_mi_value(d: JointDistribution, parts: Sequence[PartSpec]) -> float:
-    return max(part_mutual_information(d, p) for p in parts)
+    lower, upper = poly.lower_bound, poly.upper_bound
+    if upper - lower <= _CERTIFICATE_SLACK or poly.null_basis.shape[1] == 0:
+        return upper  # with no free direction the base pmf is the only feasible q
+    value = _barrier_newton(poly, m.tolerance)
+    # Both bounds hold for the minimum, so clamping only removes rounding.
+    return float(min(max(value, lower), upper))
 
 
 @lru_cache(maxsize=65536)
@@ -585,7 +388,7 @@ def _union_information_cached(
 ) -> float:
     family.validate(d.n_predictors, allow_full=True)
     if m.kind is MeasureKind.MAX_SINGLE_MI:
-        return _max_single_mi_value(d, family.parts)
+        return max(part_mutual_information(d, p) for p in family.parts)
     return _min_synergy_value(d, family.parts, m)
 
 
@@ -614,14 +417,6 @@ def union_information_uncached(
 ) -> float:
     """Cache-bypassing variant used by determinism tests."""
     return _union_information_cached.__wrapped__(m, d, family)
-
-
-def max_workers() -> int:
-    """Parallelism cap from the PID_THREADS environment variable (default 1)."""
-    try:
-        return max(int(os.environ.get("PID_THREADS", "1")), 1)
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +640,11 @@ def _group_matrix(idx: np.ndarray, n: int) -> np.ndarray:
     g = np.zeros((idx.size, n))
     g[np.arange(idx.size), idx] = 1.0
     return g
+
+
+def _neg_plogp(v: np.ndarray) -> float:
+    vv = v[v > 0.0]
+    return float(-(vv * np.log2(vv)).sum())
 
 
 def _neg_plogp_rows(m: np.ndarray) -> np.ndarray:

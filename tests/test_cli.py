@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -35,7 +34,6 @@ def test_compute_json(xor_file, capsys):
     payload = json.loads(out)
     assert payload["ibe"] == 1.0
     assert payload["whole_mi"] == 1.0
-    assert payload["settings"]["seed"] == 0
     assert "1.000000000" in out  # 9-decimal rendering
 
 
@@ -50,7 +48,7 @@ def test_compute_human_and_tsv(xor_file, capsys):
 
 def test_compute_deterministic_bytes(xor_file, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["compute", "--input", xor_file, "--target", "Y", "--seed", "0"]
+    args = ["compute", "--input", xor_file, "--target", "Y"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -162,7 +160,6 @@ def test_console_entry_point(xor_file):
         [sys.executable, "-m", "pidirr.cli", "compute", "--input", xor_file],
         capture_output=True,
         text=True,
-        env={**os.environ, "PID_THREADS": "2"},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ibe"] == 1.0

@@ -4,8 +4,16 @@ import pytest
 
 from pidirr.distributions import JointDistribution
 from pidirr.irreducibility import full_report, ib2p, ibap, ibdp, ibe
-from pidirr.parts import PartSpec
-from pidirr.union_info import MeasureKind, UnionMeasure
+from pidirr.parts import (
+    PartFamily,
+    PartSpec,
+    all_bipartitions,
+    all_partitions,
+    all_parts,
+    almost_pairs,
+    almosts,
+)
+from pidirr.union_info import MeasureKind, UnionMeasure, union_information
 
 from conftest import make_random
 
@@ -113,3 +121,31 @@ def test_clamping_records_residual(xor):
 def test_default_measure_is_minsyn(xor):
     rep = full_report(xor)
     assert rep.measure.kind is MeasureKind.MIN_SYNERGY
+
+
+@pytest.mark.parametrize(
+    "seed, n", [(500, 3), (501, 3), (502, 3), (503, 4)]
+)
+def test_reduced_enumerations_match_full_ones(seed, n):
+    # Each measure scans a reduced enumeration of families; the full one
+    # can only add families with a smaller union, so both maxima agree.
+    d = make_random(seed, n_predictors=n)
+
+    def best(families):
+        return max(union_information(MINSYN, d, fam) for fam in families)
+
+    slack = 2 * MINSYN.tolerance
+    parts = all_parts(n)
+    assert abs(
+        best(p.family() for p in all_partitions(n))
+        - best(b.family() for b in all_bipartitions(n))
+    ) <= slack
+    all_pairs = [
+        PartFamily((parts[i], parts[j]))
+        for i in range(len(parts))
+        for j in range(i + 1, len(parts))
+    ]
+    assert abs(best(all_pairs) - best(almost_pairs(n))) <= slack
+    assert abs(
+        best([PartFamily(tuple(parts))]) - best([PartFamily(tuple(almosts(n)))])
+    ) <= slack

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pidirr.distributions import JointDistribution
-from pidirr.parts import PartFamily, PartSpec, almost_pairs, almosts
+from pidirr.parts import PartFamily, PartSpec, all_bipartitions, almost_pairs, almosts
+from pidirr import union_info
 from pidirr.union_info import (
     MarginalPolytope,
     MeasureKind,
+    UnionConvergenceError,
     UnionMeasure,
     brute_force_union_oracle,
     check_axioms,
@@ -30,10 +36,6 @@ def singletons(n):
 def test_measure_validation():
     with pytest.raises(ValueError):
         UnionMeasure(tolerance=0.0)
-    with pytest.raises(ValueError):
-        UnionMeasure(restarts=0)
-    with pytest.raises(ValueError):
-        UnionMeasure(max_iterations=0)
     assert MeasureKind.from_name("MinSynergy") is MeasureKind.MIN_SYNERGY
     assert MeasureKind.from_name("maxmi") is MeasureKind.MAX_SINGLE_MI
     with pytest.raises(ValueError):
@@ -104,10 +106,16 @@ def test_determinism_bit_identical():
     a = union_information_uncached(MINSYN, d, fam)
     b = union_information_uncached(MINSYN, d, fam)
     assert a == b
-    other_seed = UnionMeasure(seed=123)
-    c = union_information_uncached(other_seed, d, fam)
-    d2 = union_information_uncached(other_seed, d, fam)
-    assert c == d2
+
+
+def test_unclosed_gap_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(union_info, "_MAX_NEWTON_STEPS", 2)
+    d = make_random(400, n_predictors=3)
+    with pytest.raises(UnionConvergenceError) as err:
+        union_information_uncached(MINSYN, d, singletons(3))
+    lower = max(part_mutual_information(d, p) for p in singletons(3).parts)
+    assert err.value.gap > 0.0
+    assert err.value.value >= lower
 
 
 def test_polytope_base_is_feasible(triple_xor):
@@ -180,3 +188,76 @@ def test_constant_target_gives_zero(xor_unique):
 def test_family_accepts_iterable(xor):
     v = union_information(MINSYN, xor, [PartSpec((0,)), PartSpec((1,))])
     assert v <= 1e-9
+
+
+# Certified brackets (dual lower bound, oracle upper bound) from
+# bench/brackets.json; each is narrower than 2e-10 bits.
+@pytest.mark.parametrize(
+    "seed, certified",
+    [(100, 0.2548204452), (101, 0.5526604881), (107, 0.2406359708), (109, 0.3866663339)],
+)
+def test_ternary_structured_zeros_match_certified_values(seed, certified):
+    d = make_random(seed, 2, 3, 0.3)
+    assert abs(union_information(MINSYN, d, singletons(2)) - certified) <= 1e-6
+    tight = UnionMeasure(tolerance=1e-10)
+    assert abs(union_information(tight, d, singletons(2)) - certified) <= 1e-9
+
+
+def test_ternary_almosts_with_forced_zero_cells():
+    # Some live cells are zero at every feasible point here, so the solver
+    # has to reduce to the face the feasible set lies on.  The oracle gives
+    # 0.4132153698 and a dual bound 0.4132153678.
+    d = make_random(102, 3, 3, 0.3)
+    value = union_information(MINSYN, d, PartFamily(tuple(almosts(3))))
+    assert abs(value - 0.4132153688) <= 1e-6
+
+
+def _report_families(n):
+    return (
+        [singletons(n)]
+        + [b.family() for b in all_bipartitions(n)]
+        + almost_pairs(n)
+        + [PartFamily(tuple(almosts(n)))]
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, n, zero_fraction, families",
+    [
+        (3, 3, 0.4, _report_families(3)),
+        (10, 3, 0.4, _report_families(3)),
+        (0, 4, 0.3, [PartFamily((PartSpec((0, 1, 2)), PartSpec((1, 2, 3))))]),
+    ],
+)
+def test_binary_zeros_between_part_bound_and_oracle(seed, n, zero_fraction, families):
+    # Inputs with single-cell x-groups, where a cancelling Hessian assembly
+    # made the Newton system singular.
+    d = make_random(seed, n, 2, zero_fraction)
+    for fam in families:
+        value = union_information(MINSYN, d, fam)
+        lower = max(part_mutual_information(d, p) for p in fam.parts)
+        assert value >= lower - 1e-12
+        assert value <= brute_force_union_oracle(d, fam) + 1e-7
+
+
+def test_default_path_never_imports_scipy_optimize():
+    # scipy.optimize costs about 0.4 s and 47 MB at import; only the
+    # forced-zero face search needs it, and the corpus and binary
+    # full-support inputs never reach that.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from pidirr import EXAMPLE_NAMES, full_report, load_example, random_distribution\n"
+        "for name in EXAMPLE_NAMES:\n"
+        "    full_report(load_example(name).distribution)\n"
+        "full_report(random_distribution(np.random.default_rng(400), n_predictors=3))\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    src = str(Path(union_info.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
