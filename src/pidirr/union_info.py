@@ -24,14 +24,16 @@ never produces; cells that a preserved marginal pins to zero are dropped.
 The solver is a primal log-barrier method (Boyd & Vandenberghe, *Convex
 Optimization*, ch. 11): damped Newton steps in the constraint null space on
 ``-H(Y|X) - mu * sum(ln q)``, from the maximum-entropy feasible point, with
-``mu`` divided by ten per stage.  It stops once the duality gap
-``cells * mu`` is below a tenth of the tolerance, or once the objective
-reaches the largest single-part mutual information, which no feasible point
-can beat.  Some cells are zero at every feasible point without being pinned
-(cyclic families with structured zeros); a barrier needs a strictly positive
-start, so when the maximum-entropy start comes out thin, one linear program
-finds the largest feasible support and the solver works on that face alone
-(facial reduction).
+``mu`` cut a hundredfold once a step starts near the centre.  Each Newton
+system also gives multipliers ``z`` of the marginal constraints, and so the
+Lagrange dual bound ``H(Y) + (z.x0 - max_x logsumexp_y z_xy) / ln 2`` on the
+minimum.  The solver stops once its value is within a tenth of the tolerance
+of that bound, or within 1e-11 bits of the largest single-part mutual
+information, the other lower bound.  Some cells are zero at every feasible
+point without being pinned (cyclic families with structured zeros); a
+barrier needs a strictly positive start, so when the maximum-entropy start
+comes out thin, one linear program finds the largest feasible support and
+the solver works on that face alone (facial reduction).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import DistributionError, JointDistribution, VariableSelector
+from .distributions import DistributionError, JointDistribution
 from .parts import PartFamily, PartSpec, all_parts
 
 __all__ = [
@@ -72,9 +74,6 @@ _THIN_START = 1e-4
 #: Sweeps of iterative proportional fitting, and the residual that ends them.
 _IPF_SWEEPS = 1000
 _IPF_RESIDUAL = 1e-14
-
-#: A stage is centred once the Newton decrement of ``f/mu - sum(ln q)`` is this small.
-_CENTRED = 1e-9
 
 #: Newton steps per solve before it is declared stuck.
 _MAX_NEWTON_STEPS = 500
@@ -105,9 +104,9 @@ class UnionMeasure:
     """Which union-information measure to compute, and how accurately.
 
     ``tolerance`` (bits) bounds how far a ``minsyn`` value may lie above the
-    true minimum: the barrier solver stops once its duality gap is below a
-    tenth of it.  The solver is deterministic, so nothing else is tunable.
-    ``maxmi`` values are exact.
+    true minimum: the barrier solver stops once its value is within a tenth
+    of it of a certified lower bound.  The solver is deterministic, so
+    nothing else is tunable.  ``maxmi`` values are exact.
     """
 
     kind: MeasureKind = MeasureKind.MIN_SYNERGY
@@ -122,11 +121,12 @@ class UnionMeasure:
 
 
 class UnionConvergenceError(RuntimeError):
-    """The barrier solver stopped before its duality gap closed.
+    """The barrier solver stopped before its certified gap closed.
 
     ``value`` (bits) is the objective at the last feasible iterate, an upper
-    bound on the union information; ``gap`` (bits) bounds how far above the
-    minimum the last centred iterate lay, and is infinite if none was.
+    bound on the union information; ``value - gap`` is the last certified
+    lower bound, so ``gap`` (bits) bounds how far above the minimum ``value``
+    lies.  It is finite once one Newton step has been solved.
     """
 
     def __init__(self, message: str, value: float, gap: float):
@@ -135,29 +135,48 @@ class UnionConvergenceError(RuntimeError):
         self.gap = gap
 
 
-def _part_selector(d: JointDistribution, part: PartSpec) -> VariableSelector:
-    preds = d.predictor_indices
-    return VariableSelector(preds[i] for i in part.member_indices)
+class _Tables:
+    """What every family's polytope over one distribution shares: the pmf on
+    the product of the alphabets, the product's cells, ``H(Y)`` and the
+    whole's mutual information (bits), plus one memoized entry per part."""
+
+    def __init__(self, d: JointDistribution):
+        index = [{s: i for i, s in enumerate(a)} for a in d.alphabets]
+        self.pmf = np.zeros(tuple(len(a) for a in d.alphabets))
+        for outcome, p in d.pmf.items():
+            self.pmf[tuple(ix[s] for ix, s in zip(index, outcome))] = p
+        # Cells in ``itertools.product`` order, which is the C order of
+        # ``pmf``; column c of ``codes`` holds the symbol indices of cell c.
+        self.cells = list(iter_product(*d.alphabets))
+        self.codes = np.indices(self.pmf.shape).reshape(self.pmf.ndim, -1)
+        t = self.target = d.target_index
+        self.preds = list(d.predictor_indices)
+        self.xcode = np.ravel_multi_index(np.delete(self.codes, t, 0), np.delete(self.pmf.shape, t))
+        self.hy = _neg_plogp(self.pmf.sum(axis=tuple(self.preds)))
+        self.whole_mi = self.hy + _neg_plogp(self.pmf.sum(axis=self.target)) - _neg_plogp(self.pmf)
+        self._parts: dict[PartSpec, tuple] = {}
+
+    def part(self, part: PartSpec) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(key, marginal, mi)``: each cell's index into the flattened
+        part-target marginal, that marginal, and ``I(part; Y)`` in bits."""
+        if part not in self._parts:
+            axes = sorted([self.preds[i] for i in part.member_indices] + [self.target])
+            marg = self.pmf.sum(axis=tuple(set(range(self.pmf.ndim)) - set(axes)))
+            key = np.ravel_multi_index(self.codes[axes], marg.shape)
+            hp = _neg_plogp(marg.sum(axis=axes.index(self.target)))
+            self._parts[part] = (key, marg.ravel(), hp + self.hy - _neg_plogp(marg))
+        return self._parts[part]
 
 
-def _part_target_marginal(d: JointDistribution, part: PartSpec) -> dict[tuple, float]:
-    """Joint (part, target) marginal keyed by (part symbols..., target symbol)."""
-    preds = d.predictor_indices
-    positions = [preds[i] for i in part.member_indices]
-    t = d.target_index
-    out: dict[tuple, float] = {}
-    for outcome, p in d.pmf.items():
-        key = tuple(outcome[i] for i in positions) + (outcome[t],)
-        out[key] = out.get(key, 0.0) + p
-    return out
+_tables = lru_cache(maxsize=256)(_Tables)
 
 
 def part_mutual_information(d: JointDistribution, part: PartSpec) -> float:
-    return d.mutual_information(_part_selector(d, part), d.target_selector())
+    return _tables(d).part(part)[2]
 
 
 def whole_mutual_information(d: JointDistribution) -> float:
-    return d.mutual_information(d.whole_selector(), d.target_selector())
+    return _tables(d).whole_mi
 
 
 def _null_basis(a: np.ndarray) -> np.ndarray:
@@ -182,54 +201,39 @@ class MarginalPolytope:
             raise ValueError("need at least one part")
         for p in parts:
             p.validate(base.n_predictors, allow_full=True)
-        preds = base.predictor_indices
-        t = base.target_index
         self.base = base
         self.parts = tuple(parts)
-        marginals = [_part_target_marginal(base, p) for p in parts]
-        positions = [[preds[i] for i in p.member_indices] + [t] for p in parts]
-
-        self.cells: list[tuple] = []
-        cell_keys: list[list[tuple]] = []
-        for combo in iter_product(*base.alphabets):
-            keys = [tuple(combo[i] for i in pos) for pos in positions]
-            if all(k in marg for k, marg in zip(keys, marginals)):
-                self.cells.append(combo)
-                cell_keys.append(keys)
-        ncells = len(self.cells)
+        tab = _tables(base)
+        marginals = [tab.part(p) for p in self.parts]
+        positive = [marg[key] > 0.0 for key, marg, _ in marginals]
+        live = np.flatnonzero(np.logical_and.reduce(positive))
+        self.cells: list[tuple] = [tab.cells[c] for c in live]
 
         # The objective's groups: one per whole-predictor configuration.
-        xkeys: dict[tuple, int] = {}
-        self.xidx = np.array(
-            [xkeys.setdefault(tuple(c[i] for i in preds), len(xkeys)) for c in self.cells],
-            dtype=np.intp,
-        )
-        self.nx = len(xkeys)
+        xkeys, self.xidx = np.unique(tab.xcode[live], return_inverse=True)
+        self.nx = xkeys.size
 
-        # One block of rows per part; each cell sits in exactly one row of
-        # each block, which is what iterative proportional fitting rescales.
-        self.A = np.zeros((sum(len(marg) for marg in marginals), ncells))
-        self.b = np.array([p for marg in marginals for p in marg.values()])
-        self.blocks: list[slice] = []
-        for j, marg in enumerate(marginals):
+        # One block of rows per part, one row per part-target symbol tuple of
+        # positive mass; each cell sits in exactly one row of each block,
+        # which is what iterative proportional fitting rescales.
+        a, b, self.blocks = [], [], []
+        for key, marg, _ in marginals:
+            keys, row = np.unique(key[live], return_inverse=True)
             start = self.blocks[-1].stop if self.blocks else 0
-            row_of_key = {k: start + i for i, k in enumerate(marg)}
-            for c, keys in enumerate(cell_keys):
-                self.A[row_of_key[keys[j]], c] = 1.0
-            self.blocks.append(slice(start, start + len(marg)))
+            self.blocks.append(slice(start, start + keys.size))
+            a.append(np.arange(keys.size)[:, None] == row)
+            b.append(marg[keys])
+        self.A, self.b = np.vstack(a).astype(float), np.concatenate(b)
 
-        index_of_cell = {combo: c for c, combo in enumerate(self.cells)}
-        self.x0 = np.zeros(ncells)
-        for outcome, p in base.pmf.items():
-            self.x0[index_of_cell[outcome]] = p
+        self.x0 = tab.pmf.ravel()[live]
         residual = self.residual(self.x0)
         if residual > 1e-9:
             raise AssertionError(
                 f"base distribution violates its own marginals by {residual}"
             )
 
-        self.lower_bound = max(part_mutual_information(base, p) for p in parts)
-        self.upper_bound = whole_mutual_information(base)
+        self.lower_bound = max(mi for _, _, mi in marginals)
+        self.upper_bound = tab.whole_mi
 
         # Orthonormal basis of the constraint null space; movement inside it
         # preserves every marginal exactly.
@@ -260,13 +264,14 @@ def _max_entropy(poly: MarginalPolytope, live: np.ndarray) -> np.ndarray:
     return q
 
 
-def _maximal_support(poly: MarginalPolytope) -> np.ndarray:
-    """Mask of the cells some feasible point makes positive, by one LP.
+def _maximal_support(poly: MarginalPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the cells some feasible point makes positive, and such a
+    point on them, by one LP.
 
     Over the cone ``A y = s b``, ``y >= 0``, maximize ``sum(t)`` subject to
     ``0 <= t <= min(y, 1)``.  Scaling a feasible point up drives ``t`` to 1
     on its support, so the optimum has ``t = 1`` exactly on the largest
-    support and 0 elsewhere.
+    support and 0 elsewhere, and ``y / s`` is feasible and positive there.
     """
     from scipy.optimize import linprog  # costly import, needed on this path only
 
@@ -281,10 +286,15 @@ def _maximal_support(poly: MarginalPolytope) -> np.ndarray:
         bounds=[(0.0, None)] * n + [(0.0, 1.0)] * n + [(0.0, None)],
     )
     if res.status != 0:
-        raise UnionConvergenceError(
-            f"maximal-support LP failed: {res.message}", math.inf, math.inf
-        )
-    return res.x[n:2 * n] > 0.5
+        raise UnionConvergenceError(f"maximal-support LP failed: {res.message}", math.inf, math.inf)
+    live = res.x[n:2 * n] > 0.5
+    return live, res.x[:n][live] / res.x[-1]
+
+
+def _step_inside(q: np.ndarray, dq: np.ndarray, share: float) -> float:
+    """``share`` of the longest step along ``dq`` that keeps ``q`` positive, at most 1."""
+    falling = dq < 0.0
+    return min(1.0, share * float((q[falling] / -dq[falling]).min())) if falling.any() else 1.0
 
 
 def _interior_start(poly: MarginalPolytope):
@@ -294,10 +304,13 @@ def _interior_start(poly: MarginalPolytope):
     q = poly.project_affine(_max_entropy(poly, live))
     if q.min() >= _THIN_START * q.max():
         return live, q, poly.null_basis
-    live = _maximal_support(poly)
+    live, inner = _maximal_support(poly)
     basis = _null_basis(poly.A[:, live])
     x0 = poly.x0[live]  # the base pmf is feasible, so it lies on the face
-    q = x0 + basis @ (basis.T @ (_max_entropy(poly, live) - x0))
+    inner, q = (x0 + basis @ (basis.T @ (v - x0)) for v in (inner, _max_entropy(poly, live)))
+    # IPF may near a tiny cell too slowly for its projection to stay positive:
+    # go from the LP's point towards it at most half as far as positivity allows.
+    q = inner + _step_inside(inner, q - inner, 0.5) * (q - inner)
     if not q.min() > 0.0:
         raise UnionConvergenceError(
             "no strictly positive start on the feasible face", math.inf, math.inf
@@ -305,11 +318,12 @@ def _interior_start(poly: MarginalPolytope):
     return live, q, basis
 
 
-def _barrier_newton(poly: MarginalPolytope, tolerance: float) -> float:
-    """Minimum of ``I_q(X;Y)`` in bits, at most ``0.1 * tolerance`` above it."""
+def _barrier_newton(poly: MarginalPolytope, tolerance: float) -> tuple[float, float]:
+    """``(value, lower)`` in bits: ``I_q(X;Y)`` at a feasible point, and a
+    certified lower bound on its minimum at most ``0.1 * tolerance`` below."""
     live, q, basis = _interior_start(poly)
-    xidx, nx = poly.xidx[live], poly.nx
-    hy = poly.base.entropy(poly.base.target_selector())
+    xidx, nx, x0 = poly.xidx[live], poly.nx, poly.x0[live]
+    hy = _tables(poly.base).hy
     counts = np.bincount(xidx, minlength=nx)
     # In an x-group with one live cell the Hessian block 1/q - 1/q_x is
     # exactly 0; assembling it from the two huge terms leaves only rounding.
@@ -325,13 +339,14 @@ def _barrier_newton(poly: MarginalPolytope, tolerance: float) -> float:
 
     # I_q(X;Y) = hy + f / ln 2 bits, since every feasible q has H(Y) = hy.
     f_stop = (poly.lower_bound + _CERTIFICATE_SLACK - hy) * _LN2
-    mu_end = 0.1 * tolerance * _LN2 / q.size  # its gap cells * mu_end is the target
+    target = 0.1 * tolerance * _LN2
+    mu_end = 0.1 * target / q.size  # centred gap < cells * mu; 0.1 leaves room for rounding
     f, grad, qx = objective(q)
     mu = max((f - f_stop) / q.size, mu_end)
-    gap = math.inf
+    bound = -math.inf
     for _ in range(_MAX_NEWTON_STEPS):
         if f <= f_stop:
-            break
+            return hy + f / _LN2, poly.lower_bound
         inv = 1.0 / q
         g = basis.T @ (grad - mu * inv)
         w = np.zeros(nx)
@@ -343,15 +358,20 @@ def _barrier_newton(poly: MarginalPolytope, tolerance: float) -> float:
         except np.linalg.LinAlgError:
             dz = np.linalg.lstsq(hess, -g, rcond=None)[0]
         decrement = -(g @ dz)
-        if decrement <= _CENTRED * mu:
-            gap = q.size * mu
-            if mu <= mu_end:
-                break
-            mu = max(mu / 10.0, mu_end)
-            continue
         dq = basis @ dz
-        falling = dq < 0.0
-        step = min(1.0, 0.99 * float((q[falling] / -dq[falling]).min())) if falling.any() else 1.0
+        # Multipliers of the marginal constraints: by the Newton system, the
+        # barrier gradient plus its Hessian times dq lies in range(A^T).  For
+        # such z every feasible q has z.q = z.x0, and -H(Y|X) - z.q is at
+        # least -max_x logsumexp_y z_xy on the simplex (nats), at any iterate.
+        # An x-group emptied by facial reduction sums to 0 and never wins.
+        z = grad - mu * inv + d * dq - (w * np.bincount(xidx, dq, nx))[xidx]
+        z -= basis @ (basis.T @ z)
+        top = z.max()
+        lse = top + math.log(np.bincount(xidx, np.exp(z - top), nx).max())
+        bound = max(bound, float(z @ x0 - lse))
+        if f - bound <= target:
+            return hy + f / _LN2, hy + bound / _LN2
+        step = _step_inside(q, dq, 0.99)
         # Halve while the step overshoots the minimum along the line by more
         # than half the starting slope.  Slopes of a convex function need no
         # differences of rounded values, which vanish as mu gets small.
@@ -362,24 +382,28 @@ def _barrier_newton(poly: MarginalPolytope, tolerance: float) -> float:
                 break
             step *= 0.5
         q, f, grad, qx = cand, fc, gc, qxc
-    else:
-        raise UnionConvergenceError(
-            f"minimum-synergy barrier solver did not close its gap in "
-            f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap / _LN2!r} bits)",
-            value=hy + f / _LN2,
-            gap=gap / _LN2,
-        )
-    return hy + f / _LN2
+        if decrement <= 0.1 * mu:  # the step began near the centre: end the stage
+            mu = max(mu / 100.0, mu_end)
+    gap = (f - bound) / _LN2
+    raise UnionConvergenceError(
+        f"minimum-synergy barrier solver did not close its gap in "
+        f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap!r} bits)", hy + f / _LN2, gap
+    )
 
 
-def _min_synergy_value(d: JointDistribution, parts: Sequence[PartSpec], m: UnionMeasure) -> float:
+def _min_synergy_bracket(d: JointDistribution, parts: Sequence[PartSpec], m: UnionMeasure):
+    """``(value, lower)`` in bits: the union information, and a certified
+    lower bound on the minimum at most ``m.tolerance`` below it."""
     poly = MarginalPolytope(d, parts)
     lower, upper = poly.lower_bound, poly.upper_bound
-    if upper - lower <= _CERTIFICATE_SLACK or poly.null_basis.shape[1] == 0:
-        return upper  # with no free direction the base pmf is the only feasible q
-    value = _barrier_newton(poly, m.tolerance)
+    if poly.null_basis.shape[1] == 0:
+        return upper, upper  # with no free direction the base pmf is the only feasible q
+    if upper - lower <= _CERTIFICATE_SLACK:
+        return upper, min(lower, upper)
+    value, bound = _barrier_newton(poly, m.tolerance)
     # Both bounds hold for the minimum, so clamping only removes rounding.
-    return float(min(max(value, lower), upper))
+    value = min(max(value, lower), upper)
+    return value, min(max(bound, lower), value)
 
 
 @lru_cache(maxsize=65536)
@@ -389,7 +413,7 @@ def _union_information_cached(
     family.validate(d.n_predictors, allow_full=True)
     if m.kind is MeasureKind.MAX_SINGLE_MI:
         return max(part_mutual_information(d, p) for p in family.parts)
-    return _min_synergy_value(d, family.parts, m)
+    return _min_synergy_bracket(d, family.parts, m)[0]
 
 
 def union_information(

@@ -2,10 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pidirr.distributions import JointDistribution
 from pidirr.parts import PartFamily, PartSpec, all_bipartitions, almost_pairs, almosts
@@ -109,13 +112,18 @@ def test_determinism_bit_identical():
 
 
 def test_unclosed_gap_is_a_typed_error(monkeypatch):
-    monkeypatch.setattr(union_info, "_MAX_NEWTON_STEPS", 2)
     d = make_random(400, n_predictors=3)
+    # Within 1e-10 bits above the minimum.
+    tight = UnionMeasure(tolerance=1e-10)
+    optimum, _ = union_info._min_synergy_bracket(d, singletons(3).parts, tight)
+    monkeypatch.setattr(union_info, "_MAX_NEWTON_STEPS", 2)
     with pytest.raises(UnionConvergenceError) as err:
         union_information_uncached(MINSYN, d, singletons(3))
     lower = max(part_mutual_information(d, p) for p in singletons(3).parts)
     assert err.value.gap > 0.0
     assert err.value.value >= lower
+    assert math.isfinite(err.value.gap)
+    assert err.value.value - err.value.gap <= optimum
 
 
 def test_polytope_base_is_feasible(triple_xor):
@@ -227,17 +235,24 @@ def _report_families(n):
         (3, 3, 0.4, _report_families(3)),
         (10, 3, 0.4, _report_families(3)),
         (0, 4, 0.3, [PartFamily((PartSpec((0, 1, 2)), PartSpec((1, 2, 3))))]),
+        (0, 4, 0.1, [PartFamily(tuple(almosts(4)))]),
+        (207, 3, 0.2, [PartFamily(tuple(almosts(3)))]),
     ],
 )
 def test_binary_zeros_between_part_bound_and_oracle(seed, n, zero_fraction, families):
     # Inputs with single-cell x-groups, where a cancelling Hessian assembly
-    # made the Newton system singular.
+    # made the Newton system singular.  In the last two, iterative
+    # proportional fitting nears a tiny cell of the maximum-entropy point too
+    # slowly for its projection to stay positive, so the solver has to start
+    # from the support LP's point.
     d = make_random(seed, n, 2, zero_fraction)
     for fam in families:
         value = union_information(MINSYN, d, fam)
         lower = max(part_mutual_information(d, p) for p in fam.parts)
         assert value >= lower - 1e-12
         assert value <= brute_force_union_oracle(d, fam) + 1e-7
+        certified = union_info._min_synergy_bracket(d, fam.parts, MINSYN)[1]
+        assert certified <= value <= certified + MINSYN.tolerance
 
 
 def test_default_path_never_imports_scipy_optimize():
@@ -261,3 +276,119 @@ def test_default_path_never_imports_scipy_optimize():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    alphabet_size=st.integers(2, 3),
+    zero_fraction=st.floats(0.0, 0.5),
+)
+def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
+    d = make_random(seed, n, alphabet_size if n < 4 else 2, zero_fraction)
+    whole = whole_mutual_information(d)
+    for fam in _report_families(n):
+        value, lower = union_info._min_synergy_bracket(d, fam.parts, MINSYN)
+        assert lower <= value <= lower + MINSYN.tolerance
+        assert value >= max(part_mutual_information(d, p) for p in fam.parts) - 1e-12
+        assert value <= whole + 1e-12
+
+
+@pytest.mark.parametrize("seed, alphabet_size, emptied", [(102, 3, False), (2, 2, True)])
+def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
+    # Both inputs take the facial-reduction path, and on the binary one it
+    # empties an x-group, which the dual bound's log-sum-exp must skip.
+    d = make_random(seed, 3, alphabet_size, 0.3)
+    fam = PartFamily(tuple(almosts(3)))
+    poly = MarginalPolytope(d, fam.parts)
+    live = union_info._interior_start(poly)[0]
+    assert not live.all()
+    assert (np.bincount(poly.xidx[live], minlength=poly.nx) == 0).any() == emptied
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, certified = union_info._min_synergy_bracket(d, fam.parts, MINSYN)
+    assert certified <= value <= certified + MINSYN.tolerance
+
+
+def _loop_build(d, parts):
+    """Live cells, and per part its positions and (part, target) marginal,
+    by direct loops over the pmf and the alphabet product."""
+    preds, t = d.predictor_indices, d.target_index
+    positions = [[preds[i] for i in p.member_indices] + [t] for p in parts]
+    marginals = []
+    for pos in positions:
+        marg = {}
+        for outcome, p in d.pmf.items():
+            key = tuple(outcome[i] for i in pos)
+            marg[key] = marg.get(key, 0.0) + p
+        marginals.append(marg)
+    cells = [
+        c for c in product(*d.alphabets)
+        if all(tuple(c[i] for i in pos) in marg for pos, marg in zip(positions, marginals))
+    ]
+    return cells, positions, marginals
+
+
+def _build_cases(corpus):
+    for example in corpus.values():
+        d = example.distribution
+        for fam in _report_families(d.n_predictors):
+            yield d, fam
+    for seed in (100, 101, 102):
+        yield make_random(seed, 2, 3, 0.3), singletons(2)
+    d = make_random(0, 4, 2, 0.3)
+    for fam in _report_families(4):
+        yield d, fam
+
+
+def test_vectorized_build_matches_loops(corpus):
+    for d, fam in _build_cases(corpus):
+        poly = MarginalPolytope(d, fam.parts)
+        cells, positions, marginals = _loop_build(d, fam.parts)
+        assert poly.cells == cells
+        index = {c: i for i, c in enumerate(cells)}
+        a_loop = np.zeros((sum(len(m) for m in marginals), len(cells)))
+        start = 0
+        for block, pos, marg in zip(poly.blocks, positions, marginals):
+            rows = poly.A[block]
+            assert (rows.sum(axis=0) == 1.0).all()
+            keys = []
+            for row, mass in zip(rows, poly.b[block]):
+                key = {tuple(poly.cells[c][i] for i in pos) for c in np.flatnonzero(row)}
+                assert len(key) == 1
+                keys.append(key.pop())
+                # Sums of the same masses in another order.
+                assert mass == pytest.approx(marg[keys[-1]], rel=1e-14, abs=1e-16)
+            assert sorted(keys) == sorted(marg)
+            row_of = {k: start + r for r, k in enumerate(marg)}
+            for c, cell in enumerate(cells):
+                a_loop[row_of[tuple(cell[i] for i in pos)], c] = 1.0
+            start += len(marg)
+        x0 = np.zeros(len(cells))
+        for outcome, p in d.pmf.items():
+            x0[index[outcome]] = p
+        assert (poly.x0 == x0).all()
+        assert np.abs(poly.A @ poly.x0 - poly.b).max() <= 1e-15
+        xkeys = [tuple(c[i] for i in d.predictor_indices) for c in cells]
+        assert len(set(zip(poly.xidx.tolist(), xkeys))) == len(set(xkeys)) == poly.nx
+        assert set(poly.xidx.tolist()) == set(range(poly.nx))
+        assert poly.null_basis.shape[1] == len(cells) - np.linalg.matrix_rank(a_loop)
+
+
+def test_tables_follow_target_and_constant_target():
+    d = make_random(7, n_predictors=2)
+    retargeted = JointDistribution(d.variables, d.pmf, target="X1")
+    const = d.with_constant_target()
+    for dist in (d, retargeted, const):
+        whole = dist.mutual_information(dist.whole_selector(), dist.target_selector())
+        assert whole_mutual_information(dist) == pytest.approx(whole, abs=1e-14)
+        for part in singletons(2).parts:
+            sel = dist.selector(dist.variables[dist.predictor_indices[part.member_indices[0]]])
+            mi = dist.mutual_information(sel, dist.target_selector())
+            assert part_mutual_information(dist, part) == pytest.approx(mi, abs=1e-14)
+    assert abs(whole_mutual_information(retargeted) - whole_mutual_information(d)) > 1e-3
+    assert whole_mutual_information(const) == 0.0
+    via_name = union_information(MINSYN, d, singletons(2), target="X1")
+    assert via_name == union_information(MINSYN, retargeted, singletons(2))
+    assert union_information(MINSYN, const, singletons(2)) == 0.0
