@@ -14,6 +14,8 @@ and two application layers on top:
 * :mod:`pidirr.corpus` - reference circuits with known values.
 
 ``pidirr.cli`` exposes everything as the ``pidirr`` command.
+``pidirr.oracle`` holds a slow brute-force check of minimum-synergy values for
+tests; ``brute_force_union_oracle`` imports it on first use.
 """
 
 from .distributions import (
@@ -51,7 +53,6 @@ from .union_info import (
     MeasureKind,
     UnionConvergenceError,
     UnionMeasure,
-    brute_force_union_oracle,
     check_axioms,
     union_information,
 )
@@ -97,7 +98,6 @@ __all__ = [
     "MeasureKind",
     "UnionConvergenceError",
     "UnionMeasure",
-    "brute_force_union_oracle",
     "check_axioms",
     "union_information",
     "IrreducibilityReport",
@@ -113,3 +113,13 @@ __all__ = [
     "verify_corpus",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The test oracle imports scipy.optimize and takes a second per family;
+    # it is loaded on first use so that ``import pidirr`` stays light.
+    if name == "brute_force_union_oracle":
+        from .oracle import brute_force_union_oracle
+
+        return brute_force_union_oracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

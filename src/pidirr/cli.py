@@ -227,24 +227,18 @@ def _cmd_examples(args) -> tuple[str, int]:
         if not args.name:
             raise UsageError("--emit-tsv needs --name")
         return load_example(args.name).distribution.to_tsv(), 0
-    m = _measure_from(args)
-    verification = verify_corpus(m, tol=args.tol)
-    rows = verification.rows
-    if args.name:
-        rows = tuple(r for r in rows if r.name == args.name)
-    status = 0 if all(r.ok(verification.tolerance) for r in rows) else 1
+    names = (args.name,) if args.name else EXAMPLE_NAMES
+    verification = verify_corpus(_measure_from(args), tol=args.tol, names=names)
+    status = 0 if verification.all_ok else 1
     if args.format == "json":
-        payload = verification.to_dict()
-        if args.name:
-            payload["rows"] = {args.name: payload["rows"][args.name]}
-        return render_json(payload) + "\n", status
+        return render_json(verification.to_dict()) + "\n", status
     if args.format == "tsv":
         return render_tsv(verification.to_dict()), status
     header = (
         f"{'example':<12}{'I(whole;Y)':>12}{'IbE':>8}{'IbDp':>8}{'Ib2p':>8}{'IbAp':>8}  status"
     )
     lines = [header]
-    for r in rows:
+    for r in verification.rows:
         got = r.report.values()
         ok = r.ok(verification.tolerance)
         lines.append(

@@ -34,6 +34,16 @@ point without being pinned (cyclic families with structured zeros); a
 barrier needs a strictly positive start, so when the maximum-entropy start
 comes out thin, one linear program finds the largest feasible support and
 the solver works on that face alone (facial reduction).
+
+The families asked for in one call (all of a report's, in
+:func:`pidirr.irreducibility.full_report`) are solved in lockstep.
+Polytopes with the same live-cell count become the rows of one batch, whose
+Newton systems are assembled and solved by stacked numpy calls: on programs
+this small a step's cost is numpy's per-call overhead, not arithmetic, so a
+batch step costs about as much as one family's.  Each row keeps its own
+iterates, ``mu`` schedule and certified stop, and leaves the batch when it
+stops.  Values are memoized per measure and distribution, so no family is
+solved twice.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ __all__ = [
     "MarginalPolytope",
     "UnionConvergenceError",
     "union_information",
-    "brute_force_union_oracle",
+    "union_information_batch",
     "AxiomReport",
     "check_axioms",
 ]
@@ -318,102 +328,246 @@ def _interior_start(poly: MarginalPolytope):
     return live, q, basis
 
 
-def _barrier_newton(poly: MarginalPolytope, tolerance: float) -> tuple[float, float]:
-    """``(value, lower)`` in bits: ``I_q(X;Y)`` at a feasible point, and a
-    certified lower bound on its minimum at most ``0.1 * tolerance`` below."""
-    live, q, basis = _interior_start(poly)
-    xidx, nx, x0 = poly.xidx[live], poly.nx, poly.x0[live]
+def _gradient(v: np.ndarray, gidx: np.ndarray, nx: int):
+    """For a stack of columns ``v``, shape ``(rows, cells, 1)``: the gradient
+    of ``f = -H(Y|X) = v.grad`` (nats), which is ``ln v(y|x)``, and the
+    x-group masses, shape ``(rows, nx, 1)``.  ``gidx`` numbers each cell's
+    x-group across rows: row k's groups are ``k * nx`` to ``k * nx + nx - 1``."""
+    vx = np.bincount(gidx.ravel(), weights=v.ravel(), minlength=v.shape[0] * nx)
+    return np.log(v / vx[gidx]), vx.reshape(-1, nx, 1)
+
+
+def _stop_level(poly: MarginalPolytope) -> tuple[float, float]:
+    """``H(Y)`` in bits, and the ``f = -H(Y|X)`` (nats) at which ``I_q(X;Y)``
+    meets the part-MI bound: ``I_q(X;Y) = H(Y) + f / ln 2`` bits, since every
+    feasible q has the same ``H(Y)``."""
     hy = _tables(poly.base).hy
-    counts = np.bincount(xidx, minlength=nx)
+    return hy, (poly.lower_bound + _CERTIFICATE_SLACK - hy) * _LN2
+
+
+def _barrier_newton(
+    polys: Sequence[MarginalPolytope], tolerance: float
+) -> list[tuple[float, float]]:
+    """``(value, lower)`` in bits for each polytope: ``I_q(X;Y)`` at a
+    feasible point, and a certified lower bound on its minimum at most
+    ``0.1 * tolerance`` below.
+
+    A polytope whose start already meets the part-MI bound is done there.
+    The others are solved in batches, one per live-cell count."""
+    out: list = [None] * len(polys)
+    batches: dict[int, list] = {}
+    for i, poly in enumerate(polys):
+        live, q, basis = _interior_start(poly)
+        hy, f_stop = _stop_level(poly)
+        grad = _gradient(q[None, :, None], poly.xidx[live][None, :, None], poly.nx)[0]
+        f = float(q @ grad.ravel())
+        if f <= f_stop:
+            out[i] = (hy + f / _LN2, poly.lower_bound)
+        else:
+            batches.setdefault(q.size, []).append((i, poly, live, q, basis))
+    for rows in batches.values():
+        _lockstep(rows, tolerance, out)
+    return out
+
+
+def _lockstep(rows: list, tolerance: float, out: list) -> None:
+    """Damped Newton steps on every row ``(i, poly, live, q, basis)`` at
+    once, all with ``q.size`` cells, until each row's gap closes; row i's
+    ``(value, lower)`` goes to ``out[i]``.
+
+    Each row takes the iterates, ``mu`` schedule and stop it would take
+    alone, and leaves the batch when it stops.  Null bases are zero-padded
+    to the widest, with ones on the padded Hessian diagonal, so the padded
+    directions get zero steps.  Vectors are stacks of columns, so that
+    ``matmul`` takes them as they are, and per-row control runs on one
+    ``tolist`` per step: numpy calls on tiny arrays cost more than their
+    arithmetic."""
+    ids = [row[0] for row in rows]
+    polys = [row[1] for row in rows]
+    levels = [_stop_level(p) for p in polys]
+    hy, f_stop = [h for h, _ in levels], [s for _, s in levels]
+    q = np.array([row[3] for row in rows])[:, :, None]
+    k, n, _ = q.shape
+    nx = max(p.nx for p in polys)
+    width = np.array([row[4].shape[1] for row in rows])
+    r = int(width.max())
+    basis = np.zeros((k, n, r))
+    for b, row in zip(basis, rows):
+        b[:, : row[4].shape[1]] = row[4]
+    diag = np.arange(r)
+    pad = np.zeros((k, r, r))
+    pad[:, diag, diag] = diag >= width[:, None]
+    xidx = np.array([p.xidx[live] for _, p, live, _, _ in rows])
+    x0t = np.array([p.x0[live] for _, p, live, _, _ in rows])[:, None, :]
+    gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
+    gflat = gidx.ravel()
+    # Row sums of the basis over each x-group, and which groups hold more than
+    # one live cell.
     # In an x-group with one live cell the Hessian block 1/q - 1/q_x is
     # exactly 0; assembling it from the two huge terms leaves only rounding.
-    shared, multi = counts[xidx] > 1, counts > 1
-    group_basis = np.zeros((nx, basis.shape[1]))
-    np.add.at(group_basis, xidx, basis)
+    group_basis = np.bincount((gidx * r + diag).ravel(), basis.ravel(), k * nx * r)
+    group_basis = group_basis.reshape(k, nx, r)
+    multi = (np.bincount(gflat, minlength=k * nx) > 1).astype(float)
+    shared = multi[gidx]
+    multi = multi.reshape(k, nx, 1)
+    single = 1.0 - multi  # keeps w finite on empty and padded groups
+    basis_t = basis.transpose(0, 2, 1)
+    group_t = group_basis.transpose(0, 2, 1)
 
-    def objective(v: np.ndarray):
-        """``f = -H(Y|X)`` in nats, its gradient, and the x-group masses."""
-        vx = np.bincount(xidx, weights=v, minlength=nx)
-        grad = np.log(v / vx[xidx])
-        return float(v @ grad), grad, vx
-
-    # I_q(X;Y) = hy + f / ln 2 bits, since every feasible q has H(Y) = hy.
-    f_stop = (poly.lower_bound + _CERTIFICATE_SLACK - hy) * _LN2
     target = 0.1 * tolerance * _LN2
-    mu_end = 0.1 * target / q.size  # centred gap < cells * mu; 0.1 leaves room for rounding
-    f, grad, qx = objective(q)
-    mu = max((f - f_stop) / q.size, mu_end)
-    bound = -math.inf
+    mu_end = 0.1 * target / n  # centred gap < cells * mu; 0.1 leaves room for rounding
+    grad, qx = _gradient(q, gidx, nx)
+    f = (q.transpose(0, 2, 1) @ grad).ravel().tolist()
+    mu = [max((fk - s) / n, mu_end) for fk, s in zip(f, f_stop)]
+    m = np.array(mu).reshape(k, 1, 1)
+    bound = [-math.inf] * k
+    # Per row: f, z.x0, max z, the largest sum of exp(z - max z) over an
+    # x-group, the Newton decrement, and the most negative dq / q, which
+    # limits the step.
+    ctl = np.empty((6, k, 1, 1))
+    c_f, c_zx, c_top, c_sum, c_dec, c_fall = ctl
     for _ in range(_MAX_NEWTON_STEPS):
-        if f <= f_stop:
-            return hy + f / _LN2, poly.lower_bound
         inv = 1.0 / q
-        g = basis.T @ (grad - mu * inv)
-        w = np.zeros(nx)
-        w[multi] = 1.0 / qx[multi]
-        d = np.where(shared, inv, 0.0) + mu * inv * inv
-        hess = (basis.T * d) @ basis - (group_basis.T * w) @ group_basis
+        mi = m * inv
+        descent = mi - grad  # minus the barrier gradient
+        g = basis_t @ descent
+        w = multi / (qx + single)
+        d = (shared + mi) * inv
+        hess = basis_t @ (basis * d) - group_t @ (group_basis * w) + pad
         try:
-            dz = np.linalg.solve(hess, -g)
+            dz = np.linalg.solve(hess, g)
         except np.linalg.LinAlgError:
-            dz = np.linalg.lstsq(hess, -g, rcond=None)[0]
-        decrement = -(g @ dz)
+            dz = np.array([np.linalg.lstsq(h, gk, rcond=None)[0] for h, gk in zip(hess, g)])
         dq = basis @ dz
         # Multipliers of the marginal constraints: by the Newton system, the
         # barrier gradient plus its Hessian times dq lies in range(A^T).  For
         # such z every feasible q has z.q = z.x0, and -H(Y|X) - z.q is at
         # least -max_x logsumexp_y z_xy on the simplex (nats), at any iterate.
-        # An x-group emptied by facial reduction sums to 0 and never wins.
-        z = grad - mu * inv + d * dq - (w * np.bincount(xidx, dq, nx))[xidx]
-        z -= basis @ (basis.T @ z)
-        top = z.max()
-        lse = top + math.log(np.bincount(xidx, np.exp(z - top), nx).max())
-        bound = max(bound, float(z @ x0 - lse))
-        if f - bound <= target:
-            return hy + f / _LN2, hy + bound / _LN2
-        step = _step_inside(q, dq, 0.99)
+        # An x-group emptied by facial reduction, or padded, sums to 0 and
+        # never wins.
+        dqx = np.bincount(gflat, dq.ravel(), k * nx)
+        z = d * dq - descent - (w.ravel() * dqx)[gidx]
+        z -= basis @ (basis_t @ z)
+        np.matmul(q.transpose(0, 2, 1), grad, out=c_f)
+        np.matmul(x0t, z, out=c_zx)
+        np.maximum.reduce(z, 1, keepdims=True, out=c_top)
+        sums = np.bincount(gflat, np.exp(z - c_top).ravel(), k * nx)
+        np.maximum.reduce(sums.reshape(k, nx, 1), 1, keepdims=True, out=c_sum)
+        np.matmul(g.transpose(0, 2, 1), dz, out=c_dec)
+        np.minimum.reduce(dq * inv, 1, keepdims=True, out=c_fall)
+        f, zx, tops, smax, decs, falls = ctl.reshape(6, k).tolist()
+        bound = [max(b, v - (t + math.log(s))) for b, v, t, s in zip(bound, zx, tops, smax)]
+        keep = []
+        for j in range(k):
+            if f[j] <= f_stop[j]:
+                out[ids[j]] = (hy[j] + f[j] / _LN2, polys[j].lower_bound)
+            elif f[j] - bound[j] <= target:
+                out[ids[j]] = (hy[j] + f[j] / _LN2, hy[j] + bound[j] / _LN2)
+            else:
+                keep.append(j)
+        if not keep:
+            return
+        if len(keep) < k:
+            k = len(keep)
+            ids, polys, hy, f_stop, mu, bound, decs, falls = (
+                [v[j] for j in keep] for v in (ids, polys, hy, f_stop, mu, bound, decs, falls)
+            )
+            (q, grad, qx, m, dq, basis, basis_t, group_basis, group_t, pad, x0t, xidx,
+             shared, multi, single) = (
+                v[keep] for v in (q, grad, qx, m, dq, basis, basis_t, group_basis, group_t,
+                                  pad, x0t, xidx, shared, multi, single)
+            )
+            gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
+            gflat = gidx.ravel()
+            ctl = np.empty((6, k, 1, 1))
+            c_f, c_zx, c_top, c_sum, c_dec, c_fall = ctl
+        # 0.99 of the longest step that keeps every cell positive, at most 1.
+        steps = [1.0 if fall >= 0.0 else min(1.0, -0.99 / fall) for fall in falls]
         # Halve while the step overshoots the minimum along the line by more
         # than half the starting slope.  Slopes of a convex function need no
         # differences of rounded values, which vanish as mu gets small.
         while True:
-            cand = q + step * dq
-            fc, gc, qxc = objective(cand)
-            if (gc - mu / cand) @ dq <= 0.5 * decrement or step < 1e-12:
+            cand = q + np.array(steps).reshape(k, 1, 1) * dq
+            gc, qxc = _gradient(cand, gidx, nx)
+            slopes = ((gc - m / cand).transpose(0, 2, 1) @ dq).ravel().tolist()
+            over = [j for j in range(k) if not (slopes[j] <= 0.5 * decs[j] or steps[j] < 1e-12)]
+            if not over:
                 break
-            step *= 0.5
-        q, f, grad, qx = cand, fc, gc, qxc
-        if decrement <= 0.1 * mu:  # the step began near the centre: end the stage
-            mu = max(mu / 100.0, mu_end)
-    gap = (f - bound) / _LN2
+            for j in over:
+                steps[j] *= 0.5
+        q, grad, qx = cand, gc, qxc
+        # A step that began near the centre ends its row's stage.
+        stage = [max(mk / 100.0, mu_end) if dk <= 0.1 * mk else mk for mk, dk in zip(mu, decs)]
+        if stage != mu:
+            mu, m = stage, np.array(stage).reshape(k, 1, 1)
+    f0 = float(q[0].ravel() @ grad[0].ravel())
+    gap = (f0 - bound[0]) / _LN2
     raise UnionConvergenceError(
         f"minimum-synergy barrier solver did not close its gap in "
-        f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap!r} bits)", hy + f / _LN2, gap
+        f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap!r} bits)", hy[0] + f0 / _LN2, gap
     )
 
 
+def _min_synergy_brackets(
+    d: JointDistribution, families: Sequence[Sequence[PartSpec]], m: UnionMeasure
+) -> list[tuple[float, float]]:
+    """``(value, lower)`` in bits per family: the union information, and a
+    certified lower bound on the minimum at most ``m.tolerance`` below it.
+    The families that need the barrier solver are solved in one call."""
+    out: list = []
+    todo: list[tuple[int, MarginalPolytope]] = []
+    for parts in families:
+        poly = MarginalPolytope(d, parts)
+        lower, upper = poly.lower_bound, poly.upper_bound
+        if poly.null_basis.shape[1] == 0:
+            out.append((upper, upper))  # with no free direction the base pmf is the only feasible q
+        elif upper - lower <= _CERTIFICATE_SLACK:
+            out.append((upper, min(lower, upper)))
+        else:
+            todo.append((len(out), poly))
+            out.append(None)
+    solved = _barrier_newton([poly for _, poly in todo], m.tolerance)
+    for (i, poly), (value, bound) in zip(todo, solved):
+        # Both bounds hold for the minimum, so clamping only removes rounding.
+        value = min(max(value, poly.lower_bound), poly.upper_bound)
+        out[i] = (value, min(max(bound, poly.lower_bound), value))
+    return out
+
+
 def _min_synergy_bracket(d: JointDistribution, parts: Sequence[PartSpec], m: UnionMeasure):
-    """``(value, lower)`` in bits: the union information, and a certified
-    lower bound on the minimum at most ``m.tolerance`` below it."""
-    poly = MarginalPolytope(d, parts)
-    lower, upper = poly.lower_bound, poly.upper_bound
-    if poly.null_basis.shape[1] == 0:
-        return upper, upper  # with no free direction the base pmf is the only feasible q
-    if upper - lower <= _CERTIFICATE_SLACK:
-        return upper, min(lower, upper)
-    value, bound = _barrier_newton(poly, m.tolerance)
-    # Both bounds hold for the minimum, so clamping only removes rounding.
-    value = min(max(value, lower), upper)
-    return value, min(max(bound, lower), value)
+    """:func:`_min_synergy_brackets` of one family."""
+    return _min_synergy_brackets(d, [parts], m)[0]
 
 
-@lru_cache(maxsize=65536)
-def _union_information_cached(
-    m: UnionMeasure, d: JointDistribution, family: PartFamily
-) -> float:
-    family.validate(d.n_predictors, allow_full=True)
+def _solve(m: UnionMeasure, d: JointDistribution, families: Sequence[PartFamily]) -> list[float]:
+    for family in families:
+        family.validate(d.n_predictors, allow_full=True)
     if m.kind is MeasureKind.MAX_SINGLE_MI:
-        return max(part_mutual_information(d, p) for p in family.parts)
-    return _min_synergy_bracket(d, family.parts, m)[0]
+        return [max(part_mutual_information(d, p) for p in f.parts) for f in families]
+    return [value for value, _ in _min_synergy_brackets(d, [f.parts for f in families], m)]
+
+
+@lru_cache(maxsize=256)
+def _memo(m: UnionMeasure, d: JointDistribution) -> dict[PartFamily, float]:
+    """Union information of each family solved so far on ``d`` under ``m``."""
+    return {}
+
+
+def union_information_batch(
+    m: UnionMeasure, d: JointDistribution, families: Sequence[PartFamily]
+) -> list[float]:
+    """Union information of each family, in bits, in the order given.
+
+    The families not solved before on an equal distribution are solved in
+    one lockstep batch.  Each value is certified as a single family's is; it
+    may differ from the value of its family solved alone by rounding."""
+    if d.target is None:
+        raise DistributionError("union information needs a target variable")
+    memo = _memo(m, d)
+    todo = [f for f in dict.fromkeys(families) if f not in memo]
+    if todo:
+        memo.update(zip(todo, _solve(m, d, todo)))
+    return [memo[f] for f in families]
 
 
 def union_information(
@@ -431,250 +585,19 @@ def union_information(
         family = PartFamily(tuple(family))
     if target is not None and target != d.target:
         d = JointDistribution(d.variables, d.pmf, target=target)
-    if d.target is None:
-        raise DistributionError("union information needs a target variable")
-    return _union_information_cached(m, d, family)
+    return union_information_batch(m, d, [family])[0]
 
 
 def union_information_uncached(
     m: UnionMeasure, d: JointDistribution, family: PartFamily
 ) -> float:
-    """Cache-bypassing variant used by determinism tests."""
-    return _union_information_cached.__wrapped__(m, d, family)
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle (tests only)
-# ---------------------------------------------------------------------------
-
-def brute_force_union_oracle(
-    d: JointDistribution,
-    family: PartFamily | Iterable[PartSpec],
-    target: str | None = None,
-    n_samples: int = 1000,
-    n_polish: int = 8,
-    seed: int = 20240901,
-) -> float:
-    """Upper-bound check on the minimum-synergy value by brute search.
-
-    Samples ``n_samples`` seeded feasible points of the marginal polytope,
-    runs local descent from the most promising ones (plus the base pmf
-    itself), and returns the best objective value seen.  Convexity of the
-    objective makes this an effective two-sided check: the production
-    optimizer can never beat the true minimum, and this search closes in
-    on it from above.  Deliberately built on a separate stack from the
-    production path: SciPy null-space sampling, alternating minimization
-    against the product reference with iterative proportional fitting for
-    the marginal constraints, and an SLSQP polish on small instances.
-
-    Restricted to bases with at most 64 support outcomes.
-    """
-    import scipy.linalg
-    import scipy.optimize
-
-    if not isinstance(family, PartFamily):
-        family = PartFamily(tuple(family))
-    if target is not None and target != d.target:
-        d = JointDistribution(d.variables, d.pmf, target=target)
-    if len(d.pmf) > 64:
-        raise ValueError(f"oracle guarded at support <= 64, got {len(d.pmf)}")
-    family.validate(d.n_predictors, allow_full=True)
-
-    preds = d.predictor_indices
-    t = d.target_index
-    cells = list(iter_product(*d.alphabets))
-
-    # Marginal tables recomputed from scratch, including zero rows.
-    part_positions = [[preds[i] for i in p.member_indices] for p in family.parts]
-    keyfuncs = [
-        (lambda combo, pos=pos: tuple(combo[i] for i in pos) + (combo[t],))
-        for pos in part_positions
-    ]
-    rows = []
-    rhs = []
-    forced_zero = np.zeros(len(cells), dtype=bool)
-    for kf in keyfuncs:
-        table: dict[tuple, float] = {}
-        for outcome, p in d.pmf.items():
-            table[kf(outcome)] = table.get(kf(outcome), 0.0) + p
-        keys = sorted({kf(c) for c in cells})
-        row_of = {k: i for i, k in enumerate(keys)}
-        block = np.zeros((len(keys), len(cells)))
-        for c, combo in enumerate(cells):
-            k = kf(combo)
-            block[row_of[k], c] = 1.0
-            if table.get(k, 0.0) == 0.0:
-                forced_zero[c] = True
-        rows.append(block)
-        rhs.extend(table.get(k, 0.0) for k in keys)
-    A_full = np.vstack(rows)
-    b_full = np.asarray(rhs)
-
-    live = ~forced_zero
-    A = A_full[:, live]
-    keep_rows = ~(b_full == 0.0)
-    A = A[keep_rows]
-    b = b_full[keep_rows]
-    # Marginal blocks overlap, so rows are linearly dependent; SLSQP wants a
-    # full-row-rank equality system.  Keep a maximal independent row subset.
-    if A.shape[0] > 1:
-        _, _, pivots = scipy.linalg.qr(A.T, pivoting=True, mode="economic")
-        rank = np.linalg.matrix_rank(A)
-        keep = np.sort(pivots[:rank])
-        A = A[keep]
-        b = b[keep]
-
-    index_of_cell = {c: i for i, c in enumerate(cells)}
-    x_full = np.zeros(len(cells))
-    for outcome, p in d.pmf.items():
-        x_full[index_of_cell[outcome]] = p
-    x0 = x_full[live]
-
-    xkeys: dict[tuple, int] = {}
-    ykeys: dict[str, int] = {}
-    xidx, yidx = [], []
-    for combo, alive in zip(cells, live):
-        if not alive:
-            continue
-        xk = tuple(combo[i] for i in preds)
-        xidx.append(xkeys.setdefault(xk, len(xkeys)))
-        yidx.append(ykeys.setdefault(combo[t], len(ykeys)))
-    xidx = np.asarray(xidx, dtype=np.intp)
-    yidx = np.asarray(yidx, dtype=np.intp)
-    nx, ny = len(xkeys), len(ykeys)
-    dim = x0.size
-
-    def objective(q: np.ndarray) -> float:
-        qc = np.maximum(q, 0.0)
-        qx = np.bincount(xidx, weights=qc, minlength=nx)
-        qy = np.bincount(yidx, weights=qc, minlength=ny)
-        return _neg_plogp(qx) + _neg_plogp(qy) - _neg_plogp(qc)
-
-    def objective_and_grad(q: np.ndarray):
-        eps = 1e-18
-        qc = np.maximum(q, eps)
-        qx = np.bincount(xidx, weights=qc, minlength=nx)
-        qy = np.bincount(yidx, weights=qc, minlength=ny)
-        val = _neg_plogp(qx) + _neg_plogp(qy) - _neg_plogp(qc)
-        grad = (
-            np.log2(qc) - np.log2(np.maximum(qx, eps))[xidx]
-            - np.log2(np.maximum(qy, eps))[yidx]
-        ) - 1.0 / _LN2
-        return val, grad
-
-    # Constraint blocks in gather form for iterative proportional fitting.
-    ipf_blocks = []
-    for kf in keyfuncs:
-        table: dict[tuple, float] = {}
-        for outcome, p in d.pmf.items():
-            table[kf(outcome)] = table.get(kf(outcome), 0.0) + p
-        keys = sorted(k for k in table)
-        row_of = {k: i for i, k in enumerate(keys)}
-        rows_idx = []
-        for combo, alive in zip(cells, live):
-            if alive:
-                rows_idx.append(row_of[kf(combo)])
-        ipf_blocks.append(
-            (np.asarray(rows_idx, dtype=np.intp), np.asarray([table[k] for k in keys]))
-        )
-    py_cell = np.asarray([d.project(d.target_selector())[(c[t],)] for c, a in zip(cells, live) if a])
-
-    def alternating_descent(start: np.ndarray, max_outer: int = 400) -> np.ndarray:
-        """Minimize the objective by alternating the product reference and
-        an I-projection (iterative proportional fitting) onto the marginals."""
-        q = np.maximum(start, 0.0) + 1e-13
-        q /= q.sum()
-        prev = math.inf
-        for _ in range(max_outer):
-            rx = np.bincount(xidx, weights=q, minlength=nx)
-            qn = rx[xidx] * py_cell
-            for _ in range(300):
-                worst = 0.0
-                for rows_idx, bvals in ipf_blocks:
-                    marg = np.bincount(rows_idx, weights=qn, minlength=bvals.size)
-                    qn *= (bvals / np.maximum(marg, 1e-300))[rows_idx]
-                    worst = max(worst, float(np.abs(marg - bvals).max()))
-                if worst < 1e-12:
-                    break
-            val = objective(qn)
-            q = qn
-            if prev - val < 1e-13:
-                break
-            prev = val
-        return q
-
-    nullity = scipy.linalg.null_space(A) if A.size else np.eye(dim)
-    best = objective(x0)
-    starts = [x0]
-
-    if nullity.size and nullity.shape[1] > 0:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        k = nullity.shape[1]
-        z = rng.standard_normal((n_samples, k)) * (0.5 / math.sqrt(k))
-        raw = x0[None, :] + z @ nullity.T
-        # Shrink each ray toward the feasible base point until nonnegative.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(raw < 0.0, x0[None, :] / (x0[None, :] - raw), 1.0)
-        tmax = np.clip(np.nanmin(ratios, axis=1), 0.0, 1.0) * 0.999
-        samples = x0[None, :] + tmax[:, None] * (raw - x0[None, :])
-        np.maximum(samples, 0.0, out=samples)
-
-        sx = samples @ _group_matrix(xidx, nx)
-        sy = samples @ _group_matrix(yidx, ny)
-        vals = (
-            _neg_plogp_rows(sx) + _neg_plogp_rows(sy) - _neg_plogp_rows(samples)
-        )
-        order = np.argsort(vals)
-        starts.extend(samples[i] for i in order[: max(n_polish - 1, 1)])
-        best = min(best, float(vals.min()))
-
-    descended = []
-    for start in starts:
-        q = alternating_descent(start)
-        feas = max(
-            float(np.abs(np.bincount(ri, weights=q, minlength=bv.size) - bv).max())
-            for ri, bv in ipf_blocks
-        )
-        if feas < 1e-8:
-            descended.append(q)
-            best = min(best, objective(q))
-
-    if dim <= 200:
-        polish_starts = starts[:1] + descended[:2]
-        for start in polish_starts:
-            res = scipy.optimize.minimize(
-                objective_and_grad,
-                start,
-                jac=True,
-                method="SLSQP",
-                constraints=[
-                    {"type": "eq", "fun": lambda q: A @ q - b, "jac": lambda q: A}
-                ],
-                bounds=[(0.0, 1.0)] * dim,
-                options={"ftol": 1e-14, "maxiter": 400},
-            )
-            if res.x is not None:
-                feas = np.abs(A @ res.x - b).max() if A.size else 0.0
-                if feas < 1e-8:
-                    best = min(best, objective(res.x))
-    return float(best)
-
-
-def _group_matrix(idx: np.ndarray, n: int) -> np.ndarray:
-    g = np.zeros((idx.size, n))
-    g[np.arange(idx.size), idx] = 1.0
-    return g
+    """Memo-bypassing variant used by determinism tests."""
+    return _solve(m, d, [family])[0]
 
 
 def _neg_plogp(v: np.ndarray) -> float:
     vv = v[v > 0.0]
     return float(-(vv * np.log2(vv)).sum())
-
-
-def _neg_plogp_rows(m: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(m > 0.0, m * np.log2(np.maximum(m, 1e-300)), 0.0)
-    return -terms.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,18 @@ def test_examples_maxmi_reports_mismatch(capsys):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("name, ok", [("xor", True), ("xor_unique", False)])
+def test_examples_name_verifies_only_that_circuit(name, ok, capsys):
+    # maxmi gets xor right and xor_unique wrong, so the corpus-wide verdict
+    # is false; the named circuit's verdict and the exit status must agree.
+    argv = ["examples", "--measure", "maxmi", "--name", name, "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    payload = json.loads(out)
+    assert payload["all_ok"] is ok
+    assert list(payload["rows"]) == [name]
+    assert code == (0 if ok else 1)
+
+
 def test_examples_emit_tsv_round_trip(tmp_path, capsys):
     out = tmp_path / "parity.tsv"
     assert main(["examples", "--name", "parity", "--emit-tsv", "--out", str(out)]) == 0

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pidirr.distributions import JointDistribution
+from pidirr.irreducibility import full_report
 from pidirr.parts import PartFamily, PartSpec, all_bipartitions, almost_pairs, almosts
 from pidirr import union_info
+from pidirr.oracle import brute_force_union_oracle
 from pidirr.union_info import (
     MarginalPolytope,
     MeasureKind,
     UnionConvergenceError,
     UnionMeasure,
-    brute_force_union_oracle,
     check_axioms,
     part_mutual_information,
     union_information,
@@ -124,6 +125,37 @@ def test_unclosed_gap_is_a_typed_error(monkeypatch):
     assert err.value.value >= lower
     assert math.isfinite(err.value.gap)
     assert err.value.value - err.value.gap <= optimum
+
+
+def test_unclosed_gap_in_a_batch_is_a_typed_error(monkeypatch):
+    # A report steps its families in lockstep; a row that runs out of steps
+    # fails the whole report with the gap of its last iterate.
+    d = make_random(401, n_predictors=3)
+    union_info._memo.cache_clear()
+    monkeypatch.setattr(union_info, "_MAX_NEWTON_STEPS", 2)
+    with pytest.raises(UnionConvergenceError) as err:
+        full_report(d)
+    assert 0.0 < err.value.gap < math.inf
+    assert math.isfinite(err.value.value)
+
+
+def test_report_solves_each_family_once(monkeypatch):
+    calls = []
+    solve = union_info._min_synergy_brackets
+
+    def counting(d, families, m):
+        calls.append(list(families))
+        return solve(d, families, m)
+
+    monkeypatch.setattr(union_info, "_min_synergy_brackets", counting)
+    union_info._memo.cache_clear()
+    d = make_random(402, n_predictors=3)
+    first = full_report(d)
+    assert len(calls) == 1 and len(calls[0]) == 8
+    assert len(set(map(tuple, calls[0]))) == 8
+    again = full_report(JointDistribution(d.variables, dict(d.pmf)))
+    assert len(calls) == 1
+    assert again.values() == first.values()
 
 
 def test_polytope_base_is_feasible(triple_xor):
@@ -286,13 +318,19 @@ def test_default_path_never_imports_scipy_optimize():
     zero_fraction=st.floats(0.0, 0.5),
 )
 def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
+    # Each family alone, and all of a report's families in one lockstep
+    # batch: both certified, and equal within the tolerance.
     d = make_random(seed, n, alphabet_size if n < 4 else 2, zero_fraction)
     whole = whole_mutual_information(d)
-    for fam in _report_families(n):
+    families = _report_families(n)
+    batch = union_info._min_synergy_brackets(d, [fam.parts for fam in families], MINSYN)
+    for fam, (batch_value, batch_lower) in zip(families, batch):
         value, lower = union_info._min_synergy_bracket(d, fam.parts, MINSYN)
         assert lower <= value <= lower + MINSYN.tolerance
         assert value >= max(part_mutual_information(d, p) for p in fam.parts) - 1e-12
         assert value <= whole + 1e-12
+        assert batch_lower <= batch_value <= batch_lower + MINSYN.tolerance
+        assert abs(batch_value - value) <= MINSYN.tolerance
 
 
 @pytest.mark.parametrize("seed, alphabet_size, emptied", [(102, 3, False), (2, 2, True)])
@@ -309,6 +347,32 @@ def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
         warnings.simplefilter("error")
         value, certified = union_info._min_synergy_bracket(d, fam.parts, MINSYN)
     assert certified <= value <= certified + MINSYN.tolerance
+
+
+def test_mixed_batches_with_facial_reduction_raise_no_warning():
+    # This report's families fall into four batches by live-cell count; two
+    # hold rows of different null dimensions, so their bases are padded, and
+    # one family is solved on a face found by the support LP.
+    d = make_random(1, 3, 2, 0.3)
+    families = _report_families(3)
+    batches = {}
+    for fam in families:
+        poly = MarginalPolytope(d, fam.parts)
+        if poly.null_basis.shape[1] and poly.upper_bound - poly.lower_bound > 1e-11:
+            live, q, basis = union_info._interior_start(poly)
+            batches.setdefault(q.size, []).append((basis.shape[1], live.all()))
+    assert len(batches) == 4
+    assert sum(len({width for width, _ in rows}) > 1 for rows in batches.values()) == 2
+    assert sum(not full for rows in batches.values() for _, full in rows) == 1
+    union_info._memo.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = full_report(d)
+        brackets = union_info._min_synergy_brackets(d, [f.parts for f in families], MINSYN)
+    for fam, (value, lower) in zip(families, brackets):
+        assert lower <= value <= lower + MINSYN.tolerance
+        assert union_information(MINSYN, d, fam) == value
+    assert report.ibe == pytest.approx(whole_mutual_information(d) - brackets[0][0], abs=1e-15)
 
 
 def _loop_build(d, parts):
