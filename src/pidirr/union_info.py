@@ -23,17 +23,24 @@ base support, because the optimum generally moves mass onto outcomes the base
 never produces; cells that a preserved marginal pins to zero are dropped.
 The solver is a primal log-barrier method (Boyd & Vandenberghe, *Convex
 Optimization*, ch. 11): damped Newton steps in the constraint null space on
-``-H(Y|X) - mu * sum(ln q)``, from the maximum-entropy feasible point, with
+``-H(Y|X) - mu * sum(ln q)``, from a strictly positive feasible point, with
 ``mu`` cut a hundredfold once a step starts near the centre.  Each Newton
 system also gives multipliers ``z`` of the marginal constraints, and so the
 Lagrange dual bound ``H(Y) + (z.x0 - max_x logsumexp_y z_xy) / ln 2`` on the
 minimum.  The solver stops once its value is within a tenth of the tolerance
 of that bound, or within 1e-11 bits of the largest single-part mutual
-information, the other lower bound.  Some cells are zero at every feasible
-point without being pinned (cyclic families with structured zeros); a
-barrier needs a strictly positive start, so when the maximum-entropy start
-comes out thin, one linear program finds the largest feasible support and
-the solver works on that face alone (facial reduction).
+information, the other lower bound.
+
+A barrier method needs only a strictly positive feasible start.  When the
+base pmf is positive on every live cell, it is such a point, and the start is
+one sweep of iterative proportional fitting (IPF) projected onto the
+constraints, or, when that sweep leaves a cell non-positive, a point between
+the base pmf and it.  Otherwise some cells may be zero at every feasible
+point without being pinned (cyclic families with structured zeros): IPF then
+runs to convergence, and when its maximum-entropy point comes out thin, one
+linear program finds the largest feasible support and a positive point on
+it, and the solver works on that face alone (facial reduction), from one IPF
+sweep on the face taken the same way.
 
 The families asked for in one call (all of a report's, in
 :func:`pidirr.irreducibility.full_report`) are solved in lockstep.
@@ -81,7 +88,8 @@ _CERTIFICATE_SLACK = 1e-11
 #: largest may be converging onto a face; the support LP then decides.
 _THIN_START = 1e-4
 
-#: Sweeps of iterative proportional fitting, and the residual that ends them.
+#: Sweeps of iterative proportional fitting in the search for a smaller face,
+#: and the residual that ends them.
 _IPF_SWEEPS = 1000
 _IPF_RESIDUAL = 1e-14
 
@@ -167,14 +175,17 @@ class _Tables:
         self._parts: dict[PartSpec, tuple] = {}
 
     def part(self, part: PartSpec) -> tuple[np.ndarray, np.ndarray, float]:
-        """``(key, marginal, mi)``: each cell's index into the flattened
-        part-target marginal, that marginal, and ``I(part; Y)`` in bits."""
+        """``(row, mass, mi)``: each cell's rank among the part-target symbol
+        tuples of positive mass, in sorted order (-1 where its tuple has
+        none), those tuples' masses, and ``I(part; Y)`` in bits."""
         if part not in self._parts:
             axes = sorted([self.preds[i] for i in part.member_indices] + [self.target])
             marg = self.pmf.sum(axis=tuple(set(range(self.pmf.ndim)) - set(axes)))
             key = np.ravel_multi_index(self.codes[axes], marg.shape)
             hp = _neg_plogp(marg.sum(axis=axes.index(self.target)))
-            self._parts[part] = (key, marg.ravel(), hp + self.hy - _neg_plogp(marg))
+            positive = marg.ravel() > 0.0
+            row = np.where(positive, np.cumsum(positive) - 1, -1)[key]
+            self._parts[part] = (row, marg.ravel()[positive], hp + self.hy - _neg_plogp(marg))
         return self._parts[part]
 
 
@@ -215,25 +226,27 @@ class MarginalPolytope:
         self.parts = tuple(parts)
         tab = _tables(base)
         marginals = [tab.part(p) for p in self.parts]
-        positive = [marg[key] > 0.0 for key, marg, _ in marginals]
-        live = np.flatnonzero(np.logical_and.reduce(positive))
-        self.cells: list[tuple] = [tab.cells[c] for c in live]
+        live = np.flatnonzero(np.logical_and.reduce([row >= 0 for row, _, _ in marginals]))
+        self.cells: list[tuple] = [tab.cells[c] for c in live.tolist()]
 
-        # The objective's groups: one per whole-predictor configuration.
-        xkeys, self.xidx = np.unique(tab.xcode[live], return_inverse=True)
-        self.nx = xkeys.size
+        # The objective's groups: one per whole-predictor configuration that
+        # holds a live cell, numbered in sorted order.
+        xcode = tab.xcode[live]
+        group = np.cumsum(np.bincount(xcode) > 0) - 1
+        self.xidx, self.nx = group[xcode], int(group[-1]) + 1
 
         # One block of rows per part, one row per part-target symbol tuple of
         # positive mass; each cell sits in exactly one row of each block,
-        # which is what iterative proportional fitting rescales.
-        a, b, self.blocks = [], [], []
-        for key, marg, _ in marginals:
-            keys, row = np.unique(key[live], return_inverse=True)
-            start = self.blocks[-1].stop if self.blocks else 0
-            self.blocks.append(slice(start, start + keys.size))
-            a.append(np.arange(keys.size)[:, None] == row)
-            b.append(marg[keys])
-        self.A, self.b = np.vstack(a).astype(float), np.concatenate(b)
+        # which is what iterative proportional fitting rescales.  Every such
+        # tuple holds a cell of the base support, and those cells are live,
+        # so each block's rows are its part's cached ranks as they stand.
+        sizes = [mass.size for _, mass, _ in marginals]
+        ends = np.cumsum(sizes)
+        self.blocks = [slice(end - size, end) for size, end in zip(sizes, ends)]
+        self.A = np.zeros((int(ends[-1]), live.size))
+        for (row, _, _), rows in zip(marginals, self.blocks):
+            self.A[rows.start + row[live], np.arange(live.size)] = 1.0
+        self.b = np.concatenate([mass for _, mass, _ in marginals])
 
         self.x0 = tab.pmf.ravel()[live]
         residual = self.residual(self.x0)
@@ -258,12 +271,16 @@ class MarginalPolytope:
         return float(np.abs(self.A @ q - self.b).max())
 
 
-def _max_entropy(poly: MarginalPolytope, live: np.ndarray) -> np.ndarray:
-    """Iterative proportional fitting from uniform over the ``live`` cells;
-    it converges to the feasible point of largest entropy on them."""
+def _max_entropy(poly: MarginalPolytope, live: np.ndarray, sweeps: int = _IPF_SWEEPS) -> np.ndarray:
+    """Iterative proportional fitting from uniform over the ``live`` cells,
+    at most ``sweeps`` sweeps; it converges to the feasible point of largest
+    entropy on them.  For a decomposable family (every report family but the
+    Almosts) one sweep reaches that point.  A start on a known face takes one
+    sweep; only the search for a smaller face runs it to convergence, since a
+    thin limit is what marks cells that may be zero at every feasible point."""
     a = poly.A[:, live]
     q = np.full(a.shape[1], 1.0 / a.shape[1])
-    for _ in range(_IPF_SWEEPS):
+    for _ in range(sweeps):
         worst = 0.0
         for rows in poly.blocks:
             marg = a[rows] @ q
@@ -301,31 +318,44 @@ def _maximal_support(poly: MarginalPolytope) -> tuple[np.ndarray, np.ndarray]:
     return live, res.x[:n][live] / res.x[-1]
 
 
-def _step_inside(q: np.ndarray, dq: np.ndarray, share: float) -> float:
-    """``share`` of the longest step along ``dq`` that keeps ``q`` positive, at most 1."""
-    falling = dq < 0.0
-    return min(1.0, share * float((q[falling] / -dq[falling]).min())) if falling.any() else 1.0
-
-
 def _interior_start(poly: MarginalPolytope):
     """A strictly positive feasible start on the smallest face holding every
-    feasible point: ``(live cell mask, start on them, null basis of them)``."""
+    feasible point: ``(live cell mask, start on them, null basis of them)``.
+
+    On a face with a known strictly positive feasible point ``p``, the start
+    is one IPF sweep projected onto the constraints, or, when that is not
+    positive, the point from ``p`` towards it half as far as positivity
+    allows.  A base pmf positive on every live cell is such a ``p`` and shows
+    that the face is all of them.  Otherwise IPF runs to convergence; a
+    maximum-entropy point that is not thin is the start, and a thin one sends
+    the support LP to find the face and ``p`` on it."""
     live = np.ones(len(poly.cells), dtype=bool)
+    if poly.x0.min() > 0.0:
+        q = _pull(poly.x0, poly.project_affine(_max_entropy(poly, live, 1)))
+        return live, q, poly.null_basis
     q = poly.project_affine(_max_entropy(poly, live))
     if q.min() >= _THIN_START * q.max():
         return live, q, poly.null_basis
     live, inner = _maximal_support(poly)
     basis = _null_basis(poly.A[:, live])
     x0 = poly.x0[live]  # the base pmf is feasible, so it lies on the face
-    inner, q = (x0 + basis @ (basis.T @ (v - x0)) for v in (inner, _max_entropy(poly, live)))
-    # IPF may near a tiny cell too slowly for its projection to stay positive:
-    # go from the LP's point towards it at most half as far as positivity allows.
-    q = inner + _step_inside(inner, q - inner, 0.5) * (q - inner)
+    inner, q = (x0 + basis @ (basis.T @ (v - x0)) for v in (inner, _max_entropy(poly, live, 1)))
+    q = _pull(inner, q)
     if not q.min() > 0.0:
         raise UnionConvergenceError(
             "no strictly positive start on the feasible face", math.inf, math.inf
         )
     return live, q, basis
+
+
+def _pull(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``q`` when it is strictly positive; else the point from the positive
+    ``p`` towards it, half as far as positivity allows."""
+    if q.min() > 0.0:
+        return q
+    dq = q - p
+    falling = dq < 0.0  # not empty: some cell of q is not positive
+    return p + 0.5 * float((p[falling] / -dq[falling]).min()) * dq
 
 
 def _gradient(v: np.ndarray, gidx: np.ndarray, nx: int):

@@ -349,6 +349,50 @@ def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
     assert certified <= value <= certified + MINSYN.tolerance
 
 
+@pytest.mark.parametrize("seed, pulled", [(400, True), (409, True), (401, False)])
+def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
+    # A strictly positive base pmf is itself a strictly positive feasible
+    # point, so the face is every live cell and no support LP runs.  The start
+    # is one projected IPF sweep; on the first two inputs that sweep leaves
+    # the positive orthant for the Almosts, and the start is pulled from the
+    # base pmf towards it.
+    def no_face_search(poly):
+        raise AssertionError("support LP run on a full-support input")
+
+    monkeypatch.setattr(union_info, "_maximal_support", no_face_search)
+    d = make_random(seed, 3)
+    fam = PartFamily(tuple(almosts(3)))
+    poly = MarginalPolytope(d, fam.parts)
+    assert poly.x0.min() > 0.0
+    live, q, basis = union_info._interior_start(poly)
+    assert live.all() and basis is poly.null_basis
+    assert q.min() > 0.0
+    assert poly.residual(q) <= 1e-12
+    sweep = poly.project_affine(union_info._max_entropy(poly, live, 1))
+    assert (not sweep.min() > 0.0) == pulled
+    value, lower = union_info._min_synergy_bracket(d, fam.parts, MINSYN)
+    assert lower <= value <= lower + MINSYN.tolerance
+
+
+def test_binary_reports_keep_their_newton_step_budget(monkeypatch):
+    # One np.linalg.solve per lockstep Newton step.  From the one-sweep start
+    # these ten reports take 188 steps; starting from the base pmf itself
+    # took 217, so a start that costs steps fails here.
+    steps = 0
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return solve(*args, **kwargs)
+
+    union_info._memo.cache_clear()
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    for seed in range(400, 410):
+        full_report(make_random(seed, 3))
+    assert 0 < steps <= 200
+
+
 def test_mixed_batches_with_facial_reduction_raise_no_warning():
     # This report's families fall into four batches by live-cell count; two
     # hold rows of different null dimensions, so their bases are padded, and
@@ -401,6 +445,10 @@ def _build_cases(corpus):
             yield d, fam
     for seed in (100, 101, 102):
         yield make_random(seed, 2, 3, 0.3), singletons(2)
+    # Full support, and an input whose Almosts face empties an x-group.
+    for d in (make_random(400), make_random(2, 3, 2, 0.3)):
+        for fam in _report_families(3):
+            yield d, fam
     d = make_random(0, 4, 2, 0.3)
     for fam in _report_families(4):
         yield d, fam
