@@ -31,16 +31,19 @@ minimum.  The solver stops once its value is within a tenth of the tolerance
 of that bound, or within 1e-11 bits of the largest single-part mutual
 information, the other lower bound.
 
-A barrier method needs only a strictly positive feasible start.  When the
-base pmf is positive on every live cell, it is such a point, and the start is
-one sweep of iterative proportional fitting (IPF) projected onto the
-constraints, or, when that sweep leaves a cell non-positive, a point between
-the base pmf and it.  Otherwise some cells may be zero at every feasible
-point without being pinned (cyclic families with structured zeros): IPF then
-runs to convergence, and when its maximum-entropy point comes out thin, one
-linear program finds the largest feasible support and a positive point on
-it, and the solver works on that face alone (facial reduction), from one IPF
-sweep on the face taken the same way.
+A barrier method needs only a strictly positive feasible start, and one rule
+picks it: one sweep of iterative proportional fitting (IPF) over the live
+cells, projected onto the constraints.  Where the base pmf is zero, that
+sweep decides the face.  When it is not thin on any such cell (nowhere below
+``_THIN_START`` of its largest cell), the face is every live cell.  The
+start is then the sweep if it is strictly positive, else the point from the
+base pmf towards it, half as far as positivity allows; that point is
+positive where the base pmf is zero, since the sweep is, and elsewhere since
+the base pmf is.  Otherwise some cells may be zero at every feasible point
+without being pinned (cyclic families with structured zeros): one linear
+program finds the largest feasible support and a positive point on it, and
+the solver works on that face alone (facial reduction), from one IPF sweep
+on the face pulled the same way from the LP's point.
 
 The families asked for in one call (all of a report's, in
 :func:`pidirr.irreducibility.full_report`) are solved in lockstep.
@@ -84,14 +87,10 @@ _LN2 = math.log(2.0)
 #: no feasible point can be better.
 _CERTIFICATE_SLACK = 1e-11
 
-#: A maximum-entropy start whose smallest cell is below this fraction of its
-#: largest may be converging onto a face; the support LP then decides.
+#: A start sweep below this fraction of its largest cell on some cell where
+#: the base pmf is zero may mark a cell that every feasible point leaves at
+#: zero; the support LP then decides the face.
 _THIN_START = 1e-4
-
-#: Sweeps of iterative proportional fitting in the search for a smaller face,
-#: and the residual that ends them.
-_IPF_SWEEPS = 1000
-_IPF_RESIDUAL = 1e-14
 
 #: Newton steps per solve before it is declared stuck.
 _MAX_NEWTON_STEPS = 500
@@ -131,8 +130,8 @@ class UnionMeasure:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:  # also refuses NaN
+            raise ValueError(f"tolerance must be positive and finite, not {self.tolerance!r}")
 
     def settings_dict(self) -> dict:
         return {"measure": self.kind.value, "tolerance": self.tolerance}
@@ -271,23 +270,14 @@ class MarginalPolytope:
         return float(np.abs(self.A @ q - self.b).max())
 
 
-def _max_entropy(poly: MarginalPolytope, live: np.ndarray, sweeps: int = _IPF_SWEEPS) -> np.ndarray:
-    """Iterative proportional fitting from uniform over the ``live`` cells,
-    at most ``sweeps`` sweeps; it converges to the feasible point of largest
-    entropy on them.  For a decomposable family (every report family but the
-    Almosts) one sweep reaches that point.  A start on a known face takes one
-    sweep; only the search for a smaller face runs it to convergence, since a
-    thin limit is what marks cells that may be zero at every feasible point."""
+def _ipf_sweep(poly: MarginalPolytope, live: np.ndarray) -> np.ndarray:
+    """One sweep of iterative proportional fitting from uniform over the
+    ``live`` cells.  For a decomposable family (every report family but the
+    Almosts) it is the feasible point of largest entropy on them."""
     a = poly.A[:, live]
     q = np.full(a.shape[1], 1.0 / a.shape[1])
-    for _ in range(sweeps):
-        worst = 0.0
-        for rows in poly.blocks:
-            marg = a[rows] @ q
-            worst = max(worst, float(np.abs(marg - poly.b[rows]).max()))
-            q *= (poly.b[rows] / marg) @ a[rows]
-        if worst < _IPF_RESIDUAL:
-            break
+    for rows in poly.blocks:
+        q *= (poly.b[rows] / (a[rows] @ q)) @ a[rows]
     return q
 
 
@@ -322,24 +312,22 @@ def _interior_start(poly: MarginalPolytope):
     """A strictly positive feasible start on the smallest face holding every
     feasible point: ``(live cell mask, start on them, null basis of them)``.
 
-    On a face with a known strictly positive feasible point ``p``, the start
-    is one IPF sweep projected onto the constraints, or, when that is not
-    positive, the point from ``p`` towards it half as far as positivity
-    allows.  A base pmf positive on every live cell is such a ``p`` and shows
-    that the face is all of them.  Otherwise IPF runs to convergence; a
-    maximum-entropy point that is not thin is the start, and a thin one sends
-    the support LP to find the face and ``p`` on it."""
+    The start is one IPF sweep projected onto the constraints, pulled from a
+    strictly positive feasible point of the face when it is not positive
+    itself.  When that sweep is at least ``_THIN_START`` of its largest cell
+    on every cell where the base pmf is zero, the face is every live cell and
+    the pull is from the base pmf: the result moves along the positive sweep
+    where the base pmf is zero and stays positive where it is not.  Otherwise
+    the support LP finds the face and a positive point on it, and the sweep
+    is taken on that face and pulled from that point."""
     live = np.ones(len(poly.cells), dtype=bool)
-    if poly.x0.min() > 0.0:
-        q = _pull(poly.x0, poly.project_affine(_max_entropy(poly, live, 1)))
-        return live, q, poly.null_basis
-    q = poly.project_affine(_max_entropy(poly, live))
-    if q.min() >= _THIN_START * q.max():
-        return live, q, poly.null_basis
+    q = poly.project_affine(_ipf_sweep(poly, live))
+    if q[poly.x0 == 0.0].min(initial=math.inf) >= _THIN_START * q.max():
+        return live, _pull(poly.x0, q), poly.null_basis
     live, inner = _maximal_support(poly)
     basis = _null_basis(poly.A[:, live])
     x0 = poly.x0[live]  # the base pmf is feasible, so it lies on the face
-    inner, q = (x0 + basis @ (basis.T @ (v - x0)) for v in (inner, _max_entropy(poly, live, 1)))
+    inner, q = (x0 + basis @ (basis.T @ (v - x0)) for v in (inner, _ipf_sweep(poly, live)))
     q = _pull(inner, q)
     if not q.min() > 0.0:
         raise UnionConvergenceError(
@@ -349,8 +337,9 @@ def _interior_start(poly: MarginalPolytope):
 
 
 def _pull(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``q`` when it is strictly positive; else the point from the positive
-    ``p`` towards it, half as far as positivity allows."""
+    """``q`` when it is strictly positive; else the point from ``p`` towards
+    it, half as far as positivity allows.  That point is strictly positive
+    when ``p >= 0`` and ``p`` is positive wherever ``q`` is not."""
     if q.min() > 0.0:
         return q
     dq = q - p
@@ -373,31 +362,6 @@ def _stop_level(poly: MarginalPolytope) -> tuple[float, float]:
     feasible q has the same ``H(Y)``."""
     hy = _tables(poly.base).hy
     return hy, (poly.lower_bound + _CERTIFICATE_SLACK - hy) * _LN2
-
-
-def _barrier_newton(
-    polys: Sequence[MarginalPolytope], tolerance: float
-) -> list[tuple[float, float]]:
-    """``(value, lower)`` in bits for each polytope: ``I_q(X;Y)`` at a
-    feasible point, and a certified lower bound on its minimum at most
-    ``0.1 * tolerance`` below.
-
-    A polytope whose start already meets the part-MI bound is done there.
-    The others are solved in batches, one per live-cell count."""
-    out: list = [None] * len(polys)
-    batches: dict[int, list] = {}
-    for i, poly in enumerate(polys):
-        live, q, basis = _interior_start(poly)
-        hy, f_stop = _stop_level(poly)
-        grad = _gradient(q[None, :, None], poly.xidx[live][None, :, None], poly.nx)[0]
-        f = float(q @ grad.ravel())
-        if f <= f_stop:
-            out[i] = (hy + f / _LN2, poly.lower_bound)
-        else:
-            batches.setdefault(q.size, []).append((i, poly, live, q, basis))
-    for rows in batches.values():
-        _lockstep(rows, tolerance, out)
-    return out
 
 
 def _lockstep(rows: list, tolerance: float, out: list) -> None:
@@ -543,30 +507,37 @@ def _min_synergy_brackets(
 ) -> list[tuple[float, float]]:
     """``(value, lower)`` in bits per family: the union information, and a
     certified lower bound on the minimum at most ``m.tolerance`` below it.
-    The families that need the barrier solver are solved in one call."""
-    out: list = []
-    todo: list[tuple[int, MarginalPolytope]] = []
-    for parts in families:
+
+    A family is done at its polytope when that leaves no free direction or
+    its bounds meet, and at its start when that meets the part-MI bound.  The
+    others are solved in lockstep batches, one per live-cell count."""
+    out: list = [None] * len(families)
+    bounds = []
+    batches: dict[int, list] = {}
+    for i, parts in enumerate(families):
         poly = MarginalPolytope(d, parts)
         lower, upper = poly.lower_bound, poly.upper_bound
+        bounds.append((lower, upper))
         if poly.null_basis.shape[1] == 0:
-            out.append((upper, upper))  # with no free direction the base pmf is the only feasible q
+            out[i] = (upper, upper)  # with no free direction the base pmf is the only feasible q
         elif upper - lower <= _CERTIFICATE_SLACK:
-            out.append((upper, min(lower, upper)))
+            out[i] = (upper, min(lower, upper))
         else:
-            todo.append((len(out), poly))
-            out.append(None)
-    solved = _barrier_newton([poly for _, poly in todo], m.tolerance)
-    for (i, poly), (value, bound) in zip(todo, solved):
-        # Both bounds hold for the minimum, so clamping only removes rounding.
-        value = min(max(value, poly.lower_bound), poly.upper_bound)
-        out[i] = (value, min(max(bound, poly.lower_bound), value))
+            live, q, basis = _interior_start(poly)
+            hy, f_stop = _stop_level(poly)
+            grad = _gradient(q[None, :, None], poly.xidx[live][None, :, None], poly.nx)[0]
+            f = float(q @ grad.ravel())
+            if f <= f_stop:
+                out[i] = (hy + f / _LN2, lower)
+            else:
+                batches.setdefault(q.size, []).append((i, poly, live, q, basis))
+    for rows in batches.values():
+        _lockstep(rows, m.tolerance, out)
+    # Both bounds hold for the minimum, so clamping only removes rounding.
+    for i, (lower, upper) in enumerate(bounds):
+        value = min(max(out[i][0], lower), upper)
+        out[i] = (value, min(max(out[i][1], lower), value))
     return out
-
-
-def _min_synergy_bracket(d: JointDistribution, parts: Sequence[PartSpec], m: UnionMeasure):
-    """:func:`_min_synergy_brackets` of one family."""
-    return _min_synergy_brackets(d, [parts], m)[0]
 
 
 def _solve(m: UnionMeasure, d: JointDistribution, families: Sequence[PartFamily]) -> list[float]:
@@ -616,13 +587,6 @@ def union_information(
     if target is not None and target != d.target:
         d = JointDistribution(d.variables, d.pmf, target=target)
     return union_information_batch(m, d, [family])[0]
-
-
-def union_information_uncached(
-    m: UnionMeasure, d: JointDistribution, family: PartFamily
-) -> float:
-    """Memo-bypassing variant used by determinism tests."""
-    return _solve(m, d, [family])[0]
 
 
 def _neg_plogp(v: np.ndarray) -> float:

@@ -120,6 +120,13 @@ def test_examples_emit_tsv_requires_name(capsys):
     assert code == 2
 
 
+def test_examples_non_finite_tolerance_is_an_error(capsys):
+    code, out, err = run(["examples", "--name", "xor", "--tol", "nan"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be positive and finite" in err
+
+
 def test_enumerate_outputs(capsys):
     code, out, _ = run(["enumerate", "--what", "bipartitions", "--n", "3", "--format", "human"], capsys)
     assert code == 0

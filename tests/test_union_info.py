@@ -23,7 +23,6 @@ from pidirr.union_info import (
     check_axioms,
     part_mutual_information,
     union_information,
-    union_information_uncached,
     whole_mutual_information,
 )
 
@@ -38,8 +37,9 @@ def singletons(n):
 
 
 def test_measure_validation():
-    with pytest.raises(ValueError):
-        UnionMeasure(tolerance=0.0)
+    for bad in (0.0, -1e-6, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            UnionMeasure(tolerance=bad)
     assert MeasureKind.from_name("MinSynergy") is MeasureKind.MIN_SYNERGY
     assert MeasureKind.from_name("maxmi") is MeasureKind.MAX_SINGLE_MI
     with pytest.raises(ValueError):
@@ -107,8 +107,8 @@ def test_adding_parts_never_decreases_value():
 def test_determinism_bit_identical():
     d = make_random(7, n_predictors=3)
     fam = almost_pairs(3)[0]
-    a = union_information_uncached(MINSYN, d, fam)
-    b = union_information_uncached(MINSYN, d, fam)
+    a = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
+    b = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
     assert a == b
 
 
@@ -116,10 +116,10 @@ def test_unclosed_gap_is_a_typed_error(monkeypatch):
     d = make_random(400, n_predictors=3)
     # Within 1e-10 bits above the minimum.
     tight = UnionMeasure(tolerance=1e-10)
-    optimum, _ = union_info._min_synergy_bracket(d, singletons(3).parts, tight)
+    optimum, _ = union_info._min_synergy_brackets(d, [singletons(3).parts], tight)[0]
     monkeypatch.setattr(union_info, "_MAX_NEWTON_STEPS", 2)
     with pytest.raises(UnionConvergenceError) as err:
-        union_information_uncached(MINSYN, d, singletons(3))
+        union_info._min_synergy_brackets(d, [singletons(3).parts], MINSYN)[0]
     lower = max(part_mutual_information(d, p) for p in singletons(3).parts)
     assert err.value.gap > 0.0
     assert err.value.value >= lower
@@ -273,17 +273,16 @@ def _report_families(n):
 )
 def test_binary_zeros_between_part_bound_and_oracle(seed, n, zero_fraction, families):
     # Inputs with single-cell x-groups, where a cancelling Hessian assembly
-    # made the Newton system singular.  In the last two, iterative
-    # proportional fitting nears a tiny cell of the maximum-entropy point too
-    # slowly for its projection to stay positive, so the solver has to start
-    # from the support LP's point.
+    # made the Newton system singular.  In the last two, the Almosts' maximum
+    # entropy point has a tiny cell, and the one-sweep start, which leaves a
+    # cell negative, is pulled from the base pmf.
     d = make_random(seed, n, 2, zero_fraction)
     for fam in families:
         value = union_information(MINSYN, d, fam)
         lower = max(part_mutual_information(d, p) for p in fam.parts)
         assert value >= lower - 1e-12
         assert value <= brute_force_union_oracle(d, fam) + 1e-7
-        certified = union_info._min_synergy_bracket(d, fam.parts, MINSYN)[1]
+        certified = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0][1]
         assert certified <= value <= certified + MINSYN.tolerance
 
 
@@ -325,7 +324,7 @@ def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
     families = _report_families(n)
     batch = union_info._min_synergy_brackets(d, [fam.parts for fam in families], MINSYN)
     for fam, (batch_value, batch_lower) in zip(families, batch):
-        value, lower = union_info._min_synergy_bracket(d, fam.parts, MINSYN)
+        value, lower = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
         assert lower <= value <= lower + MINSYN.tolerance
         assert value >= max(part_mutual_information(d, p) for p in fam.parts) - 1e-12
         assert value <= whole + 1e-12
@@ -345,7 +344,7 @@ def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
     assert (np.bincount(poly.xidx[live], minlength=poly.nx) == 0).any() == emptied
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, certified = union_info._min_synergy_bracket(d, fam.parts, MINSYN)
+        value, certified = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
     assert certified <= value <= certified + MINSYN.tolerance
 
 
@@ -368,10 +367,50 @@ def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
     assert live.all() and basis is poly.null_basis
     assert q.min() > 0.0
     assert poly.residual(q) <= 1e-12
-    sweep = poly.project_affine(union_info._max_entropy(poly, live, 1))
+    sweep = poly.project_affine(union_info._ipf_sweep(poly, live))
     assert (not sweep.min() > 0.0) == pulled
-    value, lower = union_info._min_synergy_bracket(d, fam.parts, MINSYN)
+    value, lower = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
     assert lower <= value <= lower + MINSYN.tolerance
+
+
+@pytest.mark.parametrize(
+    "seed, zero_fraction, face, expected",
+    [
+        (0, 0.1, None, 0.3834888361),
+        (955071336, 0.052, "full", 0.1689744707),
+        (1, 0.1, "smaller", 0.2810894763),
+    ],
+    ids=["no-lp", "lp-full-face", "lp-smaller-face"],
+)
+def test_zero_cell_start_takes_one_sweep_per_face(monkeypatch, seed, zero_fraction, face, expected):
+    # Almosts on inputs with zero cells in the base pmf.  On the first the
+    # start sweep is not thin on any of them, so no support LP runs; on the
+    # other two it is, and the LP keeps every live cell or drops one.  The
+    # expected values are certified at tolerance 1e-10.
+    sweeps, faces = [], []
+    sweep, support = union_info._ipf_sweep, union_info._maximal_support
+
+    def counting_sweep(poly, live):
+        sweeps.append(live)
+        return sweep(poly, live)
+
+    def checked_support(poly):
+        if face is None:
+            raise AssertionError("support LP run although the start sweep is not thin")
+        live, inner = support(poly)
+        faces.append(bool(live.all()))
+        return live, inner
+
+    monkeypatch.setattr(union_info, "_ipf_sweep", counting_sweep)
+    monkeypatch.setattr(union_info, "_maximal_support", checked_support)
+    d = make_random(seed, 4, 2, zero_fraction)
+    fam = PartFamily(tuple(almosts(4)))
+    assert (MarginalPolytope(d, fam.parts).x0 == 0.0).any()
+    value, lower = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
+    assert len(sweeps) == 1 + len(faces)
+    assert faces == {None: [], "full": [True], "smaller": [False]}[face]
+    assert lower <= value <= lower + MINSYN.tolerance
+    assert abs(value - expected) <= 1e-6
 
 
 def test_binary_reports_keep_their_newton_step_budget(monkeypatch):
