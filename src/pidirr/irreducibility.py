@@ -14,9 +14,13 @@ richer notions of "parts":
 The reduced enumerations (bipartitions instead of all partitions, Almost
 pairs instead of all part pairs, Almosts instead of all parts) are exact;
 the test suite re-derives them against the full enumerations on random
-inputs.  Values are clamped to ``[0, whole_mi]`` after subtraction - the
-measure properties guarantee the true value lies there - and the pre-clamp
-residual is kept as an optimizer-noise diagnostic.
+inputs.  Values are clamped to ``[0, whole_mi]`` after subtraction, which
+only removes rounding: the true value lies there.
+
+Every union value is certified to lie at most the measure's ``tolerance``
+above its minimum, and richer parts have a larger minimum, so the computed
+measures may break the weakest-to-strongest chain by at most ``tolerance``
+per link; :func:`full_report` raises on any larger break.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .parts import (
 from .union_info import UnionMeasure, union_information_batch, whole_mutual_information
 
 __all__ = [
-    "ORDERING_SLACK",
     "OrderingViolationError",
     "IrreducibilityReport",
     "ibe",
@@ -45,17 +48,16 @@ __all__ = [
     "full_report",
 ]
 
-#: Allowed numerical slack in the weakest-to-strongest ordering chain.
-ORDERING_SLACK = 1e-6
-
 
 class OrderingViolationError(RuntimeError):
-    """The measure ordering chain failed beyond tolerance (optimizer failure)."""
+    """A measure exceeds the next weaker one by more than the measure's
+    tolerance, which certified union values cannot do: the union-information
+    solver is at fault, not the input."""
 
 
 @dataclass(frozen=True)
 class IrreducibilityReport:
-    """All four measures plus argmax witnesses and diagnostics."""
+    """All four measures plus their argmax witnesses."""
 
     predictor_names: tuple[str, ...]
     target_name: str
@@ -67,7 +69,6 @@ class IrreducibilityReport:
     witness_bipartition: PartitionSpec
     witness_almost_pair: PartFamily
     measure: UnionMeasure
-    residuals: tuple[tuple[str, float], ...]
 
     def values(self) -> tuple[float, float, float, float, float]:
         return (self.whole_mi, self.ibe, self.ibdp, self.ib2p, self.ibap)
@@ -91,105 +92,92 @@ class IrreducibilityReport:
                 ],
             },
             "settings": dict(self.measure.settings_dict(), target=self.target_name),
-            "residuals": dict(self.residuals),
         }
 
 
-def _require_predictors(d: JointDistribution) -> int:
+def _scan(
+    d: JointDistribution, m: UnionMeasure | None, *names: str
+) -> tuple[float, list[tuple[float, PartFamily | PartitionSpec]]]:
+    """The whole's mutual information and, for each named measure, its value
+    and witness, with the union informations of all the named scans' families
+    asked for in one call.
+
+    A measure's witnesses are its families in enumeration order: the
+    singletons, the bipartitions, the Almost pairs or the Almosts.  The
+    witness is the one with the largest union; ties go to the earliest.
+    """
     n = d.n_predictors
     if n < 2:
         raise ValueError(f"irreducibility needs at least 2 predictors, got {n}")
-    return n
-
-
-def _best(values: list[float], whole: float) -> tuple[float, float, int]:
-    """Whole minus the largest of ``values``, the union informations of a
-    scan's families.
-
-    Returns the value clamped to ``[0, whole]``, the pre-clamp residual, and
-    the index of the maximizing family; ties go to the earliest
-    (enumeration order).
-    """
-    best = max(range(len(values)), key=values.__getitem__)
-    raw = whole - values[best]
-    clamped = min(max(raw, 0.0), whole)
-    return clamped, raw - clamped, best
-
-
-def _scan(
-    m: UnionMeasure, d: JointDistribution, families: list[PartFamily], whole: float
-) -> tuple[float, float, int]:
-    """:func:`_best` over ``families``, all solved in one call."""
-    return _best(union_information_batch(m, d, families), whole)
-
-
-def _singletons(n: int) -> PartFamily:
-    return PartFamily(tuple(PartSpec((i,)) for i in range(n)))
+    singletons = [PartFamily(tuple(PartSpec((i,)) for i in range(n)))]
+    bipartitions = all_bipartitions(n)
+    pairs = almost_pairs(n)
+    all_almosts = [PartFamily(tuple(almosts(n)))]
+    table = {
+        "ibe": (singletons, singletons),
+        "ibdp": (bipartitions, [b.family() for b in bipartitions]),
+        "ib2p": (pairs, pairs),
+        "ibap": (all_almosts, all_almosts),
+    }
+    families = [f for name in names for f in table[name][1]]
+    unions = iter(union_information_batch(m or UnionMeasure(), d, families))
+    whole = whole_mutual_information(d)
+    results = []
+    for name in names:
+        witnesses, scanned = table[name]
+        values = [next(unions) for _ in scanned]
+        best = max(range(len(values)), key=values.__getitem__)
+        results.append((min(max(whole - values[best], 0.0), whole), witnesses[best]))
+    return whole, results
 
 
 def ibe(d: JointDistribution, m: UnionMeasure | None = None) -> float:
     """Information beyond the elements: whole minus the singletons' union."""
-    n = _require_predictors(d)
-    value, _, _ = _scan(m or UnionMeasure(), d, [_singletons(n)], whole_mutual_information(d))
+    _, [(value, _)] = _scan(d, m, "ibe")
     return value
 
 
 def ibdp(d: JointDistribution, m: UnionMeasure | None = None) -> tuple[float, PartitionSpec]:
     """Information beyond disjoint parts, with the maximizing bipartition."""
-    bipartitions = all_bipartitions(_require_predictors(d))
-    families = [b.family() for b in bipartitions]
-    value, _, best = _scan(m or UnionMeasure(), d, families, whole_mutual_information(d))
-    return value, bipartitions[best]
+    _, [(value, bipartition)] = _scan(d, m, "ibdp")
+    return value, bipartition
 
 
 def ib2p(d: JointDistribution, m: UnionMeasure | None = None) -> tuple[float, PartFamily]:
     """Information beyond two parts, with the maximizing Almost pair."""
-    pairs = almost_pairs(_require_predictors(d))
-    value, _, best = _scan(m or UnionMeasure(), d, pairs, whole_mutual_information(d))
-    return value, pairs[best]
+    _, [(value, pair)] = _scan(d, m, "ib2p")
+    return value, pair
 
 
 def ibap(d: JointDistribution, m: UnionMeasure | None = None) -> float:
     """Information beyond all parts: whole minus the Almosts' union."""
-    fam = PartFamily(tuple(almosts(_require_predictors(d))))
-    value, _, _ = _scan(m or UnionMeasure(), d, [fam], whole_mutual_information(d))
+    _, [(value, _)] = _scan(d, m, "ibap")
     return value
 
 
 def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> IrreducibilityReport:
-    """All four measures, their witnesses, and clamp residuals.
+    """All four measures and their witnesses.
 
     The union informations of all four scans' families (8 at n = 3, 15 at
     n = 4) are asked for in one call, so the barrier solver steps them in
     lockstep; a family shared by two scans (every family at n = 2) is solved
     once.
 
-    Raises :class:`OrderingViolationError` when the computed values break
-    the weakest-to-strongest chain by more than :data:`ORDERING_SLACK`,
-    which signals an optimizer failure rather than a property of the input.
+    Raises :class:`OrderingViolationError` when a measure exceeds the next
+    weaker one (``whole_mi`` last) by more than ``m.tolerance``, which
+    certified union values cannot do.
     """
-    n = _require_predictors(d)
     m = m or UnionMeasure()
-    whole = whole_mutual_information(d)
-
-    bipartitions = all_bipartitions(n)
-    pairs = almost_pairs(n)
-    scans = [
-        [_singletons(n)],
-        [b.family() for b in bipartitions],
-        pairs,
-        [PartFamily(tuple(almosts(n)))],
-    ]
-    values = iter(union_information_batch(m, d, [f for fams in scans for f in fams]))
-    scanned = [_best([next(values) for _ in fams], whole) for fams in scans]
-    (v_ibe, r_ibe, _), (v_ibdp, r_ibdp, bi_best), (v_ib2p, r_ib2p, pair_best), (v_ibap, r_ibap, _) = scanned
+    whole, results = _scan(d, m, "ibe", "ibdp", "ib2p", "ibap")
+    (v_ibe, _), (v_ibdp, bipartition), (v_ib2p, pair), (v_ibap, _) = results
 
     chain = [("ibap", v_ibap), ("ib2p", v_ib2p), ("ibdp", v_ibdp), ("ibe", v_ibe), ("whole_mi", whole)]
     for (lo_name, lo), (hi_name, hi) in zip(chain, chain[1:]):
-        if lo > hi + ORDERING_SLACK:
+        if lo > hi + m.tolerance:
             raise OrderingViolationError(
-                f"{lo_name}={lo!r} exceeds {hi_name}={hi!r} beyond {ORDERING_SLACK}; "
-                f"the union-information optimizer likely failed to converge"
+                f"{lo_name}={lo!r} exceeds {hi_name}={hi!r} by more than the "
+                f"tolerance {m.tolerance!r}; a union value is not certified, "
+                f"so the union-information solver is at fault"
             )
 
     return IrreducibilityReport(
@@ -200,13 +188,7 @@ def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> Irreduci
         ibdp=v_ibdp,
         ib2p=v_ib2p,
         ibap=v_ibap,
-        witness_bipartition=bipartitions[bi_best],
-        witness_almost_pair=pairs[pair_best],
+        witness_bipartition=bipartition,
+        witness_almost_pair=pair,
         measure=m,
-        residuals=(
-            ("ibe", r_ibe),
-            ("ibdp", r_ibdp),
-            ("ib2p", r_ib2p),
-            ("ibap", r_ibap),
-        ),
     )

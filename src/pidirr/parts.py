@@ -62,9 +62,6 @@ class PartSpec:
     def __len__(self) -> int:
         return len(self.member_indices)
 
-    def issubset(self, other: "PartSpec") -> bool:
-        return set(self.member_indices) <= set(other.member_indices)
-
 
 @dataclass(frozen=True)
 class PartitionSpec:

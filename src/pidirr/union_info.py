@@ -540,14 +540,6 @@ def _min_synergy_brackets(
     return out
 
 
-def _solve(m: UnionMeasure, d: JointDistribution, families: Sequence[PartFamily]) -> list[float]:
-    for family in families:
-        family.validate(d.n_predictors, allow_full=True)
-    if m.kind is MeasureKind.MAX_SINGLE_MI:
-        return [max(part_mutual_information(d, p) for p in f.parts) for f in families]
-    return [value for value, _ in _min_synergy_brackets(d, [f.parts for f in families], m)]
-
-
 @lru_cache(maxsize=256)
 def _memo(m: UnionMeasure, d: JointDistribution) -> dict[PartFamily, float]:
     """Union information of each family solved so far on ``d`` under ``m``."""
@@ -566,8 +558,13 @@ def union_information_batch(
         raise DistributionError("union information needs a target variable")
     memo = _memo(m, d)
     todo = [f for f in dict.fromkeys(families) if f not in memo]
-    if todo:
-        memo.update(zip(todo, _solve(m, d, todo)))
+    for family in todo:
+        family.validate(d.n_predictors, allow_full=True)
+    if m.kind is MeasureKind.MAX_SINGLE_MI:
+        memo.update((f, max(part_mutual_information(d, p) for p in f.parts)) for f in todo)
+    elif todo:
+        brackets = _min_synergy_brackets(d, [f.parts for f in todo], m)
+        memo.update(zip(todo, (value for value, _ in brackets)))
     return [memo[f] for f in families]
 
 

@@ -7,6 +7,8 @@ import pytest
 from pidirr.cli import main, render_json
 from pidirr.corpus import load_example
 
+from conftest import make_random
+
 
 @pytest.fixture()
 def xor_file(tmp_path):
@@ -46,12 +48,43 @@ def test_compute_human_and_tsv(xor_file, capsys):
     assert "ibe\t1.000000000" in out
 
 
+XOR_JSON = """\
+{
+  "whole_mi": 1.000000000,
+  "ibe": 1.000000000,
+  "ibdp": 1.000000000,
+  "ib2p": 1.000000000,
+  "ibap": 1.000000000,
+  "witnesses": {
+    "ibdp_bipartition": [["X1"], ["X2"]],
+    "ib2p_almost_pair": [["X1"], ["X2"]]
+  },
+  "settings": {
+    "measure": "minsyn",
+    "tolerance": 0.000001000,
+    "target": "Y"
+  }
+}
+"""
+
+
 def test_compute_deterministic_bytes(xor_file, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["compute", "--input", xor_file, "--target", "Y"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert out1.read_text(encoding="utf-8") == XOR_JSON
+
+
+def test_compute_loose_tolerance_keeps_the_order_check(tmp_path, capsys):
+    # Certified values at tolerance 1e-2 break the chain by more than 1e-6
+    # on this input; the order check allows the tolerance itself.
+    path = tmp_path / "random.tsv"
+    path.write_text(make_random(26, 3).to_tsv(), encoding="utf-8")
+    code, out, err = run(["compute", "--input", str(path), "--tol", "1e-2"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["settings"]["tolerance"] == 0.01
 
 
 def test_compute_one_predictor_is_usage_error(one_predictor_file, capsys):
