@@ -50,10 +50,12 @@ The families asked for in one call (all of a report's, in
 Polytopes with the same live-cell count become the rows of one batch, whose
 Newton systems are assembled and solved by stacked numpy calls: on programs
 this small a step's cost is numpy's per-call overhead, not arithmetic, so a
-batch step costs about as much as one family's.  Each row keeps its own
-iterates, ``mu`` schedule and certified stop, and leaves the batch when it
-stops.  Values are memoized per measure and distribution, so no family is
-solved twice.
+batch step costs about as much as one family's.  The set-up is stacked the
+same way: each live-cell group is built, factored by one SVD and started in
+one pass, and only a row whose start sweep is thin takes the support LP on
+its own.  Each row keeps its own iterates, ``mu`` schedule and certified
+stop, and leaves the batch when it stops.  Values are memoized per measure
+and distribution, so no family is solved twice.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -199,12 +201,78 @@ def whole_mutual_information(d: JointDistribution) -> float:
     return _tables(d).whole_mi
 
 
-def _null_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of ``a``, one column per direction."""
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    tol = s[0] * max(a.shape) * np.finfo(float).eps
-    rank = int((s > tol).sum())
-    return vt[rank:].T.copy()
+def _marginals(tab: _Tables, parts: Sequence[PartSpec]) -> tuple[list, np.ndarray]:
+    """Each part's cached ``(row, mass, mi)``, and the live cells: those whose
+    tuple has positive mass in every part.  Every feasible q vanishes off
+    them, so dropping the rest is exact."""
+    if not parts:
+        raise ValueError("need at least one part")
+    for p in parts:
+        p.validate(len(tab.preds), allow_full=True)
+    marginals = [tab.part(p) for p in parts]
+    return marginals, np.flatnonzero(np.logical_and.reduce([row >= 0 for row, _, _ in marginals]))
+
+
+class _Stack:
+    """The polytopes of families with one live-cell count, family k's in row k.
+
+    One block of constraints per part, one constraint per part-target symbol
+    tuple of positive mass; each cell sits in exactly one constraint of each
+    block, which is what iterative proportional fitting rescales.  Every such
+    tuple holds a cell of the base support, and those cells are live, so each
+    block's constraints are its part's cached ranks as they stand.  Row k's
+    ``A[k]`` and ``b[k]`` are zero-padded to the most constraints of any row;
+    ``m[k]`` counts its own.  ``b`` is flat, and ``slot[k, j, c]`` indexes the
+    constraint of block j that holds cell c.  A row with fewer parts repeats
+    its last block, which a sweep of iterative proportional fitting has just
+    fitted, so fitting it again changes nothing but rounding."""
+
+    def __init__(self, tab: _Tables, marginals: Sequence[list], lives: Sequence[np.ndarray]):
+        self.live = np.array(lives)
+        k, n = self.live.shape
+        each = np.arange(k)[:, None]
+        blocks = max(map(len, marginals))
+        sizes = [[mass.size for _, mass, _ in m] for m in marginals]
+        self.m = np.array([sum(s) for s in sizes])
+        width = int(self.m.max())
+        # Where each block's constraints start in b; row i's start at width * i.
+        first = [list(accumulate(s[:-1], initial=width * i)) for i, s in enumerate(sizes)]
+        first = np.array([f + f[-1:] * (blocks - len(f)) for f in first])
+        ranks = np.array([[row for row, _, _ in m + m[-1:] * (blocks - len(m))] for m in marginals])
+        self.slot = ranks[each[:, :, None], np.arange(blocks)[:, None], self.live[:, None, :]]
+        self.slot += first[:, :, None]
+        self.A = np.zeros((k, width, n))
+        self.A.reshape(-1, n)[self.slot, np.arange(n)] = 1.0
+        # Each row's masses, then zeros to the width.
+        self.b = np.concatenate([
+            v for m, size in zip(marginals, self.m)
+            for v in [mass for _, mass, _ in m] + [np.zeros(width - size)]
+        ])
+
+        self.x0 = tab.pmf.ravel()[self.live]
+        residual = np.abs(self.A @ self.x0[:, :, None] - self.b.reshape(k, width, 1)).max()
+        if residual > 1e-9:
+            raise AssertionError(f"base distribution violates its own marginals by {residual}")
+
+        # The objective's groups: one per whole-predictor configuration that
+        # holds a live cell, numbered in sorted order.
+        xcode = tab.xcode[self.live]
+        seen = np.zeros((k, tab.pmf.size // tab.pmf.shape[tab.target]), dtype=bool)
+        seen[each, xcode] = True
+        group = seen.cumsum(axis=1) - 1
+        self.xidx, self.nx = group[each, xcode], group[:, -1] + 1
+
+
+def _null_spaces(a: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right singular vectors ``vt`` of each matrix of a stack, and its rank:
+    ``vt[k, rank[k]:]`` is an orthonormal basis of the null space of
+    ``a[k]``.  ``rows[k]`` counts the rows of ``a[k]`` before zero padding,
+    which changes neither; a singular value counts above
+    ``s[0] * max(rows, cells) * eps``.  Only ``vt`` needs to be square, so
+    ``u`` is reduced when the matrices are at least as tall as they are wide."""
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[1] < a.shape[2])
+    tol = s[:, :1] * np.maximum(rows, a.shape[2])[:, None] * np.finfo(float).eps
+    return vt, (s > tol).sum(axis=1)
 
 
 class MarginalPolytope:
@@ -213,53 +281,27 @@ class MarginalPolytope:
     Cells enumerate the product of the declared alphabets (not just the base
     support).  A cell is dropped when some preserved marginal forces it to
     zero; every feasible q vanishes there, so the reduction is exact.  The
-    base pmf itself is feasible and anchors the affine projection.
+    base pmf itself is feasible and anchors the affine projection.  It is
+    built as a stack of one, the way the solver builds every family.
     """
 
     def __init__(self, base: JointDistribution, parts: Sequence[PartSpec]):
-        if not parts:
-            raise ValueError("need at least one part")
-        for p in parts:
-            p.validate(base.n_predictors, allow_full=True)
         self.base = base
         self.parts = tuple(parts)
         tab = _tables(base)
-        marginals = [tab.part(p) for p in self.parts]
-        live = np.flatnonzero(np.logical_and.reduce([row >= 0 for row, _, _ in marginals]))
+        marginals, live = _marginals(tab, self.parts)
+        stack = _Stack(tab, [marginals], [live])
         self.cells: list[tuple] = [tab.cells[c] for c in live.tolist()]
-
-        # The objective's groups: one per whole-predictor configuration that
-        # holds a live cell, numbered in sorted order.
-        xcode = tab.xcode[live]
-        group = np.cumsum(np.bincount(xcode) > 0) - 1
-        self.xidx, self.nx = group[xcode], int(group[-1]) + 1
-
-        # One block of rows per part, one row per part-target symbol tuple of
-        # positive mass; each cell sits in exactly one row of each block,
-        # which is what iterative proportional fitting rescales.  Every such
-        # tuple holds a cell of the base support, and those cells are live,
-        # so each block's rows are its part's cached ranks as they stand.
+        self.A, self.b, self.x0 = stack.A[0], stack.b, stack.x0[0]
+        self.xidx, self.nx = stack.xidx[0], int(stack.nx[0])
         sizes = [mass.size for _, mass, _ in marginals]
-        ends = np.cumsum(sizes)
-        self.blocks = [slice(end - size, end) for size, end in zip(sizes, ends)]
-        self.A = np.zeros((int(ends[-1]), live.size))
-        for (row, _, _), rows in zip(marginals, self.blocks):
-            self.A[rows.start + row[live], np.arange(live.size)] = 1.0
-        self.b = np.concatenate([mass for _, mass, _ in marginals])
-
-        self.x0 = tab.pmf.ravel()[live]
-        residual = self.residual(self.x0)
-        if residual > 1e-9:
-            raise AssertionError(
-                f"base distribution violates its own marginals by {residual}"
-            )
-
+        self.blocks = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
         self.lower_bound = max(mi for _, _, mi in marginals)
         self.upper_bound = tab.whole_mi
-
         # Orthonormal basis of the constraint null space; movement inside it
         # preserves every marginal exactly.
-        self.null_basis = _null_basis(self.A)
+        vt, rank = _null_spaces(stack.A, stack.m)
+        self.null_basis = vt[0, rank[0]:].T.copy()
 
     def project_affine(self, v: np.ndarray) -> np.ndarray:
         w = v - self.x0
@@ -270,20 +312,22 @@ class MarginalPolytope:
         return float(np.abs(self.A @ q - self.b).max())
 
 
-def _ipf_sweep(poly: MarginalPolytope, live: np.ndarray) -> np.ndarray:
-    """One sweep of iterative proportional fitting from uniform over the
-    ``live`` cells.  For a decomposable family (every report family but the
-    Almosts) it is the feasible point of largest entropy on them."""
-    a = poly.A[:, live]
-    q = np.full(a.shape[1], 1.0 / a.shape[1])
-    for rows in poly.blocks:
-        q *= (poly.b[rows] / (a[rows] @ q)) @ a[rows]
+def _ipf_sweep(slot: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One sweep of iterative proportional fitting from uniform, per row of a
+    stack: block j rescales cell c of row k to the constraint ``slot[k, j,
+    c]`` of ``b``.  For a decomposable family (every report family but the
+    Almosts) it is the feasible point of largest entropy on the cells."""
+    k, blocks, n = slot.shape
+    q = np.full((k, n), 1.0 / n)
+    for j in range(blocks):
+        r = slot[:, j]
+        q *= b[r] / np.bincount(r.ravel(), q.ravel(), b.size)[r]
     return q
 
 
-def _maximal_support(poly: MarginalPolytope) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of the cells some feasible point makes positive, and such a
-    point on them, by one LP.
+def _maximal_support(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the cells some point of ``a q = b, q >= 0`` makes positive,
+    and such a point on them, by one LP.
 
     Over the cone ``A y = s b``, ``y >= 0``, maximize ``sum(t)`` subject to
     ``0 <= t <= min(y, 1)``.  Scaling a feasible point up drives ``t`` to 1
@@ -292,13 +336,13 @@ def _maximal_support(poly: MarginalPolytope) -> tuple[np.ndarray, np.ndarray]:
     """
     from scipy.optimize import linprog  # costly import, needed on this path only
 
-    rows, n = poly.A.shape
+    rows, n = a.shape
     eye = np.eye(n)
     res = linprog(
         np.concatenate([np.zeros(n), -np.ones(n), [0.0]]),
         A_ub=np.hstack([-eye, eye, np.zeros((n, 1))]),
         b_ub=np.zeros(n),
-        A_eq=np.hstack([poly.A, np.zeros((rows, n)), -poly.b[:, None]]),
+        A_eq=np.hstack([a, np.zeros((rows, n)), -b[:, None]]),
         b_eq=np.zeros(rows),
         bounds=[(0.0, None)] * n + [(0.0, 1.0)] * n + [(0.0, None)],
     )
@@ -308,43 +352,40 @@ def _maximal_support(poly: MarginalPolytope) -> tuple[np.ndarray, np.ndarray]:
     return live, res.x[:n][live] / res.x[-1]
 
 
-def _interior_start(poly: MarginalPolytope):
-    """A strictly positive feasible start on the smallest face holding every
-    feasible point: ``(live cell mask, start on them, null basis of them)``.
+def _pull(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per row of a stack: ``q`` when it is strictly positive; else the point
+    from ``p`` towards it, half as far as positivity allows.  That point is
+    strictly positive when ``p >= 0`` and ``p`` is positive wherever ``q`` is
+    not."""
+    pulled = ~(q.min(axis=1) > 0.0)
+    if pulled.any():
+        p, dq = p[pulled], q[pulled] - p[pulled]
+        # Each falling cell's step to zero; some cell falls, as q is not positive.
+        reach = np.divide(p, -dq, out=np.full_like(dq, np.inf), where=dq < 0.0)
+        q = q.copy()
+        q[pulled] = p + 0.5 * reach.min(axis=1, keepdims=True) * dq
+    return q
 
-    The start is one IPF sweep projected onto the constraints, pulled from a
-    strictly positive feasible point of the face when it is not positive
-    itself.  When that sweep is at least ``_THIN_START`` of its largest cell
-    on every cell where the base pmf is zero, the face is every live cell and
-    the pull is from the base pmf: the result moves along the positive sweep
-    where the base pmf is zero and stays positive where it is not.  Otherwise
-    the support LP finds the face and a positive point on it, and the sweep
-    is taken on that face and pulled from that point."""
-    live = np.ones(len(poly.cells), dtype=bool)
-    q = poly.project_affine(_ipf_sweep(poly, live))
-    if q[poly.x0 == 0.0].min(initial=math.inf) >= _THIN_START * q.max():
-        return live, _pull(poly.x0, q), poly.null_basis
-    live, inner = _maximal_support(poly)
-    basis = _null_basis(poly.A[:, live])
-    x0 = poly.x0[live]  # the base pmf is feasible, so it lies on the face
-    inner, q = (x0 + basis @ (basis.T @ (v - x0)) for v in (inner, _ipf_sweep(poly, live)))
-    q = _pull(inner, q)
+
+def _face_start(stack: _Stack, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(face, start, null basis)`` of stack row k on the smallest face
+    holding every feasible point, which the support LP finds with a positive
+    point on it: the start is one IPF sweep on the face, projected onto the
+    constraints and pulled from that point."""
+    m, width = int(stack.m[k]), stack.A.shape[1]
+    a, b = stack.A[k, :m], stack.b[k * width:k * width + m]
+    face, inner = _maximal_support(a, b)
+    vt, rank = _null_spaces(a[:, face][None], stack.m[k:k + 1])
+    basis = vt[0, rank[0]:].T
+    x0 = stack.x0[k, face]  # the base pmf is feasible, so it lies on the face
+    sweep = _ipf_sweep(stack.slot[k:k + 1, :, face], stack.b)[0]
+    inner, q = (x0 + basis @ (basis.T @ (v - x0)) for v in (inner, sweep))
+    q = _pull(inner[None], q[None])[0]
     if not q.min() > 0.0:
         raise UnionConvergenceError(
             "no strictly positive start on the feasible face", math.inf, math.inf
         )
-    return live, q, basis
-
-
-def _pull(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``q`` when it is strictly positive; else the point from ``p`` towards
-    it, half as far as positivity allows.  That point is strictly positive
-    when ``p >= 0`` and ``p`` is positive wherever ``q`` is not."""
-    if q.min() > 0.0:
-        return q
-    dq = q - p
-    falling = dq < 0.0  # not empty: some cell of q is not positive
-    return p + 0.5 * float((p[falling] / -dq[falling]).min()) * dq
+    return face, q, basis
 
 
 def _gradient(v: np.ndarray, gidx: np.ndarray, nx: int):
@@ -356,18 +397,90 @@ def _gradient(v: np.ndarray, gidx: np.ndarray, nx: int):
     return np.log(v / vx[gidx]), vx.reshape(-1, nx, 1)
 
 
-def _stop_level(poly: MarginalPolytope) -> tuple[float, float]:
-    """``H(Y)`` in bits, and the ``f = -H(Y|X)`` (nats) at which ``I_q(X;Y)``
-    meets the part-MI bound: ``I_q(X;Y) = H(Y) + f / ln 2`` bits, since every
-    feasible q has the same ``H(Y)``."""
-    hy = _tables(poly.base).hy
-    return hy, (poly.lower_bound + _CERTIFICATE_SLACK - hy) * _LN2
+def _stop_level(lower: float, hy: float) -> float:
+    """The ``f = -H(Y|X)`` (nats) at which ``I_q(X;Y) = hy + f / ln 2``
+    bits meets the part-MI bound ``lower``; every feasible q has the same
+    ``H(Y) = hy``."""
+    return (lower + _CERTIFICATE_SLACK - hy) * _LN2
 
 
-def _lockstep(rows: list, tolerance: float, out: list) -> None:
-    """Damped Newton steps on every row ``(i, poly, live, q, basis)`` at
-    once, all with ``q.size`` cells, until each row's gap closes; row i's
-    ``(value, lower)`` goes to ``out[i]``.
+def _objective(q: np.ndarray, xidx: np.ndarray, nx: int) -> list[float]:
+    """``f = -H(Y|X)`` (nats) of each row of a stack of points."""
+    v = q[:, :, None]
+    grad, _ = _gradient(v, (xidx + nx * np.arange(len(q))[:, None])[:, :, None], nx)
+    return (v.transpose(0, 2, 1) @ grad).ravel().tolist()
+
+
+def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]]):
+    """``(bounds, out, rows)``: each family's ``(lower, upper)`` bounds in
+    bits, its ``(value, lower)`` when it is done before any Newton step (else
+    None), and a row ``(i, face, q, basis, x0, xidx, lower)`` for each of the
+    others: its index, its face as a mask of its live cells, its start and a
+    null basis on the face, the base pmf and x-groups on the face, and its
+    part-MI bound.
+
+    A family is done when its bounds meet, before it is built; at its
+    polytope when that leaves no free direction; and at its start when that
+    meets the part-MI bound.  The others with one live-cell count are built,
+    factored by one SVD and started as one stack.  A row's start is one IPF
+    sweep over its live cells, projected onto the constraints.  When that is
+    not thin on any cell where the base pmf is zero (nowhere below
+    ``_THIN_START`` of its largest cell), the face is every live cell and the
+    start is pulled from the base pmf: it moves along the positive sweep where
+    the base pmf is zero and stays positive where it is not.  Otherwise the
+    row goes on its own to :func:`_face_start`."""
+    tab = _tables(d)
+    upper = tab.whole_mi
+    bounds, out, rows = [], [None] * len(families), []
+    groups: dict[int, list] = {}
+    for i, parts in enumerate(families):
+        marginals, live = _marginals(tab, parts)
+        lower = max(mi for _, _, mi in marginals)
+        bounds.append((lower, upper))
+        if upper - lower <= _CERTIFICATE_SLACK:
+            out[i] = (upper, min(lower, upper))
+        else:
+            groups.setdefault(live.size, []).append((i, marginals, live, lower))
+    for members in groups.values():
+        ids, marginals, lives, lower = zip(*members)
+        stack = _Stack(tab, marginals, lives)
+        n, nx = len(lives[0]), int(stack.nx.max())
+        f_stop = [_stop_level(lo, tab.hy) for lo in lower]
+        vt, rank = _null_spaces(stack.A, stack.m)
+        free = rank < n
+        # With no free direction the base pmf is the only feasible q.
+        for k in np.flatnonzero(~free).tolist():
+            out[ids[k]] = (upper, upper)
+        x0 = stack.x0
+        sweep = _ipf_sweep(stack.slot, stack.b)
+        null = (np.arange(n) >= rank[:, None])[:, :, None]
+        q = x0 + (vt.transpose(0, 2, 1) @ (null * (vt @ (sweep - x0)[:, :, None])))[:, :, 0]
+        thin = np.where(x0 == 0.0, q, np.inf).min(axis=1) < _THIN_START * q.max(axis=1)
+        whole = np.ones(n, dtype=bool)
+        full = np.flatnonzero(free & ~thin).tolist()
+        q = _pull(x0[full], q[full])
+        starts = [
+            (k, whole, qk, vt[k, rank[k]:].T, x0[k], stack.xidx[k], f)
+            for k, qk, f in zip(full, q, _objective(q, stack.xidx[full], nx))
+        ]
+        for k in np.flatnonzero(free & thin).tolist():
+            face, qk, basis = _face_start(stack, k)
+            xidx = stack.xidx[k, face]
+            f = _objective(qk[None], xidx[None], nx)[0]
+            starts.append((k, face, qk, basis, x0[k, face], xidx, f))
+        for k, face, qk, basis, x0k, xidx, f in starts:
+            if f <= f_stop[k]:
+                out[ids[k]] = (tab.hy + f / _LN2, lower[k])
+            else:  # the basis is copied, so that the group's vt is freed before the solve
+                rows.append((ids[k], face, qk, basis.copy(), x0k, xidx, lower[k]))
+    return bounds, out, rows
+
+
+def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None:
+    """Damped Newton steps on every row ``(i, face, q, basis, x0, xidx,
+    lower)`` of :func:`_starts` at once, all with ``q.size`` cells, until each
+    row's gap closes; row i's ``(value, lower)`` goes to ``out[i]``.  ``hy``
+    is ``H(Y)`` in bits.
 
     Each row takes the iterates, ``mu`` schedule and stop it would take
     alone, and leaves the batch when it stops.  Null bases are zero-padded
@@ -376,23 +489,21 @@ def _lockstep(rows: list, tolerance: float, out: list) -> None:
     ``matmul`` takes them as they are, and per-row control runs on one
     ``tolist`` per step: numpy calls on tiny arrays cost more than their
     arithmetic."""
-    ids = [row[0] for row in rows]
-    polys = [row[1] for row in rows]
-    levels = [_stop_level(p) for p in polys]
-    hy, f_stop = [h for h, _ in levels], [s for _, s in levels]
-    q = np.array([row[3] for row in rows])[:, :, None]
+    ids, _, starts, bases, x0s, xidx, lower = zip(*rows)
+    f_stop = [_stop_level(lo, hy) for lo in lower]
+    q = np.array(starts)[:, :, None]
     k, n, _ = q.shape
-    nx = max(p.nx for p in polys)
-    width = np.array([row[4].shape[1] for row in rows])
+    width = np.array([b.shape[1] for b in bases])
     r = int(width.max())
     basis = np.zeros((k, n, r))
-    for b, row in zip(basis, rows):
-        b[:, : row[4].shape[1]] = row[4]
+    for b, row_basis in zip(basis, bases):
+        b[:, : row_basis.shape[1]] = row_basis
     diag = np.arange(r)
     pad = np.zeros((k, r, r))
     pad[:, diag, diag] = diag >= width[:, None]
-    xidx = np.array([p.xidx[live] for _, p, live, _, _ in rows])
-    x0t = np.array([p.x0[live] for _, p, live, _, _ in rows])[:, None, :]
+    xidx = np.array(xidx)
+    nx = int(xidx.max()) + 1
+    x0t = np.array(x0s)[:, None, :]
     gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
     gflat = gidx.ravel()
     # Row sums of the basis over each x-group, and which groups hold more than
@@ -454,17 +565,17 @@ def _lockstep(rows: list, tolerance: float, out: list) -> None:
         keep = []
         for j in range(k):
             if f[j] <= f_stop[j]:
-                out[ids[j]] = (hy[j] + f[j] / _LN2, polys[j].lower_bound)
+                out[ids[j]] = (hy + f[j] / _LN2, lower[j])
             elif f[j] - bound[j] <= target:
-                out[ids[j]] = (hy[j] + f[j] / _LN2, hy[j] + bound[j] / _LN2)
+                out[ids[j]] = (hy + f[j] / _LN2, hy + bound[j] / _LN2)
             else:
                 keep.append(j)
         if not keep:
             return
         if len(keep) < k:
             k = len(keep)
-            ids, polys, hy, f_stop, mu, bound, decs, falls = (
-                [v[j] for j in keep] for v in (ids, polys, hy, f_stop, mu, bound, decs, falls)
+            ids, lower, f_stop, mu, bound, decs, falls = (
+                [v[j] for j in keep] for v in (ids, lower, f_stop, mu, bound, decs, falls)
             )
             (q, grad, qx, m, dq, basis, basis_t, group_basis, group_t, pad, x0t, xidx,
              shared, multi, single) = (
@@ -498,7 +609,7 @@ def _lockstep(rows: list, tolerance: float, out: list) -> None:
     gap = (f0 - bound[0]) / _LN2
     raise UnionConvergenceError(
         f"minimum-synergy barrier solver did not close its gap in "
-        f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap!r} bits)", hy[0] + f0 / _LN2, gap
+        f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap!r} bits)", hy + f0 / _LN2, gap
     )
 
 
@@ -508,31 +619,14 @@ def _min_synergy_brackets(
     """``(value, lower)`` in bits per family: the union information, and a
     certified lower bound on the minimum at most ``m.tolerance`` below it.
 
-    A family is done at its polytope when that leaves no free direction or
-    its bounds meet, and at its start when that meets the part-MI bound.  The
-    others are solved in lockstep batches, one per live-cell count."""
-    out: list = [None] * len(families)
-    bounds = []
+    The families not done before a Newton step (see :func:`_starts`) are
+    solved in lockstep batches, one per start size."""
+    bounds, out, rows = _starts(d, families)
     batches: dict[int, list] = {}
-    for i, parts in enumerate(families):
-        poly = MarginalPolytope(d, parts)
-        lower, upper = poly.lower_bound, poly.upper_bound
-        bounds.append((lower, upper))
-        if poly.null_basis.shape[1] == 0:
-            out[i] = (upper, upper)  # with no free direction the base pmf is the only feasible q
-        elif upper - lower <= _CERTIFICATE_SLACK:
-            out[i] = (upper, min(lower, upper))
-        else:
-            live, q, basis = _interior_start(poly)
-            hy, f_stop = _stop_level(poly)
-            grad = _gradient(q[None, :, None], poly.xidx[live][None, :, None], poly.nx)[0]
-            f = float(q @ grad.ravel())
-            if f <= f_stop:
-                out[i] = (hy + f / _LN2, lower)
-            else:
-                batches.setdefault(q.size, []).append((i, poly, live, q, basis))
-    for rows in batches.values():
-        _lockstep(rows, m.tolerance, out)
+    for row in rows:
+        batches.setdefault(row[2].size, []).append(row)
+    for batch in batches.values():
+        _lockstep(batch, _tables(d).hy, m.tolerance, out)
     # Both bounds hold for the minimum, so clamping only removes rounding.
     for i, (lower, upper) in enumerate(bounds):
         value = min(max(out[i][0], lower), upper)

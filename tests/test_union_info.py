@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pidirr.distributions import JointDistribution
 from pidirr.irreducibility import full_report
@@ -310,6 +310,11 @@ def test_default_path_never_imports_scipy_optimize():
 
 
 @settings(max_examples=30)
+# Mixed live-cell groups: in the first, the 13-cell group holds one
+# full-face row and one that goes to the support LP; in the second, the
+# 78-cell group holds three full-face rows and one support-LP row.
+@example(seed=1, n=3, alphabet_size=2, zero_fraction=0.3)
+@example(seed=102, n=3, alphabet_size=3, zero_fraction=0.3)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 4),
@@ -339,7 +344,7 @@ def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
     d = make_random(seed, 3, alphabet_size, 0.3)
     fam = PartFamily(tuple(almosts(3)))
     poly = MarginalPolytope(d, fam.parts)
-    live = union_info._interior_start(poly)[0]
+    [(_, live, *_)] = union_info._starts(d, [fam.parts])[2]
     assert not live.all()
     assert (np.bincount(poly.xidx[live], minlength=poly.nx) == 0).any() == emptied
     with warnings.catch_warnings():
@@ -355,19 +360,37 @@ def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
     # is one projected IPF sweep; on the first two inputs that sweep leaves
     # the positive orthant for the Almosts, and the start is pulled from the
     # base pmf towards it.
-    def no_face_search(poly):
+    def no_face_search(a, b):
         raise AssertionError("support LP run on a full-support input")
 
-    monkeypatch.setattr(union_info, "_maximal_support", no_face_search)
+    sweeps, svds = [], []
+    ipf, svd = union_info._ipf_sweep, np.linalg.svd
+
+    def recording_sweep(*args):
+        sweeps.append(ipf(*args))
+        return sweeps[-1]
+
+    def counting_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
     d = make_random(seed, 3)
     fam = PartFamily(tuple(almosts(3)))
     poly = MarginalPolytope(d, fam.parts)
     assert poly.x0.min() > 0.0
-    live, q, basis = union_info._interior_start(poly)
-    assert live.all() and basis is poly.null_basis
+    monkeypatch.setattr(union_info, "_maximal_support", no_face_search)
+    monkeypatch.setattr(union_info, "_ipf_sweep", recording_sweep)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    [(_, live, q, basis, *_)] = union_info._starts(d, [fam.parts])[2]
+    # No basis of a face is computed: the start's basis is the polytope's.
+    assert live.all() and len(svds) == 1
+    assert basis.shape == poly.null_basis.shape
+    projector = poly.null_basis @ poly.null_basis.T
+    assert np.abs(basis @ basis.T - projector).max() <= 1e-12
     assert q.min() > 0.0
     assert poly.residual(q) <= 1e-12
-    sweep = poly.project_affine(union_info._ipf_sweep(poly, live))
+    [[start_sweep]] = sweeps
+    sweep = poly.project_affine(start_sweep)
     assert (not sweep.min() > 0.0) == pulled
     value, lower = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
     assert lower <= value <= lower + MINSYN.tolerance
@@ -390,14 +413,14 @@ def test_zero_cell_start_takes_one_sweep_per_face(monkeypatch, seed, zero_fracti
     sweeps, faces = [], []
     sweep, support = union_info._ipf_sweep, union_info._maximal_support
 
-    def counting_sweep(poly, live):
-        sweeps.append(live)
-        return sweep(poly, live)
+    def counting_sweep(*args):
+        sweeps.append(args)
+        return sweep(*args)
 
-    def checked_support(poly):
+    def checked_support(a, b):
         if face is None:
             raise AssertionError("support LP run although the start sweep is not thin")
-        live, inner = support(poly)
+        live, inner = support(a, b)
         faces.append(bool(live.all()))
         return live, inner
 
@@ -439,11 +462,8 @@ def test_mixed_batches_with_facial_reduction_raise_no_warning():
     d = make_random(1, 3, 2, 0.3)
     families = _report_families(3)
     batches = {}
-    for fam in families:
-        poly = MarginalPolytope(d, fam.parts)
-        if poly.null_basis.shape[1] and poly.upper_bound - poly.lower_bound > 1e-11:
-            live, q, basis = union_info._interior_start(poly)
-            batches.setdefault(q.size, []).append((basis.shape[1], live.all()))
+    for _, live, q, basis, *_ in union_info._starts(d, [fam.parts for fam in families])[2]:
+        batches.setdefault(q.size, []).append((basis.shape[1], live.all()))
     assert len(batches) == 4
     assert sum(len({width for width, _ in rows}) > 1 for rows in batches.values()) == 2
     assert sum(not full for rows in batches.values() for _, full in rows) == 1
@@ -491,6 +511,12 @@ def _build_cases(corpus):
     d = make_random(0, 4, 2, 0.3)
     for fam in _report_families(4):
         yield d, fam
+    # A cyclic three-part family beside the four-part Almosts, on the same
+    # cells: its stack row is padded with a fourth block, and, unlike a
+    # decomposable family's, its sweep changes if that block is not its last.
+    d = make_random(400, 4)
+    yield d, PartFamily((PartSpec((0, 1)), PartSpec((1, 2)), PartSpec((0, 2))))
+    yield d, PartFamily(tuple(almosts(4)))
 
 
 def test_vectorized_build_matches_loops(corpus):
@@ -543,3 +569,47 @@ def test_tables_follow_target_and_constant_target():
     via_name = union_information(MINSYN, d, singletons(2), target="X1")
     assert via_name == union_information(MINSYN, retargeted, singletons(2))
     assert union_information(MINSYN, const, singletons(2)) == 0.0
+
+
+def test_stacked_rows_match_their_families_alone(corpus):
+    # Each input's families built the way the solver builds them, one stack
+    # per live-cell count: every row, with its padding stripped, is its
+    # family's polytope built alone, and the set-up of all the families
+    # together ends or starts each one as it does alone.
+    inputs = {}
+    for d, fam in _build_cases(corpus):
+        inputs.setdefault(d, []).append(fam.parts)
+    for d, families in inputs.items():
+        tab = union_info._tables(d)
+        groups = {}
+        for parts in families:
+            marginals, live = union_info._marginals(tab, parts)
+            groups.setdefault(live.size, []).append((parts, marginals, live))
+        for members in groups.values():
+            parts, marginals, lives = zip(*members)
+            stack = union_info._Stack(tab, marginals, lives)
+            _, rank = union_info._null_spaces(stack.A, stack.m)
+            b = stack.b.reshape(len(members), -1)
+            for k, poly in enumerate(MarginalPolytope(d, p) for p in parts):
+                m = stack.m[k]
+                assert [tab.cells[c] for c in stack.live[k]] == poly.cells
+                assert (stack.A[k, :m] == poly.A).all() and not stack.A[k, m:].any()
+                assert (b[k, :m] == poly.b).all() and not b[k, m:].any()
+                assert (stack.x0[k] == poly.x0).all()
+                assert (stack.xidx[k] == poly.xidx).all() and stack.nx[k] == poly.nx
+                assert len(poly.cells) - rank[k] == poly.null_basis.shape[1]
+        bounds, out, rows = union_info._starts(d, families)
+        rows = {row[0]: row[1:4] for row in rows}
+        for i, parts in enumerate(families):
+            [alone_bounds], [alone_out], alone_rows = union_info._starts(d, [parts])
+            assert alone_bounds == bounds[i]
+            if alone_out is not None:
+                assert out[i] == pytest.approx(alone_out, abs=1e-12)
+                continue
+            [(_, face, q, basis, *_)] = alone_rows
+            row_face, row_q, row_basis = rows[i]
+            assert (row_face == face).all()
+            assert np.abs(row_q - q).max() <= 1e-12
+            assert row_basis.shape == basis.shape
+            projector = basis @ basis.T
+            assert np.abs(row_basis @ row_basis.T - projector).max() <= 1e-12
