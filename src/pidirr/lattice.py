@@ -19,10 +19,9 @@ evaluated on the support only.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from .distributions import DistributionError, JointDistribution, VariableSelector
+from .distributions import DistributionError, JointDistribution, VariableSelector, _entropy_bits
 
 __all__ = [
     "DerivedVariable",
@@ -90,9 +89,7 @@ class DerivedVariable:
 
     def entropy(self) -> float:
         """H of the label distribution, in bits."""
-        return max(
-            -sum(p * math.log2(p) for p in self.label_masses() if p > 0.0), 0.0
-        )
+        return _entropy_bits(self.label_masses())
 
     def conditional_entropy(self, other: "DerivedVariable") -> float:
         """H(self | other) = H(self ∨ other) − H(other), in bits."""

@@ -42,20 +42,23 @@ positive where the base pmf is zero, since the sweep is, and elsewhere since
 the base pmf is.  Otherwise some cells may be zero at every feasible point
 without being pinned (cyclic families with structured zeros): one linear
 program finds the largest feasible support and a positive point on it, and
-the solver works on that face alone (facial reduction), from one IPF sweep
-on the face pulled the same way from the LP's point.
+the start is pulled from that point instead.  When the support is smaller
+than the live cells, the solver works on it alone (facial reduction): the
+family is set up again on those cells, like any other, with the LP's point
+as the start's origin.
 
 The families asked for in one call (all of a report's, in
 :func:`pidirr.irreducibility.full_report`) are solved in lockstep.
-Polytopes with the same live-cell count become the rows of one batch, whose
-Newton systems are assembled and solved by stacked numpy calls: on programs
-this small a step's cost is numpy's per-call overhead, not arithmetic, so a
-batch step costs about as much as one family's.  The set-up is stacked the
-same way: each live-cell group is built, factored by one SVD and started in
-one pass, and only a row whose start sweep is thin takes the support LP on
-its own.  Each row keeps its own iterates, ``mu`` schedule and certified
-stop, and leaves the batch when it stops.  Values are memoized per measure
-and distribution, so no family is solved twice.
+Polytopes with the same cell count become the rows of one stack, which is
+built, factored by one SVD and started in one pass, and whose rows that
+need Newton steps are one batch: its Newton systems are assembled and
+solved by stacked numpy calls.  On programs this small a step's cost is
+numpy's per-call overhead, not arithmetic, so a batch step costs about as
+much as one family's.  Stacks are set up largest first, so a family that
+facial reduction moves to fewer cells joins that count's stack before it is
+built.  Each row keeps its own iterates, ``mu`` schedule and certified stop,
+and leaves the batch when it stops.  Values are memoized per measure and
+distribution, so no family is solved twice.
 """
 
 from __future__ import annotations
@@ -367,27 +370,6 @@ def _pull(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _face_start(stack: _Stack, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(face, start, null basis)`` of stack row k on the smallest face
-    holding every feasible point, which the support LP finds with a positive
-    point on it: the start is one IPF sweep on the face, projected onto the
-    constraints and pulled from that point."""
-    m, width = int(stack.m[k]), stack.A.shape[1]
-    a, b = stack.A[k, :m], stack.b[k * width:k * width + m]
-    face, inner = _maximal_support(a, b)
-    vt, rank = _null_spaces(a[:, face][None], stack.m[k:k + 1])
-    basis = vt[0, rank[0]:].T
-    x0 = stack.x0[k, face]  # the base pmf is feasible, so it lies on the face
-    sweep = _ipf_sweep(stack.slot[k:k + 1, :, face], stack.b)[0]
-    inner, q = (x0 + basis @ (basis.T @ (v - x0)) for v in (inner, sweep))
-    q = _pull(inner[None], q[None])[0]
-    if not q.min() > 0.0:
-        raise UnionConvergenceError(
-            "no strictly positive start on the feasible face", math.inf, math.inf
-        )
-    return face, q, basis
-
-
 def _gradient(v: np.ndarray, gidx: np.ndarray, nx: int):
     """For a stack of columns ``v``, shape ``(rows, cells, 1)``: the gradient
     of ``f = -H(Y|X) = v.grad`` (nats), which is ``ln v(y|x)``, and the
@@ -412,26 +394,29 @@ def _objective(q: np.ndarray, xidx: np.ndarray, nx: int) -> list[float]:
 
 
 def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]]):
-    """``(bounds, out, rows)``: each family's ``(lower, upper)`` bounds in
+    """``(bounds, out, batches)``: each family's ``(lower, upper)`` bounds in
     bits, its ``(value, lower)`` when it is done before any Newton step (else
-    None), and a row ``(i, face, q, basis, x0, xidx, lower)`` for each of the
-    others: its index, its face as a mask of its live cells, its start and a
-    null basis on the face, the base pmf and x-groups on the face, and its
-    part-MI bound.
+    None), and the others as lockstep batches of rows ``(i, cells, q, basis,
+    x0, xidx, lower)``: its index, the product cells it lives on, its start
+    and a null basis there, the base pmf and x-groups there, and its part-MI
+    bound.
 
     A family is done when its bounds meet, before it is built; at its
     polytope when that leaves no free direction; and at its start when that
-    meets the part-MI bound.  The others with one live-cell count are built,
-    factored by one SVD and started as one stack.  A row's start is one IPF
-    sweep over its live cells, projected onto the constraints.  When that is
-    not thin on any cell where the base pmf is zero (nowhere below
-    ``_THIN_START`` of its largest cell), the face is every live cell and the
-    start is pulled from the base pmf: it moves along the positive sweep where
-    the base pmf is zero and stays positive where it is not.  Otherwise the
-    row goes on its own to :func:`_face_start`."""
+    meets the part-MI bound.  The others are grouped by cell count, and each
+    group, largest first, is built, factored by one SVD and started as one
+    stack; its remaining rows are one batch.  A row's start is one IPF sweep
+    over its cells, projected onto the constraints and pulled from the base
+    pmf: it moves along the positive sweep where the base pmf is zero and
+    stays positive where it is not.  When the sweep is thin on a cell where
+    the base pmf is zero (below ``_THIN_START`` of its largest cell), the
+    support LP decides the face, and the start is pulled from the LP's point
+    instead.  If the face is every live cell, the row stays in its group;
+    otherwise it joins the group of the face's size, not yet built, with the
+    LP's point and no further thin test."""
     tab = _tables(d)
     upper = tab.whole_mi
-    bounds, out, rows = [], [None] * len(families), []
+    bounds, out, batches = [], [None] * len(families), []
     groups: dict[int, list] = {}
     for i, parts in enumerate(families):
         marginals, live = _marginals(tab, parts)
@@ -440,47 +425,62 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]]):
         if upper - lower <= _CERTIFICATE_SLACK:
             out[i] = (upper, min(lower, upper))
         else:
-            groups.setdefault(live.size, []).append((i, marginals, live, lower))
-    for members in groups.values():
-        ids, marginals, lives, lower = zip(*members)
-        stack = _Stack(tab, marginals, lives)
-        n, nx = len(lives[0]), int(stack.nx.max())
-        f_stop = [_stop_level(lo, tab.hy) for lo in lower]
+            groups.setdefault(live.size, []).append((i, marginals, live, lower, None))
+    while groups:
+        n = max(groups)
+        ids, marginals, cells, lower, inner = map(list, zip(*groups.pop(n)))
+        stack = _Stack(tab, marginals, cells)
+        x0, width = stack.x0, stack.A.shape[1]
         vt, rank = _null_spaces(stack.A, stack.m)
-        free = rank < n
-        # With no free direction the base pmf is the only feasible q.
-        for k in np.flatnonzero(~free).tolist():
-            out[ids[k]] = (upper, upper)
-        x0 = stack.x0
-        sweep = _ipf_sweep(stack.slot, stack.b)
         null = (np.arange(n) >= rank[:, None])[:, :, None]
-        q = x0 + (vt.transpose(0, 2, 1) @ (null * (vt @ (sweep - x0)[:, :, None])))[:, :, 0]
+
+        def project(v, k):  # onto the constraints of stack rows k
+            w = null[k] * (vt[k] @ (v - x0[k])[:, :, None])
+            return x0[k] + (vt[k].transpose(0, 2, 1) @ w)[:, :, 0]
+
+        q = project(_ipf_sweep(stack.slot, stack.b), slice(None))
         thin = np.where(x0 == 0.0, q, np.inf).min(axis=1) < _THIN_START * q.max(axis=1)
-        whole = np.ones(n, dtype=bool)
-        full = np.flatnonzero(free & ~thin).tolist()
-        q = _pull(x0[full], q[full])
-        starts = [
-            (k, whole, qk, vt[k, rank[k]:].T, x0[k], stack.xidx[k], f)
-            for k, qk, f in zip(full, q, _objective(q, stack.xidx[full], nx))
-        ]
-        for k in np.flatnonzero(free & thin).tolist():
-            face, qk, basis = _face_start(stack, k)
-            xidx = stack.xidx[k, face]
-            f = _objective(qk[None], xidx[None], nx)[0]
-            starts.append((k, face, qk, basis, x0[k, face], xidx, f))
-        for k, face, qk, basis, x0k, xidx, f in starts:
-            if f <= f_stop[k]:
+        keep = []
+        for k in range(len(ids)):
+            if rank[k] == n:  # no free direction: the base pmf is the only feasible q
+                out[ids[k]] = (upper, upper)
+                continue
+            if thin[k] and inner[k] is None:
+                m = int(stack.m[k])
+                a, b = stack.A[k, :m], stack.b[width * k:width * k + m]
+                face, inner[k] = _maximal_support(a, b)
+                if not face.all():
+                    groups.setdefault(int(face.sum()), []).append(
+                        (ids[k], marginals[k], cells[k][face], lower[k], inner[k])
+                    )
+                    continue
+            keep.append(k)
+        origin = x0.copy()
+        lp = [k for k in keep if inner[k] is not None]
+        if lp:
+            origin[lp] = project(np.array([inner[k] for k in lp]), lp)
+        q = _pull(origin[keep], q[keep])
+        if not (q > 0.0).all():
+            raise UnionConvergenceError(
+                "no strictly positive start on the feasible face", math.inf, math.inf
+            )
+        batch = []
+        for k, qk, f in zip(keep, q, _objective(q, stack.xidx[keep], int(stack.nx.max()))):
+            if f <= _stop_level(lower[k], tab.hy):
                 out[ids[k]] = (tab.hy + f / _LN2, lower[k])
             else:  # the basis is copied, so that the group's vt is freed before the solve
-                rows.append((ids[k], face, qk, basis.copy(), x0k, xidx, lower[k]))
-    return bounds, out, rows
+                basis = vt[k, rank[k]:].T.copy()
+                batch.append((ids[k], cells[k], qk, basis, x0[k], stack.xidx[k], lower[k]))
+        if batch:
+            batches.append(batch)
+    return bounds, out, batches
 
 
 def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None:
-    """Damped Newton steps on every row ``(i, face, q, basis, x0, xidx,
-    lower)`` of :func:`_starts` at once, all with ``q.size`` cells, until each
-    row's gap closes; row i's ``(value, lower)`` goes to ``out[i]``.  ``hy``
-    is ``H(Y)`` in bits.
+    """Damped Newton steps on every row ``(i, cells, q, basis, x0, xidx,
+    lower)`` of one batch of :func:`_starts` at once, until each row's gap
+    closes; row i's ``(value, lower)`` goes to ``out[i]``.  ``hy`` is
+    ``H(Y)`` in bits.
 
     Each row takes the iterates, ``mu`` schedule and stop it would take
     alone, and leaves the batch when it stops.  Null bases are zero-padded
@@ -515,7 +515,7 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None
     multi = (np.bincount(gflat, minlength=k * nx) > 1).astype(float)
     shared = multi[gidx]
     multi = multi.reshape(k, nx, 1)
-    single = 1.0 - multi  # keeps w finite on empty and padded groups
+    single = 1.0 - multi  # keeps w finite on padded groups
     basis_t = basis.transpose(0, 2, 1)
     group_t = group_basis.transpose(0, 2, 1)
 
@@ -548,8 +548,7 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None
         # barrier gradient plus its Hessian times dq lies in range(A^T).  For
         # such z every feasible q has z.q = z.x0, and -H(Y|X) - z.q is at
         # least -max_x logsumexp_y z_xy on the simplex (nats), at any iterate.
-        # An x-group emptied by facial reduction, or padded, sums to 0 and
-        # never wins.
+        # A padded x-group sums to 0 and never wins.
         dqx = np.bincount(gflat, dq.ravel(), k * nx)
         z = d * dq - descent - (w.ravel() * dqx)[gidx]
         z -= basis @ (basis_t @ z)
@@ -620,12 +619,9 @@ def _min_synergy_brackets(
     certified lower bound on the minimum at most ``m.tolerance`` below it.
 
     The families not done before a Newton step (see :func:`_starts`) are
-    solved in lockstep batches, one per start size."""
-    bounds, out, rows = _starts(d, families)
-    batches: dict[int, list] = {}
-    for row in rows:
-        batches.setdefault(row[2].size, []).append(row)
-    for batch in batches.values():
+    solved in lockstep, one batch per cell-count group."""
+    bounds, out, batches = _starts(d, families)
+    for batch in batches:
         _lockstep(batch, _tables(d).hy, m.tolerance, out)
     # Both bounds hold for the minimum, so clamping only removes rounding.
     for i, (lower, upper) in enumerate(bounds):

@@ -99,6 +99,31 @@ def test_maxmi_profile_differs(xor_unique):
     assert math.isclose(value, 1.0, abs_tol=1e-9)  # expected mismatch vs minsyn's 0
 
 
+def _two_input_gate(y):
+    """X1 and X2 independent uniform bits, and Y = y(X1, X2)."""
+    return JointDistribution(
+        ("X1", "X2", "Y"), {(a, b, y(a, b)): 0.25 for a in "01" for b in "01"}
+    )
+
+
+def test_and_gate_anchor():
+    # The singleton union of AND is its BROJA union information,
+    # 1.5 - 0.75 log2 3 bits, and every measure is H(Y) minus it.
+    d = _two_input_gate(lambda a, b: str(int(a == b == "1")))
+    m = UnionMeasure(tolerance=1e-9)
+    union = union_information(m, d, [PartSpec((0,)), PartSpec((1,))])
+    assert abs(union - (1.5 - 0.75 * math.log2(3))) <= 1e-9
+    expected = (0.8112781245, 0.5, 0.5, 0.5, 0.5)
+    assert full_report(d, m).values() == pytest.approx(expected, abs=1e-9)
+
+
+def test_copy_gate_anchor():
+    # Y = X1X2: each input alone determines its half of Y, so nothing is
+    # irreducible.
+    d = _two_input_gate(lambda a, b: a + b)
+    assert full_report(d, MINSYN).values() == pytest.approx((2.0, 0.0, 0.0, 0.0, 0.0), abs=1e-9)
+
+
 def test_needs_two_predictors():
     d = JointDistribution(("A", "Y"), {("0", "0"): 0.5, ("1", "1"): 0.5})
     with pytest.raises(ValueError):

@@ -337,20 +337,46 @@ def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
         assert abs(batch_value - value) <= MINSYN.tolerance
 
 
-@pytest.mark.parametrize("seed, alphabet_size, emptied", [(102, 3, False), (2, 2, True)])
+@pytest.mark.parametrize("seed, alphabet_size, emptied", [(102, 3, False), (243, 3, True)])
 def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
-    # Both inputs take the facial-reduction path, and on the binary one it
-    # empties an x-group, which the dual bound's log-sum-exp must skip.
+    # Both inputs take the facial-reduction path into the lockstep solve, and
+    # on the second the face holds no cell of some x-group of the polytope.
     d = make_random(seed, 3, alphabet_size, 0.3)
     fam = PartFamily(tuple(almosts(3)))
     poly = MarginalPolytope(d, fam.parts)
-    [(_, live, *_)] = union_info._starts(d, [fam.parts])[2]
-    assert not live.all()
-    assert (np.bincount(poly.xidx[live], minlength=poly.nx) == 0).any() == emptied
+    [[(_, cells, *_, xidx, _)]] = union_info._starts(d, [fam.parts])[2]
+    face = np.isin(union_info._marginals(union_info._tables(d), fam.parts)[1], cells)
+    assert not face.all() and face.sum() == len(cells)
+    assert (np.bincount(poly.xidx[face], minlength=poly.nx) == 0).any() == emptied
+    # The face's row numbers only the x-groups it holds.
+    assert (np.bincount(xidx) > 0).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value, certified = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
     assert certified <= value <= certified + MINSYN.tolerance
+
+
+def test_face_without_free_direction_ends_before_the_solve(monkeypatch):
+    # The support LP leaves this input's Almosts a face on which the base pmf
+    # is the only feasible point, so the family ends there, at the whole's
+    # mutual information, without a Newton step.
+    def no_solve(*args):
+        raise AssertionError("a face with no free direction entered the lockstep solve")
+
+    lps = []
+    support = union_info._maximal_support
+
+    def counting_support(a, b):
+        lps.append(a.shape)
+        return support(a, b)
+
+    monkeypatch.setattr(union_info, "_lockstep", no_solve)
+    monkeypatch.setattr(union_info, "_maximal_support", counting_support)
+    d = make_random(2, 3, 2, 0.3)
+    [(value, lower)] = union_info._min_synergy_brackets(d, [tuple(almosts(3))], MINSYN)
+    assert len(lps) == 1
+    assert value == lower == whole_mutual_information(d)
+    assert abs(value - 0.4097012568427534) <= 1e-12
 
 
 @pytest.mark.parametrize("seed, pulled", [(400, True), (409, True), (401, False)])
@@ -381,9 +407,9 @@ def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
     monkeypatch.setattr(union_info, "_maximal_support", no_face_search)
     monkeypatch.setattr(union_info, "_ipf_sweep", recording_sweep)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    [(_, live, q, basis, *_)] = union_info._starts(d, [fam.parts])[2]
+    [[(_, cells, q, basis, *_)]] = union_info._starts(d, [fam.parts])[2]
     # No basis of a face is computed: the start's basis is the polytope's.
-    assert live.all() and len(svds) == 1
+    assert len(cells) == len(poly.cells) and len(svds) == 1
     assert basis.shape == poly.null_basis.shape
     projector = poly.null_basis @ poly.null_basis.T
     assert np.abs(basis @ basis.T - projector).max() <= 1e-12
@@ -430,7 +456,8 @@ def test_zero_cell_start_takes_one_sweep_per_face(monkeypatch, seed, zero_fracti
     fam = PartFamily(tuple(almosts(4)))
     assert (MarginalPolytope(d, fam.parts).x0 == 0.0).any()
     value, lower = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
-    assert len(sweeps) == 1 + len(faces)
+    # A face smaller than the live cells takes its own sweep.
+    assert len(sweeps) == 1 + faces.count(False)
     assert faces == {None: [], "full": [True], "smaller": [False]}[face]
     assert lower <= value <= lower + MINSYN.tolerance
     assert abs(value - expected) <= 1e-6
@@ -455,15 +482,45 @@ def test_binary_reports_keep_their_newton_step_budget(monkeypatch):
     assert 0 < steps <= 200
 
 
+def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
+    # When np.linalg.solve refuses a stacked Newton system, each system is
+    # solved by least squares instead, with the same values.
+    d = make_random(400)
+    families = [fam.parts for fam in _report_families(3)]
+    expected = union_info._min_synergy_brackets(d, families, MINSYN)
+    union_info._memo.cache_clear()
+    report = full_report(d)
+    refused = 0
+
+    def singular(*args, **kwargs):
+        nonlocal refused
+        refused += 1
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    brackets = union_info._min_synergy_brackets(d, families, MINSYN)
+    union_info._memo.cache_clear()
+    fallback_report = full_report(d)
+    union_info._memo.cache_clear()
+    assert refused > 0
+    for (value, lower), (expected_value, _) in zip(brackets, expected):
+        assert lower <= value <= lower + MINSYN.tolerance
+        assert abs(value - expected_value) <= 1e-12
+    assert fallback_report.values() == pytest.approx(report.values(), abs=1e-12)
+
+
 def test_mixed_batches_with_facial_reduction_raise_no_warning():
     # This report's families fall into four batches by live-cell count; two
     # hold rows of different null dimensions, so their bases are padded, and
     # one family is solved on a face found by the support LP.
     d = make_random(1, 3, 2, 0.3)
     families = _report_families(3)
+    tab = union_info._tables(d)
     batches = {}
-    for _, live, q, basis, *_ in union_info._starts(d, [fam.parts for fam in families])[2]:
-        batches.setdefault(q.size, []).append((basis.shape[1], live.all()))
+    for batch in union_info._starts(d, [fam.parts for fam in families])[2]:
+        for i, cells, q, basis, *_ in batch:
+            live = union_info._marginals(tab, families[i].parts)[1]
+            batches.setdefault(q.size, []).append((basis.shape[1], live.size == len(cells)))
     assert len(batches) == 4
     assert sum(len({width for width, _ in rows}) > 1 for rows in batches.values()) == 2
     assert sum(not full for rows in batches.values() for _, full in rows) == 1
@@ -598,17 +655,17 @@ def test_stacked_rows_match_their_families_alone(corpus):
                 assert (stack.x0[k] == poly.x0).all()
                 assert (stack.xidx[k] == poly.xidx).all() and stack.nx[k] == poly.nx
                 assert len(poly.cells) - rank[k] == poly.null_basis.shape[1]
-        bounds, out, rows = union_info._starts(d, families)
-        rows = {row[0]: row[1:4] for row in rows}
+        bounds, out, batches = union_info._starts(d, families)
+        rows = {row[0]: row[1:4] for batch in batches for row in batch}
         for i, parts in enumerate(families):
-            [alone_bounds], [alone_out], alone_rows = union_info._starts(d, [parts])
+            [alone_bounds], [alone_out], alone_batches = union_info._starts(d, [parts])
             assert alone_bounds == bounds[i]
             if alone_out is not None:
                 assert out[i] == pytest.approx(alone_out, abs=1e-12)
                 continue
-            [(_, face, q, basis, *_)] = alone_rows
-            row_face, row_q, row_basis = rows[i]
-            assert (row_face == face).all()
+            [[(_, cells, q, basis, *_)]] = alone_batches
+            row_cells, row_q, row_basis = rows[i]
+            assert np.array_equal(row_cells, cells)
             assert np.abs(row_q - q).max() <= 1e-12
             assert row_basis.shape == basis.shape
             projector = basis @ basis.T
