@@ -228,7 +228,7 @@ def _cmd_examples(args) -> tuple[str, int]:
             raise UsageError("--emit-tsv needs --name")
         return load_example(args.name).distribution.to_tsv(), 0
     names = (args.name,) if args.name else EXAMPLE_NAMES
-    verification = verify_corpus(_measure_from(args), tol=args.tol, names=names)
+    verification = verify_corpus(_measure_from(args), names=names)
     status = 0 if verification.all_ok else 1
     if args.format == "json":
         return render_json(verification.to_dict()) + "\n", status
@@ -360,7 +360,11 @@ _HANDLERS = {
 def _add_common(sub, input_required=False, with_measure=True):
     if with_measure:
         sub.add_argument("--measure", default="minsyn", choices=["minsyn", "maxmi"])
-        sub.add_argument("--tol", type=float, default=1e-6)
+        sub.add_argument(
+            "--tol", type=float, default=1e-6,
+            help="each union value lies at most this many bits above its minimum "
+            "(default: %(default)s)",
+        )
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
     sub.add_argument(
         "--format", default="json", choices=["json", "tsv", "human"]

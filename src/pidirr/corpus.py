@@ -251,11 +251,10 @@ class CorpusVerification:
 
 def verify_corpus(
     measure: UnionMeasure | None = None,
-    tol: float = 1e-6,
     names: Sequence[str] = EXAMPLE_NAMES,
 ) -> CorpusVerification:
     """Run :func:`full_report` on each named example (all by default) and
-    compare it to its expected row."""
+    compare it to its expected row, within the measure's tolerance."""
     measure = measure or UnionMeasure()
     rows = []
     for name in names:
@@ -267,4 +266,4 @@ def verify_corpus(
                 expected=ex.expected,
             )
         )
-    return CorpusVerification(rows=tuple(rows), tolerance=tol)
+    return CorpusVerification(rows=tuple(rows), tolerance=measure.tolerance)

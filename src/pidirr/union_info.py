@@ -27,9 +27,10 @@ Optimization*, ch. 11): damped Newton steps in the constraint null space on
 ``mu`` cut a hundredfold once a step starts near the centre.  Each Newton
 system also gives multipliers ``z`` of the marginal constraints, and so the
 Lagrange dual bound ``H(Y) + (z.x0 - max_x logsumexp_y z_xy) / ln 2`` on the
-minimum.  The solver stops once its value is within a tenth of the tolerance
-of that bound, or within 1e-11 bits of the largest single-part mutual
-information, the other lower bound.
+minimum.  Every exit stops a family once its value is within a tenth of the
+tolerance of its best certified lower bound: that dual bound or the largest
+single-part mutual information.  A family that can no longer move stops
+within the whole tolerance, and raises :class:`UnionConvergenceError` if not.
 
 A barrier method needs only a strictly positive feasible start, and one rule
 picks it: one sweep of iterative proportional fitting (IPF) over the live
@@ -88,10 +89,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-#: Stop once the objective sits this close to the per-part lower bound (bits);
-#: no feasible point can be better.
-_CERTIFICATE_SLACK = 1e-11
-
 #: A start sweep below this fraction of its largest cell on some cell where
 #: the base pmf is zero may mark a cell that every feasible point leaves at
 #: zero; the support LP then decides the face.
@@ -126,9 +123,10 @@ class UnionMeasure:
     """Which union-information measure to compute, and how accurately.
 
     ``tolerance`` (bits) bounds how far a ``minsyn`` value may lie above the
-    true minimum: the barrier solver stops once its value is within a tenth
-    of it of a certified lower bound.  The solver is deterministic, so
-    nothing else is tunable.  ``maxmi`` values are exact.
+    true minimum: every exit of the barrier solver stops a family within a
+    tenth of it of a certified lower bound (within all of it once the family
+    cannot move), or raises.  The solver is deterministic, so nothing else
+    is tunable.  ``maxmi`` values are exact.
     """
 
     kind: MeasureKind = MeasureKind.MIN_SYNERGY
@@ -379,13 +377,6 @@ def _gradient(v: np.ndarray, gidx: np.ndarray, nx: int):
     return np.log(v / vx[gidx]), vx.reshape(-1, nx, 1)
 
 
-def _stop_level(lower: float, hy: float) -> float:
-    """The ``f = -H(Y|X)`` (nats) at which ``I_q(X;Y) = hy + f / ln 2``
-    bits meets the part-MI bound ``lower``; every feasible q has the same
-    ``H(Y) = hy``."""
-    return (lower + _CERTIFICATE_SLACK - hy) * _LN2
-
-
 def _objective(q: np.ndarray, xidx: np.ndarray, nx: int) -> list[float]:
     """``f = -H(Y|X)`` (nats) of each row of a stack of points."""
     v = q[:, :, None]
@@ -393,7 +384,7 @@ def _objective(q: np.ndarray, xidx: np.ndarray, nx: int) -> list[float]:
     return (v.transpose(0, 2, 1) @ grad).ravel().tolist()
 
 
-def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]]):
+def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], tolerance: float):
     """``(bounds, out, batches)``: each family's ``(lower, upper)`` bounds in
     bits, its ``(value, lower)`` when it is done before any Newton step (else
     None), and the others as lockstep batches of rows ``(i, cells, q, basis,
@@ -401,28 +392,29 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]]):
     and a null basis there, the base pmf and x-groups there, and its part-MI
     bound.
 
-    A family is done when its bounds meet, before it is built; at its
-    polytope when that leaves no free direction; and at its start when that
-    meets the part-MI bound.  The others are grouped by cell count, and each
-    group, largest first, is built, factored by one SVD and started as one
-    stack; its remaining rows are one batch.  A row's start is one IPF sweep
-    over its cells, projected onto the constraints and pulled from the base
-    pmf: it moves along the positive sweep where the base pmf is zero and
-    stays positive where it is not.  When the sweep is thin on a cell where
-    the base pmf is zero (below ``_THIN_START`` of its largest cell), the
-    support LP decides the face, and the start is pulled from the LP's point
-    instead.  If the face is every live cell, the row stays in its group;
-    otherwise it joins the group of the face's size, not yet built, with the
-    LP's point and no further thin test."""
+    A family is done before it is built when its whole bound is within a tenth
+    of ``tolerance`` (bits) of its part-MI bound, at its start when that
+    start's value is, and at its polytope when that leaves no free direction.
+    The others are grouped by cell count, and each group, largest first, is
+    built, factored by one SVD and started as one stack; its remaining rows
+    are one batch.  A row's start is one IPF sweep over its cells, projected
+    onto the constraints and pulled from the base pmf: it moves along the
+    positive sweep where the base pmf is zero and stays positive where it is
+    not.  When the sweep is thin on a cell where the base pmf is zero (below
+    ``_THIN_START`` of its largest cell), the support LP decides the face, and
+    the start is pulled from the LP's point instead.  If the face is every
+    live cell, the row stays in its group; otherwise it joins the group of the
+    face's size, not yet built, with the LP's point and no further thin
+    test."""
     tab = _tables(d)
-    upper = tab.whole_mi
+    upper, close = tab.whole_mi, 0.1 * tolerance
     bounds, out, batches = [], [None] * len(families), []
     groups: dict[int, list] = {}
     for i, parts in enumerate(families):
         marginals, live = _marginals(tab, parts)
         lower = max(mi for _, _, mi in marginals)
         bounds.append((lower, upper))
-        if upper - lower <= _CERTIFICATE_SLACK:
+        if upper - lower <= close:
             out[i] = (upper, min(lower, upper))
         else:
             groups.setdefault(live.size, []).append((i, marginals, live, lower, None))
@@ -466,7 +458,7 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]]):
             )
         batch = []
         for k, qk, f in zip(keep, q, _objective(q, stack.xidx[keep], int(stack.nx.max()))):
-            if f <= _stop_level(lower[k], tab.hy):
+            if tab.hy + f / _LN2 - lower[k] <= close:
                 out[ids[k]] = (tab.hy + f / _LN2, lower[k])
             else:  # the basis is copied, so that the group's vt is freed before the solve
                 basis = vt[k, rank[k]:].T.copy()
@@ -478,19 +470,21 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]]):
 
 def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None:
     """Damped Newton steps on every row ``(i, cells, q, basis, x0, xidx,
-    lower)`` of one batch of :func:`_starts` at once, until each row's gap
-    closes; row i's ``(value, lower)`` goes to ``out[i]``.  ``hy`` is
-    ``H(Y)`` in bits.
+    lower)`` of one batch of :func:`_starts` at once; row i's ``(value,
+    lower)`` goes to ``out[i]``.  ``hy`` is ``H(Y)`` in bits.
 
-    Each row takes the iterates, ``mu`` schedule and stop it would take
-    alone, and leaves the batch when it stops.  Null bases are zero-padded
-    to the widest, with ones on the padded Hessian diagonal, so the padded
-    directions get zero steps.  Vectors are stacks of columns, so that
-    ``matmul`` takes them as they are, and per-row control runs on one
-    ``tolist`` per step: numpy calls on tiny arrays cost more than their
-    arithmetic."""
+    A row's certified lower bound is the larger of its part-MI bound and the
+    best dual bound of its Newton systems, and the row stops once its value
+    is within a tenth of ``tolerance`` of it.  A row whose line search ends
+    below a step of 1e-12 with ``mu`` at its floor cannot move again: it
+    stops if that gap is within ``tolerance``, and raises otherwise.  Each
+    row takes the iterates and ``mu`` schedule it would take alone.  Null
+    bases are zero-padded to the widest, with ones on the padded Hessian
+    diagonal, so the padded directions get zero steps.  Vectors are stacks of
+    columns, so that ``matmul`` takes them as they are, and per-row control
+    runs on one ``tolist`` per step: numpy calls on tiny arrays cost more
+    than their arithmetic."""
     ids, _, starts, bases, x0s, xidx, lower = zip(*rows)
-    f_stop = [_stop_level(lo, hy) for lo in lower]
     q = np.array(starts)[:, :, None]
     k, n, _ = q.shape
     width = np.array([b.shape[1] for b in bases])
@@ -523,9 +517,11 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None
     mu_end = 0.1 * target / n  # centred gap < cells * mu; 0.1 leaves room for rounding
     grad, qx = _gradient(q, gidx, nx)
     f = (q.transpose(0, 2, 1) @ grad).ravel().tolist()
-    mu = [max((fk - s) / n, mu_end) for fk, s in zip(f, f_stop)]
+    # The part-MI bound in f's terms: every feasible q has H(Y) = hy.
+    bound = [(lo - hy) * _LN2 for lo in lower]
+    mu = [max((fk - b) / n, mu_end) for fk, b in zip(f, bound)]
     m = np.array(mu).reshape(k, 1, 1)
-    bound = [-math.inf] * k
+    stalled = [False] * k
     # Per row: f, z.x0, max z, the largest sum of exp(z - max z) over an
     # x-group, the Newton decrement, and the most negative dq / q, which
     # limits the step.
@@ -563,18 +559,21 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None
         bound = [max(b, v - (t + math.log(s))) for b, v, t, s in zip(bound, zx, tops, smax)]
         keep = []
         for j in range(k):
-            if f[j] <= f_stop[j]:
-                out[ids[j]] = (hy + f[j] / _LN2, lower[j])
-            elif f[j] - bound[j] <= target:
+            if f[j] - bound[j] <= (tolerance * _LN2 if stalled[j] else target):
                 out[ids[j]] = (hy + f[j] / _LN2, hy + bound[j] / _LN2)
+            elif stalled[j]:
+                gap = (f[j] - bound[j]) / _LN2
+                raise UnionConvergenceError(
+                    f"minimum-synergy barrier solver stalled (gap {gap!r} bits)", hy + f[j] / _LN2, gap
+                )
             else:
                 keep.append(j)
         if not keep:
             return
         if len(keep) < k:
             k = len(keep)
-            ids, lower, f_stop, mu, bound, decs, falls = (
-                [v[j] for j in keep] for v in (ids, lower, f_stop, mu, bound, decs, falls)
+            ids, f, mu, bound, decs, falls = (
+                [v[j] for j in keep] for v in (ids, f, mu, bound, decs, falls)
             )
             (q, grad, qx, m, dq, basis, basis_t, group_basis, group_t, pad, x0t, xidx,
              shared, multi, single) = (
@@ -600,15 +599,15 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None
             for j in over:
                 steps[j] *= 0.5
         q, grad, qx = cand, gc, qxc
+        stalled = [s < 1e-12 and mk == mu_end for s, mk in zip(steps, mu)]
         # A step that began near the centre ends its row's stage.
         stage = [max(mk / 100.0, mu_end) if dk <= 0.1 * mk else mk for mk, dk in zip(mu, decs)]
         if stage != mu:
             mu, m = stage, np.array(stage).reshape(k, 1, 1)
-    f0 = float(q[0].ravel() @ grad[0].ravel())
-    gap = (f0 - bound[0]) / _LN2
+    gap = (f[0] - bound[0]) / _LN2
     raise UnionConvergenceError(
         f"minimum-synergy barrier solver did not close its gap in "
-        f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap!r} bits)", hy + f0 / _LN2, gap
+        f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap!r} bits)", hy + f[0] / _LN2, gap
     )
 
 
@@ -620,7 +619,7 @@ def _min_synergy_brackets(
 
     The families not done before a Newton step (see :func:`_starts`) are
     solved in lockstep, one batch per cell-count group."""
-    bounds, out, batches = _starts(d, families)
+    bounds, out, batches = _starts(d, families, m.tolerance)
     for batch in batches:
         _lockstep(batch, _tables(d).hy, m.tolerance, out)
     # Both bounds hold for the minimum, so clamping only removes rounding.

@@ -75,8 +75,12 @@ def test_per_part_mi_spot_checks():
         assert abs(tx.mutual_information(tx.selector(name), tx.selector("Y"))) <= 1e-12
 
 
-def test_verify_corpus_minsyn_all_pass():
-    report = verify_corpus()
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_verify_corpus_minsyn_all_pass(tol):
+    # A tight tolerance makes the solver's stop stricter; the circuits'
+    # values must still match within it.
+    report = verify_corpus(UnionMeasure(tolerance=tol))
+    assert report.tolerance == tol
     assert report.all_ok
     assert not report.mismatches
     payload = report.to_dict()

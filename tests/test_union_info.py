@@ -337,6 +337,28 @@ def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
         assert abs(batch_value - value) <= MINSYN.tolerance
 
 
+# A fixed 1e-11-bit stop at the part-MI bound left {X1, X2X3} of the first
+# input 3.9e-12 bits above its certified lower bound at tolerance 1e-12, and
+# ib2p of the second 3.4e-12 bits above its ibdp, so its report raised
+# OrderingViolationError.  In each of the last two a row's line search
+# stalled with mu at its floor, a hair above a tenth of the tolerance, until
+# the step limit; the last now stops there, its gap within the tolerance.
+@pytest.mark.parametrize("args, tolerance", [
+    ((0, 3), 1e-12),
+    ((114889, 3, 2, 0.3), 1e-12),
+    ((1010, 3, 3, 0.4), 1e-10),
+    ((1851, 4, 2, 0.5), 1e-10),
+])
+def test_report_families_are_certified_at_tight_tolerances(args, tolerance):
+    d = make_random(*args)
+    measure = UnionMeasure(tolerance=tolerance)
+    union_info._memo.cache_clear()
+    full_report(d, measure)
+    families = [fam.parts for fam in _report_families(args[1])]
+    for value, lower in union_info._min_synergy_brackets(d, families, measure):
+        assert lower <= value <= lower + tolerance
+
+
 @pytest.mark.parametrize("seed, alphabet_size, emptied", [(102, 3, False), (243, 3, True)])
 def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
     # Both inputs take the facial-reduction path into the lockstep solve, and
@@ -344,7 +366,7 @@ def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
     d = make_random(seed, 3, alphabet_size, 0.3)
     fam = PartFamily(tuple(almosts(3)))
     poly = MarginalPolytope(d, fam.parts)
-    [[(_, cells, *_, xidx, _)]] = union_info._starts(d, [fam.parts])[2]
+    [[(_, cells, *_, xidx, _)]] = union_info._starts(d, [fam.parts], MINSYN.tolerance)[2]
     face = np.isin(union_info._marginals(union_info._tables(d), fam.parts)[1], cells)
     assert not face.all() and face.sum() == len(cells)
     assert (np.bincount(poly.xidx[face], minlength=poly.nx) == 0).any() == emptied
@@ -407,7 +429,7 @@ def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
     monkeypatch.setattr(union_info, "_maximal_support", no_face_search)
     monkeypatch.setattr(union_info, "_ipf_sweep", recording_sweep)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    [[(_, cells, q, basis, *_)]] = union_info._starts(d, [fam.parts])[2]
+    [[(_, cells, q, basis, *_)]] = union_info._starts(d, [fam.parts], MINSYN.tolerance)[2]
     # No basis of a face is computed: the start's basis is the polytope's.
     assert len(cells) == len(poly.cells) and len(svds) == 1
     assert basis.shape == poly.null_basis.shape
@@ -517,7 +539,7 @@ def test_mixed_batches_with_facial_reduction_raise_no_warning():
     families = _report_families(3)
     tab = union_info._tables(d)
     batches = {}
-    for batch in union_info._starts(d, [fam.parts for fam in families])[2]:
+    for batch in union_info._starts(d, [fam.parts for fam in families], MINSYN.tolerance)[2]:
         for i, cells, q, basis, *_ in batch:
             live = union_info._marginals(tab, families[i].parts)[1]
             batches.setdefault(q.size, []).append((basis.shape[1], live.size == len(cells)))
@@ -655,10 +677,10 @@ def test_stacked_rows_match_their_families_alone(corpus):
                 assert (stack.x0[k] == poly.x0).all()
                 assert (stack.xidx[k] == poly.xidx).all() and stack.nx[k] == poly.nx
                 assert len(poly.cells) - rank[k] == poly.null_basis.shape[1]
-        bounds, out, batches = union_info._starts(d, families)
+        bounds, out, batches = union_info._starts(d, families, MINSYN.tolerance)
         rows = {row[0]: row[1:4] for batch in batches for row in batch}
         for i, parts in enumerate(families):
-            [alone_bounds], [alone_out], alone_batches = union_info._starts(d, [parts])
+            [alone_bounds], [alone_out], alone_batches = union_info._starts(d, [parts], MINSYN.tolerance)
             assert alone_bounds == bounds[i]
             if alone_out is not None:
                 assert out[i] == pytest.approx(alone_out, abs=1e-12)
