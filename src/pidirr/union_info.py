@@ -58,8 +58,30 @@ numpy's per-call overhead, not arithmetic, so a batch step costs about as
 much as one family's.  Stacks are set up largest first, so a family that
 facial reduction moves to fewer cells joins that count's stack before it is
 built.  Each row keeps its own iterates, ``mu`` schedule and certified stop,
-and leaves the batch when it stops.  Values are memoized per measure and
-distribution, so no family is solved twice.
+and leaves the batch when it stops.
+
+:func:`union_information` and :func:`union_information_batch` solve every
+family they are asked for to the tolerance.  A report needs less: each of
+its four scans needs only its largest union and the earliest family that
+reaches it.  So on the report's path a family also stops, unsolved, once it
+is dominated: in every scan that lists it, another family's certified lower
+bound ``L_j`` is more than the tolerance above a certified upper bound
+``U_i`` on this family's union.  That is checked before the build, with the
+whole's mutual information as ``U_i`` (for disjoint parts, such as a
+bipartition ``{A, B}``, the smaller ``I(A;Y) + I(B;Y)``: the point
+``p(A,Y) p(B|Y)`` is feasible, and under it ``I(AB;Y)`` is at most that
+sum); at the start, with the start's value; and at each Newton step, with
+the iterate's value, against the part-MI bounds, the dual bounds of the
+rows still stepping and the certified lower bounds of the families done.
+Had a dominated family been solved, its value would be at most the
+tolerance above its minimum, so ``V_i <= U_i + tol < L_j <= V_j``: it is
+never its scan's maximum, nor ties with it.  Every other family is solved
+as before, so a report's values (up to rounding) and witnesses are those of
+solving every family, and the earliest family still wins a tie.
+
+Brackets are memoized per measure and distribution, so no family is solved
+twice.  A dominated family's entry holds its upper bound, which a report
+may reuse; :func:`union_information` solves that family to the tolerance.
 """
 
 from __future__ import annotations
@@ -69,7 +91,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, product as iter_product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -384,7 +406,50 @@ def _objective(q: np.ndarray, xidx: np.ndarray, nx: int) -> list[float]:
     return (v.transpose(0, 2, 1) @ grad).ravel().tolist()
 
 
-def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], tolerance: float):
+class _Dominated(NamedTuple):
+    """``(value, lower)`` of a family that stopped once dominated (see
+    :class:`_Scans`): certified upper and lower bounds on its union, in bits,
+    which may lie more than the tolerance apart."""
+
+    value: float
+    lower: float
+
+
+class _Scans:
+    """The scans of a call's families, as lists of their indices, and each
+    family's best certified bounds so far, in bits.
+
+    A family i is dominated once, in every scan that lists it, some family
+    j's lower bound ``L_j`` is more than ``tolerance`` above i's upper bound
+    ``U_i``.  Solved, i would stop at most ``tolerance`` above its minimum,
+    so ``V_i <= U_i + tolerance < L_j <= V_j``: it cannot be the scan's
+    largest union, nor tie with it.  A family's own lower bound is below its
+    upper bound, so it never dominates itself; a family in no scan is never
+    dominated."""
+
+    def __init__(self, scans: Sequence[Sequence[int]], count: int, tolerance: float):
+        self.scans = [list(s) for s in scans if s]
+        self.of = [[k for k, s in enumerate(self.scans) if i in s] for i in range(count)]
+        self.lower = [-math.inf] * count
+        self.upper = [math.inf] * count
+        self.tolerance = tolerance
+
+    def dominated(self, ids: Sequence[int]) -> list[bool]:
+        """Whether each family of ``ids`` is dominated."""
+        tops = [max(map(self.lower.__getitem__, s)) for s in self.scans]
+        upper, tolerance = self.upper, self.tolerance
+        return [
+            bool(of) and min(map(tops.__getitem__, of)) > upper[i] + tolerance
+            for i, of in zip(ids, map(self.of.__getitem__, ids))
+        ]
+
+
+def _starts(
+    d: JointDistribution,
+    families: Sequence[Sequence[PartSpec]],
+    tolerance: float,
+    scans: _Scans | None = None,
+):
     """``(bounds, out, batches)``: each family's ``(lower, upper)`` bounds in
     bits, its ``(value, lower)`` when it is done before any Newton step (else
     None), and the others as lockstep batches of rows ``(i, cells, q, basis,
@@ -395,29 +460,46 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], tolera
     A family is done before it is built when its whole bound is within a tenth
     of ``tolerance`` (bits) of its part-MI bound, at its start when that
     start's value is, and at its polytope when that leaves no free direction.
-    The others are grouped by cell count, and each group, largest first, is
-    built, factored by one SVD and started as one stack; its remaining rows
-    are one batch.  A row's start is one IPF sweep over its cells, projected
-    onto the constraints and pulled from the base pmf: it moves along the
-    positive sweep where the base pmf is zero and stays positive where it is
-    not.  When the sweep is thin on a cell where the base pmf is zero (below
-    ``_THIN_START`` of its largest cell), the support LP decides the face, and
-    the start is pulled from the LP's point instead.  If the face is every
-    live cell, the row stays in its group; otherwise it joins the group of the
-    face's size, not yet built, with the LP's point and no further thin
-    test."""
+    It stops as :class:`_Dominated` when ``scans`` finds it dominated, with
+    the part-MI bounds as the families' lower bounds: before it is built,
+    with the whole bound as its upper bound, or for pairwise disjoint parts
+    ``P_k`` the smaller ``sum_k I(P_k; Y)``; and at its start, with the
+    start's value.  The others are grouped by cell count, and each group,
+    largest first, is built, factored by one SVD and started as one stack;
+    its remaining rows are one batch.  A row's start is one IPF sweep over
+    its cells, projected onto the constraints and pulled from the base pmf:
+    it moves along the positive sweep where the base pmf is zero and stays
+    positive where it is not.  When the sweep is thin on a cell where the
+    base pmf is zero (below ``_THIN_START`` of its largest cell), the support
+    LP decides the face, and the start is pulled from the LP's point instead.
+    If the face is every live cell, the row stays in its group; otherwise it
+    joins the group of the face's size, not yet built, with the LP's point
+    and no further thin test."""
     tab = _tables(d)
+    scans = scans or _Scans((), len(families), tolerance)
     upper, close = tab.whole_mi, 0.1 * tolerance
-    bounds, out, batches = [], [None] * len(families), []
+    bounds, out, batches, todo = [], [None] * len(families), [], []
     groups: dict[int, list] = {}
     for i, parts in enumerate(families):
         marginals, live = _marginals(tab, parts)
         lower = max(mi for _, _, mi in marginals)
         bounds.append((lower, upper))
+        scans.lower[i] = lower
         if upper - lower <= close:
             out[i] = (upper, min(lower, upper))
+            continue
+        # Given Y, independent parts make a feasible q with I(X; Y) at most
+        # the sum of the parts' I(P_k; Y), when the parts are disjoint.
+        members = [j for p in parts for j in p.member_indices]
+        disjoint = len(set(members)) == len(members)
+        scans.upper[i] = min(upper, sum(mi for _, _, mi in marginals)) if disjoint else upper
+        todo.append((i, marginals, live, lower, None))
+    for row, gone in zip(todo, scans.dominated([i for i, *_ in todo])):
+        i, _, live, lower, _ = row
+        if gone:
+            out[i] = _Dominated(scans.upper[i], lower)
         else:
-            groups.setdefault(live.size, []).append((i, marginals, live, lower, None))
+            groups.setdefault(live.size, []).append(row)
     while groups:
         n = max(groups)
         ids, marginals, cells, lower, inner = map(list, zip(*groups.pop(n)))
@@ -436,6 +518,7 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], tolera
         for k in range(len(ids)):
             if rank[k] == n:  # no free direction: the base pmf is the only feasible q
                 out[ids[k]] = (upper, upper)
+                scans.lower[ids[k]] = upper
                 continue
             if thin[k] and inner[k] is None:
                 m = int(stack.m[k])
@@ -458,24 +541,35 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], tolera
             )
         batch = []
         for k, qk, f in zip(keep, q, _objective(q, stack.xidx[keep], int(stack.nx.max()))):
-            if tab.hy + f / _LN2 - lower[k] <= close:
-                out[ids[k]] = (tab.hy + f / _LN2, lower[k])
+            value = tab.hy + f / _LN2
+            if value - lower[k] <= close:
+                out[ids[k]] = (value, lower[k])
             else:  # the basis is copied, so that the group's vt is freed before the solve
+                scans.upper[ids[k]] = min(scans.upper[ids[k]], value)
                 basis = vt[k, rank[k]:].T.copy()
                 batch.append((ids[k], cells[k], qk, basis, x0[k], stack.xidx[k], lower[k]))
         if batch:
             batches.append(batch)
-    return bounds, out, batches
+    # Every start is known before any row is checked against the others.
+    rows = [row for batch in batches for row in batch]
+    for (i, *_, lower), gone in zip(rows, scans.dominated([i for i, *_ in rows])):
+        if gone:
+            out[i] = _Dominated(scans.upper[i], lower)
+    batches = [[row for row in batch if out[row[0]] is None] for batch in batches]
+    return bounds, out, [batch for batch in batches if batch]
 
 
-def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None:
+def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list, scans: _Scans) -> None:
     """Damped Newton steps on every row ``(i, cells, q, basis, x0, xidx,
     lower)`` of one batch of :func:`_starts` at once; row i's ``(value,
     lower)`` goes to ``out[i]``.  ``hy`` is ``H(Y)`` in bits.
 
     A row's certified lower bound is the larger of its part-MI bound and the
     best dual bound of its Newton systems, and the row stops once its value
-    is within a tenth of ``tolerance`` of it.  A row whose line search ends
+    is within a tenth of ``tolerance`` of it.  Otherwise it stops as
+    :class:`_Dominated` once ``scans`` finds it dominated, with its best
+    iterate value as its upper bound and these lower bounds as the rows',
+    beside those of the families already done.  A row whose line search ends
     below a step of 1e-12 with ``mu`` at its floor cannot move again: it
     stops if that gap is within ``tolerance``, and raises otherwise.  Each
     row takes the iterates and ``mu`` schedule it would take alone.  Null
@@ -557,10 +651,17 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None
         np.minimum.reduce(dq * inv, 1, keepdims=True, out=c_fall)
         f, zx, tops, smax, decs, falls = ctl.reshape(6, k).tolist()
         bound = [max(b, v - (t + math.log(s))) for b, v, t, s in zip(bound, zx, tops, smax)]
+        if scans.scans:
+            for i, fj, bj in zip(ids, f, bound):
+                scans.lower[i] = hy + bj / _LN2
+                scans.upper[i] = min(scans.upper[i], hy + fj / _LN2)
+        gone = scans.dominated(ids)
         keep = []
         for j in range(k):
             if f[j] - bound[j] <= (tolerance * _LN2 if stalled[j] else target):
                 out[ids[j]] = (hy + f[j] / _LN2, hy + bound[j] / _LN2)
+            elif gone[j]:
+                out[ids[j]] = _Dominated(scans.upper[ids[j]], scans.lower[ids[j]])
             elif stalled[j]:
                 gap = (f[j] - bound[j]) / _LN2
                 raise UnionConvergenceError(
@@ -612,27 +713,69 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list) -> None
 
 
 def _min_synergy_brackets(
-    d: JointDistribution, families: Sequence[Sequence[PartSpec]], m: UnionMeasure
+    d: JointDistribution,
+    families: Sequence[Sequence[PartSpec]],
+    m: UnionMeasure,
+    scans: Sequence[Sequence[int]] = (),
 ) -> list[tuple[float, float]]:
     """``(value, lower)`` in bits per family: the union information, and a
-    certified lower bound on the minimum at most ``m.tolerance`` below it.
+    certified lower bound on the minimum at most ``m.tolerance`` below it;
+    or, for a family that stopped once dominated in ``scans`` (lists of
+    indices into ``families``), a :class:`_Dominated` bracket.
 
     The families not done before a Newton step (see :func:`_starts`) are
     solved in lockstep, one batch per cell-count group."""
-    bounds, out, batches = _starts(d, families, m.tolerance)
+    tracker = _Scans(scans, len(families), m.tolerance)
+    bounds, out, batches = _starts(d, families, m.tolerance, tracker)
     for batch in batches:
-        _lockstep(batch, _tables(d).hy, m.tolerance, out)
+        _lockstep(batch, _tables(d).hy, m.tolerance, out, tracker)
     # Both bounds hold for the minimum, so clamping only removes rounding.
     for i, (lower, upper) in enumerate(bounds):
         value = min(max(out[i][0], lower), upper)
-        out[i] = (value, min(max(out[i][1], lower), value))
+        bracket = (value, min(max(out[i][1], lower), value))
+        out[i] = _Dominated(*bracket) if isinstance(out[i], _Dominated) else bracket
     return out
 
 
 @lru_cache(maxsize=256)
-def _memo(m: UnionMeasure, d: JointDistribution) -> dict[PartFamily, float]:
-    """Union information of each family solved so far on ``d`` under ``m``."""
+def _memo(m: UnionMeasure, d: JointDistribution) -> dict[PartFamily, tuple[float, float]]:
+    """``(value, lower)`` bracket of each family solved so far on ``d`` under
+    ``m``, in bits; a :class:`_Dominated` one holds an upper bound on the
+    union that is not certified to lie within the tolerance of it."""
     return {}
+
+
+def _unions(
+    m: UnionMeasure,
+    d: JointDistribution,
+    families: Sequence[PartFamily],
+    scans: Sequence[Sequence[PartFamily]] = (),
+) -> list[float]:
+    """Union information of each family, in bits, in the order given; with
+    ``scans``, a family dominated in every scan that lists it may stand at an
+    upper bound of its union that lies below that scan's largest union.
+
+    The families not in the memo are solved in one lockstep batch, with the
+    scans restricted to them.  Without ``scans``, a dominated entry of the
+    memo is solved again, to the tolerance."""
+    if d.target is None:
+        raise DistributionError("union information needs a target variable")
+    memo = _memo(m, d)
+    todo = [
+        f for f in dict.fromkeys(families)
+        if f not in memo or (isinstance(memo[f], _Dominated) and not scans)
+    ]
+    for family in todo:
+        family.validate(d.n_predictors, allow_full=True)
+    if m.kind is MeasureKind.MAX_SINGLE_MI:
+        for f in todo:
+            value = max(part_mutual_information(d, p) for p in f.parts)
+            memo[f] = (value, value)
+    elif todo:
+        index = {f: i for i, f in enumerate(todo)}
+        rows = [[index[f] for f in s if f in index] for s in scans]
+        memo.update(zip(todo, _min_synergy_brackets(d, [f.parts for f in todo], m, rows)))
+    return [memo[f][0] for f in families]
 
 
 def union_information_batch(
@@ -643,18 +786,7 @@ def union_information_batch(
     The families not solved before on an equal distribution are solved in
     one lockstep batch.  Each value is certified as a single family's is; it
     may differ from the value of its family solved alone by rounding."""
-    if d.target is None:
-        raise DistributionError("union information needs a target variable")
-    memo = _memo(m, d)
-    todo = [f for f in dict.fromkeys(families) if f not in memo]
-    for family in todo:
-        family.validate(d.n_predictors, allow_full=True)
-    if m.kind is MeasureKind.MAX_SINGLE_MI:
-        memo.update((f, max(part_mutual_information(d, p) for p in f.parts)) for f in todo)
-    elif todo:
-        brackets = _min_synergy_brackets(d, [f.parts for f in todo], m)
-        memo.update(zip(todo, (value for value, _ in brackets)))
-    return [memo[f] for f in families]
+    return _unions(m, d, families)
 
 
 def union_information(

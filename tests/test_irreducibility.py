@@ -13,7 +13,14 @@ from pidirr.parts import (
     almost_pairs,
     almosts,
 )
-from pidirr.union_info import MeasureKind, UnionMeasure, union_information
+from pidirr import irreducibility, union_info
+from pidirr.union_info import (
+    MeasureKind,
+    UnionMeasure,
+    union_information,
+    union_information_batch,
+    whole_mutual_information,
+)
 
 from conftest import make_random
 
@@ -172,3 +179,85 @@ def test_reduced_enumerations_match_full_ones(seed, n):
     assert abs(
         best([PartFamily(tuple(parts))]) - best([PartFamily(tuple(almosts(n)))])
     ) <= slack
+
+
+def _report_every_family_solved(monkeypatch, d, m):
+    """The report with every family of every scan solved to the tolerance in
+    one union_information_batch call, on a fresh memo."""
+    def every_family(m, d, families, scans):
+        return union_information_batch(m, d, families)
+
+    union_info._memo.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(irreducibility, "_unions", every_family)
+        report = full_report(d, m)
+    union_info._memo.cache_clear()
+    return report
+
+
+def _witnesses(report):
+    return (
+        [b.member_indices for b in report.witness_bipartition.blocks],
+        [p.member_indices for p in report.witness_almost_pair.parts],
+    )
+
+
+# (seed, n, alphabet size, zero fraction); n = 4 ternary takes 0.5 s a report.
+_EQUIVALENCE_INPUTS = [
+    (seed, n, a, z)
+    for n, a, seeds in [(2, 3, [600, 601]), (3, 2, [602, 603, 604]), (3, 3, [605]), (4, 2, [606]),
+                        (5, 2, [607])]
+    for seed in seeds
+    for z in (0.0, 0.1, 0.3)
+]
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-10])
+def test_scans_solve_only_what_their_maxima_need(monkeypatch, corpus, tolerance):
+    # The report path stops a family once it cannot be its scan's maximum;
+    # its values and witnesses are those of solving every family.
+    m = UnionMeasure(tolerance=tolerance)
+    inputs = [make_random(*args) for args in _EQUIVALENCE_INPUTS]
+    for d in inputs + [example.distribution for example in corpus.values()]:
+        expected = _report_every_family_solved(monkeypatch, d, m)
+        report = full_report(d, m)
+        assert report.values() == pytest.approx(expected.values(), abs=1e-12)
+        assert _witnesses(report) == _witnesses(expected)
+
+
+def test_each_exit_point_retires_a_dominated_family(monkeypatch):
+    # A dominated family stops inside the lockstep solve, at a Newton step;
+    # before its build, with its whole or disjoint-part bound as its value;
+    # or at its start, with the start's value.
+    calls = []
+    lockstep, solve = union_info._lockstep, union_info._min_synergy_brackets
+
+    def recording_lockstep(rows, hy, tolerance, out, scans):
+        lockstep(rows, hy, tolerance, out, scans)
+        calls[-1]["newton"].update(i for i, *_ in rows if isinstance(out[i], union_info._Dominated))
+
+    def recording_solve(d, families, m, scans=()):
+        calls.append({"d": d, "families": families, "newton": set()})
+        calls[-1]["out"] = solve(d, families, m, scans)
+        return calls[-1]["out"]
+
+    monkeypatch.setattr(union_info, "_lockstep", recording_lockstep)
+    monkeypatch.setattr(union_info, "_min_synergy_brackets", recording_solve)
+    union_info._memo.cache_clear()
+    for seed in (400, 401, 402):
+        full_report(make_random(seed, 3))
+    exits = {"newton": 0, "build": 0, "start": 0}
+    for call in calls:
+        d = call["d"]
+        for i, (parts, bracket) in enumerate(zip(call["families"], call["out"])):
+            if not isinstance(bracket, union_info._Dominated):
+                continue
+            members = [j for p in parts for j in p.member_indices]
+            built = whole_mutual_information(d)
+            if len(set(members)) == len(members):
+                built = min(sum(union_info.part_mutual_information(d, p) for p in parts), built)
+            if i in call["newton"]:
+                exits["newton"] += 1
+            else:
+                exits["build" if bracket.value == built else "start"] += 1
+    assert min(exits.values()) >= 1, exits

@@ -23,6 +23,7 @@ from pidirr.union_info import (
     check_axioms,
     part_mutual_information,
     union_information,
+    union_information_batch,
     whole_mutual_information,
 )
 
@@ -143,9 +144,9 @@ def test_report_solves_each_family_once(monkeypatch):
     calls = []
     solve = union_info._min_synergy_brackets
 
-    def counting(d, families, m):
+    def counting(d, families, m, scans=()):
         calls.append(list(families))
-        return solve(d, families, m)
+        return solve(d, families, m, scans)
 
     monkeypatch.setattr(union_info, "_min_synergy_brackets", counting)
     union_info._memo.cache_clear()
@@ -156,6 +157,35 @@ def test_report_solves_each_family_once(monkeypatch):
     again = full_report(JointDistribution(d.variables, dict(d.pmf)))
     assert len(calls) == 1
     assert again.values() == first.values()
+
+
+def test_families_a_report_dominated_are_solved_when_asked_for(monkeypatch):
+    # The report memoizes a dominated family's early-exit upper bound; a
+    # second report reuses it, and union_information solves the family to
+    # the tolerance, as it would with no report before it.
+    d = make_random(400, n_predictors=3)
+    union_info._memo.cache_clear()
+    first = full_report(d)
+    memo = union_info._memo(MINSYN, d)
+    dominated = {f: b for f, b in memo.items() if isinstance(b, union_info._Dominated)}
+    assert dominated
+    calls = []
+    solve = union_info._min_synergy_brackets
+
+    def counting(d, families, m, scans=()):
+        calls.append(list(families))
+        return solve(d, families, m, scans)
+
+    monkeypatch.setattr(union_info, "_min_synergy_brackets", counting)
+    again = full_report(JointDistribution(d.variables, dict(d.pmf)))
+    assert not calls and again.values() == first.values()
+    for fam, (upper, _) in dominated.items():
+        value = union_information(MINSYN, d, fam)
+        alone, lower = solve(d, [fam.parts], MINSYN)[0]
+        assert lower <= value <= lower + MINSYN.tolerance
+        assert value == alone != upper
+        assert not isinstance(memo[fam], union_info._Dominated)
+    assert len(calls) == len(dominated)
 
 
 def test_polytope_base_is_feasible(triple_xor):
@@ -486,9 +516,11 @@ def test_zero_cell_start_takes_one_sweep_per_face(monkeypatch, seed, zero_fracti
 
 
 def test_binary_reports_keep_their_newton_step_budget(monkeypatch):
-    # One np.linalg.solve per lockstep Newton step.  From the one-sweep start
-    # these ten reports take 188 steps; starting from the base pmf itself
-    # took 217, so a start that costs steps fails here.
+    # One np.linalg.solve per lockstep Newton step.  These ten reports take
+    # 153 steps when each scan's dominated families leave the batch early,
+    # against 187 when every family is solved to the tolerance, and 217 when
+    # that started from the base pmf instead of the one-sweep start.  A
+    # start or an exit rule that costs steps fails here.
     steps = 0
     solve = np.linalg.solve
 
@@ -501,7 +533,7 @@ def test_binary_reports_keep_their_newton_step_budget(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting)
     for seed in range(400, 410):
         full_report(make_random(seed, 3))
-    assert 0 < steps <= 200
+    assert 0 < steps <= 160
 
 
 def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
@@ -550,6 +582,10 @@ def test_mixed_batches_with_facial_reduction_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = full_report(d)
+        # The report leaves dominated families unsolved; one batch call puts
+        # every family's certified value in the memo.
+        union_info._memo.cache_clear()
+        union_information_batch(MINSYN, d, families)
         brackets = union_info._min_synergy_brackets(d, [f.parts for f in families], MINSYN)
     for fam, (value, lower) in zip(families, brackets):
         assert lower <= value <= lower + MINSYN.tolerance
