@@ -18,14 +18,11 @@ inputs.  Values are clamped to ``[0, whole_mi]`` after subtraction, which
 only removes rounding: the true value lies there.
 
 A measure needs only its scan's largest union and the earliest family that
-reaches it, so only the families that may be that maximum are solved to the
-measure's ``tolerance``.  A family stops unsolved once it is dominated: in
-every scan that lists it, another family's certified lower bound ``L_j``
-lies more than ``tolerance`` above a certified upper bound ``U_i`` on its
-union.  Solved, its value ``V_i`` would lie at most ``tolerance`` above its
-minimum, so ``V_i <= U_i + tolerance < L_j <= V_j``: it would be neither
-the maximum nor tied with it.  The values and witnesses are therefore those
-of solving every family, and ties still go to the earliest family.
+reaches it, so a family stops unsolved once it cannot be that maximum nor
+tie with it: once it is dominated, by the rule of
+:class:`pidirr.union_info._Brackets`.  The values and witnesses are
+therefore those of solving every family, and ties still go to the earliest
+family.
 
 Every maximum is certified to lie at most the measure's ``tolerance`` above
 its minimum, and richer parts have a larger minimum, so the computed
@@ -116,9 +113,8 @@ def _scan(
     singletons, the bipartitions, the Almost pairs or the Almosts.  The
     witness is the one with the largest union; ties go to the earliest.
     Only the families that may be a scan's maximum are solved to the
-    tolerance; a dominated one (see the module docstring) stands at an upper
-    bound on its union that lies below another family's value in every scan
-    that lists it, so it is never the witness.
+    tolerance; a dominated one stands at an upper bound on its union and is
+    never the witness (see :class:`pidirr.union_info._Brackets`).
     """
     n = d.n_predictors
     if n < 2:
@@ -175,10 +171,8 @@ def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> Irreduci
     The union informations of all four scans' families (8 at n = 3, 15 at
     n = 4) are asked for in one call, so the barrier solver steps them in
     lockstep; a family shared by two scans (every family at n = 2) is solved
-    once.  A family leaves the lockstep batch, unsolved, once it is dominated
-    in every scan that lists it (see the module docstring), so only the
-    singletons, the Almosts and the families that may be the largest
-    bipartition or Almost-pair union are solved to ``m.tolerance``.
+    once.  A family leaves the lockstep batch, unsolved, once it is
+    dominated (see :class:`pidirr.union_info._Brackets`).
 
     Raises :class:`OrderingViolationError` when a measure exceeds the next
     weaker one (``whole_mi`` last) by more than ``m.tolerance``, which

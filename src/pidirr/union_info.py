@@ -27,10 +27,8 @@ Optimization*, ch. 11): damped Newton steps in the constraint null space on
 ``mu`` cut a hundredfold once a step starts near the centre.  Each Newton
 system also gives multipliers ``z`` of the marginal constraints, and so the
 Lagrange dual bound ``H(Y) + (z.x0 - max_x logsumexp_y z_xy) / ln 2`` on the
-minimum.  Every exit stops a family once its value is within a tenth of the
-tolerance of its best certified lower bound: that dual bound or the largest
-single-part mutual information.  A family that can no longer move stops
-within the whole tolerance, and raises :class:`UnionConvergenceError` if not.
+minimum.  Each family's certified bracket on its union, and the one rule
+that stops it at every exit, are :class:`_Brackets`.
 
 A barrier method needs only a strictly positive feasible start, and one rule
 picks it: one sweep of iterative proportional fitting (IPF) over the live
@@ -61,27 +59,12 @@ built.  Each row keeps its own iterates, ``mu`` schedule and certified stop,
 and leaves the batch when it stops.
 
 :func:`union_information` and :func:`union_information_batch` solve every
-family they are asked for to the tolerance.  A report needs less: each of
-its four scans needs only its largest union and the earliest family that
-reaches it.  So on the report's path a family also stops, unsolved, once it
-is dominated: in every scan that lists it, another family's certified lower
-bound ``L_j`` is more than the tolerance above a certified upper bound
-``U_i`` on this family's union.  That is checked before the build, with the
-whole's mutual information as ``U_i`` (for disjoint parts, such as a
-bipartition ``{A, B}``, the smaller ``I(A;Y) + I(B;Y)``: the point
-``p(A,Y) p(B|Y)`` is feasible, and under it ``I(AB;Y)`` is at most that
-sum); at the start, with the start's value; and at each Newton step, with
-the iterate's value, against the part-MI bounds, the dual bounds of the
-rows still stepping and the certified lower bounds of the families done.
-Had a dominated family been solved, its value would be at most the
-tolerance above its minimum, so ``V_i <= U_i + tol < L_j <= V_j``: it is
-never its scan's maximum, nor ties with it.  Every other family is solved
-as before, so a report's values (up to rounding) and witnesses are those of
-solving every family, and the earliest family still wins a tie.
-
+family they are asked for to the tolerance.  A report needs only each of its
+scans' largest union and the earliest family that reaches it, so on its path
+a family also stops, unsolved, once it is dominated (see :class:`_Brackets`).
 Brackets are memoized per measure and distribution, so no family is solved
-twice.  A dominated family's entry holds its upper bound, which a report
-may reuse; :func:`union_information` solves that family to the tolerance.
+twice; an entry further than the tolerance from its lower bound, which only
+a report leaves, is solved again when asked for outside a report.
 """
 
 from __future__ import annotations
@@ -91,7 +74,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, product as iter_product
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -179,17 +162,16 @@ class UnionConvergenceError(RuntimeError):
 
 class _Tables:
     """What every family's polytope over one distribution shares: the pmf on
-    the product of the alphabets, the product's cells, ``H(Y)`` and the
-    whole's mutual information (bits), plus one memoized entry per part."""
+    the product of the alphabets, ``H(Y)`` and the whole's mutual information
+    (bits), plus one memoized entry per part."""
 
     def __init__(self, d: JointDistribution):
         index = [{s: i for i, s in enumerate(a)} for a in d.alphabets]
         self.pmf = np.zeros(tuple(len(a) for a in d.alphabets))
         for outcome, p in d.pmf.items():
             self.pmf[tuple(ix[s] for ix, s in zip(index, outcome))] = p
-        # Cells in ``itertools.product`` order, which is the C order of
-        # ``pmf``; column c of ``codes`` holds the symbol indices of cell c.
-        self.cells = list(iter_product(*d.alphabets))
+        # Column c of ``codes`` holds the symbol indices of cell c of the
+        # product, in ``itertools.product`` order: the C order of ``pmf``.
         self.codes = np.indices(self.pmf.shape).reshape(self.pmf.ndim, -1)
         t = self.target = d.target_index
         self.preds = list(d.predictor_indices)
@@ -304,35 +286,24 @@ class MarginalPolytope:
     Cells enumerate the product of the declared alphabets (not just the base
     support).  A cell is dropped when some preserved marginal forces it to
     zero; every feasible q vanishes there, so the reduction is exact.  The
-    base pmf itself is feasible and anchors the affine projection.  It is
-    built as a stack of one, the way the solver builds every family.
+    base pmf ``x0`` is feasible.  It is built as a stack of one, the way the
+    solver builds every family.
     """
 
     def __init__(self, base: JointDistribution, parts: Sequence[PartSpec]):
-        self.base = base
-        self.parts = tuple(parts)
         tab = _tables(base)
-        marginals, live = _marginals(tab, self.parts)
+        marginals, live = _marginals(tab, tuple(parts))
         stack = _Stack(tab, [marginals], [live])
-        self.cells: list[tuple] = [tab.cells[c] for c in live.tolist()]
+        cells = list(iter_product(*base.alphabets))
+        self.cells: list[tuple] = [cells[c] for c in live.tolist()]
         self.A, self.b, self.x0 = stack.A[0], stack.b, stack.x0[0]
         self.xidx, self.nx = stack.xidx[0], int(stack.nx[0])
         sizes = [mass.size for _, mass, _ in marginals]
         self.blocks = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
-        self.lower_bound = max(mi for _, _, mi in marginals)
-        self.upper_bound = tab.whole_mi
         # Orthonormal basis of the constraint null space; movement inside it
         # preserves every marginal exactly.
         vt, rank = _null_spaces(stack.A, stack.m)
         self.null_basis = vt[0, rank[0]:].T.copy()
-
-    def project_affine(self, v: np.ndarray) -> np.ndarray:
-        w = v - self.x0
-        return self.x0 + self.null_basis @ (self.null_basis.T @ w)
-
-    def residual(self, q: np.ndarray) -> float:
-        """Worst marginal-constraint violation."""
-        return float(np.abs(self.A @ q - self.b).max())
 
 
 def _ipf_sweep(slot: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -406,26 +377,32 @@ def _objective(q: np.ndarray, xidx: np.ndarray, nx: int) -> list[float]:
     return (v.transpose(0, 2, 1) @ grad).ravel().tolist()
 
 
-class _Dominated(NamedTuple):
-    """``(value, lower)`` of a family that stopped once dominated (see
-    :class:`_Scans`): certified upper and lower bounds on its union, in bits,
-    which may lie more than the tolerance apart."""
+class _Brackets:
+    """Each family's certified bracket on its union, in bits, and the scans
+    (lists of family indices) a report takes its maxima over.
 
-    value: float
-    lower: float
+    ``lower[i]`` starts at the largest single-part mutual information and
+    only rises, to the Lagrange dual bounds of family i's Newton systems.
+    ``upper[i]`` starts at the whole's mutual information and only falls, to
+    the values of its start and of its Newton iterates, all feasible points.
+    For pairwise disjoint parts ``P_k``, such as a bipartition, it starts at
+    the smaller ``sum_k I(P_k; Y)``: the point ``p(Y) prod_k p(P_k | Y)`` is
+    feasible, and under it ``I(X; Y)`` is at most that sum.  A family's
+    value is ``upper[i]``.
 
-
-class _Scans:
-    """The scans of a call's families, as lists of their indices, and each
-    family's best certified bounds so far, in bits.
-
-    A family i is dominated once, in every scan that lists it, some family
-    j's lower bound ``L_j`` is more than ``tolerance`` above i's upper bound
-    ``U_i``.  Solved, i would stop at most ``tolerance`` above its minimum,
-    so ``V_i <= U_i + tolerance < L_j <= V_j``: it cannot be the scan's
-    largest union, nor tie with it.  A family's own lower bound is below its
-    upper bound, so it never dominates itself; a family in no scan is never
-    dominated."""
+    :meth:`done` is the one stop rule of every exit: before the build, at
+    the start and at each Newton step.  A family is done once its bracket is
+    within a tenth of ``tolerance``, or once it is dominated: in every scan
+    that lists it, some family j's ``lower[j]`` is more than ``tolerance``
+    above ``upper[i]``.  Solved, i would stop at most ``tolerance`` above its
+    minimum, so ``V_i <= U_i + tolerance < L_j <= V_j``: it is never its
+    scan's largest union, nor ties with it.  So a report's values (up to
+    rounding) and witnesses are those of solving every family, and the
+    earliest family still wins a tie.  A family's own lower bound is below
+    its upper bound, so it never dominates itself; one in no scan is never
+    dominated.  A family that can no longer move is done once its bracket is
+    within the whole ``tolerance``, and raises
+    :class:`UnionConvergenceError` otherwise."""
 
     def __init__(self, scans: Sequence[Sequence[int]], count: int, tolerance: float):
         self.scans = [list(s) for s in scans if s]
@@ -434,75 +411,65 @@ class _Scans:
         self.upper = [math.inf] * count
         self.tolerance = tolerance
 
-    def dominated(self, ids: Sequence[int]) -> list[bool]:
-        """Whether each family of ``ids`` is dominated."""
+    def done(self, ids: Sequence[int], stalled: Sequence[bool] = ()) -> list[bool]:
+        """Whether each family of ``ids`` is done; ``stalled[k]`` says that
+        ``ids[k]`` can no longer move."""
         tops = [max(map(self.lower.__getitem__, s)) for s in self.scans]
-        upper, tolerance = self.upper, self.tolerance
-        return [
-            bool(of) and min(map(tops.__getitem__, of)) > upper[i] + tolerance
-            for i, of in zip(ids, map(self.of.__getitem__, ids))
-        ]
+        close, tolerance = 0.1 * self.tolerance, self.tolerance
+        verdicts = []
+        for i, stuck in zip(ids, stalled or [False] * len(ids)):
+            upper, of = self.upper[i], self.of[i]
+            gap = upper - self.lower[i]
+            if gap <= (tolerance if stuck else close):
+                verdicts.append(True)
+            elif of and min(map(tops.__getitem__, of)) > upper + tolerance:
+                verdicts.append(True)
+            elif stuck:
+                raise UnionConvergenceError(
+                    f"minimum-synergy barrier solver stalled (gap {gap!r} bits)", upper, gap
+                )
+            else:
+                verdicts.append(False)
+        return verdicts
 
 
-def _starts(
-    d: JointDistribution,
-    families: Sequence[Sequence[PartSpec]],
-    tolerance: float,
-    scans: _Scans | None = None,
-):
-    """``(bounds, out, batches)``: each family's ``(lower, upper)`` bounds in
-    bits, its ``(value, lower)`` when it is done before any Newton step (else
-    None), and the others as lockstep batches of rows ``(i, cells, q, basis,
-    x0, xidx, lower)``: its index, the product cells it lives on, its start
-    and a null basis there, the base pmf and x-groups there, and its part-MI
-    bound.
+def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], brackets: _Brackets):
+    """Set up each family's bracket in ``brackets`` and take each family not
+    done before a Newton step to its start; return those as lockstep batches
+    of rows ``(i, cells, q, basis, x0, xidx)``: its index, the product cells
+    it lives on, its start and a null basis there, and the base pmf and
+    x-groups there.
 
-    A family is done before it is built when its whole bound is within a tenth
-    of ``tolerance`` (bits) of its part-MI bound, at its start when that
-    start's value is, and at its polytope when that leaves no free direction.
-    It stops as :class:`_Dominated` when ``scans`` finds it dominated, with
-    the part-MI bounds as the families' lower bounds: before it is built,
-    with the whole bound as its upper bound, or for pairwise disjoint parts
-    ``P_k`` the smaller ``sum_k I(P_k; Y)``; and at its start, with the
-    start's value.  The others are grouped by cell count, and each group,
-    largest first, is built, factored by one SVD and started as one stack;
-    its remaining rows are one batch.  A row's start is one IPF sweep over
-    its cells, projected onto the constraints and pulled from the base pmf:
-    it moves along the positive sweep where the base pmf is zero and stays
-    positive where it is not.  When the sweep is thin on a cell where the
-    base pmf is zero (below ``_THIN_START`` of its largest cell), the support
-    LP decides the face, and the start is pulled from the LP's point instead.
-    If the face is every live cell, the row stays in its group; otherwise it
-    joins the group of the face's size, not yet built, with the LP's point
-    and no further thin test."""
+    The families not done before the build are grouped by cell count, and
+    each group, largest first, is built, factored by one SVD and started as
+    one stack; its rows not done at their start are one batch.  A family
+    whose polytope leaves no free direction is done there, at the whole's
+    mutual information.  A row's start is one IPF sweep over its cells,
+    projected onto the constraints and pulled from the base pmf: it moves
+    along the positive sweep where the base pmf is zero and stays positive
+    where it is not.  When the sweep is thin on a cell where the base pmf is
+    zero (below ``_THIN_START`` of its largest cell), the support LP decides
+    the face, and the start is pulled from the LP's point instead.  If the
+    face is every live cell, the row stays in its group; otherwise it joins
+    the group of the face's size, not yet built, with the LP's point and no
+    further thin test."""
     tab = _tables(d)
-    scans = scans or _Scans((), len(families), tolerance)
-    upper, close = tab.whole_mi, 0.1 * tolerance
-    bounds, out, batches, todo = [], [None] * len(families), [], []
+    batches, todo = [], []
     groups: dict[int, list] = {}
     for i, parts in enumerate(families):
         marginals, live = _marginals(tab, parts)
-        lower = max(mi for _, _, mi in marginals)
-        bounds.append((lower, upper))
-        scans.lower[i] = lower
-        if upper - lower <= close:
-            out[i] = (upper, min(lower, upper))
-            continue
-        # Given Y, independent parts make a feasible q with I(X; Y) at most
-        # the sum of the parts' I(P_k; Y), when the parts are disjoint.
         members = [j for p in parts for j in p.member_indices]
-        disjoint = len(set(members)) == len(members)
-        scans.upper[i] = min(upper, sum(mi for _, _, mi in marginals)) if disjoint else upper
-        todo.append((i, marginals, live, lower, None))
-    for row, gone in zip(todo, scans.dominated([i for i, *_ in todo])):
-        i, _, live, lower, _ = row
-        if gone:
-            out[i] = _Dominated(scans.upper[i], lower)
-        else:
-            groups.setdefault(live.size, []).append(row)
+        brackets.lower[i] = max(mi for _, _, mi in marginals)
+        brackets.upper[i] = tab.whole_mi
+        if len(set(members)) == len(members):  # pairwise disjoint parts
+            brackets.upper[i] = min(tab.whole_mi, sum(mi for _, _, mi in marginals))
+        todo.append((i, marginals, live, None))
+    for row, done in zip(todo, brackets.done(range(len(families)))):
+        if not done:
+            groups.setdefault(row[2].size, []).append(row)
     while groups:
         n = max(groups)
-        ids, marginals, cells, lower, inner = map(list, zip(*groups.pop(n)))
+        ids, marginals, cells, inner = map(list, zip(*groups.pop(n)))
         stack = _Stack(tab, marginals, cells)
         x0, width = stack.x0, stack.A.shape[1]
         vt, rank = _null_spaces(stack.A, stack.m)
@@ -517,8 +484,7 @@ def _starts(
         keep = []
         for k in range(len(ids)):
             if rank[k] == n:  # no free direction: the base pmf is the only feasible q
-                out[ids[k]] = (upper, upper)
-                scans.lower[ids[k]] = upper
+                brackets.lower[ids[k]] = brackets.upper[ids[k]]
                 continue
             if thin[k] and inner[k] is None:
                 m = int(stack.m[k])
@@ -526,7 +492,7 @@ def _starts(
                 face, inner[k] = _maximal_support(a, b)
                 if not face.all():
                     groups.setdefault(int(face.sum()), []).append(
-                        (ids[k], marginals[k], cells[k][face], lower[k], inner[k])
+                        (ids[k], marginals[k], cells[k][face], inner[k])
                     )
                     continue
             keep.append(k)
@@ -539,46 +505,36 @@ def _starts(
             raise UnionConvergenceError(
                 "no strictly positive start on the feasible face", math.inf, math.inf
             )
-        batch = []
-        for k, qk, f in zip(keep, q, _objective(q, stack.xidx[keep], int(stack.nx.max()))):
-            value = tab.hy + f / _LN2
-            if value - lower[k] <= close:
-                out[ids[k]] = (value, lower[k])
-            else:  # the basis is copied, so that the group's vt is freed before the solve
-                scans.upper[ids[k]] = min(scans.upper[ids[k]], value)
-                basis = vt[k, rank[k]:].T.copy()
-                batch.append((ids[k], cells[k], qk, basis, x0[k], stack.xidx[k], lower[k]))
+        for k, f in zip(keep, _objective(q, stack.xidx[keep], int(stack.nx.max()))):
+            brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + f / _LN2)
+        # The basis is copied, so that the group's vt is freed before the solve.
+        batch = [
+            (ids[k], cells[k], qk, vt[k, rank[k]:].T.copy(), x0[k], stack.xidx[k])
+            for k, qk, done in zip(keep, q, brackets.done([ids[k] for k in keep])) if not done
+        ]
         if batch:
             batches.append(batch)
-    # Every start is known before any row is checked against the others.
-    rows = [row for batch in batches for row in batch]
-    for (i, *_, lower), gone in zip(rows, scans.dominated([i for i, *_ in rows])):
-        if gone:
-            out[i] = _Dominated(scans.upper[i], lower)
-    batches = [[row for row in batch if out[row[0]] is None] for batch in batches]
-    return bounds, out, [batch for batch in batches if batch]
+    # Every start is known before the rows are checked against each other.
+    for batch in batches:
+        batch[:] = [row for row, done in zip(batch, brackets.done([i for i, *_ in batch])) if not done]
+    return [batch for batch in batches if batch]
 
 
-def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list, scans: _Scans) -> None:
-    """Damped Newton steps on every row ``(i, cells, q, basis, x0, xidx,
-    lower)`` of one batch of :func:`_starts` at once; row i's ``(value,
-    lower)`` goes to ``out[i]``.  ``hy`` is ``H(Y)`` in bits.
+def _lockstep(rows: list[tuple], hy: float, brackets: _Brackets) -> None:
+    """Damped Newton steps on every row ``(i, cells, q, basis, x0, xidx)`` of
+    one batch of :func:`_starts` at once, until ``brackets`` has each row
+    done; ``hy`` is ``H(Y)`` in bits.
 
-    A row's certified lower bound is the larger of its part-MI bound and the
-    best dual bound of its Newton systems, and the row stops once its value
-    is within a tenth of ``tolerance`` of it.  Otherwise it stops as
-    :class:`_Dominated` once ``scans`` finds it dominated, with its best
-    iterate value as its upper bound and these lower bounds as the rows',
-    beside those of the families already done.  A row whose line search ends
-    below a step of 1e-12 with ``mu`` at its floor cannot move again: it
-    stops if that gap is within ``tolerance``, and raises otherwise.  Each
-    row takes the iterates and ``mu`` schedule it would take alone.  Null
-    bases are zero-padded to the widest, with ones on the padded Hessian
-    diagonal, so the padded directions get zero steps.  Vectors are stacks of
-    columns, so that ``matmul`` takes them as they are, and per-row control
-    runs on one ``tolist`` per step: numpy calls on tiny arrays cost more
-    than their arithmetic."""
-    ids, _, starts, bases, x0s, xidx, lower = zip(*rows)
+    Each step's value and dual bound go to the row's bracket.  A row whose
+    line search ends below a step of 1e-12 with ``mu`` at its floor cannot
+    move again.  Each row takes the iterates and ``mu`` schedule it would
+    take alone.  Null bases are zero-padded to the widest, with ones on the
+    padded Hessian diagonal, so the padded directions get zero steps.
+    Vectors are stacks of columns, so that ``matmul`` takes them as they
+    are, and per-row control runs on one ``tolist`` per step: numpy calls on
+    tiny arrays cost more than their arithmetic."""
+    ids, _, starts, bases, x0s, xidx = zip(*rows)
+    lower, upper = brackets.lower, brackets.upper
     q = np.array(starts)[:, :, None]
     k, n, _ = q.shape
     width = np.array([b.shape[1] for b in bases])
@@ -593,35 +549,35 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list, scans: 
     nx = int(xidx.max()) + 1
     x0t = np.array(x0s)[:, None, :]
     gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
-    gflat = gidx.ravel()
     # Row sums of the basis over each x-group, and which groups hold more than
     # one live cell.
     # In an x-group with one live cell the Hessian block 1/q - 1/q_x is
     # exactly 0; assembling it from the two huge terms leaves only rounding.
     group_basis = np.bincount((gidx * r + diag).ravel(), basis.ravel(), k * nx * r)
     group_basis = group_basis.reshape(k, nx, r)
-    multi = (np.bincount(gflat, minlength=k * nx) > 1).astype(float)
-    shared = multi[gidx]
-    multi = multi.reshape(k, nx, 1)
-    single = 1.0 - multi  # keeps w finite on padded groups
-    basis_t = basis.transpose(0, 2, 1)
-    group_t = group_basis.transpose(0, 2, 1)
+    multi = (np.bincount(gidx.ravel(), minlength=k * nx) > 1).astype(float).reshape(k, nx, 1)
 
-    target = 0.1 * tolerance * _LN2
-    mu_end = 0.1 * target / n  # centred gap < cells * mu; 0.1 leaves room for rounding
+    # A centred gap is below cells * mu: mu ends at a tenth of the stop gap over
+    # the cells, leaving room for rounding.
+    mu_end = 0.1 * (0.1 * brackets.tolerance * _LN2) / n
     grad, qx = _gradient(q, gidx, nx)
     f = (q.transpose(0, 2, 1) @ grad).ravel().tolist()
-    # The part-MI bound in f's terms: every feasible q has H(Y) = hy.
-    bound = [(lo - hy) * _LN2 for lo in lower]
-    mu = [max((fk - b) / n, mu_end) for fk, b in zip(f, bound)]
+    # Each row's lower end, its part-MI bound so far, in f's terms: every
+    # feasible q has H(Y) = hy.
+    mu = [max((fk - (lower[i] - hy) * _LN2) / n, mu_end) for fk, i in zip(f, ids)]
     m = np.array(mu).reshape(k, 1, 1)
     stalled = [False] * k
-    # Per row: f, z.x0, max z, the largest sum of exp(z - max z) over an
-    # x-group, the Newton decrement, and the most negative dq / q, which
-    # limits the step.
-    ctl = np.empty((6, k, 1, 1))
-    c_f, c_zx, c_top, c_sum, c_dec, c_fall = ctl
+    resized = True  # what follows from the batch's rows is derived again when rows leave
     for _ in range(_MAX_NEWTON_STEPS):
+        if resized:
+            basis_t, group_t = basis.transpose(0, 2, 1), group_basis.transpose(0, 2, 1)
+            gflat = gidx.ravel()
+            # single keeps w finite on padded groups.
+            shared, single = multi.ravel()[gidx], 1.0 - multi
+            # Per row: f, z.x0, max z, the largest sum of exp(z - max z) over
+            # an x-group, the Newton decrement, and the most negative dq / q,
+            # which limits the step.
+            c_f, c_zx, c_top, c_sum, c_dec, c_fall = ctl = np.empty((6, k, 1, 1))
         inv = 1.0 / q
         mi = m * inv
         descent = mi - grad  # minus the barrier gradient
@@ -650,41 +606,20 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list, scans: 
         np.matmul(g.transpose(0, 2, 1), dz, out=c_dec)
         np.minimum.reduce(dq * inv, 1, keepdims=True, out=c_fall)
         f, zx, tops, smax, decs, falls = ctl.reshape(6, k).tolist()
-        bound = [max(b, v - (t + math.log(s))) for b, v, t, s in zip(bound, zx, tops, smax)]
-        if scans.scans:
-            for i, fj, bj in zip(ids, f, bound):
-                scans.lower[i] = hy + bj / _LN2
-                scans.upper[i] = min(scans.upper[i], hy + fj / _LN2)
-        gone = scans.dominated(ids)
-        keep = []
-        for j in range(k):
-            if f[j] - bound[j] <= (tolerance * _LN2 if stalled[j] else target):
-                out[ids[j]] = (hy + f[j] / _LN2, hy + bound[j] / _LN2)
-            elif gone[j]:
-                out[ids[j]] = _Dominated(scans.upper[ids[j]], scans.lower[ids[j]])
-            elif stalled[j]:
-                gap = (f[j] - bound[j]) / _LN2
-                raise UnionConvergenceError(
-                    f"minimum-synergy barrier solver stalled (gap {gap!r} bits)", hy + f[j] / _LN2, gap
-                )
-            else:
-                keep.append(j)
+        for i, fj, v, t, s in zip(ids, f, zx, tops, smax):
+            lower[i] = max(lower[i], hy + (v - (t + math.log(s))) / _LN2)
+            upper[i] = min(upper[i], hy + fj / _LN2)
+        keep = [j for j, done in enumerate(brackets.done(ids, stalled)) if not done]
         if not keep:
             return
-        if len(keep) < k:
+        resized = len(keep) < k
+        if resized:
             k = len(keep)
-            ids, f, mu, bound, decs, falls = (
-                [v[j] for j in keep] for v in (ids, f, mu, bound, decs, falls)
-            )
-            (q, grad, qx, m, dq, basis, basis_t, group_basis, group_t, pad, x0t, xidx,
-             shared, multi, single) = (
-                v[keep] for v in (q, grad, qx, m, dq, basis, basis_t, group_basis, group_t,
-                                  pad, x0t, xidx, shared, multi, single)
+            ids, mu, decs, falls = ([v[j] for j in keep] for v in (ids, mu, decs, falls))
+            q, grad, qx, m, dq, basis, group_basis, pad, x0t, xidx, multi = (
+                v[keep] for v in (q, grad, qx, m, dq, basis, group_basis, pad, x0t, xidx, multi)
             )
             gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
-            gflat = gidx.ravel()
-            ctl = np.empty((6, k, 1, 1))
-            c_f, c_zx, c_top, c_sum, c_dec, c_fall = ctl
         # 0.99 of the longest step that keeps every cell positive, at most 1.
         steps = [1.0 if fall >= 0.0 else min(1.0, -0.99 / fall) for fall in falls]
         # Halve while the step overshoots the minimum along the line by more
@@ -705,10 +640,13 @@ def _lockstep(rows: list[tuple], hy: float, tolerance: float, out: list, scans: 
         stage = [max(mk / 100.0, mu_end) if dk <= 0.1 * mk else mk for mk, dk in zip(mu, decs)]
         if stage != mu:
             mu, m = stage, np.array(stage).reshape(k, 1, 1)
-    gap = (f[0] - bound[0]) / _LN2
+    gaps = [upper[i] - lower[i] for i in ids]
+    widest = max(range(k), key=gaps.__getitem__)
     raise UnionConvergenceError(
         f"minimum-synergy barrier solver did not close its gap in "
-        f"{_MAX_NEWTON_STEPS} Newton steps (gap {gap!r} bits)", hy + f[0] / _LN2, gap
+        f"{_MAX_NEWTON_STEPS} Newton steps (gap {gaps[widest]!r} bits)",
+        upper[ids[widest]],
+        gaps[widest],
     )
 
 
@@ -718,30 +656,21 @@ def _min_synergy_brackets(
     m: UnionMeasure,
     scans: Sequence[Sequence[int]] = (),
 ) -> list[tuple[float, float]]:
-    """``(value, lower)`` in bits per family: the union information, and a
-    certified lower bound on the minimum at most ``m.tolerance`` below it;
-    or, for a family that stopped once dominated in ``scans`` (lists of
-    indices into ``families``), a :class:`_Dominated` bracket.
-
-    The families not done before a Newton step (see :func:`_starts`) are
-    solved in lockstep, one batch per cell-count group."""
-    tracker = _Scans(scans, len(families), m.tolerance)
-    bounds, out, batches = _starts(d, families, m.tolerance, tracker)
-    for batch in batches:
-        _lockstep(batch, _tables(d).hy, m.tolerance, out, tracker)
-    # Both bounds hold for the minimum, so clamping only removes rounding.
-    for i, (lower, upper) in enumerate(bounds):
-        value = min(max(out[i][0], lower), upper)
-        bracket = (value, min(max(out[i][1], lower), value))
-        out[i] = _Dominated(*bracket) if isinstance(out[i], _Dominated) else bracket
-    return out
+    """``(value, lower)`` in bits per family: the upper and lower ends of its
+    bracket (see :class:`_Brackets`), with ``scans`` lists of indices into
+    ``families``.  The families not done before a Newton step are solved in
+    lockstep, one batch per cell-count group."""
+    brackets = _Brackets(scans, len(families), m.tolerance)
+    for batch in _starts(d, families, brackets):
+        _lockstep(batch, _tables(d).hy, brackets)
+    return [(u, min(l, u)) for l, u in zip(brackets.lower, brackets.upper)]
 
 
 @lru_cache(maxsize=256)
 def _memo(m: UnionMeasure, d: JointDistribution) -> dict[PartFamily, tuple[float, float]]:
     """``(value, lower)`` bracket of each family solved so far on ``d`` under
-    ``m``, in bits; a :class:`_Dominated` one holds an upper bound on the
-    union that is not certified to lie within the tolerance of it."""
+    ``m``, in bits.  The value is certified when it lies within the tolerance
+    of its lower bound; a family dominated in a report may lie further."""
     return {}
 
 
@@ -752,18 +681,18 @@ def _unions(
     scans: Sequence[Sequence[PartFamily]] = (),
 ) -> list[float]:
     """Union information of each family, in bits, in the order given; with
-    ``scans``, a family dominated in every scan that lists it may stand at an
-    upper bound of its union that lies below that scan's largest union.
+    ``scans``, a dominated family (see :class:`_Brackets`) may stand at an
+    upper bound on its union further than the tolerance above it.
 
     The families not in the memo are solved in one lockstep batch, with the
-    scans restricted to them.  Without ``scans``, a dominated entry of the
-    memo is solved again, to the tolerance."""
+    scans restricted to them.  Without ``scans``, an entry of the memo that
+    is not certified is solved again."""
     if d.target is None:
         raise DistributionError("union information needs a target variable")
     memo = _memo(m, d)
     todo = [
         f for f in dict.fromkeys(families)
-        if f not in memo or (isinstance(memo[f], _Dominated) and not scans)
+        if f not in memo or (not scans and memo[f][0] - memo[f][1] > m.tolerance)
     ]
     for family in todo:
         family.validate(d.n_predictors, allow_full=True)

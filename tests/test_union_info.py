@@ -37,6 +37,12 @@ def singletons(n):
     return PartFamily(tuple(PartSpec((i,)) for i in range(n)))
 
 
+def _set_up(d, families):
+    """The lockstep batches of the families' set-up, and their brackets."""
+    brackets = union_info._Brackets((), len(families), MINSYN.tolerance)
+    return union_info._starts(d, families, brackets), brackets
+
+
 def test_measure_validation():
     for bad in (0.0, -1e-6, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tolerance"):
@@ -129,15 +135,33 @@ def test_unclosed_gap_is_a_typed_error(monkeypatch):
 
 
 def test_unclosed_gap_in_a_batch_is_a_typed_error(monkeypatch):
-    # A report steps its families in lockstep; a row that runs out of steps
-    # fails the whole report with the gap of its last iterate.
+    # A report steps its families in lockstep; when the rows run out of
+    # steps, the whole report fails with the widest bracket of the rows
+    # still stepping.
     d = make_random(401, n_predictors=3)
+    stepping = []
+    lockstep = union_info._lockstep
+
+    def recording_lockstep(rows, hy, brackets):
+        try:
+            lockstep(rows, hy, brackets)
+        except UnionConvergenceError:
+            ids = [i for i, *_ in rows]
+            stepping.extend(
+                (brackets.upper[i] - brackets.lower[i], brackets.upper[i])
+                for i, done in zip(ids, brackets.done(ids)) if not done
+            )
+            raise
+
     union_info._memo.cache_clear()
     monkeypatch.setattr(union_info, "_MAX_NEWTON_STEPS", 2)
+    monkeypatch.setattr(union_info, "_lockstep", recording_lockstep)
     with pytest.raises(UnionConvergenceError) as err:
         full_report(d)
     assert 0.0 < err.value.gap < math.inf
     assert math.isfinite(err.value.value)
+    assert len(stepping) > 1
+    assert (err.value.gap, err.value.value) == max(stepping)
 
 
 def test_report_solves_each_family_once(monkeypatch):
@@ -167,7 +191,7 @@ def test_families_a_report_dominated_are_solved_when_asked_for(monkeypatch):
     union_info._memo.cache_clear()
     first = full_report(d)
     memo = union_info._memo(MINSYN, d)
-    dominated = {f: b for f, b in memo.items() if isinstance(b, union_info._Dominated)}
+    dominated = {f: b for f, b in memo.items() if b[0] - b[1] > MINSYN.tolerance}
     assert dominated
     calls = []
     solve = union_info._min_synergy_brackets
@@ -184,15 +208,16 @@ def test_families_a_report_dominated_are_solved_when_asked_for(monkeypatch):
         alone, lower = solve(d, [fam.parts], MINSYN)[0]
         assert lower <= value <= lower + MINSYN.tolerance
         assert value == alone != upper
-        assert not isinstance(memo[fam], union_info._Dominated)
+        assert memo[fam][0] - memo[fam][1] <= MINSYN.tolerance
     assert len(calls) == len(dominated)
 
 
 def test_polytope_base_is_feasible(triple_xor):
     poly = MarginalPolytope(triple_xor, tuple(almosts(3)))
-    assert poly.residual(poly.x0) <= 1e-12
+    assert np.abs(poly.A @ poly.x0 - poly.b).max() <= 1e-12
     assert len(poly.cells) == 64  # three pinned target bits leave one y per x
-    assert poly.upper_bound >= poly.lower_bound
+    lower = max(part_mutual_information(triple_xor, p) for p in almosts(3))
+    assert whole_mutual_information(triple_xor) >= lower
 
 
 def test_polytope_rejects_empty_parts(xor):
@@ -396,7 +421,7 @@ def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
     d = make_random(seed, 3, alphabet_size, 0.3)
     fam = PartFamily(tuple(almosts(3)))
     poly = MarginalPolytope(d, fam.parts)
-    [[(_, cells, *_, xidx, _)]] = union_info._starts(d, [fam.parts], MINSYN.tolerance)[2]
+    [[(_, cells, *_, xidx)]], _ = _set_up(d, [fam.parts])
     face = np.isin(union_info._marginals(union_info._tables(d), fam.parts)[1], cells)
     assert not face.all() and face.sum() == len(cells)
     assert (np.bincount(poly.xidx[face], minlength=poly.nx) == 0).any() == emptied
@@ -459,16 +484,16 @@ def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
     monkeypatch.setattr(union_info, "_maximal_support", no_face_search)
     monkeypatch.setattr(union_info, "_ipf_sweep", recording_sweep)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    [[(_, cells, q, basis, *_)]] = union_info._starts(d, [fam.parts], MINSYN.tolerance)[2]
+    [[(_, cells, q, basis, *_)]], _ = _set_up(d, [fam.parts])
     # No basis of a face is computed: the start's basis is the polytope's.
     assert len(cells) == len(poly.cells) and len(svds) == 1
     assert basis.shape == poly.null_basis.shape
     projector = poly.null_basis @ poly.null_basis.T
     assert np.abs(basis @ basis.T - projector).max() <= 1e-12
     assert q.min() > 0.0
-    assert poly.residual(q) <= 1e-12
+    assert np.abs(poly.A @ q - poly.b).max() <= 1e-12
     [[start_sweep]] = sweeps
-    sweep = poly.project_affine(start_sweep)
+    sweep = poly.x0 + poly.null_basis @ (poly.null_basis.T @ (start_sweep - poly.x0))
     assert (not sweep.min() > 0.0) == pulled
     value, lower = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
     assert lower <= value <= lower + MINSYN.tolerance
@@ -571,7 +596,7 @@ def test_mixed_batches_with_facial_reduction_raise_no_warning():
     families = _report_families(3)
     tab = union_info._tables(d)
     batches = {}
-    for batch in union_info._starts(d, [fam.parts for fam in families], MINSYN.tolerance)[2]:
+    for batch in _set_up(d, [fam.parts for fam in families])[0]:
         for i, cells, q, basis, *_ in batch:
             live = union_info._marginals(tab, families[i].parts)[1]
             batches.setdefault(q.size, []).append((basis.shape[1], live.size == len(cells)))
@@ -696,6 +721,7 @@ def test_stacked_rows_match_their_families_alone(corpus):
         inputs.setdefault(d, []).append(fam.parts)
     for d, families in inputs.items():
         tab = union_info._tables(d)
+        product_cells = list(product(*d.alphabets))
         groups = {}
         for parts in families:
             marginals, live = union_info._marginals(tab, parts)
@@ -707,19 +733,20 @@ def test_stacked_rows_match_their_families_alone(corpus):
             b = stack.b.reshape(len(members), -1)
             for k, poly in enumerate(MarginalPolytope(d, p) for p in parts):
                 m = stack.m[k]
-                assert [tab.cells[c] for c in stack.live[k]] == poly.cells
+                assert [product_cells[c] for c in stack.live[k]] == poly.cells
                 assert (stack.A[k, :m] == poly.A).all() and not stack.A[k, m:].any()
                 assert (b[k, :m] == poly.b).all() and not b[k, m:].any()
                 assert (stack.x0[k] == poly.x0).all()
                 assert (stack.xidx[k] == poly.xidx).all() and stack.nx[k] == poly.nx
                 assert len(poly.cells) - rank[k] == poly.null_basis.shape[1]
-        bounds, out, batches = union_info._starts(d, families, MINSYN.tolerance)
+        batches, brackets = _set_up(d, families)
         rows = {row[0]: row[1:4] for batch in batches for row in batch}
         for i, parts in enumerate(families):
-            [alone_bounds], [alone_out], alone_batches = union_info._starts(d, [parts], MINSYN.tolerance)
-            assert alone_bounds == bounds[i]
-            if alone_out is not None:
-                assert out[i] == pytest.approx(alone_out, abs=1e-12)
+            alone_batches, alone = _set_up(d, [parts])
+            assert brackets.lower[i] == pytest.approx(alone.lower[0], abs=1e-12)
+            assert brackets.upper[i] == pytest.approx(alone.upper[0], abs=1e-12)
+            if not alone_batches:
+                assert i not in rows
                 continue
             [[(_, cells, q, basis, *_)]] = alone_batches
             row_cells, row_q, row_basis = rows[i]
