@@ -23,12 +23,18 @@ base support, because the optimum generally moves mass onto outcomes the base
 never produces; cells that a preserved marginal pins to zero are dropped.
 The solver is a primal log-barrier method (Boyd & Vandenberghe, *Convex
 Optimization*, ch. 11): damped Newton steps in the constraint null space on
-``-H(Y|X) - mu * sum(ln q)``, from a strictly positive feasible point, with
-``mu`` cut a hundredfold once a step starts near the centre.  Each Newton
+``-H(Y|X) - mu * sum(ln q)``, from a strictly positive feasible point.  A
+stage ends, and ``mu`` is cut a hundredfold, once a step starts with a
+Newton decrement of at most ``5 * mu``.  The first Newton system after a cut
+keeps the pre-cut ``mu`` in its Hessian, with the new one in its gradient:
+from a centred point its step is the tangent of the central path (a
+long-step path-following predictor, Nocedal & Wright ch. 14).  Each Newton
 system also gives multipliers ``z`` of the marginal constraints, and so the
 Lagrange dual bound ``H(Y) + (z.x0 - max_x logsumexp_y z_xy) / ln 2`` on the
-minimum.  Each family's certified bracket on its union, and the one rule
-that stops it at every exit, are :class:`_Brackets`.
+minimum; ``z`` is projected onto the constraints' row space, so the bound
+holds whatever Hessian the system used.  Each family's certified bracket on
+its union, and the one rule that stops it at every exit, are
+:class:`_Brackets`.
 
 A barrier method needs only a strictly positive feasible start, and one rule
 picks it: one sweep of iterative proportional fitting (IPF) over the live
@@ -566,6 +572,7 @@ def _lockstep(rows: list[tuple], hy: float, brackets: _Brackets) -> None:
     # feasible q has H(Y) = hy.
     mu = [max((fk - (lower[i] - hy) * _LN2) / n, mu_end) for fk, i in zip(f, ids)]
     m = np.array(mu).reshape(k, 1, 1)
+    mh = m  # the Hessian's mu: the previous step's, see the stage cut below
     stalled = [False] * k
     resized = True  # what follows from the batch's rows is derived again when rows leave
     for _ in range(_MAX_NEWTON_STEPS):
@@ -579,11 +586,10 @@ def _lockstep(rows: list[tuple], hy: float, brackets: _Brackets) -> None:
             # which limits the step.
             c_f, c_zx, c_top, c_sum, c_dec, c_fall = ctl = np.empty((6, k, 1, 1))
         inv = 1.0 / q
-        mi = m * inv
-        descent = mi - grad  # minus the barrier gradient
+        descent = m * inv - grad  # minus the barrier gradient
         g = basis_t @ descent
         w = multi / (qx + single)
-        d = (shared + mi) * inv
+        d = (shared + mh * inv) * inv
         hess = basis_t @ (basis * d) - group_t @ (group_basis * w) + pad
         try:
             dz = np.linalg.solve(hess, g)
@@ -636,8 +642,12 @@ def _lockstep(rows: list[tuple], hy: float, brackets: _Brackets) -> None:
                 steps[j] *= 0.5
         q, grad, qx = cand, gc, qxc
         stalled = [s < 1e-12 and mk == mu_end for s, mk in zip(steps, mu)]
-        # A step that began near the centre ends its row's stage.
-        stage = [max(mk / 100.0, mu_end) if dk <= 0.1 * mk else mk for mk, dk in zip(mu, decs)]
+        # A step that began with a Newton decrement of at most 5 mu ends its
+        # row's stage.  The next system keeps the stage's mu in its Hessian,
+        # so its step is the tangent predictor; the dual bound holds for any
+        # Hessian.  The system after it is built at the new mu.
+        stage = [max(mk / 100.0, mu_end) if dk <= 5.0 * mk else mk for mk, dk in zip(mu, decs)]
+        mh = m
         if stage != mu:
             mu, m = stage, np.array(stage).reshape(k, 1, 1)
     gaps = [upper[i] - lower[i] for i in ids]

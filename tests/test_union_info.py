@@ -395,12 +395,16 @@ def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
 # A fixed 1e-11-bit stop at the part-MI bound left {X1, X2X3} of the first
 # input 3.9e-12 bits above its certified lower bound at tolerance 1e-12, and
 # ib2p of the second 3.4e-12 bits above its ibdp, so its report raised
-# OrderingViolationError.  In each of the last two a row's line search
-# stalled with mu at its floor, a hair above a tenth of the tolerance, until
-# the step limit; the last now stops there, its gap within the tolerance.
+# OrderingViolationError.  The third stalled at gap 5.6e-12 bits while each
+# stage ran until a Newton decrement of a tenth of mu; with the tangent
+# predictor after each cut it certifies.  In each of the last two a row's
+# line search stalled with mu at its floor, a hair above a tenth of the
+# tolerance, until the step limit; the last now stops there, its gap within
+# the tolerance.
 @pytest.mark.parametrize("args, tolerance", [
     ((0, 3), 1e-12),
     ((114889, 3, 2, 0.3), 1e-12),
+    ((16, 3, 3, 0.0), 1e-12),
     ((1010, 3, 3, 0.4), 1e-10),
     ((1851, 4, 2, 0.5), 1e-10),
 ])
@@ -540,12 +544,9 @@ def test_zero_cell_start_takes_one_sweep_per_face(monkeypatch, seed, zero_fracti
     assert abs(value - expected) <= 1e-6
 
 
-def test_binary_reports_keep_their_newton_step_budget(monkeypatch):
-    # One np.linalg.solve per lockstep Newton step.  These ten reports take
-    # 153 steps when each scan's dominated families leave the batch early,
-    # against 187 when every family is solved to the tolerance, and 217 when
-    # that started from the base pmf instead of the one-sweep start.  A
-    # start or an exit rule that costs steps fails here.
+def _newton_steps(monkeypatch, inputs):
+    """``np.linalg.solve`` calls, one per lockstep Newton step, of one cold
+    report on each of ``make_random(*args)`` for ``args`` in ``inputs``."""
     steps = 0
     solve = np.linalg.solve
 
@@ -554,11 +555,36 @@ def test_binary_reports_keep_their_newton_step_budget(monkeypatch):
         steps += 1
         return solve(*args, **kwargs)
 
-    union_info._memo.cache_clear()
     monkeypatch.setattr(np.linalg, "solve", counting)
-    for seed in range(400, 410):
-        full_report(make_random(seed, 3))
-    assert 0 < steps <= 160
+    for args in inputs:
+        union_info._memo.cache_clear()
+        full_report(make_random(*args))
+    return steps
+
+
+def test_binary_reports_keep_their_newton_step_budget(monkeypatch):
+    # These ten reports took 217 steps when every family was solved to the
+    # tolerance from the base pmf, 187 from the one-sweep start, 153 once
+    # each scan's dominated families left the batch early, and 104 with the
+    # tangent predictor after each mu cut and stages that end at dec <= 5 mu.
+    # A start, exit or schedule rule that costs steps fails here.
+    steps = _newton_steps(monkeypatch, [(seed, 3) for seed in range(400, 410)])
+    assert 0 < steps <= 110
+
+
+def test_mixed_reports_keep_their_newton_step_budget(monkeypatch):
+    # Shapes and zero cells the benchmark does not list: n=4 binary and n=3
+    # ternary, full support and zero fraction 0.2.  These twelve reports take
+    # 341 steps with the tangent predictor, against 461 without it and with
+    # stages that end at dec <= 0.1 mu.
+    inputs = [
+        (seed, n, alphabet_size, zero_fraction)
+        for n, alphabet_size in [(4, 2), (3, 3)]
+        for zero_fraction in (0.0, 0.2)
+        for seed in range(3)
+    ]
+    steps = _newton_steps(monkeypatch, inputs)
+    assert 0 < steps <= 358
 
 
 def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
