@@ -395,18 +395,18 @@ def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
 # A fixed 1e-11-bit stop at the part-MI bound left {X1, X2X3} of the first
 # input 3.9e-12 bits above its certified lower bound at tolerance 1e-12, and
 # ib2p of the second 3.4e-12 bits above its ibdp, so its report raised
-# OrderingViolationError.  The third stalled at gap 5.6e-12 bits while each
-# stage ran until a Newton decrement of a tenth of mu; with the tangent
-# predictor after each cut it certifies.  In each of the last two a row's
-# line search stalled with mu at its floor, a hair above a tenth of the
-# tolerance, until the step limit; the last now stops there, its gap within
-# the tolerance.
+# OrderingViolationError.  In each of the next two a row's line search
+# stalled with mu at its floor, a hair above a tenth of the tolerance, until
+# the step limit; the fourth now stops there, its gap within the tolerance.
+# The last stalled at gap 5.6e-12 bits while each stage ran until a Newton
+# decrement of a tenth of mu; with the tangent predictor after each cut it
+# certifies.
 @pytest.mark.parametrize("args, tolerance", [
     ((0, 3), 1e-12),
     ((114889, 3, 2, 0.3), 1e-12),
-    ((16, 3, 3, 0.0), 1e-12),
     ((1010, 3, 3, 0.4), 1e-10),
     ((1851, 4, 2, 0.5), 1e-10),
+    ((16, 3, 3, 0.0), 1e-12),
 ])
 def test_report_families_are_certified_at_tight_tolerances(args, tolerance):
     d = make_random(*args)
