@@ -33,6 +33,9 @@ per link; :func:`full_report` raises on any larger break.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .distributions import JointDistribution
 from .parts import (
@@ -102,6 +105,23 @@ class IrreducibilityReport:
         }
 
 
+@lru_cache(maxsize=16)
+def _scan_table(n: int) -> Mapping[str, tuple[tuple, tuple[PartFamily, ...]]]:
+    """Each measure's witnesses and the families it scans, at ``n``
+    predictors, in enumeration order.  Built once per ``n`` and shared, so
+    everything in it is immutable."""
+    singletons = (PartFamily(tuple(PartSpec((i,)) for i in range(n))),)
+    bipartitions = tuple(all_bipartitions(n))
+    pairs = tuple(almost_pairs(n))
+    all_almosts = (PartFamily(tuple(almosts(n))),)
+    return MappingProxyType({
+        "ibe": (singletons, singletons),
+        "ibdp": (bipartitions, tuple(b.family() for b in bipartitions)),
+        "ib2p": (pairs, pairs),
+        "ibap": (all_almosts, all_almosts),
+    })
+
+
 def _scan(
     d: JointDistribution, m: UnionMeasure | None, *names: str
 ) -> tuple[float, list[tuple[float, PartFamily | PartitionSpec]]]:
@@ -119,16 +139,7 @@ def _scan(
     n = d.n_predictors
     if n < 2:
         raise ValueError(f"irreducibility needs at least 2 predictors, got {n}")
-    singletons = [PartFamily(tuple(PartSpec((i,)) for i in range(n)))]
-    bipartitions = all_bipartitions(n)
-    pairs = almost_pairs(n)
-    all_almosts = [PartFamily(tuple(almosts(n)))]
-    table = {
-        "ibe": (singletons, singletons),
-        "ibdp": (bipartitions, [b.family() for b in bipartitions]),
-        "ib2p": (pairs, pairs),
-        "ibap": (all_almosts, all_almosts),
-    }
+    table = _scan_table(n)
     scans = [table[name][1] for name in names]
     unions = iter(_unions(m or UnionMeasure(), d, [f for s in scans for f in s], scans))
     whole = whole_mutual_information(d)

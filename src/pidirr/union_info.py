@@ -52,17 +52,26 @@ than the live cells, the solver works on it alone (facial reduction): the
 family is set up again on those cells, like any other, with the LP's point
 as the start's origin.
 
+A family's polytope but for the distribution's masses and base pmf is its
+*structure*: constraint matrix, x-groups and a null basis from one SVD.  It
+depends only on the alphabet sizes, the target index, the parts and the
+cells, so it is built once for them and kept in one least-recently-used
+cache bounded by the bytes it holds (:class:`_Structure`): a report whose
+families live on cells seen before factors nothing.  Each structure is
+built alone, so it, and every value computed from it, never depends on
+which families were solved beside it or before it.
+
 The families asked for in one call (all of a report's, in
 :func:`pidirr.irreducibility.full_report`) are solved in lockstep.
-Polytopes with the same cell count become the rows of one stack, which is
-built, factored by one SVD and started in one pass, and whose rows that
-need Newton steps are one batch: its Newton systems are assembled and
-solved by stacked numpy calls.  On programs this small a step's cost is
-numpy's per-call overhead, not arithmetic, so a batch step costs about as
-much as one family's.  Stacks are set up largest first, so a family that
-facial reduction moves to fewer cells joins that count's stack before it is
-built.  Each row keeps its own iterates, ``mu`` schedule and certified stop,
-and leaves the batch when it stops.
+Polytopes with the same cell count become the rows of one stack, assembled
+from their cached structures and the distribution's masses and started in
+one pass, and whose rows that need Newton steps are one batch: its Newton
+systems are assembled and solved by stacked numpy calls.  On programs this
+small a step's cost is numpy's per-call overhead, not arithmetic, so a
+batch step costs about as much as one family's.  Stacks are set up largest
+first, so a family that facial reduction moves to fewer cells joins that
+count's stack before it is assembled.  Each row keeps its own iterates,
+``mu`` schedule and certified stop, and leaves the batch when it stops.
 
 :func:`union_information` and :func:`union_information_batch` solve every
 family they are asked for to the tolerance.  A report needs only each of its
@@ -79,7 +88,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, product as iter_product
+from itertools import product as iter_product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -176,28 +185,23 @@ class _Tables:
         self.pmf = np.zeros(tuple(len(a) for a in d.alphabets))
         for outcome, p in d.pmf.items():
             self.pmf[tuple(ix[s] for ix, s in zip(index, outcome))] = p
-        # Column c of ``codes`` holds the symbol indices of cell c of the
-        # product, in ``itertools.product`` order: the C order of ``pmf``.
-        self.codes = np.indices(self.pmf.shape).reshape(self.pmf.ndim, -1)
-        t = self.target = d.target_index
+        self.target = d.target_index
         self.preds = list(d.predictor_indices)
-        self.xcode = np.ravel_multi_index(np.delete(self.codes, t, 0), np.delete(self.pmf.shape, t))
         self.hy = _neg_plogp(self.pmf.sum(axis=tuple(self.preds)))
         self.whole_mi = self.hy + _neg_plogp(self.pmf.sum(axis=self.target)) - _neg_plogp(self.pmf)
         self._parts: dict[PartSpec, tuple] = {}
 
     def part(self, part: PartSpec) -> tuple[np.ndarray, np.ndarray, float]:
-        """``(row, mass, mi)``: each cell's rank among the part-target symbol
-        tuples of positive mass, in sorted order (-1 where its tuple has
-        none), those tuples' masses, and ``I(part; Y)`` in bits."""
+        """``(held, mass, mi)``: whether each cell's part-target symbol tuple
+        has positive mass, those tuples' masses in sorted order, and
+        ``I(part; Y)`` in bits."""
         if part not in self._parts:
-            axes = sorted([self.preds[i] for i in part.member_indices] + [self.target])
+            axes = tuple(sorted([self.preds[i] for i in part.member_indices] + [self.target]))
             marg = self.pmf.sum(axis=tuple(set(range(self.pmf.ndim)) - set(axes)))
-            key = np.ravel_multi_index(self.codes[axes], marg.shape)
             hp = _neg_plogp(marg.sum(axis=axes.index(self.target)))
             positive = marg.ravel() > 0.0
-            row = np.where(positive, np.cumsum(positive) - 1, -1)[key]
-            self._parts[part] = (row, marg.ravel()[positive], hp + self.hy - _neg_plogp(marg))
+            held = positive[_keys(self.pmf.shape, axes)]
+            self._parts[part] = (held, marg.ravel()[positive], hp + self.hy - _neg_plogp(marg))
         return self._parts[part]
 
 
@@ -213,77 +217,149 @@ def whole_mutual_information(d: JointDistribution) -> float:
 
 
 def _marginals(tab: _Tables, parts: Sequence[PartSpec]) -> tuple[list, np.ndarray]:
-    """Each part's cached ``(row, mass, mi)``, and the live cells: those whose
-    tuple has positive mass in every part.  Every feasible q vanishes off
-    them, so dropping the rest is exact."""
+    """Each part's cached ``(held, mass, mi)``, and the live cells: those
+    whose tuple has positive mass in every part.  Every feasible q vanishes
+    off them, so dropping the rest is exact."""
     if not parts:
         raise ValueError("need at least one part")
     for p in parts:
         p.validate(len(tab.preds), allow_full=True)
     marginals = [tab.part(p) for p in parts]
-    return marginals, np.flatnonzero(np.logical_and.reduce([row >= 0 for row, _, _ in marginals]))
+    return marginals, np.flatnonzero(np.logical_and.reduce([held for held, _, _ in marginals]))
+
+
+class _Cache:
+    """A least-recently-used cache bounded by the bytes its values hold
+    (``value.nbytes``); a value larger than the bound is not kept."""
+
+    def __init__(self, bound: int):
+        self.bound, self.held, self.values = bound, 0, {}
+
+    def get(self, key, build):
+        value = self.values.pop(key, None)
+        if value is None:
+            value = build()
+            if value.nbytes > self.bound:
+                return value
+            self.held += value.nbytes
+            while self.held > self.bound:
+                self.held -= self.values.pop(next(iter(self.values))).nbytes
+        self.values[key] = value  # last in the dict's order: the most recently used
+        return value
+
+    def clear(self) -> None:
+        self.values.clear()
+        self.held = 0
+
+
+#: What depends on the shape of a distribution alone, not on its masses: each
+#: part's tuple keys and each family's :class:`_Structure`.
+_structures = _Cache(64 << 20)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _keys(shape: tuple, axes: tuple) -> np.ndarray:
+    """Each cell's ravelled symbol tuple on ``axes``, the cells in the C order
+    of an array of ``shape``."""
+    return _structures.get((shape, axes), lambda: _read_only(np.ravel_multi_index(
+        np.indices(shape).reshape(len(shape), -1)[list(axes)], [shape[a] for a in axes])))
+
+
+def _ranks(shape: tuple, axes: tuple, cells: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each cell's rank among the distinct symbol tuples of ``cells`` on
+    ``axes``, in sorted order, and their count."""
+    seen = np.zeros(math.prod(shape[a] for a in axes), dtype=bool)
+    keys = _keys(shape, axes)[cells]
+    seen[keys] = True
+    ranks = np.cumsum(seen) - 1
+    return ranks[keys], int(ranks[-1]) + 1
+
+
+class _Structure:
+    """A family's polytope on some cells but for the distribution's masses
+    ``b`` and base pmf ``x0``: a function of the alphabet sizes, the target
+    index, the parts and the cells alone, so it is cached and shared, and
+    its arrays are read-only.
+
+    One block of constraints per part, one constraint per part-target symbol
+    tuple of the cells, in sorted order.  These are the tuples of positive
+    mass: each holds a cell of the base support, which is live and lies in
+    every face.  Each cell sits in one constraint of each block (of block j,
+    ``slot[j, c]``), which is what iterative proportional fitting rescales.
+    ``xidx`` numbers each cell's whole-predictor configuration among the
+    ``nx`` that hold a cell, in sorted order.  ``basis`` is an orthonormal
+    basis of the null space of ``A``, from one SVD of ``A`` alone; a
+    singular value counts above ``s[0] * max(rows, cells) * eps``."""
+
+    def __init__(self, shape: tuple, target: int, parts: Sequence[PartSpec], cells: np.ndarray):
+        preds = tuple(i for i in range(len(shape)) if i != target)
+        slots, sizes = [], [0]
+        for part in parts:
+            axes = tuple(sorted([preds[i] for i in part.member_indices] + [target]))
+            rank, count = _ranks(shape, axes, cells)
+            slots.append(sizes[-1] + rank)
+            sizes.append(sizes[-1] + count)
+        self.m, n = sizes[-1], cells.size
+        self.blocks = tuple(map(slice, sizes[:-1], sizes[1:]))
+        self.slot = np.array(slots)
+        self.A = np.zeros((self.m, n))
+        self.A[self.slot, np.arange(n)] = 1.0
+        self.xidx, self.nx = _ranks(shape, preds, cells)
+        _, s, vt = np.linalg.svd(self.A, full_matrices=self.m < n)
+        self.basis = vt[(s > s[0] * max(self.m, n) * np.finfo(float).eps).sum():].T.copy()
+        for a in (self.slot, self.A, self.xidx, self.basis):
+            _read_only(a)
+
+    @property
+    def nbytes(self) -> int:
+        return self.slot.nbytes + self.A.nbytes + self.xidx.nbytes + self.basis.nbytes
+
+
+def _structure(tab: _Tables, parts: Sequence[PartSpec], cells: np.ndarray) -> _Structure:
+    """The cached structure of ``parts`` on ``cells`` of ``tab``'s shape."""
+    parts = tuple(parts)
+    return _structures.get(
+        (tab.pmf.shape, tab.target, parts, cells.tobytes()),
+        lambda: _Structure(tab.pmf.shape, tab.target, parts, cells),
+    )
 
 
 class _Stack:
-    """The polytopes of families with one live-cell count, family k's in row k.
+    """The polytopes of families on one number of cells, family k's in row
+    k: its cached :class:`_Structure`, and its distribution's masses and
+    base pmf.  ``rows`` are each family's ``(parts, marginals, cells)``.
 
-    One block of constraints per part, one constraint per part-target symbol
-    tuple of positive mass; each cell sits in exactly one constraint of each
-    block, which is what iterative proportional fitting rescales.  Every such
-    tuple holds a cell of the base support, and those cells are live, so each
-    block's constraints are its part's cached ranks as they stand.  Row k's
-    ``A[k]`` and ``b[k]`` are zero-padded to the most constraints of any row;
-    ``m[k]`` counts its own.  ``b`` is flat, and ``slot[k, j, c]`` indexes the
-    constraint of block j that holds cell c.  A row with fewer parts repeats
-    its last block, which a sweep of iterative proportional fitting has just
-    fitted, so fitting it again changes nothing but rounding."""
+    Row k's ``A[k]`` and ``b[k]`` are zero-padded to the most constraints
+    of any row, and ``slot[k, j, c]`` indexes the constraint of block j that
+    holds cell c in the flat ``b``.  A row with fewer parts repeats its last
+    block, which a sweep of iterative proportional fitting has just fitted,
+    so fitting it again changes nothing but rounding."""
 
-    def __init__(self, tab: _Tables, marginals: Sequence[list], lives: Sequence[np.ndarray]):
-        self.live = np.array(lives)
-        k, n = self.live.shape
-        each = np.arange(k)[:, None]
-        blocks = max(map(len, marginals))
-        sizes = [[mass.size for _, mass, _ in m] for m in marginals]
-        self.m = np.array([sum(s) for s in sizes])
-        width = int(self.m.max())
-        # Where each block's constraints start in b; row i's start at width * i.
-        first = [list(accumulate(s[:-1], initial=width * i)) for i, s in enumerate(sizes)]
-        first = np.array([f + f[-1:] * (blocks - len(f)) for f in first])
-        ranks = np.array([[row for row, _, _ in m + m[-1:] * (blocks - len(m))] for m in marginals])
-        self.slot = ranks[each[:, :, None], np.arange(blocks)[:, None], self.live[:, None, :]]
-        self.slot += first[:, :, None]
+    def __init__(self, tab: _Tables, rows: Sequence[tuple]):
+        self.structures = [_structure(tab, parts, cells) for parts, _, cells in rows]
+        self.x0 = tab.pmf.ravel()[np.array([cells for *_, cells in rows])]
+        (k, n), ms = self.x0.shape, [s.m for s in self.structures]
+        width, blocks = max(ms), max(len(s.blocks) for s in self.structures)
         self.A = np.zeros((k, width, n))
-        self.A.reshape(-1, n)[self.slot, np.arange(n)] = 1.0
-        # Each row's masses, then zeros to the width.
+        for a, s in zip(self.A, self.structures):
+            a[: s.m] = s.A
+        pad = np.zeros(width)
         self.b = np.concatenate([
-            v for m, size in zip(marginals, self.m)
-            for v in [mass for _, mass, _ in m] + [np.zeros(width - size)]
-        ])
-
-        self.x0 = tab.pmf.ravel()[self.live]
-        residual = np.abs(self.A @ self.x0[:, :, None] - self.b.reshape(k, width, 1)).max()
+            v for (_, marginals, _), m in zip(rows, ms)
+            for v in [mass for _, mass, _ in marginals] + [pad[m:]]
+        ]).reshape(k, width)
+        residual = np.abs(self.A @ self.x0[:, :, None] - self.b[:, :, None]).max()
         if residual > 1e-9:
             raise AssertionError(f"base distribution violates its own marginals by {residual}")
-
-        # The objective's groups: one per whole-predictor configuration that
-        # holds a live cell, numbered in sorted order.
-        xcode = tab.xcode[self.live]
-        seen = np.zeros((k, tab.pmf.size // tab.pmf.shape[tab.target]), dtype=bool)
-        seen[each, xcode] = True
-        group = seen.cumsum(axis=1) - 1
-        self.xidx, self.nx = group[each, xcode], group[:, -1] + 1
-
-
-def _null_spaces(a: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right singular vectors ``vt`` of each matrix of a stack, and its rank:
-    ``vt[k, rank[k]:]`` is an orthonormal basis of the null space of
-    ``a[k]``.  ``rows[k]`` counts the rows of ``a[k]`` before zero padding,
-    which changes neither; a singular value counts above
-    ``s[0] * max(rows, cells) * eps``.  Only ``vt`` needs to be square, so
-    ``u`` is reduced when the matrices are at least as tall as they are wide."""
-    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[1] < a.shape[2])
-    tol = s[:, :1] * np.maximum(rows, a.shape[2])[:, None] * np.finfo(float).eps
-    return vt, (s > tol).sum(axis=1)
+        self.slot = np.concatenate([
+            s.slot[min(j, len(s.blocks) - 1)] for s in self.structures for j in range(blocks)
+        ]).reshape(k, blocks, n)
+        self.slot += width * np.arange(k)[:, None, None]
+        self.xidx = np.array([s.xidx for s in self.structures])
 
 
 class MarginalPolytope:
@@ -292,24 +368,23 @@ class MarginalPolytope:
     Cells enumerate the product of the declared alphabets (not just the base
     support).  A cell is dropped when some preserved marginal forces it to
     zero; every feasible q vanishes there, so the reduction is exact.  The
-    base pmf ``x0`` is feasible.  It is built as a stack of one, the way the
-    solver builds every family.
+    base pmf ``x0`` is feasible.  ``b`` and ``x0`` are the distribution's;
+    ``A``, ``blocks``, ``xidx``, ``nx`` and ``null_basis`` (an orthonormal
+    basis of the constraint null space, in which movement preserves every
+    marginal exactly) are read-only views of the family's cached
+    :class:`_Structure`, the one the solver uses.
     """
 
     def __init__(self, base: JointDistribution, parts: Sequence[PartSpec]):
-        tab = _tables(base)
-        marginals, live = _marginals(tab, tuple(parts))
-        stack = _Stack(tab, [marginals], [live])
+        tab, parts = _tables(base), tuple(parts)
+        marginals, live = _marginals(tab, parts)
+        s = _structure(tab, parts, live)
         cells = list(iter_product(*base.alphabets))
         self.cells: list[tuple] = [cells[c] for c in live.tolist()]
-        self.A, self.b, self.x0 = stack.A[0], stack.b, stack.x0[0]
-        self.xidx, self.nx = stack.xidx[0], int(stack.nx[0])
-        sizes = [mass.size for _, mass, _ in marginals]
-        self.blocks = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
-        # Orthonormal basis of the constraint null space; movement inside it
-        # preserves every marginal exactly.
-        vt, rank = _null_spaces(stack.A, stack.m)
-        self.null_basis = vt[0, rank[0]:].T.copy()
+        self.A, self.blocks, self.null_basis = s.A, s.blocks, s.basis
+        self.xidx, self.nx = s.xidx, s.nx
+        self.b = np.concatenate([mass for _, mass, _ in marginals])
+        self.x0 = tab.pmf.ravel()[live]
 
 
 def _ipf_sweep(slot: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -447,18 +522,18 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], bracke
     x-groups there.
 
     The families not done before the build are grouped by cell count, and
-    each group, largest first, is built, factored by one SVD and started as
-    one stack; its rows not done at their start are one batch.  A family
-    whose polytope leaves no free direction is done there, at the whole's
-    mutual information.  A row's start is one IPF sweep over its cells,
-    projected onto the constraints and pulled from the base pmf: it moves
-    along the positive sweep where the base pmf is zero and stays positive
-    where it is not.  When the sweep is thin on a cell where the base pmf is
-    zero (below ``_THIN_START`` of its largest cell), the support LP decides
-    the face, and the start is pulled from the LP's point instead.  If the
-    face is every live cell, the row stays in its group; otherwise it joins
-    the group of the face's size, not yet built, with the LP's point and no
-    further thin test."""
+    each group, largest first, is assembled from cached structures and
+    started as one :class:`_Stack`; its rows not done at their start are one
+    batch.  A family whose polytope leaves no free direction is done there,
+    at the whole's mutual information.  A row's start is one IPF sweep over
+    its cells, projected onto the constraints and pulled from the base pmf:
+    it moves along the positive sweep where the base pmf is zero and stays
+    positive where it is not.  When the sweep is thin on a cell where the
+    base pmf is zero (below ``_THIN_START`` of its largest cell), the
+    support LP decides the face, and the start is pulled from the LP's point
+    instead.  If the face is every live cell, the row stays in its group;
+    otherwise it joins the group of the face's size, not yet built, with the
+    LP's point and no further thin test."""
     tab = _tables(d)
     batches, todo = [], []
     groups: dict[int, list] = {}
@@ -469,36 +544,31 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], bracke
         brackets.upper[i] = tab.whole_mi
         if len(set(members)) == len(members):  # pairwise disjoint parts
             brackets.upper[i] = min(tab.whole_mi, sum(mi for _, _, mi in marginals))
-        todo.append((i, marginals, live, None))
+        todo.append((i, parts, marginals, live, None))
     for row, done in zip(todo, brackets.done(range(len(families)))):
         if not done:
-            groups.setdefault(row[2].size, []).append(row)
+            groups.setdefault(row[3].size, []).append(row)
     while groups:
-        n = max(groups)
-        ids, marginals, cells, inner = map(list, zip(*groups.pop(n)))
-        stack = _Stack(tab, marginals, cells)
-        x0, width = stack.x0, stack.A.shape[1]
-        vt, rank = _null_spaces(stack.A, stack.m)
-        null = (np.arange(n) >= rank[:, None])[:, :, None]
+        ids, parts, marginals, cells, inner = map(list, zip(*groups.pop(max(groups))))
+        stack = _Stack(tab, list(zip(parts, marginals, cells)))
+        x0, structures = stack.x0, stack.structures
 
-        def project(v, k):  # onto the constraints of stack rows k
-            w = null[k] * (vt[k] @ (v - x0[k])[:, :, None])
-            return x0[k] + (vt[k].transpose(0, 2, 1) @ w)[:, :, 0]
+        def project(v, rows):  # v[j] onto the constraints of stack row rows[j]
+            bases = [structures[k].basis for k in rows]
+            return x0[rows] + np.array([b @ (b.T @ dv) for b, dv in zip(bases, v - x0[rows])])
 
-        q = project(_ipf_sweep(stack.slot, stack.b), slice(None))
+        q = project(_ipf_sweep(stack.slot, stack.b.ravel()), range(len(ids)))
         thin = np.where(x0 == 0.0, q, np.inf).min(axis=1) < _THIN_START * q.max(axis=1)
         keep = []
-        for k in range(len(ids)):
-            if rank[k] == n:  # no free direction: the base pmf is the only feasible q
+        for k, s in enumerate(structures):
+            if not s.basis.size:  # no free direction: the base pmf is the only feasible q
                 brackets.lower[ids[k]] = brackets.upper[ids[k]]
                 continue
             if thin[k] and inner[k] is None:
-                m = int(stack.m[k])
-                a, b = stack.A[k, :m], stack.b[width * k:width * k + m]
-                face, inner[k] = _maximal_support(a, b)
+                face, inner[k] = _maximal_support(s.A, stack.b[k, : s.m])
                 if not face.all():
                     groups.setdefault(int(face.sum()), []).append(
-                        (ids[k], marginals[k], cells[k][face], inner[k])
+                        (ids[k], parts[k], marginals[k], cells[k][face], inner[k])
                     )
                     continue
             keep.append(k)
@@ -511,11 +581,11 @@ def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], bracke
             raise UnionConvergenceError(
                 "no strictly positive start on the feasible face", math.inf, math.inf
             )
-        for k, f in zip(keep, _objective(q, stack.xidx[keep], int(stack.nx.max()))):
+        nx = max(s.nx for s in structures)
+        for k, f in zip(keep, _objective(q, stack.xidx[keep], nx)):
             brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + f / _LN2)
-        # The basis is copied, so that the group's vt is freed before the solve.
         batch = [
-            (ids[k], cells[k], qk, vt[k, rank[k]:].T.copy(), x0[k], stack.xidx[k])
+            (ids[k], cells[k], qk, structures[k].basis, x0[k], structures[k].xidx)
             for k, qk, done in zip(keep, q, brackets.done([ids[k] for k in keep])) if not done
         ]
         if batch:

@@ -288,3 +288,14 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
             else:
                 exits["build" if value == built else "start"] += 1
     assert min(exits.values()) >= 1, exits
+
+
+def test_scan_families_are_built_once_per_n_and_shared_read_only():
+    table = irreducibility._scan_table(4)
+    assert irreducibility._scan_table(4) is table
+    with pytest.raises(TypeError):
+        table["ibe"] = ((), ())
+    for witnesses, scanned in table.values():
+        assert isinstance(witnesses, tuple) and isinstance(scanned, tuple)
+    assert table["ibdp"][1] == tuple(b.family() for b in all_bipartitions(4))
+    assert table["ib2p"][1] == tuple(almost_pairs(4))

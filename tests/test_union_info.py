@@ -488,6 +488,8 @@ def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
     monkeypatch.setattr(union_info, "_maximal_support", no_face_search)
     monkeypatch.setattr(union_info, "_ipf_sweep", recording_sweep)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    # The polytope above cached its structure; a cold set-up counts its SVD.
+    union_info._structures.clear()
     [[(_, cells, q, basis, *_)]], _ = _set_up(d, [fam.parts])
     # No basis of a face is computed: the start's basis is the polytope's.
     assert len(cells) == len(poly.cells) and len(svds) == 1
@@ -738,8 +740,8 @@ def test_tables_follow_target_and_constant_target():
 
 
 def test_stacked_rows_match_their_families_alone(corpus):
-    # Each input's families built the way the solver builds them, one stack
-    # per live-cell count: every row, with its padding stripped, is its
+    # Each input's families assembled the way the solver assembles them, one
+    # stack per live-cell count: every row, with its padding stripped, is its
     # family's polytope built alone, and the set-up of all the families
     # together ends or starts each one as it does alone.
     inputs = {}
@@ -753,18 +755,25 @@ def test_stacked_rows_match_their_families_alone(corpus):
             marginals, live = union_info._marginals(tab, parts)
             groups.setdefault(live.size, []).append((parts, marginals, live))
         for members in groups.values():
-            parts, marginals, lives = zip(*members)
-            stack = union_info._Stack(tab, marginals, lives)
-            _, rank = union_info._null_spaces(stack.A, stack.m)
-            b = stack.b.reshape(len(members), -1)
-            for k, poly in enumerate(MarginalPolytope(d, p) for p in parts):
-                m = stack.m[k]
-                assert [product_cells[c] for c in stack.live[k]] == poly.cells
-                assert (stack.A[k, :m] == poly.A).all() and not stack.A[k, m:].any()
-                assert (b[k, :m] == poly.b).all() and not b[k, m:].any()
+            stack = union_info._Stack(tab, members)
+            width = stack.b.shape[1]
+            for k, (parts, _, live) in enumerate(members):
+                poly = MarginalPolytope(d, parts)
+                alone = union_info._Structure(tab.pmf.shape, tab.target, parts, live)
+                row, m, blocks = stack.structures[k], alone.m, len(parts)
+                assert [product_cells[c] for c in live] == poly.cells
+                assert (row.A == alone.A).all() and (poly.A == alone.A).all()
+                assert (stack.A[k, :m] == alone.A).all() and not stack.A[k, m:].any()
+                assert (stack.slot[k, :blocks] == alone.slot + width * k).all()
+                # A row with fewer parts repeats its last block.
+                assert (stack.slot[k, blocks:] == stack.slot[k, blocks - 1]).all()
+                assert (stack.b[k, :m] == poly.b).all() and not stack.b[k, m:].any()
                 assert (stack.x0[k] == poly.x0).all()
-                assert (stack.xidx[k] == poly.xidx).all() and stack.nx[k] == poly.nx
-                assert len(poly.cells) - rank[k] == poly.null_basis.shape[1]
+                assert (stack.xidx[k] == alone.xidx).all() and row.nx == alone.nx == poly.nx
+                rank = np.linalg.matrix_rank(alone.A)
+                assert len(poly.cells) - rank == poly.null_basis.shape[1] == alone.basis.shape[1]
+                projector = alone.basis @ alone.basis.T
+                assert np.abs(row.basis @ row.basis.T - projector).max() <= 1e-12
         batches, brackets = _set_up(d, families)
         rows = {row[0]: row[1:4] for batch in batches for row in batch}
         for i, parts in enumerate(families):
@@ -781,3 +790,101 @@ def test_stacked_rows_match_their_families_alone(corpus):
             assert row_basis.shape == basis.shape
             projector = basis @ basis.T
             assert np.abs(row_basis @ row_basis.T - projector).max() <= 1e-12
+
+
+def _renamed(d, suffix):
+    """``d`` under other variable names: a different distribution to every
+    per-distribution memo, of the same shape and live cells."""
+    return JointDistribution([v + suffix for v in d.variables], d.pmf, target=d.target + suffix)
+
+
+def _report_bits(d):
+    union_info._memo.cache_clear()
+    report = full_report(d)
+    return report.values(), report.witness_bipartition, report.witness_almost_pair
+
+
+@pytest.mark.parametrize("seed, zero_fraction", [(400, 0.0), (1, 0.3)])
+def test_report_is_the_same_from_a_cold_or_warm_structure_cache(monkeypatch, seed, zero_fraction):
+    # A full-support input, and one whose report solves a family on a face
+    # that the support LP finds.  Other inputs of the same shape and cells
+    # warm the cache; the report from it is bit for bit the cold one.
+    d = make_random(seed, 3, 2, zero_fraction)
+    builds, lps = [], []
+    structure, support = union_info._Structure, union_info._maximal_support
+
+    def counting_structure(*args):
+        builds.append(args[2])
+        return structure(*args)
+
+    def counting_support(a, b):
+        lps.append(a.shape)
+        return support(a, b)
+
+    monkeypatch.setattr(union_info, "_Structure", counting_structure)
+    monkeypatch.setattr(union_info, "_maximal_support", counting_support)
+    union_info._structures.clear()
+    cold = _report_bits(d)
+    # On the second input one family is built again on its face.
+    faces = len(builds) - len(set(builds))
+    assert builds and bool(lps) == bool(faces) == (zero_fraction > 0.0)
+    union_info._structures.clear()
+    warm_up = [make_random(s, 3) for s in (401, 402, 403)] if zero_fraction == 0.0 else []
+    for other in warm_up + [_renamed(d, "'")]:
+        _report_bits(other)
+    builds.clear()
+    assert _report_bits(_renamed(d, "''")) == cold
+    assert _report_bits(d) == cold
+    assert not builds
+
+
+def test_structure_depends_on_shape_and_cells_alone():
+    # Two distributions of one shape whose families live on the same cells
+    # (full support, and the same zero cells) share each family's structure:
+    # built for the one, it is what a fresh build for the other gives.
+    rng = np.random.default_rng(0)
+    pairs = []
+    for d in (make_random(400), make_random(1, 3, 2, 0.3)):
+        weights = rng.uniform(0.5, 2.0, len(d.pmf))
+        other = {o: p * w for (o, p), w in zip(d.pmf.items(), weights)}
+        total = sum(other.values())
+        pairs.append((d, JointDistribution(d.variables, {o: p / total for o, p in other.items()})))
+    for d, e in pairs:
+        assert set(d.pmf) == set(e.pmf) and d.pmf != e.pmf
+        for fam in _report_families(3):
+            tab_d, tab_e = union_info._tables(d), union_info._tables(e)
+            live = union_info._marginals(tab_d, fam.parts)[1]
+            assert np.array_equal(union_info._marginals(tab_e, fam.parts)[1], live)
+            union_info._structures.clear()
+            built = union_info._structure(tab_d, fam.parts, live)
+            union_info._structures.clear()
+            fresh = union_info._structure(tab_e, fam.parts, live)
+            assert fresh is not built
+            assert (fresh.A == built.A).all() and (fresh.slot == built.slot).all()
+            assert (fresh.xidx == built.xidx).all() and fresh.nx == built.nx
+            assert fresh.blocks == built.blocks
+            projector = built.basis @ built.basis.T
+            assert np.abs(fresh.basis @ fresh.basis.T - projector).max() <= 1e-12
+            assert not fresh.A.flags.writeable and not fresh.basis.flags.writeable
+            # The other distribution's masses fit the shared structure.
+            poly = MarginalPolytope(e, fam.parts)
+            assert poly.A is fresh.A
+            assert np.abs(poly.A @ poly.x0 - poly.b).max() <= 1e-15
+
+
+def test_structure_cache_stays_within_its_bound(monkeypatch):
+    # After an n=5 binary report the cache holds no more bytes than its
+    # bound; with a smaller bound it evicts, and with one below every entry
+    # it keeps nothing, and the report is the same each way.
+    cache = union_info._structures
+    d = make_random(0, 5)
+    cache.clear()
+    expected = _report_bits(d)
+    held = cache.held
+    assert 0 < held == sum(v.nbytes for v in cache.values.values()) <= cache.bound
+    for bound in (held // 4, 1):
+        monkeypatch.setattr(cache, "bound", bound)
+        cache.clear()
+        assert _report_bits(d) == expected
+        assert cache.held == sum(v.nbytes for v in cache.values.values()) <= bound
+    assert not cache.values
