@@ -36,7 +36,15 @@ from .distributions import (
 )
 from .irreducibility import OrderingViolationError, full_report
 from .lattice import from_selector, is_equivalent, is_poorer, join, meet
-from .parts import PartFamily, PartSpec, all_bipartitions, all_parts, almost_pairs, almosts
+from .parts import (
+    MAX_PARTITION_N,
+    PartFamily,
+    PartSpec,
+    all_bipartitions,
+    all_parts,
+    almost_pairs,
+    almosts,
+)
 from .union_info import (
     MeasureKind,
     UnionConvergenceError,
@@ -254,8 +262,8 @@ def _cmd_examples(args) -> tuple[str, int]:
 
 def _cmd_enumerate(args) -> tuple[str, int]:
     n = args.n
-    if n < 2:
-        raise UsageError(f"enumerate needs --n >= 2, got {n}")
+    if not 2 <= n <= MAX_PARTITION_N:
+        raise UsageError(f"enumerate needs 2 <= --n <= {MAX_PARTITION_N}, got {n}")
     names = [f"X{i + 1}" for i in range(n)]
     if args.what == "parts":
         groups = [[_part_label(names, p)] for p in all_parts(n)]
@@ -401,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["parts", "bipartitions", "almosts", "almost-pairs"],
     )
-    enum.add_argument("--n", type=int, required=True, help="number of predictors")
+    enum.add_argument(
+        "--n", type=int, required=True, help=f"number of predictors, 2 to {MAX_PARTITION_N}"
+    )
 
     lattice = subs.add_parser("lattice", help="order/join/meet diagnostics")
     _add_common(lattice, input_required=True, with_measure=False)

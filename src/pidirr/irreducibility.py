@@ -182,8 +182,8 @@ def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> Irreduci
     The union informations of all four scans' families (8 at n = 3, 15 at
     n = 4) are asked for in one call, so the barrier solver steps them in
     lockstep; a family shared by two scans (every family at n = 2) is solved
-    once.  A family leaves the lockstep batch, unsolved, once it is
-    dominated (see :class:`pidirr.union_info._Brackets`).
+    once.  A family stops, unsolved, once it is dominated (see
+    :class:`pidirr.union_info._Brackets`).
 
     Raises :class:`OrderingViolationError` when a measure exceeds the next
     weaker one (``whole_mi`` last) by more than ``m.tolerance``, which

@@ -23,25 +23,27 @@ from .union_info import _LN2, _neg_plogp
 
 __all__ = ["brute_force_union_oracle"]
 
+#: Seeded feasible points sampled per search.
+_N_SAMPLES = 1000
+
+#: Local descents per search: from the base pmf and the best samples.
+_N_POLISH = 8
 
 
 def brute_force_union_oracle(
     d: JointDistribution,
     family: PartFamily | Iterable[PartSpec],
-    target: str | None = None,
-    n_samples: int = 1000,
-    n_polish: int = 8,
     seed: int = 20240901,
 ) -> float:
     """Upper-bound check on the minimum-synergy value by brute search.
 
-    Samples ``n_samples`` seeded feasible points of the marginal polytope,
-    runs local descent from the most promising ones (plus the base pmf
-    itself), and returns the best objective value seen.  Convexity of the
-    objective makes this an effective two-sided check: the production
-    optimizer can never beat the true minimum, and this search closes in
-    on it from above.  Deliberately built on a separate stack from the
-    production path: SciPy null-space sampling, alternating minimization
+    Samples ``_N_SAMPLES`` seeded feasible points of the marginal polytope,
+    runs local descent from the ``_N_POLISH - 1`` most promising ones (plus
+    the base pmf itself), and returns the best objective value seen.
+    Convexity of the objective makes this an effective two-sided check: the
+    production optimizer can never beat the true minimum, and this search
+    closes in on it from above.  Deliberately built on a separate stack from
+    the production path: SciPy null-space sampling, alternating minimization
     against the product reference with iterative proportional fitting for
     the marginal constraints, and an SLSQP polish on small instances.
 
@@ -49,8 +51,6 @@ def brute_force_union_oracle(
     """
     if not isinstance(family, PartFamily):
         family = PartFamily(tuple(family))
-    if target is not None and target != d.target:
-        d = JointDistribution(d.variables, d.pmf, target=target)
     if len(d.pmf) > 64:
         raise ValueError(f"oracle guarded at support <= 64, got {len(d.pmf)}")
     family.validate(d.n_predictors, allow_full=True)
@@ -185,7 +185,7 @@ def brute_force_union_oracle(
     if nullity.size and nullity.shape[1] > 0:
         rng = np.random.Generator(np.random.PCG64(seed))
         k = nullity.shape[1]
-        z = rng.standard_normal((n_samples, k)) * (0.5 / math.sqrt(k))
+        z = rng.standard_normal((_N_SAMPLES, k)) * (0.5 / math.sqrt(k))
         raw = x0[None, :] + z @ nullity.T
         # Shrink each ray toward the feasible base point until nonnegative.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -200,7 +200,7 @@ def brute_force_union_oracle(
             _neg_plogp_rows(sx) + _neg_plogp_rows(sy) - _neg_plogp_rows(samples)
         )
         order = np.argsort(vals)
-        starts.extend(samples[i] for i in order[: max(n_polish - 1, 1)])
+        starts.extend(samples[i] for i in order[: _N_POLISH - 1])
         best = min(best, float(vals.min()))
 
     descended = []

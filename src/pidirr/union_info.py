@@ -62,16 +62,16 @@ built alone, so it, and every value computed from it, never depends on
 which families were solved beside it or before it.
 
 The families asked for in one call (all of a report's, in
-:func:`pidirr.irreducibility.full_report`) are solved in lockstep.
-Polytopes with the same cell count become the rows of one stack, assembled
-from their cached structures and the distribution's masses and started in
-one pass, and whose rows that need Newton steps are one batch: its Newton
-systems are assembled and solved by stacked numpy calls.  On programs this
-small a step's cost is numpy's per-call overhead, not arithmetic, so a
-batch step costs about as much as one family's.  Stacks are set up largest
-first, so a family that facial reduction moves to fewer cells joins that
-count's stack before it is assembled.  Each row keeps its own iterates,
-``mu`` schedule and certified stop, and leaves the batch when it stops.
+:func:`pidirr.irreducibility.full_report`) are solved in lockstep, one
+group of equal cell count at a time, largest first, so a family that facial
+reduction moves to fewer cells joins a group not yet set up.  A group's
+polytopes become the rows of one stack, assembled from their cached
+structures and the distribution's masses and started in one pass; the
+Newton systems of its rows not done at their start are then assembled and
+solved by stacked numpy calls until each row stops, before the next group
+is set up.  On programs this small a step's cost is numpy's per-call
+overhead, not arithmetic, so a stacked step costs about as much as one
+family's.  Each row keeps its own iterates, ``mu`` schedule and stop.
 
 :func:`union_information` and :func:`union_information_batch` solve every
 family they are asked for to the tolerance.  A report needs only each of its
@@ -330,36 +330,40 @@ def _structure(tab: _Tables, parts: Sequence[PartSpec], cells: np.ndarray) -> _S
 
 class _Stack:
     """The polytopes of families on one number of cells, family k's in row
-    k: its cached :class:`_Structure`, and its distribution's masses and
-    base pmf.  ``rows`` are each family's ``(parts, marginals, cells)``.
+    k: its cached :class:`_Structure`, its product ``cells``, and its
+    distribution's masses and base pmf.  ``rows`` are each family's
+    ``(parts, marginals, cells)``.
 
-    Row k's ``A[k]`` and ``b[k]`` are zero-padded to the most constraints
-    of any row, and ``slot[k, j, c]`` indexes the constraint of block j that
-    holds cell c in the flat ``b``.  A row with fewer parts repeats its last
-    block, which a sweep of iterative proportional fitting has just fitted,
-    so fitting it again changes nothing but rounding."""
+    Row k's ``b[k]`` is zero-padded to the most constraints of any row, and
+    ``slot[k, j, c]`` indexes the constraint of block j that holds cell c in
+    the flat ``b``.  A row with fewer parts repeats its last block, which a
+    sweep of iterative proportional fitting has just fitted, so fitting it
+    again changes nothing but rounding."""
 
     def __init__(self, tab: _Tables, rows: Sequence[tuple]):
         self.structures = [_structure(tab, parts, cells) for parts, _, cells in rows]
-        self.x0 = tab.pmf.ravel()[np.array([cells for *_, cells in rows])]
+        self.cells = np.array([cells for *_, cells in rows])
+        self.x0 = tab.pmf.ravel()[self.cells]
         (k, n), ms = self.x0.shape, [s.m for s in self.structures]
         width, blocks = max(ms), max(len(s.blocks) for s in self.structures)
-        self.A = np.zeros((k, width, n))
-        for a, s in zip(self.A, self.structures):
-            a[: s.m] = s.A
         pad = np.zeros(width)
         self.b = np.concatenate([
             v for (_, marginals, _), m in zip(rows, ms)
             for v in [mass for _, mass, _ in marginals] + [pad[m:]]
         ]).reshape(k, width)
-        residual = np.abs(self.A @ self.x0[:, :, None] - self.b[:, :, None]).max()
-        if residual > 1e-9:
-            raise AssertionError(f"base distribution violates its own marginals by {residual}")
         self.slot = np.concatenate([
             s.slot[min(j, len(s.blocks) - 1)] for s in self.structures for j in range(blocks)
         ]).reshape(k, blocks, n)
         self.slot += width * np.arange(k)[:, None, None]
         self.xidx = np.array([s.xidx for s in self.structures])
+        # Each constraint holds a cell, so every one is checked at some slot.
+        b, x0 = self.b.ravel(), self.x0.ravel()
+        residual = max(
+            np.abs(np.bincount(r, x0, b.size)[r] - b[r]).max()
+            for r in self.slot.transpose(1, 0, 2).reshape(blocks, -1)
+        )
+        if residual > 1e-9:
+            raise AssertionError(f"base distribution violates its own marginals by {residual}")
 
 
 class MarginalPolytope:
@@ -514,105 +518,81 @@ class _Brackets:
         return verdicts
 
 
-def _starts(d: JointDistribution, families: Sequence[Sequence[PartSpec]], brackets: _Brackets):
-    """Set up each family's bracket in ``brackets`` and take each family not
-    done before a Newton step to its start; return those as lockstep batches
-    of rows ``(i, cells, q, basis, x0, xidx)``: its index, the product cells
-    it lives on, its start and a null basis there, and the base pmf and
-    x-groups there.
+def _starts(tab: _Tables, group: list[tuple], brackets: _Brackets, groups: dict[int, list]):
+    """Assemble one live-cell group of rows ``(i, parts, marginals, cells,
+    inner)`` as a :class:`_Stack` and start each row, in one pass; return
+    the stack, its rows not done at their start and their starts.  ``i``
+    indexes ``brackets``; ``inner`` is the support LP's point, or ``None``.
 
-    The families not done before the build are grouped by cell count, and
-    each group, largest first, is assembled from cached structures and
-    started as one :class:`_Stack`; its rows not done at their start are one
-    batch.  A family whose polytope leaves no free direction is done there,
-    at the whole's mutual information.  A row's start is one IPF sweep over
-    its cells, projected onto the constraints and pulled from the base pmf:
-    it moves along the positive sweep where the base pmf is zero and stays
+    A family whose polytope leaves no free direction is done there, at the
+    whole's mutual information.  A row's start is one IPF sweep over its
+    cells, projected onto the constraints and pulled from the base pmf: it
+    moves along the positive sweep where the base pmf is zero and stays
     positive where it is not.  When the sweep is thin on a cell where the
     base pmf is zero (below ``_THIN_START`` of its largest cell), the
     support LP decides the face, and the start is pulled from the LP's point
-    instead.  If the face is every live cell, the row stays in its group;
-    otherwise it joins the group of the face's size, not yet built, with the
+    instead.  If the face is every live cell, the row stays; otherwise it
+    joins ``groups`` at the face's smaller size, not yet set up, with the
     LP's point and no further thin test."""
-    tab = _tables(d)
-    batches, todo = [], []
-    groups: dict[int, list] = {}
-    for i, parts in enumerate(families):
-        marginals, live = _marginals(tab, parts)
-        members = [j for p in parts for j in p.member_indices]
-        brackets.lower[i] = max(mi for _, _, mi in marginals)
-        brackets.upper[i] = tab.whole_mi
-        if len(set(members)) == len(members):  # pairwise disjoint parts
-            brackets.upper[i] = min(tab.whole_mi, sum(mi for _, _, mi in marginals))
-        todo.append((i, parts, marginals, live, None))
-    for row, done in zip(todo, brackets.done(range(len(families)))):
-        if not done:
-            groups.setdefault(row[3].size, []).append(row)
-    while groups:
-        ids, parts, marginals, cells, inner = map(list, zip(*groups.pop(max(groups))))
-        stack = _Stack(tab, list(zip(parts, marginals, cells)))
-        x0, structures = stack.x0, stack.structures
+    ids, parts, marginals, cells, inner = map(list, zip(*group))
+    stack = _Stack(tab, list(zip(parts, marginals, cells)))
+    x0, structures = stack.x0, stack.structures
 
-        def project(v, rows):  # v[j] onto the constraints of stack row rows[j]
-            bases = [structures[k].basis for k in rows]
-            return x0[rows] + np.array([b @ (b.T @ dv) for b, dv in zip(bases, v - x0[rows])])
+    def project(v, rows):  # v[j] onto the constraints of stack row rows[j]
+        bases = [structures[k].basis for k in rows]
+        return x0[rows] + np.array([b @ (b.T @ dv) for b, dv in zip(bases, v - x0[rows])])
 
-        q = project(_ipf_sweep(stack.slot, stack.b.ravel()), range(len(ids)))
-        thin = np.where(x0 == 0.0, q, np.inf).min(axis=1) < _THIN_START * q.max(axis=1)
-        keep = []
-        for k, s in enumerate(structures):
-            if not s.basis.size:  # no free direction: the base pmf is the only feasible q
-                brackets.lower[ids[k]] = brackets.upper[ids[k]]
+    q = project(_ipf_sweep(stack.slot, stack.b.ravel()), range(len(ids)))
+    thin = np.where(x0 == 0.0, q, np.inf).min(axis=1) < _THIN_START * q.max(axis=1)
+    keep = []
+    for k, s in enumerate(structures):
+        if not s.basis.size:  # no free direction: the base pmf is the only feasible q
+            brackets.lower[ids[k]] = brackets.upper[ids[k]]
+            continue
+        if thin[k] and inner[k] is None:
+            face, inner[k] = _maximal_support(s.A, stack.b[k, : s.m])
+            if not face.all():
+                groups.setdefault(int(face.sum()), []).append(
+                    (ids[k], parts[k], marginals[k], cells[k][face], inner[k])
+                )
                 continue
-            if thin[k] and inner[k] is None:
-                face, inner[k] = _maximal_support(s.A, stack.b[k, : s.m])
-                if not face.all():
-                    groups.setdefault(int(face.sum()), []).append(
-                        (ids[k], parts[k], marginals[k], cells[k][face], inner[k])
-                    )
-                    continue
-            keep.append(k)
-        origin = x0.copy()
-        lp = [k for k in keep if inner[k] is not None]
-        if lp:
-            origin[lp] = project(np.array([inner[k] for k in lp]), lp)
-        q = _pull(origin[keep], q[keep])
-        if not (q > 0.0).all():
-            raise UnionConvergenceError(
-                "no strictly positive start on the feasible face", math.inf, math.inf
-            )
-        nx = max(s.nx for s in structures)
-        for k, f in zip(keep, _objective(q, stack.xidx[keep], nx)):
-            brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + f / _LN2)
-        batch = [
-            (ids[k], cells[k], qk, structures[k].basis, x0[k], structures[k].xidx)
-            for k, qk, done in zip(keep, q, brackets.done([ids[k] for k in keep])) if not done
-        ]
-        if batch:
-            batches.append(batch)
-    # Every start is known before the rows are checked against each other.
-    for batch in batches:
-        batch[:] = [row for row, done in zip(batch, brackets.done([i for i, *_ in batch])) if not done]
-    return [batch for batch in batches if batch]
+        keep.append(k)
+    origin = x0.copy()
+    lp = [k for k in keep if inner[k] is not None]
+    if lp:
+        origin[lp] = project(np.array([inner[k] for k in lp]), lp)
+    q = _pull(origin[keep], q[keep])
+    if not (q > 0.0).all():
+        raise UnionConvergenceError(
+            "no strictly positive start on the feasible face", math.inf, math.inf
+        )
+    nx = max(s.nx for s in structures)
+    for k, f in zip(keep, _objective(q, stack.xidx[keep], nx)):
+        brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + f / _LN2)
+    stepping = [j for j, done in enumerate(brackets.done([ids[k] for k in keep])) if not done]
+    return stack, [keep[j] for j in stepping], q[stepping]
 
 
-def _lockstep(rows: list[tuple], hy: float, brackets: _Brackets) -> None:
-    """Damped Newton steps on every row ``(i, cells, q, basis, x0, xidx)`` of
-    one batch of :func:`_starts` at once, until ``brackets`` has each row
-    done; ``hy`` is ``H(Y)`` in bits.
+def _lockstep(
+    stack: _Stack, rows: list[int], q: np.ndarray, ids: list[int], hy: float, brackets: _Brackets
+) -> None:
+    """Damped Newton steps on rows ``rows`` of ``stack`` at once, from their
+    starts ``q``, until ``brackets`` has each row done; ``ids`` are the rows'
+    families in ``brackets``, and ``hy`` is ``H(Y)`` in bits.
 
     Each step's value and dual bound go to the row's bracket.  A row whose
     line search ends below a step of 1e-12 with ``mu`` at its floor cannot
     move again.  Each row takes the iterates and ``mu`` schedule it would
-    take alone.  Null bases are zero-padded to the widest, with ones on the
-    padded Hessian diagonal, so the padded directions get zero steps.
-    Vectors are stacks of columns, so that ``matmul`` takes them as they
-    are, and per-row control runs on one ``tolist`` per step: numpy calls on
-    tiny arrays cost more than their arithmetic."""
-    ids, _, starts, bases, x0s, xidx = zip(*rows)
+    take alone.  The rows' null bases, read from the stack's structures, are
+    zero-padded to the widest, with ones on the padded Hessian diagonal, so
+    the padded directions get zero steps.  Vectors are stacks of columns, so
+    that ``matmul`` takes them as they are, and per-row control runs on one
+    ``tolist`` per step: numpy calls on tiny arrays cost more than their
+    arithmetic."""
     lower, upper = brackets.lower, brackets.upper
-    q = np.array(starts)[:, :, None]
+    q = q[:, :, None]
     k, n, _ = q.shape
+    bases = [stack.structures[j].basis for j in rows]
     width = np.array([b.shape[1] for b in bases])
     r = int(width.max())
     basis = np.zeros((k, n, r))
@@ -621,10 +601,8 @@ def _lockstep(rows: list[tuple], hy: float, brackets: _Brackets) -> None:
     diag = np.arange(r)
     pad = np.zeros((k, r, r))
     pad[:, diag, diag] = diag >= width[:, None]
-    xidx = np.array(xidx)
-    nx = int(xidx.max()) + 1
-    x0t = np.array(x0s)[:, None, :]
-    gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
+    nx = int(stack.xidx[rows].max()) + 1
+    gidx = (stack.xidx[rows] + nx * np.arange(k)[:, None])[:, :, None]
     # Row sums of the basis over each x-group, and which groups hold more than
     # one live cell.
     # In an x-group with one live cell the Hessian block 1/q - 1/q_x is
@@ -644,9 +622,10 @@ def _lockstep(rows: list[tuple], hy: float, brackets: _Brackets) -> None:
     m = np.array(mu).reshape(k, 1, 1)
     mh = m  # the Hessian's mu: the previous step's, see the stage cut below
     stalled = [False] * k
-    resized = True  # what follows from the batch's rows is derived again when rows leave
+    resized = True  # what follows from the stepping rows is derived again when rows leave
     for _ in range(_MAX_NEWTON_STEPS):
         if resized:
+            x0t = stack.x0[rows][:, None, :]
             basis_t, group_t = basis.transpose(0, 2, 1), group_basis.transpose(0, 2, 1)
             gflat = gidx.ravel()
             # single keeps w finite on padded groups.
@@ -660,7 +639,9 @@ def _lockstep(rows: list[tuple], hy: float, brackets: _Brackets) -> None:
         g = basis_t @ descent
         w = multi / (qx + single)
         d = (shared + mh * inv) * inv
-        hess = basis_t @ (basis * d) - group_t @ (group_basis * w) + pad
+        hess = basis_t @ (basis * d)
+        hess -= group_t @ (group_basis * w)  # in place: one Hessian stack fewer at peak
+        hess += pad
         try:
             dz = np.linalg.solve(hess, g)
         except np.linalg.LinAlgError:
@@ -691,11 +672,13 @@ def _lockstep(rows: list[tuple], hy: float, brackets: _Brackets) -> None:
         resized = len(keep) < k
         if resized:
             k = len(keep)
-            ids, mu, decs, falls = ([v[j] for j in keep] for v in (ids, mu, decs, falls))
-            q, grad, qx, m, dq, basis, group_basis, pad, x0t, xidx, multi = (
-                v[keep] for v in (q, grad, qx, m, dq, basis, group_basis, pad, x0t, xidx, multi)
+            ids, rows, mu, decs, falls = (
+                [v[j] for j in keep] for v in (ids, rows, mu, decs, falls)
             )
-            gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
+            q, grad, qx, m, dq, basis, group_basis, pad, multi = (
+                v[keep] for v in (q, grad, qx, m, dq, basis, group_basis, pad, multi)
+            )
+            gidx = (stack.xidx[rows] + nx * np.arange(k)[:, None])[:, :, None]
         # 0.99 of the longest step that keeps every cell positive, at most 1.
         steps = [1.0 if fall >= 0.0 else min(1.0, -0.99 / fall) for fall in falls]
         # Halve while the step overshoots the minimum along the line by more
@@ -738,11 +721,27 @@ def _min_synergy_brackets(
 ) -> list[tuple[float, float]]:
     """``(value, lower)`` in bits per family: the upper and lower ends of its
     bracket (see :class:`_Brackets`), with ``scans`` lists of indices into
-    ``families``.  The families not done before a Newton step are solved in
-    lockstep, one batch per cell-count group."""
+    ``families``.  Each live-cell group, largest first, is checked, started
+    by :func:`_starts` and stepped by :func:`_lockstep` before the next is
+    set up."""
+    tab = _tables(d)
     brackets = _Brackets(scans, len(families), m.tolerance)
-    for batch in _starts(d, families, brackets):
-        _lockstep(batch, _tables(d).hy, brackets)
+    groups: dict[int, list] = {}
+    for i, parts in enumerate(families):
+        marginals, live = _marginals(tab, parts)
+        members = [j for p in parts for j in p.member_indices]
+        brackets.lower[i] = max(mi for _, _, mi in marginals)
+        brackets.upper[i] = tab.whole_mi
+        if len(set(members)) == len(members):  # pairwise disjoint parts
+            brackets.upper[i] = min(tab.whole_mi, sum(mi for _, _, mi in marginals))
+        groups.setdefault(live.size, []).append((i, parts, marginals, live, None))
+    while groups:
+        group = groups.pop(max(groups))
+        group = [row for row, done in zip(group, brackets.done([i for i, *_ in group])) if not done]
+        if group:
+            stack, rows, q = _starts(tab, group, brackets, groups)
+            if rows:
+                _lockstep(stack, rows, q, [group[k][0] for k in rows], tab.hy, brackets)
     return [(u, min(l, u)) for l, u in zip(brackets.lower, brackets.upper)]
 
 
@@ -764,7 +763,7 @@ def _unions(
     ``scans``, a dominated family (see :class:`_Brackets`) may stand at an
     upper bound on its union further than the tolerance above it.
 
-    The families not in the memo are solved in one lockstep batch, with the
+    The families not in the memo are solved together in lockstep, with the
     scans restricted to them.  Without ``scans``, an entry of the memo that
     is not certified is solved again."""
     if d.target is None:
@@ -792,8 +791,8 @@ def union_information_batch(
 ) -> list[float]:
     """Union information of each family, in bits, in the order given.
 
-    The families not solved before on an equal distribution are solved in
-    one lockstep batch.  Each value is certified as a single family's is; it
+    The families not solved before on an equal distribution are solved
+    together in lockstep.  Each value is certified as a single family's is; it
     may differ from the value of its family solved alone by rounding."""
     return _unions(m, d, families)
 

@@ -175,6 +175,9 @@ def test_enumerate_outputs(capsys):
 def test_enumerate_n_guard(capsys):
     code, _, err = run(["enumerate", "--what", "parts", "--n", "1"], capsys)
     assert code == 2
+    # all_parts(n) lists 2**n - 2 parts; above the partition guard, refuse.
+    code, out, err = run(["enumerate", "--what", "parts", "--n", "11"], capsys)
+    assert code == 2 and not out and "--n" in err
 
 
 def test_axioms_small_run(capsys, xor_file):

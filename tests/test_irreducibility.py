@@ -258,9 +258,9 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
     calls = []
     lockstep, solve = union_info._lockstep, union_info._min_synergy_brackets
 
-    def recording_lockstep(rows, hy, brackets):
-        lockstep(rows, hy, brackets)
-        calls[-1]["newton"].update(i for i, *_ in rows)
+    def recording_lockstep(stack, rows, q, ids, hy, brackets):
+        lockstep(stack, rows, q, ids, hy, brackets)
+        calls[-1]["newton"].update(ids)
 
     def recording_solve(d, families, m, scans=()):
         calls.append({"d": d, "families": families, "newton": set()})
@@ -288,6 +288,27 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
             else:
                 exits["build" if value == built else "start"] += 1
     assert min(exits.values()) >= 1, exits
+
+
+def test_a_later_group_meets_the_certified_bounds_of_earlier_ones(monkeypatch):
+    # This report's families fall into three live-cell groups, and each group
+    # is solved before the next is set up.  A bipartition of the first group
+    # certifies a lower bound that dominates a bipartition of the second
+    # before its build, so that family never joins a stack.
+    rows = []
+    stack = union_info._Stack
+
+    def counting_stack(tab, members):
+        rows.append(len(members))
+        return stack(tab, members)
+
+    d = make_random(11, 3, 2, 0.3)
+    expected = _report_every_family_solved(monkeypatch, d, UnionMeasure())
+    monkeypatch.setattr(union_info, "_Stack", counting_stack)
+    report = full_report(d)
+    assert rows == [2, 3, 2]
+    assert report.values() == pytest.approx(expected.values(), abs=1e-12)
+    assert _witnesses(report) == _witnesses(expected)
 
 
 def test_scan_families_are_built_once_per_n_and_shared_read_only():

@@ -38,9 +38,22 @@ def singletons(n):
 
 
 def _set_up(d, families):
-    """The lockstep batches of the families' set-up, and their brackets."""
-    brackets = union_info._Brackets((), len(families), MINSYN.tolerance)
-    return union_info._starts(d, families, brackets), brackets
+    """What the solver hands ``_lockstep`` for the families, with no Newton
+    step taken: per live-cell group that steps, its rows ``(i, cells, q,
+    basis, xidx)``, each a family's index, cells, start, null basis and
+    x-groups; and each family's ``(value, lower)`` bracket at its start."""
+    batches = []
+
+    def recording_lockstep(stack, rows, q, ids, hy, brackets):
+        batches.append([
+            (i, stack.cells[k], qk, stack.structures[k].basis, stack.xidx[k])
+            for i, k, qk in zip(ids, rows, q)
+        ])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(union_info, "_lockstep", recording_lockstep)
+        brackets = union_info._min_synergy_brackets(d, families, MINSYN)
+    return batches, brackets
 
 
 def test_measure_validation():
@@ -142,11 +155,10 @@ def test_unclosed_gap_in_a_batch_is_a_typed_error(monkeypatch):
     stepping = []
     lockstep = union_info._lockstep
 
-    def recording_lockstep(rows, hy, brackets):
+    def recording_lockstep(stack, rows, q, ids, hy, brackets):
         try:
-            lockstep(rows, hy, brackets)
+            lockstep(stack, rows, q, ids, hy, brackets)
         except UnionConvergenceError:
-            ids = [i for i, *_ in rows]
             stepping.extend(
                 (brackets.upper[i] - brackets.lower[i], brackets.upper[i])
                 for i, done in zip(ids, brackets.done(ids)) if not done
@@ -763,7 +775,6 @@ def test_stacked_rows_match_their_families_alone(corpus):
                 row, m, blocks = stack.structures[k], alone.m, len(parts)
                 assert [product_cells[c] for c in live] == poly.cells
                 assert (row.A == alone.A).all() and (poly.A == alone.A).all()
-                assert (stack.A[k, :m] == alone.A).all() and not stack.A[k, m:].any()
                 assert (stack.slot[k, :blocks] == alone.slot + width * k).all()
                 # A row with fewer parts repeats its last block.
                 assert (stack.slot[k, blocks:] == stack.slot[k, blocks - 1]).all()
@@ -778,8 +789,7 @@ def test_stacked_rows_match_their_families_alone(corpus):
         rows = {row[0]: row[1:4] for batch in batches for row in batch}
         for i, parts in enumerate(families):
             alone_batches, alone = _set_up(d, [parts])
-            assert brackets.lower[i] == pytest.approx(alone.lower[0], abs=1e-12)
-            assert brackets.upper[i] == pytest.approx(alone.upper[0], abs=1e-12)
+            assert brackets[i] == pytest.approx(alone[0], abs=1e-12)
             if not alone_batches:
                 assert i not in rows
                 continue
@@ -790,6 +800,22 @@ def test_stacked_rows_match_their_families_alone(corpus):
             assert row_basis.shape == basis.shape
             projector = basis @ basis.T
             assert np.abs(row_basis @ row_basis.T - projector).max() <= 1e-12
+
+
+def test_stack_checks_each_row_base_pmf_against_its_masses():
+    # The base pmf meets its own marginals; a mass off by more than 1e-9 in
+    # any block of any row, here the last block of the second, is refused.
+    # The input has full support, so both families live on all 16 cells.
+    d = make_random(400, 3)
+    tab = union_info._tables(d)
+    parts = tuple(almosts(3))
+    marginals, live = union_info._marginals(tab, parts)
+    pair = (parts[:2], *union_info._marginals(tab, parts[:2]))
+    union_info._Stack(tab, [pair, (parts, marginals, live)])
+    held, mass, mi = marginals[-1]
+    bad = marginals[:-1] + [(held, mass * (1.0 + 1e-6), mi)]
+    with pytest.raises(AssertionError, match="violates its own marginals"):
+        union_info._Stack(tab, [pair, (parts, bad, live)])
 
 
 def _renamed(d, suffix):
