@@ -65,7 +65,7 @@ from .irreducibility import (
     ibdp,
     ibe,
 )
-from .corpus import EXAMPLE_NAMES, NamedExample, load_example, verify_corpus
+from .corpus import EXAMPLE_NAMES, NamedExample, load_example, verify_corpus, xor_circuit
 
 __version__ = "0.1.0"
 
@@ -111,6 +111,7 @@ __all__ = [
     "NamedExample",
     "load_example",
     "verify_corpus",
+    "xor_circuit",
     "__version__",
 ]
 

@@ -21,22 +21,30 @@ irreducible":
 Tables are embedded as static rows rather than regenerated from gate
 formulas, so a transcription slip surfaces as a test failure instead of a
 silent reinterpretation.
+
+All five are XOR-hypergraph circuits, which :func:`xor_circuit` builds at
+any size, together with their exact profile: ``xor`` is the edge set
+``{12}``, ``xor_unique`` ``{12}, {3}``, ``double_xor`` ``{12}, {23}``,
+``triple_xor`` ``{12}, {13}, {23}`` and ``parity`` ``{123}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .distributions import JointDistribution
 from .irreducibility import IrreducibilityReport, full_report
+from .parts import PartSpec, all_bipartitions, almost_pairs, almosts
 from .union_info import UnionMeasure
 
 __all__ = [
     "EXAMPLE_NAMES",
     "NamedExample",
     "load_example",
+    "xor_circuit",
     "CorpusVerification",
     "verify_corpus",
 ]
@@ -200,6 +208,49 @@ def load_example(name: str) -> NamedExample:
     mass = 1.0 / len(rows)
     dist = JointDistribution(variables, [(row, mass) for row in rows])
     return NamedExample(name=name, distribution=dist, expected=EXPECTED[name])
+
+
+def xor_circuit(n: int, edges: Sequence[Sequence[int]]) -> NamedExample:
+    """The XOR-hypergraph circuit on inputs X1..Xn with hyperedges ``edges``
+    (nonempty sets of 0-based input indices), and its exact profile.
+
+    Target bit j is the XOR of one fresh uniform bit from each input in
+    ``edges[j]``; each input is the string of its fresh bits in edge order
+    (``-`` for an input in no edge), and the target the string of its bits.
+
+    The ``minsyn`` union of a family of parts is the number of edges that
+    lie inside one of its parts, in bits.  Every feasible q keeps each such
+    target bit a function of its part, so the whole determines those bits;
+    and ``p(X, Y_inside) * uniform(Y_rest)`` keeps every part-target
+    marginal, since each other bit misses a fresh bit of every part.  So
+    the whole's mutual information is the number of edges, and each
+    measure is that number less the largest count over its families.
+    """
+    edges = [tuple(sorted(set(e))) for e in edges]
+    if not edges or any(not e or e[0] < 0 or e[-1] >= n for e in edges):
+        raise ValueError(f"edges {edges} must be nonempty subsets of 0..{n - 1}")
+    slots = [(i, j) for j, e in enumerate(edges) for i in e]  # one fresh bit each
+    rows = []
+    for bits in product("01", repeat=len(slots)):
+        own = dict(zip(slots, bits))
+        inputs = ["".join(own[i, j] for j, e in enumerate(edges) if i in e) or "-"
+                  for i in range(n)]
+        target = "".join(str(sum(int(own[i, j]) for i in e) % 2) for j, e in enumerate(edges))
+        rows.append((tuple(inputs) + (target,), 0.5 ** len(slots)))
+    distribution = JointDistribution([f"X{i + 1}" for i in range(n)] + ["Y"], rows)
+
+    def union(parts: Sequence[PartSpec]) -> float:
+        return float(sum(any(set(e) <= set(p.member_indices) for p in parts) for e in edges))
+
+    whole = float(len(edges))
+    unions = (
+        [union([PartSpec((i,)) for i in range(n)])],
+        [union(b.blocks) for b in all_bipartitions(n)],
+        [union(f.parts) for f in almost_pairs(n)],
+        [union(almosts(n))],
+    )
+    name = "xor_circuit(" + ", ".join("".join(str(i + 1) for i in e) for e in edges) + ")"
+    return NamedExample(name, distribution, (whole, *(whole - max(u) for u in unions)))
 
 
 @dataclass(frozen=True)

@@ -52,26 +52,23 @@ than the live cells, the solver works on it alone (facial reduction): the
 family is set up again on those cells, like any other, with the LP's point
 as the start's origin.
 
-A family's polytope but for the distribution's masses and base pmf is its
-*structure*: constraint matrix, x-groups and a null basis from one SVD.  It
-depends only on the alphabet sizes, the target index, the parts and the
-cells, so it is built once for them and kept in one least-recently-used
-cache bounded by the bytes it holds (:class:`_Structure`): a report whose
-families live on cells seen before factors nothing.  Each structure is
-built alone, so it, and every value computed from it, never depends on
-which families were solved beside it or before it.
+Where a call's part marginals lie in one flat vector (:class:`_Layout`),
+and the polytopes of its families on one live-cell count but for the
+masses and base pmf (:class:`_Structure`, each family's built from its own
+constraints alone), depend only on the shape, the target, the families and
+their cells.  Both are kept in one least-recently-used cache bounded by the
+bytes it holds: a report of a shape seen before takes its part masses from
+one stacked pass, factors nothing, and takes each group's rows by one index
+per array.
 
 The families asked for in one call (all of a report's, in
-:func:`pidirr.irreducibility.full_report`) are solved in lockstep, one
-group of equal cell count at a time, largest first, so a family that facial
-reduction moves to fewer cells joins a group not yet set up.  A group's
-polytopes become the rows of one stack, assembled from their cached
-structures and the distribution's masses and started in one pass; the
-Newton systems of its rows not done at their start are then assembled and
-solved by stacked numpy calls until each row stops, before the next group
-is set up.  On programs this small a step's cost is numpy's per-call
-overhead, not arithmetic, so a stacked step costs about as much as one
-family's.  Each row keeps its own iterates, ``mu`` schedule and stop.
+:func:`pidirr.irreducibility.full_report`) are solved in lockstep.  Each
+group of equal cell count, largest first, is checked and started in one
+pass, so a family that facial reduction moves to fewer cells joins a group
+not yet set up, and every start bounds the others before any Newton step.
+Then each group's rows not done are stepped by stacked numpy calls until
+each stops; on programs this small a step's cost is numpy's per-call
+overhead.  Each row keeps its own iterates, ``mu`` schedule and stop.
 
 :func:`union_information` and :func:`union_information_batch` solve every
 family they are asked for to the tolerance.  A report needs only each of its
@@ -178,7 +175,7 @@ class UnionConvergenceError(RuntimeError):
 class _Tables:
     """What every family's polytope over one distribution shares: the pmf on
     the product of the alphabets, ``H(Y)`` and the whole's mutual information
-    (bits), plus one memoized entry per part."""
+    (bits)."""
 
     def __init__(self, d: JointDistribution):
         index = [{s: i for i, s in enumerate(a)} for a in d.alphabets]
@@ -186,46 +183,42 @@ class _Tables:
         for outcome, p in d.pmf.items():
             self.pmf[tuple(ix[s] for ix, s in zip(index, outcome))] = p
         self.target = d.target_index
-        self.preds = list(d.predictor_indices)
-        self.hy = _neg_plogp(self.pmf.sum(axis=tuple(self.preds)))
+        self.hy = _neg_plogp(self.pmf.sum(axis=d.predictor_indices))
         self.whole_mi = self.hy + _neg_plogp(self.pmf.sum(axis=self.target)) - _neg_plogp(self.pmf)
-        self._parts: dict[PartSpec, tuple] = {}
 
-    def part(self, part: PartSpec) -> tuple[np.ndarray, np.ndarray, float]:
-        """``(held, mass, mi)``: whether each cell's part-target symbol tuple
-        has positive mass, those tuples' masses in sorted order, and
+    def masses(self, families: Sequence[Sequence[PartSpec]]) -> tuple:
+        """``(layout, mass, live, mi)``: the cached :class:`_Layout` of
+        ``families``, its flat part-target marginals closed by a zero, each
+        family's live cells (a mask: those whose tuple has positive mass in
+        every part, off which every feasible q vanishes), and each part's
         ``I(part; Y)`` in bits."""
-        if part not in self._parts:
-            axes = tuple(sorted([self.preds[i] for i in part.member_indices] + [self.target]))
-            marg = self.pmf.sum(axis=tuple(set(range(self.pmf.ndim)) - set(axes)))
-            hp = _neg_plogp(marg.sum(axis=axes.index(self.target)))
-            positive = marg.ravel() > 0.0
-            held = positive[_keys(self.pmf.shape, axes)]
-            self._parts[part] = (held, marg.ravel()[positive], hp + self.hy - _neg_plogp(marg))
-        return self._parts[part]
+        families = tuple(tuple(p.member_indices for p in f) for f in families)
+        layout = _structures.get(key := (self.pmf.shape, self.target, families),
+                                 lambda _: _Layout(*key))
+        mass = np.bincount(layout.joint.ravel(), np.tile(self.pmf.ravel(), len(layout.parts)),
+                           layout.joint_part.size + 1)
+        hp = _entropies(np.bincount(layout.alone, mass[:-1]), layout.alone_part)
+        mi = [h + self.hy - hpy for h, hpy in zip(hp, _entropies(mass[:-1], layout.joint_part))]
+        return layout, mass, layout.members @ (mass == 0.0)[layout.joint] == 0.0, mi
 
 
 _tables = lru_cache(maxsize=256)(_Tables)
 
 
+def _entropies(v: np.ndarray, part: np.ndarray) -> list[float]:
+    """Entropy in bits of each part's masses ``v[part == j]``, summed as
+    :func:`_neg_plogp` sums it alone, over its positive masses in order."""
+    pos = v > 0.0
+    plogp, ends = v[pos] * np.log2(v[pos]), np.cumsum(np.bincount(part[pos])).tolist()
+    return [float(-plogp[a:b].sum()) for a, b in zip([0] + ends, ends)]
+
+
 def part_mutual_information(d: JointDistribution, part: PartSpec) -> float:
-    return _tables(d).part(part)[2]
+    return _tables(d).masses([(part,)])[3][0]
 
 
 def whole_mutual_information(d: JointDistribution) -> float:
     return _tables(d).whole_mi
-
-
-def _marginals(tab: _Tables, parts: Sequence[PartSpec]) -> tuple[list, np.ndarray]:
-    """Each part's cached ``(held, mass, mi)``, and the live cells: those
-    whose tuple has positive mass in every part.  Every feasible q vanishes
-    off them, so dropping the rest is exact."""
-    if not parts:
-        raise ValueError("need at least one part")
-    for p in parts:
-        p.validate(len(tab.preds), allow_full=True)
-    marginals = [tab.part(p) for p in parts]
-    return marginals, np.flatnonzero(np.logical_and.reduce([held for held, _, _ in marginals]))
 
 
 class _Cache:
@@ -235,10 +228,13 @@ class _Cache:
     def __init__(self, bound: int):
         self.bound, self.held, self.values = bound, 0, {}
 
-    def get(self, key, build):
+    def get(self, key, build, stale=lambda value: False):
+        """The value of ``key``; when none is held, or the one held is
+        ``stale``, ``build(held)`` replaces it."""
         value = self.values.pop(key, None)
-        if value is None:
-            value = build()
+        if value is None or stale(value):
+            self.held -= 0 if value is None else value.nbytes
+            value = build(value)
             if value.nbytes > self.bound:
                 return value
             self.held += value.nbytes
@@ -253,115 +249,143 @@ class _Cache:
 
 
 #: What depends on the shape of a distribution alone, not on its masses: each
-#: part's tuple keys and each family's :class:`_Structure`.
+#: call's :class:`_Layout` and each of its live-cell groups' :class:`_Structure`.
 _structures = _Cache(64 << 20)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _read_only(owner, *more) -> int:
+    """Make the arrays among ``owner``'s attributes and ``more`` read-only;
+    return the bytes they hold."""
+    arrays = [a for a in [*vars(owner).values(), *more] if isinstance(a, np.ndarray)]
+    for a in arrays:
+        a.flags.writeable = False
+    return sum(a.nbytes for a in arrays)
 
 
-def _keys(shape: tuple, axes: tuple) -> np.ndarray:
-    """Each cell's ravelled symbol tuple on ``axes``, the cells in the C order
-    of an array of ``shape``."""
-    return _structures.get((shape, axes), lambda: _read_only(np.ravel_multi_index(
-        np.indices(shape).reshape(len(shape), -1)[list(axes)], [shape[a] for a in axes])))
-
-
-def _ranks(shape: tuple, axes: tuple, cells: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each cell's rank among the distinct symbol tuples of ``cells`` on
-    ``axes``, in sorted order, and their count."""
-    seen = np.zeros(math.prod(shape[a] for a in axes), dtype=bool)
-    keys = _keys(shape, axes)[cells]
+def _ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct ``keys`` (all below ``size``), and
+    those keys, in sorted order."""
+    seen = np.zeros(size, dtype=bool)
     seen[keys] = True
-    ranks = np.cumsum(seen) - 1
-    return ranks[keys], int(ranks[-1]) + 1
+    return (np.cumsum(seen) - 1)[keys], np.flatnonzero(seen)
+
+
+class _Layout:
+    """Where a call's part masses lie, a function of the shape, the target and
+    the ``families`` (of parts, tuples of predictor indices) alone.  Part j
+    has a segment of one flat vector of part-target marginals, ``joint[j]``
+    each product cell's key there; ``alone`` maps each entry to its part
+    marginal's, ``*_part`` number entries' parts, and ``whole`` is each
+    cell's whole-predictor key.  ``families[i]`` lists family i's parts,
+    ``members[i, j]`` is 1 where it holds part j, and ``disjoint[i]`` if
+    they are pairwise disjoint."""
+
+    def __init__(self, shape: tuple, target: int, families: tuple):
+        self.key = (shape, target, families)
+        self.parts = list(dict.fromkeys(p for parts in families for p in parts))
+        self.families = [[self.parts.index(p) for p in parts] for parts in families]
+        self.members = np.array([[p in parts for p in self.parts] for parts in families], float)
+        self.disjoint = [len(set(sum(parts, ()))) == len(sum(parts, ())) for parts in families]
+        cells, ny = np.indices(shape).reshape(len(shape), -1), shape[target]
+
+        def keys(axes):  # each cell's ravelled symbol tuple on axes
+            return np.ravel_multi_index(cells[axes], [shape[a] for a in axes])
+        preds, joint, alone, sizes = [i for i in range(len(shape)) if i != target], [], [], []
+        for part in self.parts:
+            axes = [preds[i] for i in part]
+            joint.append(keys(sorted(axes + [target])))
+            alone.append(np.empty(joint[-1].max() + 1, dtype=np.intp))
+            alone[-1][joint[-1]] = keys(axes) + sum(sizes)
+            joint[-1] += ny * sum(sizes)
+            sizes.append(math.prod(shape[a] for a in axes))
+        self.joint, self.alone, self.whole = np.array(joint), np.concatenate(alone), keys(preds)
+        self.joint_part, self.alone_part = (
+            np.repeat(range(len(sizes)), np.multiply(sizes, y)) for y in (ny, 1))
+        self.nbytes = _read_only(self)
+
+
+def _block(layout: _Layout, f: int, cells: np.ndarray) -> tuple:
+    """Family f of ``layout`` on ``cells`` alone, as :class:`_Structure` holds it."""
+    n, sizes, slots, gather = cells.size, [0], [], []
+    for j in layout.families[f]:
+        rank, keys = _ranks(layout.joint[j, cells], layout.joint_part.size)
+        slots.append(sizes[-1] + rank)
+        gather.append(keys)
+        sizes.append(sizes[-1] + keys.size)
+    a = np.zeros((sizes[-1], n))
+    a[np.array(slots), np.arange(n)] = 1.0
+    _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < n)
+    xidx, keys = _ranks(layout.whole[cells], layout.whole.size)
+    return (a, tuple(map(slice, sizes[:-1], sizes[1:])), slots, np.concatenate(gather), xidx,
+            keys.size, vt[(s > s[0] * max(a.shape) * np.finfo(float).eps).sum():].T.copy())
 
 
 class _Structure:
-    """A family's polytope on some cells but for the distribution's masses
-    ``b`` and base pmf ``x0``: a function of the alphabet sizes, the target
-    index, the parts and the cells alone, so it is cached and shared, and
-    its arrays are read-only.
+    """The polytopes of the families one call puts on one live-cell count,
+    but for the masses and base pmf: a function of the :class:`_Layout` and
+    each row's family and ``cells`` alone, so cached, with read-only arrays.
+    Of the group's ``rows`` it holds those ``built``; ``self.rows`` are
+    their indices in the group, and row k below is the k-th.  Row k has a
+    block of constraints per part (``A[k]``, ``blocks[k]``; ``m[k]`` in
+    all), one per part-target tuple of the cells in sorted order: those of
+    positive mass, as each holds a base-support cell, live and in every
+    face.  ``bidx[k]`` gathers their masses from the layout's vector,
+    zero-padded.  ``slot[k, j, c]`` is the constraint of block j holding
+    cell c in the flat stack of those; a row with fewer parts repeats its
+    last block (``real`` marks the others), which a sweep has just fitted.
+    ``xidx`` numbers each cell's x-group among ``nx[k]``.  ``basis[k]``,
+    zero-padded from ``width[k]`` columns, spans the null space of ``A[k]``
+    alone, by one SVD (counting singular values above ``s[0] *
+    max(A.shape) * eps``); ``group_basis`` sums it over each x-group.
+    ``multi`` marks x-groups of more than one cell, ``shared`` each cell's:
+    for one cell the Hessian block ``1/q - 1/q_x`` is exactly 0, and
+    assembling it from two huge terms would leave rounding."""
 
-    One block of constraints per part, one constraint per part-target symbol
-    tuple of the cells, in sorted order.  These are the tuples of positive
-    mass: each holds a cell of the base support, which is live and lies in
-    every face.  Each cell sits in one constraint of each block (of block j,
-    ``slot[j, c]``), which is what iterative proportional fitting rescales.
-    ``xidx`` numbers each cell's whole-predictor configuration among the
-    ``nx`` that hold a cell, in sorted order.  ``basis`` is an orthonormal
-    basis of the null space of ``A``, from one SVD of ``A`` alone; a
-    singular value counts above ``s[0] * max(rows, cells) * eps``."""
-
-    def __init__(self, shape: tuple, target: int, parts: Sequence[PartSpec], cells: np.ndarray):
-        preds = tuple(i for i in range(len(shape)) if i != target)
-        slots, sizes = [], [0]
-        for part in parts:
-            axes = tuple(sorted([preds[i] for i in part.member_indices] + [target]))
-            rank, count = _ranks(shape, axes, cells)
-            slots.append(sizes[-1] + rank)
-            sizes.append(sizes[-1] + count)
-        self.m, n = sizes[-1], cells.size
-        self.blocks = tuple(map(slice, sizes[:-1], sizes[1:]))
-        self.slot = np.array(slots)
-        self.A = np.zeros((self.m, n))
-        self.A[self.slot, np.arange(n)] = 1.0
-        self.xidx, self.nx = _ranks(shape, preds, cells)
-        _, s, vt = np.linalg.svd(self.A, full_matrices=self.m < n)
-        self.basis = vt[(s > s[0] * max(self.m, n) * np.finfo(float).eps).sum():].T.copy()
-        for a in (self.slot, self.A, self.xidx, self.basis):
-            _read_only(a)
-
-    @property
-    def nbytes(self) -> int:
-        return self.slot.nbytes + self.A.nbytes + self.xidx.nbytes + self.basis.nbytes
-
-
-def _structure(tab: _Tables, parts: Sequence[PartSpec], cells: np.ndarray) -> _Structure:
-    """The cached structure of ``parts`` on ``cells`` of ``tab``'s shape."""
-    parts = tuple(parts)
-    return _structures.get(
-        (tab.pmf.shape, tab.target, parts, cells.tobytes()),
-        lambda: _Structure(tab.pmf.shape, tab.target, parts, cells),
-    )
+    def __init__(self, layout: _Layout, rows: Sequence[tuple], built: Iterable[int]):
+        self.rows = sorted(built)
+        self.cells = np.array([rows[j][1] for j in self.rows])
+        k, n = self.cells.shape
+        self.A, self.blocks, slots, gathers, xidx, self.nx, bases = zip(
+            *(_block(layout, *rows[j]) for j in self.rows))
+        self.m, self.width = [g.size for g in gathers], [b.shape[1] for b in bases]
+        width, depth, r, nx = max(self.m), max(map(len, slots)), max(self.width), max(self.nx)
+        self.slot = np.array([[sl[min(j, len(sl) - 1)] for j in range(depth)] for sl in slots])
+        self.slot += width * np.arange(k)[:, None, None]
+        self.real = 1.0 * (np.arange(depth)[:, None] < np.array([[[len(b)]] for b in self.blocks]))
+        self.bidx = np.full((k, width), layout.joint_part.size)  # the closing zero
+        self.basis, self.xidx = np.zeros((k, n, r)), np.array(xidx)
+        for row, (gather, basis) in enumerate(zip(gathers, bases)):
+            self.bidx[row, : gather.size], self.basis[row, :, : basis.shape[1]] = gather, basis
+        gidx = (self.xidx + nx * np.arange(k)[:, None])[:, :, None]
+        self.group_basis = np.bincount(
+            (gidx * r + np.arange(r)).ravel(), self.basis.ravel(), k * nx * r).reshape(k, nx, r)
+        self.multi = (np.bincount(gidx.ravel(), minlength=k * nx) > 1).reshape(k, nx, 1) * 1.0
+        self.shared = self.multi.ravel()[gidx]
+        self.nbytes = _read_only(self, *self.A)
 
 
 class _Stack:
-    """The polytopes of families on one number of cells, family k's in row
-    k: its cached :class:`_Structure`, its product ``cells``, and its
-    distribution's masses and base pmf.  ``rows`` are each family's
-    ``(parts, marginals, cells)``.
+    """A live-cell group of rows ``(i, live, inner)`` (family i of ``layout``
+    on the cells of the mask ``live``) over one distribution: its cached
+    :class:`_Structure` with ``rows`` built, keyed on every row so that calls
+    dropping other rows share it (one that lacks a row of ``rows`` is built
+    again on both's); the group's rows in its order, and the positions of
+    ``rows``; each row's base pmf ``x0`` and masses ``b`` from ``mass``,
+    which the base pmf must meet at every constraint."""
 
-    Row k's ``b[k]`` is zero-padded to the most constraints of any row, and
-    ``slot[k, j, c]`` indexes the constraint of block j that holds cell c in
-    the flat ``b``.  A row with fewer parts repeats its last block, which a
-    sweep of iterative proportional fitting has just fitted, so fitting it
-    again changes nothing but rounding."""
-
-    def __init__(self, tab: _Tables, rows: Sequence[tuple]):
-        self.structures = [_structure(tab, parts, cells) for parts, _, cells in rows]
-        self.cells = np.array([cells for *_, cells in rows])
-        self.x0 = tab.pmf.ravel()[self.cells]
-        (k, n), ms = self.x0.shape, [s.m for s in self.structures]
-        width, blocks = max(ms), max(len(s.blocks) for s in self.structures)
-        pad = np.zeros(width)
-        self.b = np.concatenate([
-            v for (_, marginals, _), m in zip(rows, ms)
-            for v in [mass for _, mass, _ in marginals] + [pad[m:]]
-        ]).reshape(k, width)
-        self.slot = np.concatenate([
-            s.slot[min(j, len(s.blocks) - 1)] for s in self.structures for j in range(blocks)
-        ]).reshape(k, blocks, n)
-        self.slot += width * np.arange(k)[:, None, None]
-        self.xidx = np.array([s.xidx for s in self.structures])
-        # Each constraint holds a cell, so every one is checked at some slot.
-        b, x0 = self.b.ravel(), self.x0.ravel()
-        residual = max(
-            np.abs(np.bincount(r, x0, b.size)[r] - b[r]).max()
-            for r in self.slot.transpose(1, 0, 2).reshape(blocks, -1)
+    def __init__(self, tab: _Tables, layout: _Layout, mass: np.ndarray, group: Sequence[tuple],
+                 rows: Sequence[int]):
+        s = self.structure = _structures.get(
+            (layout.key, tuple((i, live.tobytes()) for i, live, _ in group)),
+            lambda old: _Structure(layout, [(i, np.flatnonzero(live)) for i, live, _ in group],
+                                   set(rows).union(old.rows if old else ())),
+            lambda s: not set(rows) <= set(s.rows),
         )
+        self.group, self.rows = [group[k] for k in s.rows], [s.rows.index(k) for k in rows]
+        self.x0 = tab.pmf.ravel()[s.cells]
+        self.b = mass[s.bidx]
+        fit = np.bincount(s.slot.ravel(), (self.x0[:, None, :] * s.real).ravel(), self.b.size)
+        residual = np.abs(fit - self.b.ravel()).max()
         if residual > 1e-9:
             raise AssertionError(f"base distribution violates its own marginals by {residual}")
 
@@ -374,21 +398,19 @@ class MarginalPolytope:
     zero; every feasible q vanishes there, so the reduction is exact.  The
     base pmf ``x0`` is feasible.  ``b`` and ``x0`` are the distribution's;
     ``A``, ``blocks``, ``xidx``, ``nx`` and ``null_basis`` (an orthonormal
-    basis of the constraint null space, in which movement preserves every
-    marginal exactly) are read-only views of the family's cached
-    :class:`_Structure`, the one the solver uses.
-    """
+    basis of the constraint null space) are read-only views of the family's
+    cached :class:`_Structure`, a group of one."""
 
     def __init__(self, base: JointDistribution, parts: Sequence[PartSpec]):
-        tab, parts = _tables(base), tuple(parts)
-        marginals, live = _marginals(tab, parts)
-        s = _structure(tab, parts, live)
-        cells = list(iter_product(*base.alphabets))
-        self.cells: list[tuple] = [cells[c] for c in live.tolist()]
-        self.A, self.blocks, self.null_basis = s.A, s.blocks, s.basis
-        self.xidx, self.nx = s.xidx, s.nx
-        self.b = np.concatenate([mass for _, mass, _ in marginals])
-        self.x0 = tab.pmf.ravel()[live]
+        parts = tuple(parts)
+        PartFamily(parts).validate(base.n_predictors, allow_full=True)
+        tab = _tables(base)
+        layout, mass, live, _ = tab.masses([parts])
+        stack = _Stack(tab, layout, mass, [(0, live[0], None)], [0])
+        s, cells = stack.structure, list(iter_product(*base.alphabets))
+        self.cells: list[tuple] = [cells[c] for c in s.cells[0].tolist()]
+        self.A, self.blocks, self.null_basis = s.A[0], s.blocks[0], s.basis[0]
+        self.xidx, self.nx, self.b, self.x0 = s.xidx[0], s.nx[0], stack.b[0], stack.x0[0]
 
 
 def _ipf_sweep(slot: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -455,13 +477,6 @@ def _gradient(v: np.ndarray, gidx: np.ndarray, nx: int):
     return np.log(v / vx[gidx]), vx.reshape(-1, nx, 1)
 
 
-def _objective(q: np.ndarray, xidx: np.ndarray, nx: int) -> list[float]:
-    """``f = -H(Y|X)`` (nats) of each row of a stack of points."""
-    v = q[:, :, None]
-    grad, _ = _gradient(v, (xidx + nx * np.arange(len(q))[:, None])[:, :, None], nx)
-    return (v.transpose(0, 2, 1) @ grad).ravel().tolist()
-
-
 class _Brackets:
     """Each family's certified bracket on its union, in bits, and the scans
     (lists of family indices) a report takes its maxima over.
@@ -518,63 +533,57 @@ class _Brackets:
         return verdicts
 
 
-def _starts(tab: _Tables, group: list[tuple], brackets: _Brackets, groups: dict[int, list]):
-    """Assemble one live-cell group of rows ``(i, parts, marginals, cells,
-    inner)`` as a :class:`_Stack` and start each row, in one pass; return
-    the stack, its rows not done at their start and their starts.  ``i``
-    indexes ``brackets``; ``inner`` is the support LP's point, or ``None``.
+def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, list]):
+    """Start the rows ``stack.rows`` of a live-cell group of rows ``(i, live,
+    inner)`` in one pass, by the rule of the module docstring; return those
+    not done at their start, and their starts.  ``i`` indexes ``brackets``;
+    ``inner`` is the support LP's point, or None.  A family with no free
+    direction is done there, at the whole's mutual information.  A face
+    smaller than the live cells joins ``groups`` at its size, not yet set
+    up, with the LP's point, the start's origin, and no further thin test."""
+    s, rows, sel = stack.structure, stack.rows, np.array(stack.rows)
+    ids, inner = [stack.group[k][0] for k in rows], [stack.group[k][2] for k in rows]
+    x0, basis = stack.x0[sel], s.basis[sel]
 
-    A family whose polytope leaves no free direction is done there, at the
-    whole's mutual information.  A row's start is one IPF sweep over its
-    cells, projected onto the constraints and pulled from the base pmf: it
-    moves along the positive sweep where the base pmf is zero and stays
-    positive where it is not.  When the sweep is thin on a cell where the
-    base pmf is zero (below ``_THIN_START`` of its largest cell), the
-    support LP decides the face, and the start is pulled from the LP's point
-    instead.  If the face is every live cell, the row stays; otherwise it
-    joins ``groups`` at the face's smaller size, not yet set up, with the
-    LP's point and no further thin test."""
-    ids, parts, marginals, cells, inner = map(list, zip(*group))
-    stack = _Stack(tab, list(zip(parts, marginals, cells)))
-    x0, structures = stack.x0, stack.structures
+    def project(v, at):  # v[j] onto the constraints of row rows[at[j]]
+        dv = (v - x0[at])[:, :, None]
+        return x0[at] + (basis[at] @ (basis[at].transpose(0, 2, 1) @ dv))[:, :, 0]
 
-    def project(v, rows):  # v[j] onto the constraints of stack row rows[j]
-        bases = [structures[k].basis for k in rows]
-        return x0[rows] + np.array([b @ (b.T @ dv) for b, dv in zip(bases, v - x0[rows])])
-
-    q = project(_ipf_sweep(stack.slot, stack.b.ravel()), range(len(ids)))
+    q = project(_ipf_sweep(s.slot[sel], stack.b.ravel()), slice(None))
     thin = np.where(x0 == 0.0, q, np.inf).min(axis=1) < _THIN_START * q.max(axis=1)
     keep = []
-    for k, s in enumerate(structures):
-        if not s.basis.size:  # no free direction: the base pmf is the only feasible q
-            brackets.lower[ids[k]] = brackets.upper[ids[k]]
+    for j, k in enumerate(rows):
+        if not s.width[k]:  # no free direction: the base pmf is the only feasible q
+            brackets.lower[ids[j]] = brackets.upper[ids[j]]
             continue
-        if thin[k] and inner[k] is None:
-            face, inner[k] = _maximal_support(s.A, stack.b[k, : s.m])
+        if thin[j] and inner[j] is None:
+            face, inner[j] = _maximal_support(s.A[k], stack.b[k, : s.m[k]])
             if not face.all():
-                groups.setdefault(int(face.sum()), []).append(
-                    (ids[k], parts[k], marginals[k], cells[k][face], inner[k])
-                )
+                live = np.isin(np.arange(tab.pmf.size), s.cells[k, face])
+                groups.setdefault(int(face.sum()), []).append((ids[j], live, inner[j]))
                 continue
-        keep.append(k)
-    origin = x0.copy()
-    lp = [k for k in keep if inner[k] is not None]
+        keep.append(j)
+    keep = np.array(keep, dtype=np.intp)
+    origin = x0[keep]
+    lp = [j for j, k in enumerate(keep) if inner[k] is not None]
     if lp:
-        origin[lp] = project(np.array([inner[k] for k in lp]), lp)
-    q = _pull(origin[keep], q[keep])
+        origin[lp] = project(np.array([inner[keep[j]] for j in lp]), keep[lp])
+    q = _pull(origin, q[keep])
     if not (q > 0.0).all():
         raise UnionConvergenceError(
             "no strictly positive start on the feasible face", math.inf, math.inf
         )
-    nx = max(s.nx for s in structures)
-    for k, f in zip(keep, _objective(q, stack.xidx[keep], nx)):
-        brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + f / _LN2)
-    stepping = [j for j, done in enumerate(brackets.done([ids[k] for k in keep])) if not done]
-    return stack, [keep[j] for j in stepping], q[stepping]
+    v, nx = q[:, :, None], max(s.nx)
+    grad, _ = _gradient(v, (s.xidx[sel[keep]] + nx * np.arange(len(keep))[:, None])[:, :, None], nx)
+    for j, f in zip(keep, (v.transpose(0, 2, 1) @ grad).ravel().tolist()):  # f = -H(Y|X), nats
+        brackets.upper[ids[j]] = min(brackets.upper[ids[j]], tab.hy + f / _LN2)
+    done = brackets.done([ids[j] for j in keep])
+    stepping = np.array([j for j, d in enumerate(done) if not d], dtype=np.intp)
+    return sel[keep[stepping]], q[stepping]
 
 
 def _lockstep(
-    stack: _Stack, rows: list[int], q: np.ndarray, ids: list[int], hy: float, brackets: _Brackets
+    stack: _Stack, rows: np.ndarray, q: np.ndarray, ids: list[int], hy: float, brackets: _Brackets
 ) -> None:
     """Damped Newton steps on rows ``rows`` of ``stack`` at once, from their
     starts ``q``, until ``brackets`` has each row done; ``ids`` are the rows'
@@ -583,33 +592,23 @@ def _lockstep(
     Each step's value and dual bound go to the row's bracket.  A row whose
     line search ends below a step of 1e-12 with ``mu`` at its floor cannot
     move again.  Each row takes the iterates and ``mu`` schedule it would
-    take alone.  The rows' null bases, read from the stack's structures, are
-    zero-padded to the widest, with ones on the padded Hessian diagonal, so
-    the padded directions get zero steps.  Vectors are stacks of columns, so
-    that ``matmul`` takes them as they are, and per-row control runs on one
-    ``tolist`` per step: numpy calls on tiny arrays cost more than their
-    arithmetic."""
-    lower, upper = brackets.lower, brackets.upper
+    take alone.  Null bases are cut to the widest row, with ones on the
+    padded Hessian diagonal, so padded directions get zero steps.  When rows
+    leave, only what the next step reads is re-indexed.  Vectors are stacks
+    of columns, so that ``matmul`` takes them as they are, and per-row
+    control runs on one ``tolist`` per step."""
+    s, lower, upper = stack.structure, brackets.lower, brackets.upper
     q = q[:, :, None]
     k, n, _ = q.shape
-    bases = [stack.structures[j].basis for j in rows]
-    width = np.array([b.shape[1] for b in bases])
-    r = int(width.max())
-    basis = np.zeros((k, n, r))
-    for b, row_basis in zip(basis, bases):
-        b[:, : row_basis.shape[1]] = row_basis
-    diag = np.arange(r)
+    width = np.array(s.width)[rows]
+    r, nx, diag = width.max(), max(s.nx[j] for j in rows), np.arange(width.max())
     pad = np.zeros((k, r, r))
     pad[:, diag, diag] = diag >= width[:, None]
-    nx = int(stack.xidx[rows].max()) + 1
-    gidx = (stack.xidx[rows] + nx * np.arange(k)[:, None])[:, :, None]
-    # Row sums of the basis over each x-group, and which groups hold more than
-    # one live cell.
-    # In an x-group with one live cell the Hessian block 1/q - 1/q_x is
-    # exactly 0; assembling it from the two huge terms leaves only rounding.
-    group_basis = np.bincount((gidx * r + diag).ravel(), basis.ravel(), k * nx * r)
-    group_basis = group_basis.reshape(k, nx, r)
-    multi = (np.bincount(gidx.ravel(), minlength=k * nx) > 1).astype(float).reshape(k, nx, 1)
+    at = slice(None) if len(rows) == len(s.rows) else rows  # every row: views, not copies
+    basis, group_basis = s.basis[at, :, :r], s.group_basis[at, :nx, :r]
+    multi, shared, xidx = s.multi[at, :nx], s.shared[at], s.xidx[at]
+    x0t = stack.x0[at][:, None, :]
+    gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
 
     # A centred gap is below cells * mu: mu ends at a tenth of the stop gap over
     # the cells, leaving room for rounding.
@@ -625,11 +624,9 @@ def _lockstep(
     resized = True  # what follows from the stepping rows is derived again when rows leave
     for _ in range(_MAX_NEWTON_STEPS):
         if resized:
-            x0t = stack.x0[rows][:, None, :]
             basis_t, group_t = basis.transpose(0, 2, 1), group_basis.transpose(0, 2, 1)
             gflat = gidx.ravel()
-            # single keeps w finite on padded groups.
-            shared, single = multi.ravel()[gidx], 1.0 - multi
+            single = 1.0 - multi  # keeps w finite on padded groups
             # Per row: f, z.x0, max z, the largest sum of exp(z - max z) over
             # an x-group, the Newton decrement, and the most negative dq / q,
             # which limits the step.
@@ -663,22 +660,23 @@ def _lockstep(
         np.matmul(g.transpose(0, 2, 1), dz, out=c_dec)
         np.minimum.reduce(dq * inv, 1, keepdims=True, out=c_fall)
         f, zx, tops, smax, decs, falls = ctl.reshape(6, k).tolist()
-        for i, fj, v, t, s in zip(ids, f, zx, tops, smax):
-            lower[i] = max(lower[i], hy + (v - (t + math.log(s))) / _LN2)
+        for i, fj, v, t, sm in zip(ids, f, zx, tops, smax):
+            lower[i] = max(lower[i], hy + (v - (t + math.log(sm))) / _LN2)
             upper[i] = min(upper[i], hy + fj / _LN2)
         keep = [j for j, done in enumerate(brackets.done(ids, stalled)) if not done]
         if not keep:
             return
         resized = len(keep) < k
         if resized:
+            # Only what the next step reads: the line search below replaces
+            # grad and qx.
             k = len(keep)
-            ids, rows, mu, decs, falls = (
-                [v[j] for j in keep] for v in (ids, rows, mu, decs, falls)
+            ids, mu, decs, falls = ([v[j] for j in keep] for v in (ids, mu, decs, falls))
+            keep = np.array(keep)
+            q, m, dq, basis, group_basis, pad, multi, shared, x0t, xidx = (
+                v[keep] for v in (q, m, dq, basis, group_basis, pad, multi, shared, x0t, xidx)
             )
-            q, grad, qx, m, dq, basis, group_basis, pad, multi = (
-                v[keep] for v in (q, grad, qx, m, dq, basis, group_basis, pad, multi)
-            )
-            gidx = (stack.xidx[rows] + nx * np.arange(k)[:, None])[:, :, None]
+            gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
         # 0.99 of the longest step that keeps every cell positive, at most 1.
         steps = [1.0 if fall >= 0.0 else min(1.0, -0.99 / fall) for fall in falls]
         # Halve while the step overshoots the minimum along the line by more
@@ -694,7 +692,7 @@ def _lockstep(
             for j in over:
                 steps[j] *= 0.5
         q, grad, qx = cand, gc, qxc
-        stalled = [s < 1e-12 and mk == mu_end for s, mk in zip(steps, mu)]
+        stalled = [sk < 1e-12 and mk == mu_end for sk, mk in zip(steps, mu)]
         # A step that began with a Newton decrement of at most 5 mu ends its
         # row's stage.  The next system keeps the stage's mu in its Hessian,
         # so its step is the tangent predictor; the dual bound holds for any
@@ -721,27 +719,29 @@ def _min_synergy_brackets(
 ) -> list[tuple[float, float]]:
     """``(value, lower)`` in bits per family: the upper and lower ends of its
     bracket (see :class:`_Brackets`), with ``scans`` lists of indices into
-    ``families``.  Each live-cell group, largest first, is checked, started
-    by :func:`_starts` and stepped by :func:`_lockstep` before the next is
-    set up."""
+    ``families``.  Each live-cell group, largest first, is checked and
+    started by :func:`_starts`; then each is checked again and stepped."""
     tab = _tables(d)
+    layout, mass, live, mi = tab.masses(families)
     brackets = _Brackets(scans, len(families), m.tolerance)
     groups: dict[int, list] = {}
-    for i, parts in enumerate(families):
-        marginals, live = _marginals(tab, parts)
-        members = [j for p in parts for j in p.member_indices]
-        brackets.lower[i] = max(mi for _, _, mi in marginals)
-        brackets.upper[i] = tab.whole_mi
-        if len(set(members)) == len(members):  # pairwise disjoint parts
-            brackets.upper[i] = min(tab.whole_mi, sum(mi for _, _, mi in marginals))
-        groups.setdefault(live.size, []).append((i, parts, marginals, live, None))
+    for i, (parts, size) in enumerate(zip(layout.families, live.sum(axis=1).tolist())):
+        mis = [mi[j] for j in parts]
+        brackets.lower[i] = max(mis)
+        brackets.upper[i] = min(tab.whole_mi, sum(mis)) if layout.disjoint[i] else tab.whole_mi
+        groups.setdefault(size, []).append((i, live[i], None))
+    started = []
     while groups:
         group = groups.pop(max(groups))
-        group = [row for row, done in zip(group, brackets.done([i for i, *_ in group])) if not done]
-        if group:
-            stack, rows, q = _starts(tab, group, brackets, groups)
-            if rows:
-                _lockstep(stack, rows, q, [group[k][0] for k in rows], tab.hy, brackets)
+        rows = [k for k, done in enumerate(brackets.done([i for i, *_ in group])) if not done]
+        if rows:
+            stack = _Stack(tab, layout, mass, group, rows)
+            rows, q = _starts(tab, stack, brackets, groups)
+            started.append((stack, rows, q, [stack.group[k][0] for k in rows.tolist()]))
+    for stack, rows, q, ids in started:
+        keep = [j for j, done in enumerate(brackets.done(ids)) if not done]
+        if keep:
+            _lockstep(stack, rows[keep], q[keep], [ids[j] for j in keep], tab.hy, brackets)
     return [(u, min(l, u)) for l, u in zip(brackets.lower, brackets.upper)]
 
 

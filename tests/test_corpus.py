@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pidirr.corpus import EXAMPLE_NAMES, load_example, verify_corpus
+from pidirr.corpus import EXAMPLE_NAMES, load_example, verify_corpus, xor_circuit
+from pidirr.distributions import JointDistribution
+from pidirr.irreducibility import full_report
 from pidirr.union_info import MeasureKind, UnionMeasure
 
 
@@ -99,3 +102,62 @@ def test_verify_corpus_maxmi_expected_failures():
     assert not xu.ok(report.tolerance)
     assert math.isclose(xu.report.ibdp, 1.0, abs_tol=1e-9)
     assert xu in report.mismatches
+
+
+# Each static table as an XOR-hypergraph circuit, with the static symbols
+# that differ renamed to the circuit's bit strings.
+@pytest.mark.parametrize("name, n, edges, renamed", [
+    ("xor", 2, [(0, 1)], {}),
+    ("xor_unique", 3, [(0, 1), (2,)],
+     {"X3": {"a": "0", "A": "1"}, "Y": {"0a": "00", "1a": "10", "0A": "01", "1A": "11"}}),
+    ("double_xor", 3, [(0, 1), (1, 2)], {"Y": {"lr": "00", "lR": "01", "Lr": "10", "LR": "11"}}),
+    ("triple_xor", 3, [(0, 1), (0, 2), (1, 2)], {}),
+    ("parity", 3, [(0, 1, 2)], {}),
+])
+def test_xor_circuits_reproduce_the_static_rows(name, n, edges, renamed):
+    example = load_example(name)
+    d = example.distribution
+    for variable, mapping in renamed.items():
+        d = d.relabeled(variable, mapping)
+    circuit = xor_circuit(n, edges)
+    assert circuit.distribution == d
+    assert circuit.expected == example.expected
+
+
+def test_xor_circuit_rejects_bad_edges():
+    for edges in ([], [()], [(0, 3)], [(-1,)]):
+        with pytest.raises(ValueError):
+            xor_circuit(3, edges)
+
+
+@st.composite
+def _hypergraphs(draw):
+    """n inputs and up to three edges, at most 9 fresh and target bits in
+    all, so a circuit has at most 512 cells."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 3))
+    size = {1: 5, 2: 3, 3: 2}[m]
+    edges = [draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=size)) for _ in range(m)]
+    return n, edges, draw(st.permutations(range(n))), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150)
+@given(_hypergraphs())
+def test_xor_circuit_reports_match_their_closed_form(graph):
+    # The certified report of a random circuit, with its predictors permuted
+    # and the target moved off the end, is the closed form within the
+    # tolerance.
+    n, edges, order, at = graph
+    circuit = xor_circuit(n, edges)
+    d = circuit.distribution
+    columns = list(order)
+    columns.insert(at, n)
+    permuted = JointDistribution(
+        [d.variables[i] for i in columns],
+        {tuple(outcome[i] for i in columns): p for outcome, p in d.pmf.items()},
+        target="Y",
+    )
+    assert permuted.target_index == at < n
+    measure = UnionMeasure()
+    report = full_report(permuted, measure)
+    assert report.values() == pytest.approx(circuit.expected, abs=measure.tolerance)

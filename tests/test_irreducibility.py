@@ -291,22 +291,30 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
 
 
 def test_a_later_group_meets_the_certified_bounds_of_earlier_ones(monkeypatch):
-    # This report's families fall into three live-cell groups, and each group
-    # is solved before the next is set up.  A bipartition of the first group
-    # certifies a lower bound that dominates a bipartition of the second
-    # before its build, so that family never joins a stack.
-    rows = []
-    stack = union_info._Stack
+    # This report's families fall into three live-cell groups.  Every group
+    # is set up and started before any takes a Newton step, and each is
+    # checked again before its steps.  A bipartition of the second group is
+    # started, not done there, and then dominated by a lower bound that the
+    # first group's steps certify, so it never takes a Newton step.
+    started, stepped = [], []
+    starts, lockstep = union_info._starts, union_info._lockstep
 
-    def counting_stack(tab, members):
-        rows.append(len(members))
-        return stack(tab, members)
+    def recording_starts(tab, stack, brackets, groups):
+        rows, q = starts(tab, stack, brackets, groups)
+        started.append([stack.group[k][0] for k in rows])
+        return rows, q
+
+    def recording_lockstep(stack, rows, q, ids, hy, brackets):
+        stepped.append(list(ids))
+        lockstep(stack, rows, q, ids, hy, brackets)
 
     d = make_random(11, 3, 2, 0.3)
     expected = _report_every_family_solved(monkeypatch, d, UnionMeasure())
-    monkeypatch.setattr(union_info, "_Stack", counting_stack)
+    monkeypatch.setattr(union_info, "_starts", recording_starts)
+    monkeypatch.setattr(union_info, "_lockstep", recording_lockstep)
     report = full_report(d)
-    assert rows == [2, 3, 2]
+    assert list(map(len, started)) == [2, 4, 2] and list(map(len, stepped)) == [2, 3, 1]
+    assert stepped[0] == started[0] and set(stepped[1]) < set(started[1])
     assert report.values() == pytest.approx(expected.values(), abs=1e-12)
     assert _witnesses(report) == _witnesses(expected)
 

@@ -45,8 +45,9 @@ def _set_up(d, families):
     batches = []
 
     def recording_lockstep(stack, rows, q, ids, hy, brackets):
+        s = stack.structure
         batches.append([
-            (i, stack.cells[k], qk, stack.structures[k].basis, stack.xidx[k])
+            (i, s.cells[k], qk, s.basis[k, :, : s.width[k]], s.xidx[k])
             for i, k, qk in zip(ids, rows, q)
         ])
 
@@ -54,6 +55,12 @@ def _set_up(d, families):
         patch.setattr(union_info, "_lockstep", recording_lockstep)
         brackets = union_info._min_synergy_brackets(d, families, MINSYN)
     return batches, brackets
+
+
+def _live(d, parts):
+    """The live cells of ``parts`` on ``d``, as the solver finds them."""
+    tab = union_info._tables(d)
+    return np.flatnonzero(tab.masses([parts])[2][0])
 
 
 def test_measure_validation():
@@ -438,7 +445,7 @@ def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
     fam = PartFamily(tuple(almosts(3)))
     poly = MarginalPolytope(d, fam.parts)
     [[(_, cells, *_, xidx)]], _ = _set_up(d, [fam.parts])
-    face = np.isin(union_info._marginals(union_info._tables(d), fam.parts)[1], cells)
+    face = np.isin(_live(d, fam.parts), cells)
     assert not face.all() and face.sum() == len(cells)
     assert (np.bincount(poly.xidx[face], minlength=poly.nx) == 0).any() == emptied
     # The face's row numbers only the x-groups it holds.
@@ -634,11 +641,10 @@ def test_mixed_batches_with_facial_reduction_raise_no_warning():
     # one family is solved on a face found by the support LP.
     d = make_random(1, 3, 2, 0.3)
     families = _report_families(3)
-    tab = union_info._tables(d)
     batches = {}
     for batch in _set_up(d, [fam.parts for fam in families])[0]:
         for i, cells, q, basis, *_ in batch:
-            live = union_info._marginals(tab, families[i].parts)[1]
+            live = _live(d, families[i].parts)
             batches.setdefault(q.size, []).append((basis.shape[1], live.size == len(cells)))
     assert len(batches) == 4
     assert sum(len({width for width, _ in rows}) > 1 for rows in batches.values()) == 2
@@ -753,38 +759,43 @@ def test_tables_follow_target_and_constant_target():
 
 def test_stacked_rows_match_their_families_alone(corpus):
     # Each input's families assembled the way the solver assembles them, one
-    # stack per live-cell count: every row, with its padding stripped, is its
-    # family's polytope built alone, and the set-up of all the families
-    # together ends or starts each one as it does alone.
+    # group structure per live-cell count: every row, with its padding
+    # stripped, is its family's polytope built alone, and the set-up of all
+    # the families together ends or starts each one as it does alone.
     inputs = {}
     for d, fam in _build_cases(corpus):
         inputs.setdefault(d, []).append(fam.parts)
     for d, families in inputs.items():
         tab = union_info._tables(d)
         product_cells = list(product(*d.alphabets))
+        layout, mass, masks, _ = tab.masses(families)
         groups = {}
-        for parts in families:
-            marginals, live = union_info._marginals(tab, parts)
-            groups.setdefault(live.size, []).append((parts, marginals, live))
+        for i, mask in enumerate(masks):
+            groups.setdefault(mask.sum(), []).append((i, np.flatnonzero(mask)))
         for members in groups.values():
-            stack = union_info._Stack(tab, members)
+            stack = union_info._Stack(
+                tab, layout, mass, [(i, masks[i], None) for i, _ in members], range(len(members)))
+            group = stack.structure
             width = stack.b.shape[1]
-            for k, (parts, _, live) in enumerate(members):
+            for k, (i, live) in enumerate(members):
+                parts = families[i]
                 poly = MarginalPolytope(d, parts)
-                alone = union_info._Structure(tab.pmf.shape, tab.target, parts, live)
-                row, m, blocks = stack.structures[k], alone.m, len(parts)
+                alone = union_info._Structure(tab.masses([parts])[0], [(0, live)], [0])
+                m, blocks = alone.m[0], len(parts)
                 assert [product_cells[c] for c in live] == poly.cells
-                assert (row.A == alone.A).all() and (poly.A == alone.A).all()
-                assert (stack.slot[k, :blocks] == alone.slot + width * k).all()
+                assert (group.A[k] == alone.A[0]).all() and (poly.A == alone.A[0]).all()
+                assert (group.slot[k, :blocks] == alone.slot[0, :blocks] + width * k).all()
                 # A row with fewer parts repeats its last block.
-                assert (stack.slot[k, blocks:] == stack.slot[k, blocks - 1]).all()
+                assert (group.slot[k, blocks:] == group.slot[k, blocks - 1]).all()
                 assert (stack.b[k, :m] == poly.b).all() and not stack.b[k, m:].any()
                 assert (stack.x0[k] == poly.x0).all()
-                assert (stack.xidx[k] == alone.xidx).all() and row.nx == alone.nx == poly.nx
-                rank = np.linalg.matrix_rank(alone.A)
-                assert len(poly.cells) - rank == poly.null_basis.shape[1] == alone.basis.shape[1]
-                projector = alone.basis @ alone.basis.T
-                assert np.abs(row.basis @ row.basis.T - projector).max() <= 1e-12
+                assert (group.xidx[k] == alone.xidx[0]).all()
+                assert group.nx[k] == alone.nx[0] == poly.nx
+                rank = np.linalg.matrix_rank(alone.A[0])
+                assert len(poly.cells) - rank == poly.null_basis.shape[1] == alone.width[0]
+                assert group.width[k] == alone.width[0] == alone.basis.shape[2]
+                projector = alone.basis[0] @ alone.basis[0].T
+                assert np.abs(group.basis[k] @ group.basis[k].T - projector).max() <= 1e-12
         batches, brackets = _set_up(d, families)
         rows = {row[0]: row[1:4] for batch in batches for row in batch}
         for i, parts in enumerate(families):
@@ -809,13 +820,14 @@ def test_stack_checks_each_row_base_pmf_against_its_masses():
     d = make_random(400, 3)
     tab = union_info._tables(d)
     parts = tuple(almosts(3))
-    marginals, live = union_info._marginals(tab, parts)
-    pair = (parts[:2], *union_info._marginals(tab, parts[:2]))
-    union_info._Stack(tab, [pair, (parts, marginals, live)])
-    held, mass, mi = marginals[-1]
-    bad = marginals[:-1] + [(held, mass * (1.0 + 1e-6), mi)]
+    layout, mass, live, _ = tab.masses([parts[:2], parts])
+    rows = [(0, live[0], None), (1, live[1], None)]
+    union_info._Stack(tab, layout, mass, rows, [0, 1])
+    # The third Almost is only the second row's, and its last block.
+    assert layout.families == [[0, 1], [0, 1, 2]]
+    bad = mass * np.where(np.append(layout.joint_part, -1) == 2, 1.0 + 1e-6, 1.0)
     with pytest.raises(AssertionError, match="violates its own marginals"):
-        union_info._Stack(tab, [pair, (parts, bad, live)])
+        union_info._Stack(tab, layout, bad, rows, [0, 1])
 
 
 def _renamed(d, suffix):
@@ -830,18 +842,29 @@ def _report_bits(d):
     return report.values(), report.witness_bipartition, report.witness_almost_pair
 
 
+def _groups():
+    """The group structures the cache holds."""
+    values = union_info._structures.values.values()
+    return [v for v in values if not isinstance(v, union_info._Layout)]
+
+
 @pytest.mark.parametrize("seed, zero_fraction", [(400, 0.0), (1, 0.3)])
 def test_report_is_the_same_from_a_cold_or_warm_structure_cache(monkeypatch, seed, zero_fraction):
     # A full-support input, and one whose report solves a family on a face
     # that the support LP finds.  Other inputs of the same shape and cells
-    # warm the cache; the report from it is bit for bit the cold one.
+    # warm the cache; the report from it is bit for bit the cold one.  On the
+    # first input the pre-build check drops two of the eight families of its
+    # one live-cell group, so they are not built; the inputs that warm the
+    # cache need them, so the warm report reads a group built on more rows
+    # than it steps.
     d = make_random(seed, 3, 2, zero_fraction)
-    builds, lps = [], []
+    builds, sizes, lps = [], [], []
     structure, support = union_info._Structure, union_info._maximal_support
 
-    def counting_structure(*args):
-        builds.append(args[2])
-        return structure(*args)
+    def counting_structure(layout, rows, built):
+        builds.extend(rows[k][0] for k in built)
+        sizes.append((len(rows), len(set(built))))
+        return structure(layout, rows, built)
 
     def counting_support(a, b):
         lps.append(a.shape)
@@ -854,10 +877,14 @@ def test_report_is_the_same_from_a_cold_or_warm_structure_cache(monkeypatch, see
     # On the second input one family is built again on its face.
     faces = len(builds) - len(set(builds))
     assert builds and bool(lps) == bool(faces) == (zero_fraction > 0.0)
+    assert (sizes == [(8, 6)]) == (zero_fraction == 0.0)
     union_info._structures.clear()
     warm_up = [make_random(s, 3) for s in (401, 402, 403)] if zero_fraction == 0.0 else []
     for other in warm_up + [_renamed(d, "'")]:
         _report_bits(other)
+    if warm_up:
+        [group] = _groups()
+        assert group.rows == list(range(8))
     builds.clear()
     assert _report_bits(_renamed(d, "''")) == cold
     assert _report_bits(d) == cold
@@ -879,35 +906,49 @@ def test_structure_depends_on_shape_and_cells_alone():
         assert set(d.pmf) == set(e.pmf) and d.pmf != e.pmf
         for fam in _report_families(3):
             tab_d, tab_e = union_info._tables(d), union_info._tables(e)
-            live = union_info._marginals(tab_d, fam.parts)[1]
-            assert np.array_equal(union_info._marginals(tab_e, fam.parts)[1], live)
+            live = _live(d, fam.parts)
+            assert np.array_equal(_live(e, fam.parts), live)
             union_info._structures.clear()
-            built = union_info._structure(tab_d, fam.parts, live)
+            layout, mass, live_d, _ = tab_d.masses([fam.parts])
+            built = union_info._Stack(tab_d, layout, mass, [(0, live_d[0], None)], [0]).structure
             union_info._structures.clear()
-            fresh = union_info._structure(tab_e, fam.parts, live)
+            layout, mass, live_e, _ = tab_e.masses([fam.parts])
+            fresh = union_info._Stack(tab_e, layout, mass, [(0, live_e[0], None)], [0]).structure
             assert fresh is not built
-            assert (fresh.A == built.A).all() and (fresh.slot == built.slot).all()
+            assert (fresh.A[0] == built.A[0]).all() and (fresh.slot == built.slot).all()
             assert (fresh.xidx == built.xidx).all() and fresh.nx == built.nx
             assert fresh.blocks == built.blocks
-            projector = built.basis @ built.basis.T
-            assert np.abs(fresh.basis @ fresh.basis.T - projector).max() <= 1e-12
-            assert not fresh.A.flags.writeable and not fresh.basis.flags.writeable
+            projector = built.basis[0] @ built.basis[0].T
+            assert np.abs(fresh.basis[0] @ fresh.basis[0].T - projector).max() <= 1e-12
+            assert not fresh.A[0].flags.writeable and not fresh.basis.flags.writeable
             # The other distribution's masses fit the shared structure.
             poly = MarginalPolytope(e, fam.parts)
-            assert poly.A is fresh.A
+            assert poly.A is fresh.A[0]
             assert np.abs(poly.A @ poly.x0 - poly.b).max() <= 1e-15
 
 
 def test_structure_cache_stays_within_its_bound(monkeypatch):
     # After an n=5 binary report the cache holds no more bytes than its
     # bound; with a smaller bound it evicts, and with one below every entry
-    # it keeps nothing, and the report is the same each way.
+    # it keeps nothing, and the report is the same each way.  Its entries are
+    # the report's layout and its live-cell groups, each counted with every
+    # array it holds; a group built again on more rows replaces its entry.
     cache = union_info._structures
     d = make_random(0, 5)
     cache.clear()
     expected = _report_bits(d)
     held = cache.held
     assert 0 < held == sum(v.nbytes for v in cache.values.values()) <= cache.bound
+    assert len(_groups()) == len(cache.values) - 1 and max(len(g.rows) for g in _groups()) > 1
+    for group in _groups():
+        arrays = [v for v in vars(group).values() if isinstance(v, np.ndarray)]
+        assert group.nbytes == sum(a.nbytes for a in arrays + list(group.A))
+    cache.clear()
+    _report_bits(make_random(400, 3))
+    [group] = _groups()
+    _report_bits(make_random(403, 3))
+    assert [len(g.rows) for g in _groups()] == [len(group.rows) + 2] == [8]
+    assert cache.held == sum(v.nbytes for v in cache.values.values())
     for bound in (held // 4, 1):
         monkeypatch.setattr(cache, "bound", bound)
         cache.clear()
