@@ -8,15 +8,24 @@ The package layers four modules of machinery:
 * :mod:`pidirr.union_info` - union-information measures over part families,
   solved by convex minimization over a marginal polytope;
 
-and two application layers on top:
+and three on top:
 
 * :mod:`pidirr.irreducibility` - the IbE / IbDp / Ib2p / IbAp spectrum;
+* :mod:`pidirr.axioms` - a numerical check of the union measures' properties;
 * :mod:`pidirr.corpus` - reference circuits with known values.
 
 ``pidirr.cli`` exposes everything as the ``pidirr`` command.
 ``pidirr.oracle`` holds a slow brute-force check of minimum-synergy values for
-tests; ``brute_force_union_oracle`` imports it on first use.
+tests.
+
+``import pidirr`` loads only what a report runs: ``distributions``, ``parts``,
+``union_info`` and ``irreducibility``.  The names this package takes from
+``lattice``, ``axioms`` and ``corpus``, and ``brute_force_union_oracle`` from
+``oracle``, load their module on first use, as do those submodules as
+attributes (``pidirr.corpus``).
 """
+
+from importlib import import_module
 
 from .distributions import (
     DistributionError,
@@ -29,14 +38,6 @@ from .distributions import (
     parse_distribution,
     random_distribution,
 )
-from .lattice import (
-    DerivedVariable,
-    from_selector,
-    is_equivalent,
-    is_poorer,
-    join,
-    meet,
-)
 from .parts import (
     PartFamily,
     PartitionSpec,
@@ -48,12 +49,10 @@ from .parts import (
     almosts,
 )
 from .union_info import (
-    AxiomReport,
     MarginalPolytope,
     MeasureKind,
     UnionConvergenceError,
     UnionMeasure,
-    check_axioms,
     union_information,
 )
 from .irreducibility import (
@@ -65,7 +64,16 @@ from .irreducibility import (
     ibdp,
     ibe,
 )
-from .corpus import EXAMPLE_NAMES, NamedExample, load_example, verify_corpus, xor_circuit
+
+# Names loaded with their module on first use, by module.
+_LAZY = {
+    "lattice": ("DerivedVariable", "from_selector", "is_equivalent", "is_poorer", "join", "meet"),
+    "axioms": ("AxiomReport", "check_axioms"),
+    "corpus": ("EXAMPLE_NAMES", "NamedExample", "load_example", "verify_corpus", "xor_circuit"),
+    # The test oracle imports scipy.optimize and takes a second per family.
+    "oracle": ("brute_force_union_oracle",),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -117,10 +125,14 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The test oracle imports scipy.optimize and takes a second per family;
-    # it is loaded on first use so that ``import pidirr`` stays light.
-    if name == "brute_force_union_oracle":
-        from .oracle import brute_force_union_oracle
-
-        return brute_force_union_oracle
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    if name in _LAZY_NAMES:
+        value = getattr(import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
+        globals()[name] = value
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_NAMES})

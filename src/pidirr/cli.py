@@ -4,7 +4,9 @@ Subcommands: ``compute`` (the four irreducibility measures of a distribution
 file), ``axioms`` (numerical verification of the union-measure property
 list), ``examples`` (the built-in circuits against their expected rows),
 ``enumerate`` (part/bipartition/Almost families), and ``lattice`` (order,
-join, and meet diagnostics for variable groups).
+join, and meet diagnostics for variable groups).  The corpus, the property
+checker and the lattice are imported by the handlers that use them, so a
+``compute`` process loads only the modules a report runs.
 
 Exit status: 0 on success, 1 on domain errors (unparseable input,
 non-convergence, failed verification), 2 on usage errors.  Data goes to
@@ -27,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import EXAMPLE_NAMES, load_example, verify_corpus
 from .distributions import (
     DistributionError,
     JointDistribution,
@@ -35,7 +36,6 @@ from .distributions import (
     random_distribution,
 )
 from .irreducibility import OrderingViolationError, full_report
-from .lattice import from_selector, is_equivalent, is_poorer, join, meet
 from .parts import (
     MAX_PARTITION_N,
     PartFamily,
@@ -45,12 +45,7 @@ from .parts import (
     almost_pairs,
     almosts,
 )
-from .union_info import (
-    MeasureKind,
-    UnionConvergenceError,
-    UnionMeasure,
-    check_axioms,
-)
+from .union_info import MeasureKind, UnionConvergenceError, UnionMeasure
 
 __all__ = ["main"]
 
@@ -192,6 +187,8 @@ def _cmd_compute(args) -> tuple[str, int]:
 
 
 def _axiom_suite(args):
+    from .corpus import EXAMPLE_NAMES, load_example
+
     suite = []
     if args.input:
         dists = [_load_input(args.input, args.target)]
@@ -212,6 +209,8 @@ def _axiom_suite(args):
 
 
 def _cmd_axioms(args) -> tuple[str, int]:
+    from .axioms import check_axioms
+
     m = _measure_from(args)
     report = check_axioms(m, _axiom_suite(args))
     payload = report.to_dict()
@@ -231,10 +230,17 @@ def _cmd_axioms(args) -> tuple[str, int]:
 
 
 def _cmd_examples(args) -> tuple[str, int]:
+    from .corpus import EXAMPLE_NAMES, load_example, verify_corpus
+
+    if args.name is not None:
+        try:
+            example = load_example(args.name)
+        except ValueError as exc:  # an unknown name; the message lists them
+            raise UsageError(str(exc)) from None
     if args.emit_tsv:
         if not args.name:
             raise UsageError("--emit-tsv needs --name")
-        return load_example(args.name).distribution.to_tsv(), 0
+        return example.distribution.to_tsv(), 0
     names = (args.name,) if args.name else EXAMPLE_NAMES
     verification = verify_corpus(_measure_from(args), names=names)
     status = 0 if verification.all_ok else 1
@@ -285,6 +291,8 @@ def _cmd_enumerate(args) -> tuple[str, int]:
 
 
 def _cmd_lattice(args) -> tuple[str, int]:
+    from .lattice import from_selector, is_equivalent, is_poorer, join, meet
+
     d = _load_input(args.input, args.target)
     if args.vars:
         groups = []
@@ -399,7 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     examples = subs.add_parser("examples", help="built-in circuits vs expected values")
     _add_common(examples, input_required=None)
-    examples.add_argument("--name", default=None, choices=list(EXAMPLE_NAMES))
+    examples.add_argument(
+        "--name", default=None,
+        help="only this built-in circuit (an unknown name lists them; default: all)",
+    )
     examples.add_argument("--emit-tsv", action="store_true", help="dump the distribution instead")
 
     enum = subs.add_parser("enumerate", help="list part families")

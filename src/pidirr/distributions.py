@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -80,6 +79,8 @@ def _parse_probability(token: str) -> float:
     token = token.strip()
     try:
         if "/" in token:
+            from fractions import Fraction  # only ``a/b`` tokens need it
+
             return float(Fraction(token))
         return float(token)
     except (ValueError, ZeroDivisionError) as exc:
@@ -288,7 +289,16 @@ class JointDistribution:
         return JointDistribution(self.variables, pmf, target=self.target)
 
     def to_tsv(self) -> str:
-        """Serialize in the TSV format accepted by :func:`parse_distribution`."""
+        """Serialize in the TSV format accepted by :func:`parse_distribution`.
+
+        The format always names a target, so a distribution without one (a
+        marginal that dropped it) raises :class:`DistributionError`.
+        """
+        if self.target is None:
+            raise DistributionError(
+                "cannot write a distribution without a target: the TSV format "
+                "always names one"
+            )
         lines = [f"# vars: {' '.join(self.variables)}  target: {self.target}"]
         for outcome, p in self.pmf.items():
             lines.append("\t".join(outcome) + f"\t{p!r}")

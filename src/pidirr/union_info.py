@@ -16,7 +16,8 @@ Both satisfy the six properties the irreducibility measures require
 (nonnegativity and vanishing for constant targets, invariance under
 equivalent relabelings, weak monotonicity under appending parts, order
 invariance, single-part self-redundancy, and the whole-information upper
-bound); :func:`check_axioms` verifies them numerically on a suite.
+bound); :func:`pidirr.axioms.check_axioms` verifies them numerically on a
+suite.
 
 The minimization runs over the product of the declared alphabets, not the
 base support, because the optimum generally moves mass onto outcomes the base
@@ -82,7 +83,7 @@ a report leaves, is solved again when asked for outside a report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product as iter_product
@@ -91,7 +92,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import DistributionError, JointDistribution
-from .parts import PartFamily, PartSpec, all_parts
+from .parts import PartFamily, PartSpec
 
 __all__ = [
     "MeasureKind",
@@ -100,8 +101,6 @@ __all__ = [
     "UnionConvergenceError",
     "union_information",
     "union_information_batch",
-    "AxiomReport",
-    "check_axioms",
 ]
 
 _LN2 = math.log(2.0)
@@ -818,142 +817,3 @@ def union_information(
 def _neg_plogp(v: np.ndarray) -> float:
     vv = v[v > 0.0]
     return float(-(vv * np.log2(vv)).sum())
-
-
-# ---------------------------------------------------------------------------
-# Property checker
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AxiomResult:
-    axiom: str
-    worst_violation: float = 0.0
-    n_cases: int = 0
-    worst_case: str = ""
-
-    def record(self, violation: float, description: str) -> None:
-        self.n_cases += 1
-        if violation > self.worst_violation:
-            self.worst_violation = violation
-            self.worst_case = description
-
-    def passed(self, tol: float) -> bool:
-        return self.worst_violation <= tol
-
-
-@dataclass
-class AxiomReport:
-    tolerance: float
-    results: dict[str, AxiomResult] = field(default_factory=dict)
-
-    AXIOMS = ("GP", "Eq", "M0", "S0", "SR", "UB")
-
-    def result(self, axiom: str) -> AxiomResult:
-        return self.results.setdefault(axiom, AxiomResult(axiom))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed(self.tolerance) for r in self.results.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "all_passed": self.all_passed,
-            "axioms": {
-                name: {
-                    "passed": r.passed(self.tolerance),
-                    "worst_violation": r.worst_violation,
-                    "cases": r.n_cases,
-                    "worst_case": r.worst_case,
-                }
-                for name, r in ((a, self.results[a]) for a in self.AXIOMS if a in self.results)
-            },
-        }
-
-
-def _relabel_map(symbols: Sequence[str], salt: str) -> dict[str, str]:
-    rotated = list(symbols[1:]) + [symbols[0]]
-    return {s: f"{r}{salt}" for s, r in zip(symbols, rotated)}
-
-
-def check_axioms(
-    m: UnionMeasure, suite: Iterable[tuple[JointDistribution, PartFamily]]
-) -> AxiomReport:
-    """Numerically verify the union-information property list on a suite.
-
-    Each suite entry is an input distribution paired with a part family.
-    Violations are magnitudes in bits; an axiom passes when its worst
-    violation over all applicable cases is within the measure tolerance.
-    """
-    report = AxiomReport(tolerance=m.tolerance)
-    for item_no, (d, family) in enumerate(suite):
-        n = d.n_predictors
-        family.validate(n)
-        label = f"item {item_no}"
-        value = union_information(m, d, family)
-        whole = whole_mutual_information(d)
-
-        # GP: nonnegative, and zero when the target is constant.
-        report.result("GP").record(max(0.0, -value), f"{label}: negative value")
-        const_val = union_information(m, d.with_constant_target(), family)
-        report.result("GP").record(abs(const_val), f"{label}: constant target")
-
-        # Eq: invariance under relabeling a member variable and the target.
-        preds = d.predictor_indices
-        member_pos = preds[family.parts[0].member_indices[0]]
-        member = d.variables[member_pos]
-        relabeled = d.relabeled(member, _relabel_map(d.alphabets[member_pos], "~"))
-        report.result("Eq").record(
-            abs(union_information(m, relabeled, family) - value),
-            f"{label}: relabel {member}",
-        )
-        tpos = d.target_index
-        relabeled_y = d.relabeled(
-            d.variables[tpos], _relabel_map(d.alphabets[tpos], "~")
-        )
-        report.result("Eq").record(
-            abs(union_information(m, relabeled_y, family) - value),
-            f"{label}: relabel target",
-        )
-
-        # M0 equality clause: appending W that is a sub-part of some member.
-        wide = next((p for p in family.parts if len(p) >= 2), None)
-        if wide is not None:
-            w = PartSpec(wide.member_indices[:-1])
-            if w not in family.parts:
-                extended = PartFamily(family.parts + (w,))
-                report.result("M0").record(
-                    abs(union_information(m, d, extended) - value),
-                    f"{label}: append sub-part",
-                )
-        # M0 monotonicity clause: appending any part never decreases the value.
-        fresh = next((p for p in all_parts(n) if p not in family.parts), None)
-        if fresh is not None:
-            grown = PartFamily(family.parts + (fresh,))
-            report.result("M0").record(
-                max(0.0, value - union_information(m, d, grown)),
-                f"{label}: append arbitrary part",
-            )
-
-        # S0: reordering the family (families are canonically ordered, so
-        # this is exact by construction; check it anyway).
-        reordered = PartFamily(tuple(reversed(family.parts)))
-        report.result("S0").record(
-            abs(union_information(m, d, reordered) - value), f"{label}: reorder"
-        )
-
-        # SR: a single part's union information is its mutual information.
-        first = family.parts[0]
-        report.result("SR").record(
-            abs(
-                union_information(m, d, PartFamily((first,)))
-                - part_mutual_information(d, first)
-            ),
-            f"{label}: single part",
-        )
-
-        # UB: never exceeds the whole's mutual information.
-        report.result("UB").record(
-            max(0.0, value - whole), f"{label}: upper bound"
-        )
-    return report

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pidirr
 from pidirr.cli import main, render_json
 from pidirr.corpus import load_example
 
@@ -210,11 +213,51 @@ def test_render_json_stability():
     assert render_json(-1e-13) == "0.000000000"  # negative zero normalized
 
 
-def test_console_entry_point(xor_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "pidirr.cli", "compute", "--input", xor_file],
+def run_console(args, *flags):
+    """``python -m pidirr.cli`` in a fresh interpreter, with this checkout's
+    package on ``PYTHONPATH``.  The in-process tests above cannot catch a
+    handler that lost an import: ``conftest`` has loaded the corpus already."""
+    src = str(Path(pidirr.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "pidirr.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
-    assert proc.returncode == 0
+
+
+def test_console_entry_point(xor_file):
+    proc = run_console(["compute", "--input", xor_file], "-X", "importtime")
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ibe"] == 1.0
+    # -X importtime writes one "import time: self | cumulative | name" line
+    # per module; compute loads none of the other subcommands' modules.
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert not imported & {"pidirr.corpus", "pidirr.lattice", "pidirr.axioms"}
+    assert "pidirr.irreducibility" in imported
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["axioms", "--trials", "1"],
+        ["examples", "--name", "xor"],
+        ["examples", "--emit-tsv", "--name", "parity"],
+        ["enumerate", "--what", "parts", "--n", "3"],
+        ["lattice", "--input", "XOR_FILE"],
+    ],
+    ids=["axioms", "examples-name", "examples-emit-tsv", "enumerate", "lattice"],
+)
+def test_console_subcommands(args, xor_file):
+    proc = run_console([xor_file if a == "XOR_FILE" else a for a in args])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_examples_unknown_name_lists_the_names():
+    proc = run_console(["examples", "--name", "nope"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unknown example 'nope'" in proc.stderr
+    for name in ("xor", "xor_unique", "double_xor", "triple_xor", "parity"):
+        assert name in proc.stderr

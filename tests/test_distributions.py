@@ -235,3 +235,27 @@ def test_tsv_round_trip(params):
     assert again.variables == d.variables
     assert set(again.pmf) == set(d.pmf)
     assert all(abs(again.pmf[k] - d.pmf[k]) <= 1e-12 for k in d.pmf)
+
+
+def test_to_tsv_without_target_is_rejected(xor):
+    # The format always names a target; writing "target: None" made a file
+    # the parser rejects.
+    marginal = xor.marginalize(xor.selector("X1", "X2"))
+    assert marginal.target is None
+    with pytest.raises(DistributionError, match="without a target"):
+        marginal.to_tsv()
+
+
+def test_to_tsv_without_target_never_picks_a_variable_named_none():
+    # Written as "target: None", this marginal would parse back with its
+    # variable "None" silently made the target.
+    d = JointDistribution(
+        ("None", "X", "Y"), {("0", "0", "0"): 0.5, ("1", "1", "1"): 0.5}, target="Y"
+    )
+    marginal = d.marginalize(d.selector("None", "X"))
+    assert marginal.target is None
+    with pytest.raises(DistributionError, match="without a target"):
+        marginal.to_tsv()
+    # With a target, a variable named "None" round-trips as a predictor.
+    again = parse_distribution(d.to_tsv())
+    assert again.target == "Y" and again.variables == d.variables

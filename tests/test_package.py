@@ -1,0 +1,37 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pidirr
+
+
+def test_every_public_name_resolves():
+    # In a fresh interpreter, so that the lazily loaded modules are not yet
+    # imported when dir() is asked: dir() lists every name, the star import
+    # binds every name, and each is the object its module defines.
+    code = (
+        "import sys\n"
+        "import pidirr\n"
+        "assert 'pidirr.corpus' not in sys.modules\n"
+        "missing = set(pidirr.__all__) - set(dir(pidirr))\n"
+        "assert not missing, f'dir(pidirr) misses {sorted(missing)}'\n"
+        "namespace = {}\n"
+        "exec('from pidirr import *', namespace)\n"
+        "unbound = set(pidirr.__all__) - set(namespace)\n"
+        "assert not unbound, f'the star import misses {sorted(unbound)}'\n"
+        "from pidirr import axioms, corpus, lattice, union_info\n"
+        "assert namespace['check_axioms'] is axioms.check_axioms\n"
+        "assert namespace['load_example'] is corpus.load_example\n"
+        "assert namespace['join'] is lattice.join\n"
+        "assert namespace['full_report'] is pidirr.irreducibility.full_report\n"
+        "assert not hasattr(union_info, 'check_axioms')\n"
+    )
+    src = str(Path(pidirr.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

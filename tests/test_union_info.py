@@ -14,13 +14,13 @@ from pidirr.distributions import JointDistribution
 from pidirr.irreducibility import full_report
 from pidirr.parts import PartFamily, PartSpec, all_bipartitions, almost_pairs, almosts
 from pidirr import union_info
+from pidirr.axioms import check_axioms
 from pidirr.oracle import brute_force_union_oracle
 from pidirr.union_info import (
     MarginalPolytope,
     MeasureKind,
     UnionConvergenceError,
     UnionMeasure,
-    check_axioms,
     part_mutual_information,
     union_information,
     union_information_batch,
@@ -372,6 +372,27 @@ def test_default_path_never_imports_scipy_optimize():
         "    full_report(load_example(name).distribution)\n"
         "full_report(random_distribution(np.random.default_rng(400), n_predictors=3))\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    src = str(Path(union_info.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_only_the_report_path():
+    # A report needs distributions, parts, union_info and irreducibility;
+    # the checker, the corpus, the lattice and the oracle load on first use.
+    code = (
+        "import sys\n"
+        "import pidirr\n"
+        "unwanted = ('pidirr.corpus', 'pidirr.lattice', 'pidirr.axioms', 'pidirr.oracle',\n"
+        "            'fractions', 'scipy')\n"
+        "loaded = [name for name in unwanted if name in sys.modules]\n"
+        "assert not loaded, f'import pidirr loaded {loaded}'\n"
     )
     src = str(Path(union_info.__file__).resolve().parents[1])
     proc = subprocess.run(
