@@ -36,9 +36,6 @@ MASS_FLOOR = 1e-15
 #: Accepted deviation of the raw probability column from 1 before normalizing.
 RAW_SUM_SLACK = 1e-6
 
-#: Every constructed distribution sums to 1 within this tolerance.
-NORMALIZATION_TOL = 1e-9
-
 
 class DistributionError(ValueError):
     """A pmf or distribution file violates the format contract."""
@@ -97,8 +94,10 @@ class JointDistribution:
     outcomes:
         Mapping or iterable of ``(outcome_tuple, probability)`` pairs.
         Duplicate outcomes are summed.  Probabilities must be nonnegative and
-        sum to 1 within :data:`RAW_SUM_SLACK`; the stored pmf is renormalized
-        to sum to exactly 1 in double precision.
+        sum to 1 within :data:`RAW_SUM_SLACK`.  Each is then divided by their
+        sum (``math.fsum``), and those left below :data:`MASS_FLOOR` are
+        dropped, so the stored pmf sums to 1 up to rounding and the dropped
+        masses.
     target:
         Name of the target variable.  Defaults to the last variable.
         ``None`` is allowed for marginals that dropped the target.
@@ -292,13 +291,34 @@ class JointDistribution:
         """Serialize in the TSV format accepted by :func:`parse_distribution`.
 
         The format always names a target, so a distribution without one (a
-        marginal that dropped it) raises :class:`DistributionError`.
+        marginal that dropped it) raises :class:`DistributionError`.  So does
+        any name or symbol that the parser would read back differently: an
+        empty one, one holding whitespace, a name holding ``target:``, or a
+        first-column symbol starting with ``#``.
         """
         if self.target is None:
             raise DistributionError(
                 "cannot write a distribution without a target: the TSV format "
                 "always names one"
             )
+        for name, alphabet in zip(self.variables, self.alphabets):
+            if name.split() != [name] or "target:" in name:
+                raise DistributionError(
+                    f"cannot write variable name {name!r}: a name must be non-empty, "
+                    "hold no whitespace and not contain 'target:'"
+                )
+            for symbol in alphabet:
+                if symbol.split() != [symbol]:
+                    raise DistributionError(
+                        f"cannot write symbol {symbol!r} of {name!r}: a symbol must be "
+                        "non-empty and hold no whitespace"
+                    )
+        for symbol in self.alphabets[0]:
+            if symbol.startswith("#"):
+                raise DistributionError(
+                    f"cannot write symbol {symbol!r} of {self.variables[0]!r}: a line "
+                    "starting with '#' is read as a comment"
+                )
         lines = [f"# vars: {' '.join(self.variables)}  target: {self.target}"]
         for outcome, p in self.pmf.items():
             lines.append("\t".join(outcome) + f"\t{p!r}")

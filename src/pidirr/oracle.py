@@ -19,9 +19,10 @@ import scipy.optimize
 
 from .distributions import JointDistribution
 from .parts import PartFamily, PartSpec
-from .union_info import _LN2, _neg_plogp
 
 __all__ = ["brute_force_union_oracle"]
+
+_LN2 = math.log(2.0)
 
 #: Seeded feasible points sampled per search.
 _N_SAMPLES = 1000
@@ -239,6 +240,11 @@ def _group_matrix(idx: np.ndarray, n: int) -> np.ndarray:
     g = np.zeros((idx.size, n))
     g[np.arange(idx.size), idx] = 1.0
     return g
+
+
+def _neg_plogp(v: np.ndarray) -> float:
+    vv = v[v > 0.0]
+    return float(-(vv * np.log2(vv)).sum())
 
 
 def _neg_plogp_rows(m: np.ndarray) -> np.ndarray:

@@ -54,22 +54,24 @@ family is set up again on those cells, like any other, with the LP's point
 as the start's origin.
 
 Where a call's part marginals lie in one flat vector (:class:`_Layout`),
-and the polytopes of its families on one live-cell count but for the
+and the polytopes of the families of one live-cell group but for the
 masses and base pmf (:class:`_Structure`, each family's built from its own
 constraints alone), depend only on the shape, the target, the families and
 their cells.  Both are kept in one least-recently-used cache bounded by the
-bytes it holds: a report of a shape seen before takes its part masses from
-one stacked pass, factors nothing, and takes each group's rows by one index
-per array.
+bytes it holds, each group under exactly the rows it builds: a report of a
+shape seen before takes its part masses from one stacked pass, and factors
+nothing for a group that keeps the rows it kept then.
 
 The families asked for in one call (all of a report's, in
 :func:`pidirr.irreducibility.full_report`) are solved in lockstep.  Each
-group of equal cell count, largest first, is checked and started in one
-pass, so a family that facial reduction moves to fewer cells joins a group
-not yet set up, and every start bounds the others before any Newton step.
-Then each group's rows not done are stepped by stacked numpy calls until
-each stops; on programs this small a step's cost is numpy's per-call
-overhead.  Each row keeps its own iterates, ``mu`` schedule and stop.
+group of equal cell count, largest first, is checked, set up on its rows
+not done, and started in one pass, so a family that facial reduction moves
+to fewer cells joins a group not yet set up, and every start bounds the
+others before any Newton step.  Once every start is known, each group's
+rows are checked again, and those not done are stepped by stacked numpy
+calls until each stops; on programs this small a step's cost is numpy's
+per-call overhead.  Each row keeps its own iterates, ``mu`` schedule and
+stop.
 
 :func:`union_information` and :func:`union_information_batch` solve every
 family they are asked for to the tolerance.  A report needs only each of its
@@ -193,7 +195,7 @@ class _Tables:
         ``I(part; Y)`` in bits."""
         families = tuple(tuple(p.member_indices for p in f) for f in families)
         layout = _structures.get(key := (self.pmf.shape, self.target, families),
-                                 lambda _: _Layout(*key))
+                                 lambda: _Layout(*key))
         mass = np.bincount(layout.joint.ravel(), np.tile(self.pmf.ravel(), len(layout.parts)),
                            layout.joint_part.size + 1)
         hp = _entropies(np.bincount(layout.alone, mass[:-1]), layout.alone_part)
@@ -227,13 +229,11 @@ class _Cache:
     def __init__(self, bound: int):
         self.bound, self.held, self.values = bound, 0, {}
 
-    def get(self, key, build, stale=lambda value: False):
-        """The value of ``key``; when none is held, or the one held is
-        ``stale``, ``build(held)`` replaces it."""
+    def get(self, key, build):
+        """The value of ``key``; when none is held, ``build()`` makes it."""
         value = self.values.pop(key, None)
-        if value is None or stale(value):
-            self.held -= 0 if value is None else value.nbytes
-            value = build(value)
+        if value is None:
+            value = build()
             if value.nbytes > self.bound:
                 return value
             self.held += value.nbytes
@@ -320,18 +320,17 @@ def _block(layout: _Layout, f: int, cells: np.ndarray) -> tuple:
 
 
 class _Structure:
-    """The polytopes of the families one call puts on one live-cell count,
-    but for the masses and base pmf: a function of the :class:`_Layout` and
-    each row's family and ``cells`` alone, so cached, with read-only arrays.
-    Of the group's ``rows`` it holds those ``built``; ``self.rows`` are
-    their indices in the group, and row k below is the k-th.  Row k has a
-    block of constraints per part (``A[k]``, ``blocks[k]``; ``m[k]`` in
-    all), one per part-target tuple of the cells in sorted order: those of
-    positive mass, as each holds a base-support cell, live and in every
-    face.  ``bidx[k]`` gathers their masses from the layout's vector,
-    zero-padded.  ``slot[k, j, c]`` is the constraint of block j holding
-    cell c in the flat stack of those; a row with fewer parts repeats its
-    last block (``real`` marks the others), which a sweep has just fitted.
+    """The polytopes of a live-cell group's ``rows`` ``(i, cells)``, family
+    i of ``layout`` on ``cells`` each, but for the masses and base pmf: a
+    function of the :class:`_Layout` and the rows alone, so cached, with
+    read-only arrays.  Row k, the k-th of ``rows``, has a block of
+    constraints per part (``A[k]``, ``blocks[k]``; ``m[k]`` in all), one per
+    part-target tuple of the cells in sorted order: those of positive mass,
+    as each holds a base-support cell, live and in every face.  ``bidx[k]``
+    gathers their masses from the layout's vector, zero-padded.  ``slot[k,
+    j, c]`` is the constraint of block j holding cell c in the flat stack of
+    those; a row with fewer parts repeats its last block (``real`` marks the
+    others), which a sweep has just fitted.
     ``xidx`` numbers each cell's x-group among ``nx[k]``.  ``basis[k]``,
     zero-padded from ``width[k]`` columns, spans the null space of ``A[k]``
     alone, by one SVD (counting singular values above ``s[0] *
@@ -340,12 +339,11 @@ class _Structure:
     for one cell the Hessian block ``1/q - 1/q_x`` is exactly 0, and
     assembling it from two huge terms would leave rounding."""
 
-    def __init__(self, layout: _Layout, rows: Sequence[tuple], built: Iterable[int]):
-        self.rows = sorted(built)
-        self.cells = np.array([rows[j][1] for j in self.rows])
+    def __init__(self, layout: _Layout, rows: Sequence[tuple]):
+        self.cells = np.array([cells for _, cells in rows])
         k, n = self.cells.shape
         self.A, self.blocks, slots, gathers, xidx, self.nx, bases = zip(
-            *(_block(layout, *rows[j]) for j in self.rows))
+            *(_block(layout, *row) for row in rows))
         self.m, self.width = [g.size for g in gathers], [b.shape[1] for b in bases]
         width, depth, r, nx = max(self.m), max(map(len, slots)), max(self.width), max(self.nx)
         self.slot = np.array([[sl[min(j, len(sl) - 1)] for j in range(depth)] for sl in slots])
@@ -366,21 +364,15 @@ class _Structure:
 class _Stack:
     """A live-cell group of rows ``(i, live, inner)`` (family i of ``layout``
     on the cells of the mask ``live``) over one distribution: its cached
-    :class:`_Structure` with ``rows`` built, keyed on every row so that calls
-    dropping other rows share it (one that lacks a row of ``rows`` is built
-    again on both's); the group's rows in its order, and the positions of
-    ``rows``; each row's base pmf ``x0`` and masses ``b`` from ``mass``,
-    which the base pmf must meet at every constraint."""
+    :class:`_Structure`, keyed on exactly these rows; each row's base pmf
+    ``x0`` and masses ``b`` from ``mass``, which the base pmf must meet at
+    every constraint.  Row k of each is the k-th of ``group``."""
 
-    def __init__(self, tab: _Tables, layout: _Layout, mass: np.ndarray, group: Sequence[tuple],
-                 rows: Sequence[int]):
+    def __init__(self, tab: _Tables, layout: _Layout, mass: np.ndarray, group: Sequence[tuple]):
+        self.group = group
         s = self.structure = _structures.get(
             (layout.key, tuple((i, live.tobytes()) for i, live, _ in group)),
-            lambda old: _Structure(layout, [(i, np.flatnonzero(live)) for i, live, _ in group],
-                                   set(rows).union(old.rows if old else ())),
-            lambda s: not set(rows) <= set(s.rows),
-        )
-        self.group, self.rows = [group[k] for k in s.rows], [s.rows.index(k) for k in rows]
+            lambda: _Structure(layout, [(i, np.flatnonzero(live)) for i, live, _ in group]))
         self.x0 = tab.pmf.ravel()[s.cells]
         self.b = mass[s.bidx]
         fit = np.bincount(s.slot.ravel(), (self.x0[:, None, :] * s.real).ravel(), self.b.size)
@@ -405,7 +397,7 @@ class MarginalPolytope:
         PartFamily(parts).validate(base.n_predictors, allow_full=True)
         tab = _tables(base)
         layout, mass, live, _ = tab.masses([parts])
-        stack = _Stack(tab, layout, mass, [(0, live[0], None)], [0])
+        stack = _Stack(tab, layout, mass, [(0, live[0], None)])
         s, cells = stack.structure, list(iter_product(*base.alphabets))
         self.cells: list[tuple] = [cells[c] for c in s.cells[0].tolist()]
         self.A, self.blocks, self.null_basis = s.A[0], s.blocks[0], s.basis[0]
@@ -489,11 +481,11 @@ class _Brackets:
     feasible, and under it ``I(X; Y)`` is at most that sum.  A family's
     value is ``upper[i]``.
 
-    :meth:`done` is the one stop rule of every exit: before the build, at
-    the start and at each Newton step.  A family is done once its bracket is
-    within a tenth of ``tolerance``, or once it is dominated: in every scan
-    that lists it, some family j's ``lower[j]`` is more than ``tolerance``
-    above ``upper[i]``.  Solved, i would stop at most ``tolerance`` above its
+    :meth:`done` is the one stop rule of every exit: before the build,
+    before the steps and at each Newton step.  A family is done once its
+    bracket is within a tenth of ``tolerance``, or once it is dominated: in
+    every scan that lists it, some family j's ``lower[j]`` is more than
+    ``tolerance`` above ``upper[i]``.  Solved, i would stop at most ``tolerance`` above its
     minimum, so ``V_i <= U_i + tolerance < L_j <= V_j``: it is never its
     scan's largest union, nor ties with it.  So a report's values (up to
     rounding) and witnesses are those of solving every family, and the
@@ -533,35 +525,35 @@ class _Brackets:
 
 
 def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, list]):
-    """Start the rows ``stack.rows`` of a live-cell group of rows ``(i, live,
-    inner)`` in one pass, by the rule of the module docstring; return those
-    not done at their start, and their starts.  ``i`` indexes ``brackets``;
-    ``inner`` is the support LP's point, or None.  A family with no free
-    direction is done there, at the whole's mutual information.  A face
-    smaller than the live cells joins ``groups`` at its size, not yet set
-    up, with the LP's point, the start's origin, and no further thin test."""
-    s, rows, sel = stack.structure, stack.rows, np.array(stack.rows)
-    ids, inner = [stack.group[k][0] for k in rows], [stack.group[k][2] for k in rows]
-    x0, basis = stack.x0[sel], s.basis[sel]
+    """Start every row of a live-cell group of rows ``(i, live, inner)`` in
+    one pass, by the rule of the module docstring; return the indices of the
+    rows started, and their starts.  ``i`` indexes ``brackets``; ``inner`` is
+    the support LP's point, or None.  A family with no free direction is done
+    there, at the whole's mutual information.  A face smaller than the live
+    cells joins ``groups`` at its size, not yet set up, with the LP's point,
+    the start's origin, and no further thin test.  Whether a started row is
+    done is checked before the steps, once every group's start is known."""
+    s, x0 = stack.structure, stack.x0
+    ids, inner = [i for i, *_ in stack.group], [v for *_, v in stack.group]
 
-    def project(v, at):  # v[j] onto the constraints of row rows[at[j]]
+    def project(v, at):  # v[j] onto the constraints of row at[j]
         dv = (v - x0[at])[:, :, None]
-        return x0[at] + (basis[at] @ (basis[at].transpose(0, 2, 1) @ dv))[:, :, 0]
+        return x0[at] + (s.basis[at] @ (s.basis[at].transpose(0, 2, 1) @ dv))[:, :, 0]
 
-    q = project(_ipf_sweep(s.slot[sel], stack.b.ravel()), slice(None))
+    q = project(_ipf_sweep(s.slot, stack.b.ravel()), slice(None))
     thin = np.where(x0 == 0.0, q, np.inf).min(axis=1) < _THIN_START * q.max(axis=1)
     keep = []
-    for j, k in enumerate(rows):
+    for k, i in enumerate(ids):
         if not s.width[k]:  # no free direction: the base pmf is the only feasible q
-            brackets.lower[ids[j]] = brackets.upper[ids[j]]
+            brackets.lower[i] = brackets.upper[i]
             continue
-        if thin[j] and inner[j] is None:
-            face, inner[j] = _maximal_support(s.A[k], stack.b[k, : s.m[k]])
+        if thin[k] and inner[k] is None:
+            face, inner[k] = _maximal_support(s.A[k], stack.b[k, : s.m[k]])
             if not face.all():
                 live = np.isin(np.arange(tab.pmf.size), s.cells[k, face])
-                groups.setdefault(int(face.sum()), []).append((ids[j], live, inner[j]))
+                groups.setdefault(int(face.sum()), []).append((i, live, inner[k]))
                 continue
-        keep.append(j)
+        keep.append(k)
     keep = np.array(keep, dtype=np.intp)
     origin = x0[keep]
     lp = [j for j, k in enumerate(keep) if inner[k] is not None]
@@ -573,12 +565,10 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
             "no strictly positive start on the feasible face", math.inf, math.inf
         )
     v, nx = q[:, :, None], max(s.nx)
-    grad, _ = _gradient(v, (s.xidx[sel[keep]] + nx * np.arange(len(keep))[:, None])[:, :, None], nx)
-    for j, f in zip(keep, (v.transpose(0, 2, 1) @ grad).ravel().tolist()):  # f = -H(Y|X), nats
-        brackets.upper[ids[j]] = min(brackets.upper[ids[j]], tab.hy + f / _LN2)
-    done = brackets.done([ids[j] for j in keep])
-    stepping = np.array([j for j, d in enumerate(done) if not d], dtype=np.intp)
-    return sel[keep[stepping]], q[stepping]
+    grad, _ = _gradient(v, (s.xidx[keep] + nx * np.arange(len(keep))[:, None])[:, :, None], nx)
+    for k, f in zip(keep, (v.transpose(0, 2, 1) @ grad).ravel().tolist()):  # f = -H(Y|X), nats
+        brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + f / _LN2)
+    return keep, q
 
 
 def _lockstep(
@@ -603,7 +593,7 @@ def _lockstep(
     r, nx, diag = width.max(), max(s.nx[j] for j in rows), np.arange(width.max())
     pad = np.zeros((k, r, r))
     pad[:, diag, diag] = diag >= width[:, None]
-    at = slice(None) if len(rows) == len(s.rows) else rows  # every row: views, not copies
+    at = slice(None) if len(rows) == len(stack.group) else rows  # every row: views, not copies
     basis, group_basis = s.basis[at, :, :r], s.group_basis[at, :nx, :r]
     multi, shared, xidx = s.multi[at, :nx], s.shared[at], s.xidx[at]
     x0t = stack.x0[at][:, None, :]
@@ -719,7 +709,8 @@ def _min_synergy_brackets(
     """``(value, lower)`` in bits per family: the upper and lower ends of its
     bracket (see :class:`_Brackets`), with ``scans`` lists of indices into
     ``families``.  Each live-cell group, largest first, is checked and
-    started by :func:`_starts`; then each is checked again and stepped."""
+    started by :func:`_starts`; then each is checked again and stepped.  A
+    bracket only tightens, so a row done at its start is done there too."""
     tab = _tables(d)
     layout, mass, live, mi = tab.masses(families)
     brackets = _Brackets(scans, len(families), m.tolerance)
@@ -732,11 +723,11 @@ def _min_synergy_brackets(
     started = []
     while groups:
         group = groups.pop(max(groups))
-        rows = [k for k, done in enumerate(brackets.done([i for i, *_ in group])) if not done]
-        if rows:
-            stack = _Stack(tab, layout, mass, group, rows)
+        group = [row for row, done in zip(group, brackets.done([i for i, *_ in group])) if not done]
+        if group:
+            stack = _Stack(tab, layout, mass, group)
             rows, q = _starts(tab, stack, brackets, groups)
-            started.append((stack, rows, q, [stack.group[k][0] for k in rows.tolist()]))
+            started.append((stack, rows, q, [group[k][0] for k in rows.tolist()]))
     for stack, rows, q, ids in started:
         keep = [j for j, done in enumerate(brackets.done(ids)) if not done]
         if keep:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -259,3 +260,32 @@ def test_to_tsv_without_target_never_picks_a_variable_named_none():
     # With a target, a variable named "None" round-trips as a predictor.
     again = parse_distribution(d.to_tsv())
     assert again.target == "Y" and again.variables == d.variables
+
+
+@pytest.mark.parametrize(
+    "variables, outcome, offender",
+    [
+        (("A", "Y"), ("#x", "0"), "'#x'"),
+        (("A", "Y"), ("", "0"), "''"),
+        (("A", "Y"), ("a b", "0"), "'a b'"),
+        (("A", "Y"), ("a", "0\t1"), "'0\\t1'"),
+        (("my var", "Y"), ("a", "0"), "'my var'"),
+        (("", "Y"), ("a", "0"), "''"),
+        (("A", "Xtarget:"), ("a", "0"), "'Xtarget:'"),
+    ],
+    ids=["comment-symbol", "empty-symbol", "space-symbol", "tab-symbol", "space-name",
+         "empty-name", "target-name"],
+)
+def test_to_tsv_refuses_what_the_parser_would_misread(variables, outcome, offender):
+    # Each would write a file that the parser rejects or, for a first-column
+    # symbol starting with "#", reads back without that outcome: here
+    # {("c", "1"): 1.0}, with no error.
+    d = JointDistribution(variables, {outcome: 1e-7, ("c", "1"): 1.0 - 1e-7})
+    with pytest.raises(DistributionError, match=re.escape(offender)):
+        d.to_tsv()
+
+
+def test_to_tsv_writes_a_hash_outside_the_first_column():
+    # Only a line's first symbol can start a comment.
+    d = JointDistribution(["A", "Y"], {("x", "#0"): 0.5, ("c#", "1"): 0.5})
+    assert parse_distribution(d.to_tsv()) == d

@@ -264,6 +264,24 @@ def test_oracle_guard_rejects_large_support():
         brute_force_union_oracle(big, singletons(3))
 
 
+def test_oracle_takes_nothing_from_the_solver_module():
+    # The oracle checks the solver's values, so none of its functions or
+    # constants may be the solver module's own.
+    from pidirr import oracle
+
+    solver = {
+        id(v) for name, v in vars(union_info).items()
+        if not name.startswith("__") and not isinstance(v, type(union_info))
+        and getattr(v, "__module__", union_info.__name__) == union_info.__name__
+    }
+    assert solver
+    shared = [
+        name for name, v in vars(oracle).items() if not name.startswith("__")
+        and (id(v) in solver or getattr(v, "__module__", None) == union_info.__name__)
+    ]
+    assert not shared
+
+
 def test_oracle_agreement_spot_checks():
     for seed in (11, 21, 31):
         d = make_random(seed, n_predictors=2)
@@ -794,14 +812,13 @@ def test_stacked_rows_match_their_families_alone(corpus):
         for i, mask in enumerate(masks):
             groups.setdefault(mask.sum(), []).append((i, np.flatnonzero(mask)))
         for members in groups.values():
-            stack = union_info._Stack(
-                tab, layout, mass, [(i, masks[i], None) for i, _ in members], range(len(members)))
+            stack = union_info._Stack(tab, layout, mass, [(i, masks[i], None) for i, _ in members])
             group = stack.structure
             width = stack.b.shape[1]
             for k, (i, live) in enumerate(members):
                 parts = families[i]
                 poly = MarginalPolytope(d, parts)
-                alone = union_info._Structure(tab.masses([parts])[0], [(0, live)], [0])
+                alone = union_info._Structure(tab.masses([parts])[0], [(0, live)])
                 m, blocks = alone.m[0], len(parts)
                 assert [product_cells[c] for c in live] == poly.cells
                 assert (group.A[k] == alone.A[0]).all() and (poly.A == alone.A[0]).all()
@@ -843,12 +860,12 @@ def test_stack_checks_each_row_base_pmf_against_its_masses():
     parts = tuple(almosts(3))
     layout, mass, live, _ = tab.masses([parts[:2], parts])
     rows = [(0, live[0], None), (1, live[1], None)]
-    union_info._Stack(tab, layout, mass, rows, [0, 1])
+    union_info._Stack(tab, layout, mass, rows)
     # The third Almost is only the second row's, and its last block.
     assert layout.families == [[0, 1], [0, 1, 2]]
     bad = mass * np.where(np.append(layout.joint_part, -1) == 2, 1.0 + 1e-6, 1.0)
     with pytest.raises(AssertionError, match="violates its own marginals"):
-        union_info._Stack(tab, layout, bad, rows, [0, 1])
+        union_info._Stack(tab, layout, bad, rows)
 
 
 def _renamed(d, suffix):
@@ -875,17 +892,16 @@ def test_report_is_the_same_from_a_cold_or_warm_structure_cache(monkeypatch, see
     # that the support LP finds.  Other inputs of the same shape and cells
     # warm the cache; the report from it is bit for bit the cold one.  On the
     # first input the pre-build check drops two of the eight families of its
-    # one live-cell group, so they are not built; the inputs that warm the
-    # cache need them, so the warm report reads a group built on more rows
-    # than it steps.
+    # one live-cell group, so the group is built on the other six; the inputs
+    # that warm the cache keep other rows, and each row set is an entry.
     d = make_random(seed, 3, 2, zero_fraction)
     builds, sizes, lps = [], [], []
     structure, support = union_info._Structure, union_info._maximal_support
 
-    def counting_structure(layout, rows, built):
-        builds.extend(rows[k][0] for k in built)
-        sizes.append((len(rows), len(set(built))))
-        return structure(layout, rows, built)
+    def counting_structure(layout, rows):
+        builds.extend(i for i, _ in rows)
+        sizes.append(len(rows))
+        return structure(layout, rows)
 
     def counting_support(a, b):
         lps.append(a.shape)
@@ -898,17 +914,47 @@ def test_report_is_the_same_from_a_cold_or_warm_structure_cache(monkeypatch, see
     # On the second input one family is built again on its face.
     faces = len(builds) - len(set(builds))
     assert builds and bool(lps) == bool(faces) == (zero_fraction > 0.0)
-    assert (sizes == [(8, 6)]) == (zero_fraction == 0.0)
+    assert (sizes == [6]) == (zero_fraction == 0.0)
     union_info._structures.clear()
     warm_up = [make_random(s, 3) for s in (401, 402, 403)] if zero_fraction == 0.0 else []
     for other in warm_up + [_renamed(d, "'")]:
         _report_bits(other)
     if warm_up:
-        [group] = _groups()
-        assert group.rows == list(range(8))
+        # 401 keeps seven rows, 402 six other than d's, 403 all eight.
+        assert [len(g.cells) for g in _groups()] == [7, 6, 8, 6]
     builds.clear()
     assert _report_bits(_renamed(d, "''")) == cold
     assert _report_bits(d) == cold
+    assert not builds
+
+
+def test_each_group_is_cached_under_the_rows_it_builds(monkeypatch):
+    # Two full-support inputs of one shape whose pre-build checks keep
+    # different rows of their one live-cell group: six of the eight on the
+    # first, all eight on the second.  Each report builds the group on
+    # exactly the rows it starts and keeps it under them, so the cache holds
+    # one entry per row set; renamed copies build nothing and report the same.
+    inputs = [make_random(400, 3), make_random(403, 3)]
+    started, builds = [], []
+    starts, structure = union_info._starts, union_info._Structure
+
+    def recording_starts(tab, stack, brackets, groups):
+        rows, q = starts(tab, stack, brackets, groups)
+        started.append(len(rows))
+        return rows, q
+
+    def counting_structure(*args):
+        builds.append(args)
+        return structure(*args)
+
+    monkeypatch.setattr(union_info, "_starts", recording_starts)
+    monkeypatch.setattr(union_info, "_Structure", counting_structure)
+    union_info._structures.clear()
+    cold = [_report_bits(d) for d in inputs]
+    assert started == [6, 8] and len(builds) == 2
+    assert [len(g.cells) for g in _groups()] == started
+    builds.clear()
+    assert [_report_bits(_renamed(d, "'")) for d in inputs] == cold
     assert not builds
 
 
@@ -931,10 +977,10 @@ def test_structure_depends_on_shape_and_cells_alone():
             assert np.array_equal(_live(e, fam.parts), live)
             union_info._structures.clear()
             layout, mass, live_d, _ = tab_d.masses([fam.parts])
-            built = union_info._Stack(tab_d, layout, mass, [(0, live_d[0], None)], [0]).structure
+            built = union_info._Stack(tab_d, layout, mass, [(0, live_d[0], None)]).structure
             union_info._structures.clear()
             layout, mass, live_e, _ = tab_e.masses([fam.parts])
-            fresh = union_info._Stack(tab_e, layout, mass, [(0, live_e[0], None)], [0]).structure
+            fresh = union_info._Stack(tab_e, layout, mass, [(0, live_e[0], None)]).structure
             assert fresh is not built
             assert (fresh.A[0] == built.A[0]).all() and (fresh.slot == built.slot).all()
             assert (fresh.xidx == built.xidx).all() and fresh.nx == built.nx
@@ -953,14 +999,14 @@ def test_structure_cache_stays_within_its_bound(monkeypatch):
     # bound; with a smaller bound it evicts, and with one below every entry
     # it keeps nothing, and the report is the same each way.  Its entries are
     # the report's layout and its live-cell groups, each counted with every
-    # array it holds; a group built again on more rows replaces its entry.
+    # array it holds; a group kept on other rows is an entry of its own.
     cache = union_info._structures
     d = make_random(0, 5)
     cache.clear()
     expected = _report_bits(d)
     held = cache.held
     assert 0 < held == sum(v.nbytes for v in cache.values.values()) <= cache.bound
-    assert len(_groups()) == len(cache.values) - 1 and max(len(g.rows) for g in _groups()) > 1
+    assert len(_groups()) == len(cache.values) - 1 and max(len(g.cells) for g in _groups()) > 1
     for group in _groups():
         arrays = [v for v in vars(group).values() if isinstance(v, np.ndarray)]
         assert group.nbytes == sum(a.nbytes for a in arrays + list(group.A))
@@ -968,7 +1014,8 @@ def test_structure_cache_stays_within_its_bound(monkeypatch):
     _report_bits(make_random(400, 3))
     [group] = _groups()
     _report_bits(make_random(403, 3))
-    assert [len(g.rows) for g in _groups()] == [len(group.rows) + 2] == [8]
+    assert _groups()[0] is group
+    assert [len(g.cells) for g in _groups()] == [len(group.cells), len(group.cells) + 2] == [6, 8]
     assert cache.held == sum(v.nbytes for v in cache.values.values())
     for bound in (held // 4, 1):
         monkeypatch.setattr(cache, "bound", bound)
