@@ -141,10 +141,7 @@ def render_tsv(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _measure_from(args) -> UnionMeasure:
-    return UnionMeasure(
-        kind=MeasureKind.from_name(args.measure),
-        tolerance=args.tol,
-    )
+    return UnionMeasure(kind=MeasureKind(args.measure), tolerance=args.tol)
 
 
 def _load_input(path: str, target: str | None) -> JointDistribution:
@@ -189,6 +186,8 @@ def _cmd_compute(args) -> tuple[str, int]:
 def _axiom_suite(args):
     from .corpus import EXAMPLE_NAMES, load_example
 
+    if args.trials < 0:
+        raise UsageError(f"axioms needs --trials >= 0, got {args.trials}")
     suite = []
     if args.input:
         dists = [_load_input(args.input, args.target)]

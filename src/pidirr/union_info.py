@@ -77,9 +77,8 @@ stop.
 family they are asked for to the tolerance.  A report needs only each of its
 scans' largest union and the earliest family that reaches it, so on its path
 a family also stops, unsolved, once it is dominated (see :class:`_Brackets`).
-Brackets are memoized per measure and distribution, so no family is solved
-twice; an entry further than the tolerance from its lower bound, which only
-a report leaves, is solved again when asked for outside a report.
+Nothing a call solves is kept for the next, so its values depend on its
+arguments alone.
 """
 
 from __future__ import annotations
@@ -119,21 +118,6 @@ _MAX_NEWTON_STEPS = 500
 class MeasureKind(str, Enum):
     MIN_SYNERGY = "minsyn"
     MAX_SINGLE_MI = "maxmi"
-
-    @classmethod
-    def from_name(cls, name: str) -> "MeasureKind":
-        aliases = {
-            "minsyn": cls.MIN_SYNERGY,
-            "minsynergy": cls.MIN_SYNERGY,
-            "min_synergy": cls.MIN_SYNERGY,
-            "maxmi": cls.MAX_SINGLE_MI,
-            "maxsinglemi": cls.MAX_SINGLE_MI,
-            "max_single_mi": cls.MAX_SINGLE_MI,
-        }
-        try:
-            return aliases[name.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown union measure {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -735,14 +719,6 @@ def _min_synergy_brackets(
     return [(u, min(l, u)) for l, u in zip(brackets.lower, brackets.upper)]
 
 
-@lru_cache(maxsize=256)
-def _memo(m: UnionMeasure, d: JointDistribution) -> dict[PartFamily, tuple[float, float]]:
-    """``(value, lower)`` bracket of each family solved so far on ``d`` under
-    ``m``, in bits.  The value is certified when it lies within the tolerance
-    of its lower bound; a family dominated in a report may lie further."""
-    return {}
-
-
 def _unions(
     m: UnionMeasure,
     d: JointDistribution,
@@ -753,27 +729,19 @@ def _unions(
     ``scans``, a dominated family (see :class:`_Brackets`) may stand at an
     upper bound on its union further than the tolerance above it.
 
-    The families not in the memo are solved together in lockstep, with the
-    scans restricted to them.  Without ``scans``, an entry of the memo that
-    is not certified is solved again."""
+    The distinct families are solved together in lockstep, once each."""
     if d.target is None:
         raise DistributionError("union information needs a target variable")
-    memo = _memo(m, d)
-    todo = [
-        f for f in dict.fromkeys(families)
-        if f not in memo or (not scans and memo[f][0] - memo[f][1] > m.tolerance)
-    ]
-    for family in todo:
+    index = {f: i for i, f in enumerate(dict.fromkeys(families))}
+    for family in index:
         family.validate(d.n_predictors, allow_full=True)
     if m.kind is MeasureKind.MAX_SINGLE_MI:
-        for f in todo:
-            value = max(part_mutual_information(d, p) for p in f.parts)
-            memo[f] = (value, value)
-    elif todo:
-        index = {f: i for i, f in enumerate(todo)}
-        rows = [[index[f] for f in s if f in index] for s in scans]
-        memo.update(zip(todo, _min_synergy_brackets(d, [f.parts for f in todo], m, rows)))
-    return [memo[f][0] for f in families]
+        values = [max(part_mutual_information(d, p) for p in f.parts) for f in index]
+    else:
+        rows = [[index[f] for f in s] for s in scans]
+        parts = [f.parts for f in index]
+        values = [v for v, _ in _min_synergy_brackets(d, parts, m, rows)] if parts else []
+    return [values[index[f]] for f in families]
 
 
 def union_information_batch(
@@ -781,9 +749,9 @@ def union_information_batch(
 ) -> list[float]:
     """Union information of each family, in bits, in the order given.
 
-    The families not solved before on an equal distribution are solved
-    together in lockstep.  Each value is certified as a single family's is; it
-    may differ from the value of its family solved alone by rounding."""
+    The distinct families are solved together in lockstep.  Each value is
+    certified as a single family's is; it may differ from the value of its
+    family solved alone by rounding."""
     return _unions(m, d, families)
 
 

