@@ -36,8 +36,7 @@ from itertools import product
 from typing import Sequence
 
 from .distributions import JointDistribution
-from .irreducibility import IrreducibilityReport, full_report
-from .parts import PartSpec, all_bipartitions, almost_pairs, almosts
+from .irreducibility import IrreducibilityReport, _scan_table, full_report
 from .union_info import UnionMeasure
 
 __all__ = [
@@ -239,18 +238,13 @@ def xor_circuit(n: int, edges: Sequence[Sequence[int]]) -> NamedExample:
         rows.append((tuple(inputs) + (target,), 0.5 ** len(slots)))
     distribution = JointDistribution([f"X{i + 1}" for i in range(n)] + ["Y"], rows)
 
-    def union(parts: Sequence[PartSpec]) -> float:
-        return float(sum(any(set(e) <= set(p.member_indices) for p in parts) for e in edges))
-
+    families, table = _scan_table(n)
+    unions = [float(sum(any(set(e) <= set(p.member_indices) for p in parts) for e in edges))
+              for parts in families]
     whole = float(len(edges))
-    unions = (
-        [union([PartSpec((i,)) for i in range(n)])],
-        [union(b.blocks) for b in all_bipartitions(n)],
-        [union(f.parts) for f in almost_pairs(n)],
-        [union(almosts(n))],
-    )
+    profile = [whole - max(unions[i] for i in scan) for _, scan in table.values()]
     name = "xor_circuit(" + ", ".join("".join(str(i + 1) for i in e) for e in edges) + ")"
-    return NamedExample(name, distribution, (whole, *(whole - max(u) for u in unions)))
+    return NamedExample(name, distribution, (whole, *profile))
 
 
 @dataclass(frozen=True)

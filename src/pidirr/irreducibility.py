@@ -46,7 +46,7 @@ from .parts import (
     almost_pairs,
     almosts,
 )
-from .union_info import UnionMeasure, _unions, whole_mutual_information
+from .union_info import UnionMeasure, _solve
 
 __all__ = [
     "OrderingViolationError",
@@ -106,19 +106,27 @@ class IrreducibilityReport:
 
 
 @lru_cache(maxsize=16)
-def _scan_table(n: int) -> Mapping[str, tuple[tuple, tuple[PartFamily, ...]]]:
-    """Each measure's witnesses and the families it scans, at ``n``
-    predictors, in enumeration order.  Built once per ``n`` and shared, so
+def _scan_table(n: int) -> tuple[tuple, Mapping[str, tuple[tuple, tuple[int, ...]]]]:
+    """The plan of every report at ``n`` predictors: the distinct families
+    of the four scans, each a tuple of parts, in first-seen order; and each
+    measure's witnesses, in enumeration order, with the indices of the
+    families it scans into those.  Built once per ``n`` and shared, so
     everything in it is immutable."""
     singletons = (PartFamily(tuple(PartSpec((i,)) for i in range(n))),)
     bipartitions = tuple(all_bipartitions(n))
     pairs = tuple(almost_pairs(n))
     all_almosts = (PartFamily(tuple(almosts(n))),)
-    return MappingProxyType({
+    scans = {
         "ibe": (singletons, singletons),
         "ibdp": (bipartitions, tuple(b.family() for b in bipartitions)),
         "ib2p": (pairs, pairs),
         "ibap": (all_almosts, all_almosts),
+    }
+    families = tuple(dict.fromkeys(f.parts for _, scanned in scans.values() for f in scanned))
+    index = {parts: i for i, parts in enumerate(families)}
+    return families, MappingProxyType({
+        name: (witnesses, tuple(index[f.parts] for f in scanned))
+        for name, (witnesses, scanned) in scans.items()
     })
 
 
@@ -126,8 +134,9 @@ def _scan(
     d: JointDistribution, m: UnionMeasure | None, *names: str
 ) -> tuple[float, list[tuple[float, PartFamily | PartitionSpec]]]:
     """The whole's mutual information and, for each named measure, its value
-    and witness, with the union informations of all the named scans' families
-    asked for in one call.
+    and witness, from one :func:`pidirr.union_info._solve` call on the
+    families of the named scans in :func:`_scan_table`'s order (all of them,
+    for a full report).
 
     A measure's witnesses are its families in enumeration order: the
     singletons, the bipartitions, the Almost pairs or the Almosts.  The
@@ -139,16 +148,16 @@ def _scan(
     n = d.n_predictors
     if n < 2:
         raise ValueError(f"irreducibility needs at least 2 predictors, got {n}")
-    table = _scan_table(n)
+    families, table = _scan_table(n)
     scans = [table[name][1] for name in names]
-    unions = iter(_unions(m or UnionMeasure(), d, [f for s in scans for f in s], scans))
-    whole = whole_mutual_information(d)
+    at = {i: k for k, i in enumerate(dict.fromkeys(i for scan in scans for i in scan))}
+    whole, unions = _solve(m or UnionMeasure(), d, [families[i] for i in at],
+                           [[at[i] for i in scan] for scan in scans])
     results = []
-    for name in names:
-        witnesses, scanned = table[name]
-        values = [next(unions) for _ in scanned]
+    for name, scan in zip(names, scans):
+        values = [unions[at[i]] for i in scan]
         best = max(range(len(values)), key=values.__getitem__)
-        results.append((min(max(whole - values[best], 0.0), whole), witnesses[best]))
+        results.append((min(max(whole - values[best], 0.0), whole), table[name][0][best]))
     return whole, results
 
 

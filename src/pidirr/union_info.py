@@ -77,8 +77,11 @@ stop.
 family they are asked for to the tolerance.  A report needs only each of its
 scans' largest union and the earliest family that reaches it, so on its path
 a family also stops, unsolved, once it is dominated (see :class:`_Brackets`).
-Nothing a call solves is kept for the next, so its values depend on its
-arguments alone.
+Both paths, and a report's whole mutual information, go through
+:func:`_solve`, which builds the distribution's :class:`_Tables` once per
+call.  Nothing a call solves is kept for the next, nor are the tables it
+builds, so its values depend on its arguments alone; only what depends on
+the shape alone is cached.
 """
 
 from __future__ import annotations
@@ -86,13 +89,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import DistributionError, JointDistribution
+from .distributions import JointDistribution
 from .parts import PartFamily, PartSpec
 
 __all__ = [
@@ -187,9 +189,6 @@ class _Tables:
         return layout, mass, layout.members @ (mass == 0.0)[layout.joint] == 0.0, mi
 
 
-_tables = lru_cache(maxsize=256)(_Tables)
-
-
 def _entropies(v: np.ndarray, part: np.ndarray) -> list[float]:
     """Entropy in bits of each part's masses ``v[part == j]``, summed as
     :func:`_neg_plogp` sums it alone, over its positive masses in order."""
@@ -199,11 +198,11 @@ def _entropies(v: np.ndarray, part: np.ndarray) -> list[float]:
 
 
 def part_mutual_information(d: JointDistribution, part: PartSpec) -> float:
-    return _tables(d).masses([(part,)])[3][0]
+    return _Tables(d).masses([(part,)])[3][0]
 
 
 def whole_mutual_information(d: JointDistribution) -> float:
-    return _tables(d).whole_mi
+    return _Tables(d).whole_mi
 
 
 class _Cache:
@@ -379,7 +378,7 @@ class MarginalPolytope:
     def __init__(self, base: JointDistribution, parts: Sequence[PartSpec]):
         parts = tuple(parts)
         PartFamily(parts).validate(base.n_predictors, allow_full=True)
-        tab = _tables(base)
+        tab = _Tables(base)
         layout, mass, live, _ = tab.masses([parts])
         stack = _Stack(tab, layout, mass, [(0, live[0], None)])
         s, cells = stack.structure, list(iter_product(*base.alphabets))
@@ -685,17 +684,17 @@ def _lockstep(
 
 
 def _min_synergy_brackets(
-    d: JointDistribution,
+    tab: _Tables,
     families: Sequence[Sequence[PartSpec]],
     m: UnionMeasure,
     scans: Sequence[Sequence[int]] = (),
 ) -> list[tuple[float, float]]:
-    """``(value, lower)`` in bits per family: the upper and lower ends of its
-    bracket (see :class:`_Brackets`), with ``scans`` lists of indices into
-    ``families``.  Each live-cell group, largest first, is checked and
-    started by :func:`_starts`; then each is checked again and stepped.  A
-    bracket only tightens, so a row done at its start is done there too."""
-    tab = _tables(d)
+    """``(value, lower)`` in bits per family over ``tab``'s distribution:
+    the upper and lower ends of its bracket (see :class:`_Brackets`), with
+    ``scans`` lists of indices into ``families``.  Each live-cell group,
+    largest first, is checked and started by :func:`_starts`; then each is
+    checked again and stepped.  A bracket only tightens, so a row done at its
+    start is done there too."""
     layout, mass, live, mi = tab.masses(families)
     brackets = _Brackets(scans, len(families), m.tolerance)
     groups: dict[int, list] = {}
@@ -719,29 +718,23 @@ def _min_synergy_brackets(
     return [(u, min(l, u)) for l, u in zip(brackets.lower, brackets.upper)]
 
 
-def _unions(
+def _solve(
     m: UnionMeasure,
     d: JointDistribution,
-    families: Sequence[PartFamily],
-    scans: Sequence[Sequence[PartFamily]] = (),
-) -> list[float]:
-    """Union information of each family, in bits, in the order given; with
-    ``scans``, a dominated family (see :class:`_Brackets`) may stand at an
-    upper bound on its union further than the tolerance above it.
-
-    The distinct families are solved together in lockstep, once each."""
-    if d.target is None:
-        raise DistributionError("union information needs a target variable")
-    index = {f: i for i, f in enumerate(dict.fromkeys(families))}
-    for family in index:
-        family.validate(d.n_predictors, allow_full=True)
+    families: Sequence[Sequence[PartSpec]],
+    scans: Sequence[Sequence[int]] = (),
+) -> tuple[float, list[float]]:
+    """The whole's mutual information and the union information of each of
+    ``families`` (nonempty, distinct and valid, each a tuple of parts), in
+    bits, from one :class:`_Tables`.  With ``scans``, lists of indices into
+    ``families``, a dominated family (see :class:`_Brackets`) may stand at an
+    upper bound on its union further than the tolerance above it.  ``maxmi``
+    reads every part's mutual information from one pass over the masses."""
+    tab = _Tables(d)
     if m.kind is MeasureKind.MAX_SINGLE_MI:
-        values = [max(part_mutual_information(d, p) for p in f.parts) for f in index]
-    else:
-        rows = [[index[f] for f in s] for s in scans]
-        parts = [f.parts for f in index]
-        values = [v for v, _ in _min_synergy_brackets(d, parts, m, rows)] if parts else []
-    return [values[index[f]] for f in families]
+        layout, *_, mi = tab.masses(families)
+        return tab.whole_mi, [max(mi[j] for j in parts) for parts in layout.families]
+    return tab.whole_mi, [v for v, _ in _min_synergy_brackets(tab, families, m, scans)]
 
 
 def union_information_batch(
@@ -749,27 +742,23 @@ def union_information_batch(
 ) -> list[float]:
     """Union information of each family, in bits, in the order given.
 
-    The distinct families are solved together in lockstep.  Each value is
-    certified as a single family's is; it may differ from the value of its
-    family solved alone by rounding."""
-    return _unions(m, d, families)
+    The distinct families are solved together in lockstep, once each.  Each
+    value is certified as a single family's is; it may differ from the value
+    of its family solved alone by rounding."""
+    index = {f: i for i, f in enumerate(dict.fromkeys(families))}
+    for family in index:
+        family.validate(d.n_predictors, allow_full=True)
+    values = _solve(m, d, [f.parts for f in index])[1] if index else []
+    return [values[index[f]] for f in families]
 
 
 def union_information(
-    m: UnionMeasure,
-    d: JointDistribution,
-    family: PartFamily | Iterable[PartSpec],
-    target: str | None = None,
+    m: UnionMeasure, d: JointDistribution, family: PartFamily | Iterable[PartSpec]
 ) -> float:
-    """Union information the family's parts convey about the target, in bits.
-
-    ``target`` defaults to the distribution's own target variable; passing a
-    different name re-targets the computation at that column.
-    """
+    """Union information the family's parts convey about the distribution's
+    target, in bits."""
     if not isinstance(family, PartFamily):
         family = PartFamily(tuple(family))
-    if target is not None and target != d.target:
-        d = JointDistribution(d.variables, d.pmf, target=target)
     return union_information_batch(m, d, [family])[0]
 
 

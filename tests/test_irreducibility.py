@@ -14,13 +14,7 @@ from pidirr.parts import (
     almosts,
 )
 from pidirr import irreducibility, union_info
-from pidirr.union_info import (
-    MeasureKind,
-    UnionMeasure,
-    union_information,
-    union_information_batch,
-    whole_mutual_information,
-)
+from pidirr.union_info import MeasureKind, UnionMeasure, union_information
 
 from conftest import make_random
 
@@ -71,8 +65,8 @@ def test_bipartition_values_lie_between_their_part_bounds(monkeypatch, corpus):
                                                (0, 4, 2, 0.1), (0, 5)]]
     solve, reported = union_info._min_synergy_brackets, {}
 
-    def recording_solve(d, families, m, scans=()):
-        out = solve(d, families, m, scans)
+    def recording_solve(tab, families, m, scans=()):
+        out = solve(tab, families, m, scans)
         reported.update(zip(families, out))
         return out
 
@@ -216,12 +210,14 @@ def test_reduced_enumerations_match_full_ones(seed, n):
 
 def _report_every_family_solved(monkeypatch, d, m):
     """The report with every family of every scan solved to the tolerance in
-    one union_information_batch call."""
+    one solve call that is given no scans."""
+    solve = union_info._solve
+
     def every_family(m, d, families, scans):
-        return union_information_batch(m, d, families)
+        return solve(m, d, families)
 
     with monkeypatch.context() as patch:
-        patch.setattr(irreducibility, "_unions", every_family)
+        patch.setattr(irreducibility, "_solve", every_family)
         return full_report(d, m)
 
 
@@ -266,9 +262,9 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
         lockstep(stack, rows, q, ids, hy, brackets)
         calls[-1]["newton"].update(ids)
 
-    def recording_solve(d, families, m, scans=()):
-        calls.append({"d": d, "families": families, "newton": set()})
-        calls[-1]["out"] = solve(d, families, m, scans)
+    def recording_solve(tab, families, m, scans=()):
+        calls.append({"tab": tab, "families": families, "newton": set()})
+        calls[-1]["out"] = solve(tab, families, m, scans)
         return calls[-1]["out"]
 
     monkeypatch.setattr(union_info, "_lockstep", recording_lockstep)
@@ -277,15 +273,15 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
         full_report(make_random(seed, 3))
     exits = {"newton": 0, "build": 0, "start": 0}
     for call in calls:
-        d = call["d"]
+        tab = call["tab"]
         for i, (parts, bracket) in enumerate(zip(call["families"], call["out"])):
             value, lower = bracket
             if value - lower <= 0.1 * MINSYN.tolerance:  # certified, not dominated
                 continue
             members = [j for p in parts for j in p.member_indices]
-            built = whole_mutual_information(d)
+            built = tab.whole_mi
             if len(set(members)) == len(members):
-                built = min(sum(union_info.part_mutual_information(d, p) for p in parts), built)
+                built = min(sum(tab.masses([parts])[3]), built)
             if i in call["newton"]:
                 exits["newton"] += 1
             else:
@@ -323,11 +319,29 @@ def test_a_later_group_meets_the_certified_bounds_of_earlier_ones(monkeypatch):
 
 
 def test_scan_families_are_built_once_per_n_and_shared_read_only():
-    table = irreducibility._scan_table(4)
-    assert irreducibility._scan_table(4) is table
+    plan = irreducibility._scan_table(4)
+    assert irreducibility._scan_table(4) is plan
+    families, table = plan
     with pytest.raises(TypeError):
         table["ibe"] = ((), ())
     for witnesses, scanned in table.values():
         assert isinstance(witnesses, tuple) and isinstance(scanned, tuple)
-    assert table["ibdp"][1] == tuple(b.family() for b in all_bipartitions(4))
-    assert table["ib2p"][1] == tuple(almost_pairs(4))
+    # The plan's families are the four scans' distinct families in first-seen
+    # order, and each scan's indices give back its enumeration.
+    for n in range(2, 6):
+        families, table = irreducibility._scan_table(n)
+        scans = {
+            "ibe": (PartFamily(tuple(PartSpec((i,)) for i in range(n))),),
+            "ibdp": tuple(b.family() for b in all_bipartitions(n)),
+            "ib2p": tuple(almost_pairs(n)),
+            "ibap": (PartFamily(tuple(almosts(n))),),
+        }
+        assert isinstance(families, tuple) and len(set(families)) == len(families)
+        assert families == tuple(dict.fromkeys(f.parts for s in scans.values() for f in s))
+        for name, scanned in scans.items():
+            assert tuple(PartFamily(families[i]) for i in table[name][1]) == scanned
+        assert table["ibdp"][0] == tuple(all_bipartitions(n))
+        assert table["ib2p"][0] == tuple(almost_pairs(n))
+    # At n = 2 all four scans are one family.
+    families, table = irreducibility._scan_table(2)
+    assert len(families) == 1 and all(scan == (0,) for _, scan in table.values())

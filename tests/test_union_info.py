@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -37,6 +38,11 @@ def singletons(n):
     return PartFamily(tuple(PartSpec((i,)) for i in range(n)))
 
 
+def _brackets(d, families, m):
+    """Each family's ``(value, lower)`` bracket, from one solve over ``d``."""
+    return union_info._min_synergy_brackets(union_info._Tables(d), families, m)
+
+
 def _set_up(d, families):
     """What the solver hands ``_lockstep`` for the families, with no Newton
     step taken: per live-cell group that steps, its rows ``(i, cells, q,
@@ -53,13 +59,13 @@ def _set_up(d, families):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(union_info, "_lockstep", recording_lockstep)
-        brackets = union_info._min_synergy_brackets(d, families, MINSYN)
+        brackets = _brackets(d, families, MINSYN)
     return batches, brackets
 
 
 def _live(d, parts):
     """The live cells of ``parts`` on ``d``, as the solver finds them."""
-    tab = union_info._tables(d)
+    tab = union_info._Tables(d)
     return np.flatnonzero(tab.masses([parts])[2][0])
 
 
@@ -107,7 +113,8 @@ def test_maxmi_on_xor_unique_bipartition(xor_unique):
 
 def test_retargeting_by_name(xor):
     # Using X1 as the target of the XOR table: X2 and Y jointly determine it.
-    v = union_information(MINSYN, xor, singletons(2), target="X1")
+    retargeted = JointDistribution(xor.variables, xor.pmf, target="X1")
+    v = union_information(MINSYN, retargeted, singletons(2))
     assert v <= 1e-9
 
 
@@ -134,8 +141,8 @@ def test_adding_parts_never_decreases_value():
 def test_determinism_bit_identical():
     d = make_random(7, n_predictors=3)
     fam = almost_pairs(3)[0]
-    a = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
-    b = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
+    a = _brackets(d, [fam.parts], MINSYN)[0]
+    b = _brackets(d, [fam.parts], MINSYN)[0]
     assert a == b
 
 
@@ -143,10 +150,10 @@ def test_unclosed_gap_is_a_typed_error(monkeypatch):
     d = make_random(400, n_predictors=3)
     # Within 1e-10 bits above the minimum.
     tight = UnionMeasure(tolerance=1e-10)
-    optimum, _ = union_info._min_synergy_brackets(d, [singletons(3).parts], tight)[0]
+    optimum, _ = _brackets(d, [singletons(3).parts], tight)[0]
     monkeypatch.setattr(union_info, "_MAX_NEWTON_STEPS", 2)
     with pytest.raises(UnionConvergenceError) as err:
-        union_info._min_synergy_brackets(d, [singletons(3).parts], MINSYN)[0]
+        _brackets(d, [singletons(3).parts], MINSYN)[0]
     lower = max(part_mutual_information(d, p) for p in singletons(3).parts)
     assert err.value.gap > 0.0
     assert err.value.value >= lower
@@ -186,9 +193,9 @@ def test_report_solves_each_family_once(monkeypatch):
     calls = []
     solve = union_info._min_synergy_brackets
 
-    def counting(d, families, m, scans=()):
+    def counting(tab, families, m, scans=()):
         calls.append(list(families))
-        return solve(d, families, m, scans)
+        return solve(tab, families, m, scans)
 
     monkeypatch.setattr(union_info, "_min_synergy_brackets", counting)
     d = make_random(402, n_predictors=3)
@@ -209,8 +216,8 @@ def test_families_a_report_dominated_are_solved_when_asked_for(monkeypatch):
     reported = []
     solve = union_info._min_synergy_brackets
 
-    def recording(d, families, m, scans=()):
-        out = solve(d, families, m, scans)
+    def recording(tab, families, m, scans=()):
+        out = solve(tab, families, m, scans)
         reported.extend(zip(families, out))
         return out
 
@@ -221,7 +228,7 @@ def test_families_a_report_dominated_are_solved_when_asked_for(monkeypatch):
     assert dominated
     for parts, (upper, _) in dominated.items():
         value = union_information(MINSYN, d, PartFamily(parts))
-        alone, lower = solve(d, [parts], MINSYN)[0]
+        alone, lower = _brackets(d, [parts], MINSYN)[0]
         assert lower <= value <= lower + MINSYN.tolerance
         assert value == alone != upper
 
@@ -385,7 +392,7 @@ def test_binary_zeros_between_part_bound_and_oracle(seed, n, zero_fraction, fami
         lower = max(part_mutual_information(d, p) for p in fam.parts)
         assert value >= lower - 1e-12
         assert value <= brute_force_union_oracle(d, fam) + 1e-7
-        certified = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0][1]
+        certified = _brackets(d, [fam.parts], MINSYN)[0][1]
         assert certified <= value <= certified + MINSYN.tolerance
 
 
@@ -451,9 +458,9 @@ def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
     d = make_random(seed, n, alphabet_size if n < 4 else 2, zero_fraction)
     whole = whole_mutual_information(d)
     families = _report_families(n)
-    batch = union_info._min_synergy_brackets(d, [fam.parts for fam in families], MINSYN)
+    batch = _brackets(d, [fam.parts for fam in families], MINSYN)
     for fam, (batch_value, batch_lower) in zip(families, batch):
-        value, lower = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
+        value, lower = _brackets(d, [fam.parts], MINSYN)[0]
         assert lower <= value <= lower + MINSYN.tolerance
         assert value >= max(part_mutual_information(d, p) for p in fam.parts) - 1e-12
         assert value <= whole + 1e-12
@@ -482,7 +489,7 @@ def test_report_families_are_certified_at_tight_tolerances(args, tolerance):
     measure = UnionMeasure(tolerance=tolerance)
     full_report(d, measure)
     families = [fam.parts for fam in _report_families(args[1])]
-    for value, lower in union_info._min_synergy_brackets(d, families, measure):
+    for value, lower in _brackets(d, families, measure):
         assert lower <= value <= lower + tolerance
 
 
@@ -501,7 +508,7 @@ def test_facial_reduction_raises_no_warning(seed, alphabet_size, emptied):
     assert (np.bincount(xidx) > 0).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, certified = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
+        value, certified = _brackets(d, [fam.parts], MINSYN)[0]
     assert certified <= value <= certified + MINSYN.tolerance
 
 
@@ -522,7 +529,7 @@ def test_face_without_free_direction_ends_before_the_solve(monkeypatch):
     monkeypatch.setattr(union_info, "_lockstep", no_solve)
     monkeypatch.setattr(union_info, "_maximal_support", counting_support)
     d = make_random(2, 3, 2, 0.3)
-    [(value, lower)] = union_info._min_synergy_brackets(d, [tuple(almosts(3))], MINSYN)
+    [(value, lower)] = _brackets(d, [tuple(almosts(3))], MINSYN)
     assert len(lps) == 1
     assert value == lower == whole_mutual_information(d)
     assert abs(value - 0.4097012568427534) <= 1e-12
@@ -569,7 +576,7 @@ def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
     [[start_sweep]] = sweeps
     sweep = poly.x0 + poly.null_basis @ (poly.null_basis.T @ (start_sweep - poly.x0))
     assert (not sweep.min() > 0.0) == pulled
-    value, lower = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
+    value, lower = _brackets(d, [fam.parts], MINSYN)[0]
     assert lower <= value <= lower + MINSYN.tolerance
 
 
@@ -606,7 +613,7 @@ def test_zero_cell_start_takes_one_sweep_per_face(monkeypatch, seed, zero_fracti
     d = make_random(seed, 4, 2, zero_fraction)
     fam = PartFamily(tuple(almosts(4)))
     assert (MarginalPolytope(d, fam.parts).x0 == 0.0).any()
-    value, lower = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0]
+    value, lower = _brackets(d, [fam.parts], MINSYN)[0]
     # A face smaller than the live cells takes its own sweep.
     assert len(sweeps) == 1 + faces.count(False)
     assert faces == {None: [], "full": [True], "smaller": [False]}[face]
@@ -661,7 +668,7 @@ def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
     # solved by least squares instead, with the same values.
     d = make_random(400)
     families = [fam.parts for fam in _report_families(3)]
-    expected = union_info._min_synergy_brackets(d, families, MINSYN)
+    expected = _brackets(d, families, MINSYN)
     report = full_report(d)
     refused = 0
 
@@ -671,7 +678,7 @@ def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    brackets = union_info._min_synergy_brackets(d, families, MINSYN)
+    brackets = _brackets(d, families, MINSYN)
     fallback_report = full_report(d)
     assert refused > 0
     for (value, lower), (expected_value, _) in zip(brackets, expected):
@@ -700,11 +707,11 @@ def test_mixed_batches_with_facial_reduction_raise_no_warning():
         # The report leaves dominated families unsolved; a batch call solves
         # every family to the tolerance.
         batch = union_information_batch(MINSYN, d, families)
-        brackets = union_info._min_synergy_brackets(d, [f.parts for f in families], MINSYN)
+        brackets = _brackets(d, [f.parts for f in families], MINSYN)
     assert batch == [value for value, _ in brackets]
     for fam, (value, lower) in zip(families, brackets):
         assert lower <= value <= lower + MINSYN.tolerance
-        alone = union_info._min_synergy_brackets(d, [fam.parts], MINSYN)[0][0]
+        alone = _brackets(d, [fam.parts], MINSYN)[0][0]
         assert union_information(MINSYN, d, fam) == alone
         assert abs(alone - value) <= MINSYN.tolerance
     assert report.ibe == pytest.approx(whole_mutual_information(d) - brackets[0][0], abs=1e-15)
@@ -798,8 +805,10 @@ def test_tables_follow_target_and_constant_target():
             assert part_mutual_information(dist, part) == pytest.approx(mi, abs=1e-14)
     assert abs(whole_mutual_information(retargeted) - whole_mutual_information(d)) > 1e-3
     assert whole_mutual_information(const) == 0.0
-    via_name = union_information(MINSYN, d, singletons(2), target="X1")
-    assert via_name == union_information(MINSYN, retargeted, singletons(2))
+    # Retargeted again from d, as the CLI's --target does it: the same bits.
+    again = JointDistribution(d.variables, dict(d.pmf), target="X1")
+    assert union_information(MINSYN, again, singletons(2)) == union_information(
+        MINSYN, retargeted, singletons(2))
     assert union_information(MINSYN, const, singletons(2)) == 0.0
 
 
@@ -812,7 +821,7 @@ def test_stacked_rows_match_their_families_alone(corpus):
     for d, fam in _build_cases(corpus):
         inputs.setdefault(d, []).append(fam.parts)
     for d, families in inputs.items():
-        tab = union_info._tables(d)
+        tab = union_info._Tables(d)
         product_cells = list(product(*d.alphabets))
         layout, mass, masks, _ = tab.masses(families)
         groups = {}
@@ -863,7 +872,7 @@ def test_stack_checks_each_row_base_pmf_against_its_masses():
     # any block of any row, here the last block of the second, is refused.
     # The input has full support, so both families live on all 16 cells.
     d = make_random(400, 3)
-    tab = union_info._tables(d)
+    tab = union_info._Tables(d)
     parts = tuple(almosts(3))
     layout, mass, live, _ = tab.masses([parts[:2], parts])
     rows = [(0, live[0], None), (1, live[1], None)]
@@ -978,7 +987,7 @@ def test_structure_depends_on_shape_and_cells_alone():
     for d, e in pairs:
         assert set(d.pmf) == set(e.pmf) and d.pmf != e.pmf
         for fam in _report_families(3):
-            tab_d, tab_e = union_info._tables(d), union_info._tables(e)
+            tab_d, tab_e = union_info._Tables(d), union_info._Tables(e)
             live = _live(d, fam.parts)
             assert np.array_equal(_live(e, fam.parts), live)
             union_info._structures.clear()
@@ -998,6 +1007,38 @@ def test_structure_depends_on_shape_and_cells_alone():
             poly = MarginalPolytope(e, fam.parts)
             assert poly.A is fresh.A[0]
             assert np.abs(poly.A @ poly.x0 - poly.b).max() <= 1e-15
+
+
+def test_a_report_builds_its_tables_once_and_keeps_none(monkeypatch):
+    # A report builds its distribution's tables once, for the whole's mutual
+    # information and every family, under either measure; nothing holds them
+    # once it returns.
+    d = make_random(400, 3)
+    built, init = [], union_info._Tables.__init__
+
+    def counting_init(self, dist):
+        built.append(dist)
+        init(self, dist)
+
+    monkeypatch.setattr(union_info._Tables, "__init__", counting_init)
+    for m in (MINSYN, MAXMI):
+        built.clear()
+        full_report(d, m)
+        assert built == [d]
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, union_info._Tables)]
+
+
+def test_a_maxmi_report_reads_every_part_from_one_layout():
+    # maxmi takes every part's mutual information from its call's one pass
+    # over the masses, so an n=3 report adds one layout and nothing else.
+    d = make_random(400, 3)
+    union_info._structures.clear()
+    report = full_report(d, MAXMI)
+    [layout] = union_info._structures.values.values()
+    assert isinstance(layout, union_info._Layout) and len(layout.parts) == 6
+    best = max(part_mutual_information(d, PartSpec((i,))) for i in range(3))
+    assert report.ibe == min(max(report.whole_mi - best, 0.0), report.whole_mi)
 
 
 def test_structure_cache_stays_within_its_bound(monkeypatch):
