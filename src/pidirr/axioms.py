@@ -154,8 +154,9 @@ def check_axioms(
                 f"{label}: append arbitrary part",
             )
 
-        # S0: reordering the family (families are canonically ordered, so
-        # this is exact by construction; check it anyway).
+        # S0: reordering the family.  PartFamily sorts its parts, so the
+        # reversed family is the family itself and its value is read back
+        # from `solved`: S0 holds by construction, with no solve of its own.
         reordered = PartFamily(tuple(reversed(family.parts)))
         report.result("S0").record(
             abs(union(reordered) - value), f"{label}: reorder"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pidirr.distributions import JointDistribution
+from pidirr.distributions import DistributionError, JointDistribution
 from pidirr.irreducibility import full_report
 from pidirr.parts import PartFamily, PartSpec, all_bipartitions, almost_pairs, almosts
 from pidirr import union_info
@@ -327,6 +327,19 @@ def test_axioms_pass_on_small_suite(measure, xor, xor_unique):
     payload = report.to_dict()
     assert payload["all_passed"] is True
     assert payload["axioms"]["SR"]["cases"] >= 4
+
+
+def test_a_distribution_without_a_target_is_a_typed_error(xor):
+    # Every variable counts as a predictor here, so a family over all of them
+    # passes validation; the error comes from the missing target.
+    untargeted = JointDistribution(xor.variables, xor.pmf, target=None)
+    for fam in (singletons(2), PartFamily((PartSpec((0, 1, 2)),))):
+        for m in (MINSYN, MAXMI):
+            with pytest.raises(DistributionError, match="target"):
+                union_information(m, untargeted, fam)
+    for m in (MINSYN, MAXMI):
+        with pytest.raises(DistributionError, match="target"):
+            full_report(untargeted, m)
 
 
 def test_constant_target_gives_zero(xor_unique):
