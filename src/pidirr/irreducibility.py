@@ -17,12 +17,16 @@ the test suite re-derives them against the full enumerations on random
 inputs.  Values are clamped to ``[0, whole_mi]`` after subtraction, which
 only removes rounding: the true value lies there.
 
-A measure needs only its scan's largest union and the earliest family that
-reaches it, so a family stops unsolved once it cannot be that maximum nor
-tie with it: once it is dominated, by the rule of
-:class:`pidirr.union_info._Brackets`.  The values and witnesses are
-therefore those of solving every family, and ties still go to the earliest
-family.
+A measure's witness is the earliest family of its scan whose union lies
+within the measure's ``tolerance`` of the scan's largest union; the value
+is still the whole minus that largest union.  Certified unions are only
+known to the tolerance, so families within it of the largest are ties, and
+rounding cannot move the witness among them, as it could move an argmax
+among unions that tie exactly in exact arithmetic.  A measure needs only
+its scan's largest union and its witness, so a family stops unsolved once
+it lies more than ``tolerance`` below the largest: once it is dominated, by
+the rule of :class:`pidirr.union_info._Brackets`.  The values and
+witnesses are therefore those of solving every family.
 
 Every maximum is certified to lie at most the measure's ``tolerance`` above
 its minimum, and richer parts have a larger minimum, so the computed
@@ -140,24 +144,28 @@ def _scan(
 
     A measure's witnesses are its families in enumeration order: the
     singletons, the bipartitions, the Almost pairs or the Almosts.  The
-    witness is the one with the largest union; ties go to the earliest.
-    Only the families that may be a scan's maximum are solved to the
-    tolerance; a dominated one stands at an upper bound on its union and is
-    never the witness (see :class:`pidirr.union_info._Brackets`).
+    witness is the earliest one whose union is within ``m.tolerance`` of the
+    largest, and the value is the whole minus the largest.  Only the
+    families that may be within the tolerance of a scan's maximum are solved
+    to the tolerance; a dominated one stands at an upper bound on its union
+    more than the tolerance below it, and is never the witness (see
+    :class:`pidirr.union_info._Brackets`).
     """
     n = d.n_predictors
     if n < 2:
         raise ValueError(f"irreducibility needs at least 2 predictors, got {n}")
+    m = m or UnionMeasure()
     families, table = _scan_table(n)
     scans = [table[name][1] for name in names]
     at = {i: k for k, i in enumerate(dict.fromkeys(i for scan in scans for i in scan))}
-    whole, unions = _solve(m or UnionMeasure(), d, [families[i] for i in at],
+    whole, unions = _solve(m, d, [families[i] for i in at],
                            [[at[i] for i in scan] for scan in scans])
     results = []
     for name, scan in zip(names, scans):
         values = [unions[at[i]] for i in scan]
-        best = max(range(len(values)), key=values.__getitem__)
-        results.append((min(max(whole - values[best], 0.0), whole), table[name][0][best]))
+        top = max(values)
+        best = next(k for k, v in enumerate(values) if v >= top - m.tolerance)
+        results.append((min(max(whole - top, 0.0), whole), table[name][0][best]))
     return whole, results
 
 

@@ -75,8 +75,9 @@ stop.
 
 :func:`union_information` and :func:`union_information_batch` solve every
 family they are asked for to the tolerance.  A report needs only each of its
-scans' largest union and the earliest family that reaches it, so on its path
-a family also stops, unsolved, once it is dominated (see :class:`_Brackets`).
+scans' largest union and the earliest family within the tolerance of it, so
+on its path a family also stops, unsolved, once it is dominated (see
+:class:`_Brackets`).
 Both paths, and a report's whole mutual information, go through
 :func:`_solve`, which builds the distribution's :class:`_Tables` once per
 call.  Nothing a call solves is kept for the next, nor are the tables it
@@ -470,13 +471,14 @@ class _Brackets:
     every scan that lists it, some family j's ``lower[j]`` is more than
     ``tolerance`` above ``upper[i]``.  Solved, i would stop at most ``tolerance`` above its
     minimum, so ``V_i <= U_i + tolerance < L_j <= V_j``: it is never its
-    scan's largest union, nor ties with it.  So a report's values (up to
-    rounding) and witnesses are those of solving every family, and the
-    earliest family still wins a tie.  A family's own lower bound is below
-    its upper bound, so it never dominates itself; one in no scan is never
-    dominated.  A family that can no longer move is done once its bracket is
-    within the whole ``tolerance``, and raises
-    :class:`UnionConvergenceError` otherwise."""
+    scan's largest union.  Its value ``U_i`` is more than ``tolerance``
+    below ``L_j``, so it is never within ``tolerance`` of the largest, which
+    a witness is (see :mod:`pidirr.irreducibility`).  So a report's values
+    (up to rounding) and witnesses are those of solving every family.  A
+    family's own lower bound is below its upper bound, so it never dominates
+    itself; one in no scan is never dominated.  A family that can no longer
+    move is done once its bracket is within the whole ``tolerance``, and
+    raises :class:`UnionConvergenceError` otherwise."""
 
     def __init__(self, scans: Sequence[Sequence[int]], count: int, tolerance: float):
         self.scans = [list(s) for s in scans if s]

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 
 import pidirr
 from pidirr.cli import main, render_json
-from pidirr.corpus import load_example
+from pidirr.corpus import EXAMPLE_NAMES, load_example
 
 from conftest import make_random
 
@@ -220,17 +222,22 @@ def test_render_json_stability():
     assert render_json(-1e-13) == "0.000000000"  # negative zero normalized
 
 
-def run_console(args, *flags):
-    """``python -m pidirr.cli`` in a fresh interpreter, with this checkout's
-    package on ``PYTHONPATH``.  The in-process tests above cannot catch a
-    handler that lost an import: ``conftest`` has loaded the corpus already."""
+def run_python(*argv):
+    """A fresh interpreter with this checkout's package on ``PYTHONPATH``."""
     src = str(Path(pidirr.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, *flags, "-m", "pidirr.cli", *args],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def run_console(args, *flags):
+    """``python -m pidirr.cli`` in a fresh interpreter.  The in-process tests
+    above cannot catch a handler that lost an import: ``conftest`` has loaded
+    the corpus already."""
+    return run_python(*flags, "-m", "pidirr.cli", *args)
 
 
 def test_console_entry_point(xor_file):
@@ -268,3 +275,73 @@ def test_examples_unknown_name_lists_the_names():
     assert "unknown example 'nope'" in proc.stderr
     for name in ("xor", "xor_unique", "double_xor", "triple_xor", "parity"):
         assert name in proc.stderr
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_process_entry_prints_what_main_prints(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.tsv"
+    path.write_text(load_example(name).distribution.to_tsv(), encoding="utf-8")
+    for fmt in ("json", "tsv", "human"):
+        args = ["compute", "--input", str(path), "--format", fmt]
+        expected = run(args, capsys)
+        proc = run_console(args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+        assert expected[0] == 0 and expected[1] and not expected[2]
+
+
+@pytest.mark.parametrize("args, status", [
+    (["compute"], 2),
+    (["compute", "--input", "BAD_FILE"], 1),
+], ids=["usage", "malformed"])
+def test_process_entry_keeps_error_exits(args, status, tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("# vars: A B\n0\t0\tnope\n", encoding="utf-8")
+    args = [str(bad) if a == "BAD_FILE" else a for a in args]
+    expected = run(args, capsys)
+    proc = run_console(args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    assert expected[:2] == (status, "") and expected[2]
+
+
+def test_process_entry_is_clean_in_dev_mode(xor_file, tmp_path):
+    # Development mode warns of unclosed files and other resource misuse at
+    # exit; -W error would make any warning fail the run.
+    out = tmp_path / "out.json"
+    proc = run_console(["compute", "--input", xor_file, "--out", str(out)], "-X", "dev", "-W", "error")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_text(encoding="utf-8") == XOR_JSON
+
+
+def test_main_freezes_nothing(xor_file, capsys):
+    # Only the process entry freezes; main() is called in-process by tests
+    # and by other programs, whose later garbage it must not pin.
+    before = gc.get_freeze_count()
+    assert run(["compute", "--input", xor_file], capsys)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+# Registered first, so it runs last of the atexit handlers.
+_FREEZE_AT_EXIT = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}'))\n"
+)
+
+
+def test_console_script_is_the_freezing_entry(xor_file):
+    # tomllib is not in Python 3.10, so the table is read with a regex.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    module, entry = re.fullmatch(r'\s*pidirr = "([\w.]+):(\w+)"\s*', scripts.group(1)).groups()
+    assert module == "pidirr.cli"
+    args = ["compute", "--input", xor_file]
+    # As the installed script calls the target, and as `python -m` runs the
+    # module; each freezes before it exits.
+    script = run_python("-c", _FREEZE_AT_EXIT + f"from {module} import {entry}\nsys.exit({entry}())", *args)
+    as_module = run_python(
+        "-c", _FREEZE_AT_EXIT + f"import runpy\nrunpy.run_module({module!r}, run_name='__main__')", *args
+    )
+    assert script.returncode == as_module.returncode == 0, script.stderr + as_module.stderr
+    assert script.stdout == as_module.stdout == XOR_JSON
+    for proc in (script, as_module):
+        frozen = re.fullmatch(r"frozen (\d+)", proc.stderr)
+        assert frozen and int(frozen.group(1)) > 0, proc.stderr

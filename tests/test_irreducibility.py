@@ -251,6 +251,41 @@ def test_scans_solve_only_what_their_maxima_need(monkeypatch, corpus, tolerance)
         assert _witnesses(report) == _witnesses(expected)
 
 
+@pytest.mark.parametrize("shift", [
+    lambda i: i, lambda i: -i, lambda i: (-1) ** i * (i % 4), lambda i: (5 * i + 3) % 11 - 5,
+], ids=["rising", "falling", "alternating", "scattered"])
+def test_witnesses_are_the_earliest_of_their_tie_class(monkeypatch, corpus, shift):
+    # Rounding moves a union by a few ulps, which can reorder families whose
+    # unions tie exactly (triple_xor's Almost pairs, parity's everything).
+    # Each union moved by a different multiple of 1e-15 leaves every witness
+    # the earliest family of its scan within 1e-9 of the scan's largest.
+    solve = union_info._solve
+    for name, example in corpus.items():
+        d = example.distribution
+        families, table = irreducibility._scan_table(d.n_predictors)
+        seen = []
+
+        def shifted(m, d, asked, scans):
+            assert asked == list(families)
+            whole, unions = solve(m, d, asked, scans)
+            seen.append(unions)
+            return whole, [v + shift(i) * 1e-15 for i, v in enumerate(unions)]
+
+        report = full_report(d, MINSYN)
+        with monkeypatch.context() as patch:
+            patch.setattr(irreducibility, "_solve", shifted)
+            moved = full_report(d, MINSYN)
+        [unions] = seen
+        earliest = {}
+        for scan, (witnesses, ids) in table.items():
+            values = [unions[i] for i in ids]
+            earliest[scan] = next(w for w, v in zip(witnesses, values) if v >= max(values) - 1e-9)
+        assert report.witness_bipartition == earliest["ibdp"], name
+        assert report.witness_almost_pair == earliest["ib2p"], name
+        assert _witnesses(moved) == _witnesses(report), name
+        assert moved.values() == pytest.approx(report.values(), abs=1e-13)
+
+
 def test_each_exit_point_retires_a_dominated_family(monkeypatch):
     # A dominated family stops inside the lockstep solve, at a Newton step;
     # before its build, with its whole or disjoint-part bound as its value;
