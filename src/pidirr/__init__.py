@@ -14,56 +14,25 @@ and three on top:
 * :mod:`pidirr.axioms` - a numerical check of the union measures' properties;
 * :mod:`pidirr.corpus` - reference circuits with known values.
 
-``pidirr.cli`` exposes everything as the ``pidirr`` command.
-``pidirr.oracle`` holds a slow brute-force check of minimum-synergy values for
-tests.
+``pidirr.cli`` exposes everything as the ``pidirr`` command; ``pidirr.oracle``
+holds a slow brute-force check of minimum-synergy values for tests.
 
-``import pidirr`` loads only what a report runs: ``distributions``, ``parts``,
-``union_info`` and ``irreducibility``.  The names this package takes from
-``lattice``, ``axioms`` and ``corpus``, and ``brute_force_union_oracle`` from
-``oracle``, load their module on first use, as do those submodules as
-attributes (``pidirr.corpus``).
+Each module's ``__all__`` is its export list.  ``import pidirr`` loads only
+what a report runs, and re-exports it whole: ``distributions``, ``parts``,
+``union_info`` and ``irreducibility``.  The names taken from ``lattice``,
+``axioms`` and ``corpus``, and ``brute_force_union_oracle`` from ``oracle``,
+load their module on first use, as do those submodules (``pidirr.corpus``).
+The oracle stays out of ``__all__``, so ``from pidirr import *`` never
+imports ``scipy.optimize``.
 """
 
 from importlib import import_module
 
-from .distributions import (
-    DistributionError,
-    JointDistribution,
-    VariableSelector,
-    conditional_entropy,
-    entropy,
-    marginalize,
-    mutual_information,
-    parse_distribution,
-    random_distribution,
-)
-from .parts import (
-    PartFamily,
-    PartitionSpec,
-    PartSpec,
-    all_bipartitions,
-    all_partitions,
-    all_parts,
-    almost_pairs,
-    almosts,
-)
-from .union_info import (
-    MarginalPolytope,
-    MeasureKind,
-    UnionConvergenceError,
-    UnionMeasure,
-    union_information,
-)
-from .irreducibility import (
-    IrreducibilityReport,
-    OrderingViolationError,
-    full_report,
-    ib2p,
-    ibap,
-    ibdp,
-    ibe,
-)
+from . import distributions, irreducibility, parts, union_info
+from .distributions import *  # noqa: F401,F403
+from .parts import *  # noqa: F401,F403
+from .union_info import *  # noqa: F401,F403
+from .irreducibility import *  # noqa: F401,F403
 
 # Names loaded with their module on first use, by module.
 _LAZY = {
@@ -78,48 +47,11 @@ _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names
 __version__ = "0.1.0"
 
 __all__ = [
-    "DistributionError",
-    "JointDistribution",
-    "VariableSelector",
-    "conditional_entropy",
-    "entropy",
-    "marginalize",
-    "mutual_information",
-    "parse_distribution",
-    "random_distribution",
-    "DerivedVariable",
-    "from_selector",
-    "is_equivalent",
-    "is_poorer",
-    "join",
-    "meet",
-    "PartFamily",
-    "PartitionSpec",
-    "PartSpec",
-    "all_bipartitions",
-    "all_partitions",
-    "all_parts",
-    "almost_pairs",
-    "almosts",
-    "AxiomReport",
-    "MarginalPolytope",
-    "MeasureKind",
-    "UnionConvergenceError",
-    "UnionMeasure",
-    "check_axioms",
-    "union_information",
-    "IrreducibilityReport",
-    "OrderingViolationError",
-    "full_report",
-    "ib2p",
-    "ibap",
-    "ibdp",
-    "ibe",
-    "EXAMPLE_NAMES",
-    "NamedExample",
-    "load_example",
-    "verify_corpus",
-    "xor_circuit",
+    *distributions.__all__,
+    *parts.__all__,
+    *union_info.__all__,
+    *irreducibility.__all__,
+    *(name for name in _LAZY_NAMES if name != "brute_force_union_oracle"),
     "__version__",
 ]
 

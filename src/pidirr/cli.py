@@ -178,8 +178,9 @@ def _cmd_compute(args) -> tuple[str, int]:
     if args.format == "tsv":
         return render_tsv(payload), 0
     names = report.predictor_names
+    whole = f"I(whole;{report.target_name})"
     lines = [
-        f"{'source':<16}{'I(whole;Y)':>14}{'IbE':>14}{'IbDp':>14}{'Ib2p':>14}{'IbAp':>14}",
+        f"{'source':<16}{whole:>14}{'IbE':>14}{'IbDp':>14}{'Ib2p':>14}{'IbAp':>14}",
         f"{Path(args.input).name:<16}"
         + "".join(f"{_fmt_float(v):>14}" for v in report.values()),
         "ibdp witness: {"

@@ -24,10 +24,6 @@ __all__ = [
     "JointDistribution",
     "parse_distribution",
     "random_distribution",
-    "marginalize",
-    "entropy",
-    "conditional_entropy",
-    "mutual_information",
 ]
 
 #: Outcomes with less mass than this are dropped from the stored support.
@@ -103,7 +99,7 @@ class JointDistribution:
         ``None`` is allowed for marginals that dropped the target.
     """
 
-    __slots__ = ("variables", "alphabets", "target", "pmf", "_hash")
+    __slots__ = ("variables", "alphabets", "target", "pmf")
 
     def __init__(
         self,
@@ -158,7 +154,6 @@ class JointDistribution:
             tuple(sorted({o[i] for o in pmf})) for i in range(len(variables))
         )
         object.__setattr__(self, "alphabets", alphabets)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("JointDistribution is immutable")
@@ -175,9 +170,7 @@ class JointDistribution:
         return self.key() == other.key()
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self.key()))
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self):
         return (
@@ -407,24 +400,3 @@ def random_distribution(
         masses = masses / masses.sum()
     return JointDistribution(names, zip(outcomes, (float(m) for m in masses)))
 
-
-# Module-level forms of the operations, mirroring the method API.
-
-def marginalize(d: JointDistribution, sel: VariableSelector) -> JointDistribution:
-    return d.marginalize(sel)
-
-
-def entropy(d: JointDistribution, sel: VariableSelector) -> float:
-    return d.entropy(sel)
-
-
-def conditional_entropy(
-    d: JointDistribution, a: VariableSelector, b: VariableSelector
-) -> float:
-    return d.conditional_entropy(a, b)
-
-
-def mutual_information(
-    d: JointDistribution, a: VariableSelector, b: VariableSelector
-) -> float:
-    return d.mutual_information(a, b)

@@ -91,11 +91,7 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class PartFamily:
-    """A set of m >= 1 distinct parts.
-
-    When a family is used as a decomposition of the whole, the union of its
-    parts must cover every predictor; :meth:`validate_cover` checks that.
-    """
+    """A set of m >= 1 distinct parts."""
 
     parts: tuple[PartSpec, ...]
 
@@ -110,14 +106,6 @@ class PartFamily:
     def validate(self, n: int, allow_full: bool = False) -> None:
         for p in self.parts:
             p.validate(n, allow_full=allow_full)
-
-    def validate_cover(self, n: int) -> None:
-        self.validate(n)
-        covered = set()
-        for p in self.parts:
-            covered |= set(p.member_indices)
-        if covered != set(range(n)):
-            raise ValueError(f"family {self.parts} does not cover all {n} predictors")
 
     def __len__(self) -> int:
         return len(self.parts)

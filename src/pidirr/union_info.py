@@ -73,11 +73,10 @@ calls until each stops; on programs this small a step's cost is numpy's
 per-call overhead.  Each row keeps its own iterates, ``mu`` schedule and
 stop.
 
-:func:`union_information` and :func:`union_information_batch` solve every
-family they are asked for to the tolerance.  A report needs only each of its
-scans' largest union and the earliest family within the tolerance of it, so
-on its path a family also stops, unsolved, once it is dominated (see
-:class:`_Brackets`).
+:func:`union_information` solves the one family it is asked for to the
+tolerance.  A report needs only each of its scans' largest union and the
+earliest family within the tolerance of it, so on its path a family also
+stops, unsolved, once it is dominated (see :class:`_Brackets`).
 Both paths, and a report's whole mutual information, go through
 :func:`_solve`, which builds the distribution's :class:`_Tables` once per
 call.  Nothing a call solves is kept for the next, nor are the tables it
@@ -104,7 +103,6 @@ __all__ = [
     "MarginalPolytope",
     "UnionConvergenceError",
     "union_information",
-    "union_information_batch",
 ]
 
 _LN2 = math.log(2.0)
@@ -739,21 +737,6 @@ def _solve(
     return tab.whole_mi, [v for v, _ in _min_synergy_brackets(tab, families, m, scans)]
 
 
-def union_information_batch(
-    m: UnionMeasure, d: JointDistribution, families: Sequence[PartFamily]
-) -> list[float]:
-    """Union information of each family, in bits, in the order given.
-
-    The distinct families are solved together in lockstep, once each.  Each
-    value is certified as a single family's is; it may differ from the value
-    of its family solved alone by rounding."""
-    index = {f: i for i, f in enumerate(dict.fromkeys(families))}
-    for family in index:
-        family.validate(d.n_predictors, allow_full=True)
-    values = _solve(m, d, [f.parts for f in index])[1] if index else []
-    return [values[index[f]] for f in families]
-
-
 def union_information(
     m: UnionMeasure, d: JointDistribution, family: PartFamily | Iterable[PartSpec]
 ) -> float:
@@ -761,7 +744,8 @@ def union_information(
     target, in bits."""
     if not isinstance(family, PartFamily):
         family = PartFamily(tuple(family))
-    return union_information_batch(m, d, [family])[0]
+    family.validate(d.n_predictors, allow_full=True)
+    return _solve(m, d, [family.parts])[1][0]
 
 
 def _neg_plogp(v: np.ndarray) -> float:

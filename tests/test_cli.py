@@ -53,6 +53,19 @@ def test_compute_human_and_tsv(xor_file, capsys):
     assert "ibe\t1.000000000" in out
 
 
+def test_compute_human_header_names_the_target(xor_file, capsys):
+    code, out, _ = run(["compute", "--input", xor_file, "--format", "human"], capsys)
+    assert code == 0
+    assert out.splitlines()[0].split()[:2] == ["source", "I(whole;Y)"]
+    code, out, _ = run(
+        ["compute", "--input", xor_file, "--target", "X1", "--format", "human"], capsys
+    )
+    assert code == 0
+    header = out.splitlines()[0]
+    assert header.split()[:2] == ["source", "I(whole;X1)"]
+    assert "I(whole;Y)" not in out
+
+
 XOR_JSON = """\
 {
   "whole_mi": 1.000000000,

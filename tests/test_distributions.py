@@ -169,6 +169,17 @@ def test_immutability(xor):
         xor.target = "X1"
 
 
+def test_hash_follows_content(xor):
+    copy = parse_distribution(xor.to_tsv())
+    assert copy is not xor and copy == xor
+    assert hash(copy) == hash(xor)
+    assert len({xor, copy}) == 1
+    retargeted = JointDistribution(xor.variables, xor.pmf, target="X1")
+    assert retargeted != xor
+    assert len({xor, retargeted}) == 2
+    assert hash(xor) == hash(xor) == hash(xor.key())
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------

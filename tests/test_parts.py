@@ -77,7 +77,11 @@ def test_partitions_cover_and_disjoint(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_almost_pairs_cover(n):
     for fam in almost_pairs(n):
-        fam.validate_cover(n)
+        fam.validate(n)
+        covered = set()
+        for part in fam.parts:
+            covered |= set(part.member_indices)
+        assert covered == set(range(n))
 
 
 def test_enumeration_order_is_deterministic():

@@ -24,7 +24,6 @@ from pidirr.union_info import (
     UnionMeasure,
     part_mutual_information,
     union_information,
-    union_information_batch,
     whole_mutual_information,
 )
 
@@ -260,6 +259,13 @@ def test_polytope_base_is_feasible(triple_xor):
 def test_polytope_rejects_empty_parts(xor):
     with pytest.raises(ValueError):
         MarginalPolytope(xor, ())
+
+
+def test_union_information_rejects_a_part_out_of_range(xor):
+    with pytest.raises(ValueError, match="out of range"):
+        union_information(MINSYN, xor, [PartSpec((0,)), PartSpec((2,))])
+    # The whole is a family of its own: a part may hold every predictor.
+    assert union_information(MINSYN, xor, [PartSpec((0, 1))]) == pytest.approx(1.0)
 
 
 def test_oracle_matches_on_known_cases(xor, double_xor):
@@ -717,9 +723,9 @@ def test_mixed_batches_with_facial_reduction_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = full_report(d)
-        # The report leaves dominated families unsolved; a batch call solves
-        # every family to the tolerance.
-        batch = union_information_batch(MINSYN, d, families)
+        # The report leaves dominated families unsolved; a call without scans
+        # solves every family to the tolerance.
+        batch = union_info._solve(MINSYN, d, [f.parts for f in families])[1]
         brackets = _brackets(d, [f.parts for f in families], MINSYN)
     assert batch == [value for value, _ in brackets]
     for fam, (value, lower) in zip(families, brackets):
