@@ -15,7 +15,11 @@ for identical flags: floats are printed with 9 decimal places and key order
 is fixed.
 
 :func:`main` runs one command and returns its exit status; it changes
-nothing for the rest of the process, so tests call it in-process.
+nothing for the rest of the process, so tests call it in-process.  It
+builds the options of the invoked command only (all of them when the
+arguments name no known command, as ``--help`` does), since building every
+command's options cost 2-4 ms of a fresh process; every help text and usage
+error reads the same either way.
 :func:`run` is the process entry, used by ``python -m pidirr.cli`` and by
 the installed ``pidirr`` script: it calls :func:`main`, then
 ``gc.freeze()``, then exits with the status.  Freezing moves every object
@@ -35,6 +39,7 @@ import argparse
 import gc
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -399,7 +404,17 @@ def _add_common(sub, input_required=False, with_measure=True):
         sub.add_argument("--target", default=None, help="target variable name")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The ``pidirr`` parser for ``argv``.
+
+    Every command is listed, but only the command ``argv`` names gets its
+    options, since parsing ``argv`` reads no other; when ``argv`` names no
+    known command (no arguments, ``--help``, a typo) every command gets
+    them.  The top-level parser takes no option with a value, so its first
+    argument not starting with ``-`` is where it reads the command.
+    """
+    named = next((a for a in argv if not a.startswith("-")), None)
+    built = {named} if named in _HANDLERS else set(_HANDLERS)
     parser = argparse.ArgumentParser(
         prog="pidirr",
         description="Irreducibility measures of multivariate information.",
@@ -413,45 +428,51 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="cmd", required=True)
 
     compute = subs.add_parser("compute", help="the four measures of one distribution")
-    _add_common(compute, input_required=True)
+    if "compute" in built:
+        _add_common(compute, input_required=True)
 
     axioms = subs.add_parser("axioms", help="verify the union-measure property list")
-    _add_common(axioms, input_required=False)
-    axioms.add_argument("--trials", type=int, default=20, help="random distributions to add")
-    axioms.add_argument("--seed", type=int, default=0, help="seed of the random distributions")
+    if "axioms" in built:
+        _add_common(axioms, input_required=False)
+        axioms.add_argument("--trials", type=int, default=20, help="random distributions to add")
+        axioms.add_argument("--seed", type=int, default=0, help="seed of the random distributions")
 
     examples = subs.add_parser("examples", help="built-in circuits vs expected values")
-    _add_common(examples, input_required=None)
-    examples.add_argument(
-        "--name", default=None,
-        help="only this built-in circuit (an unknown name lists them; default: all)",
-    )
-    examples.add_argument("--emit-tsv", action="store_true", help="dump the distribution instead")
+    if "examples" in built:
+        _add_common(examples, input_required=None)
+        examples.add_argument(
+            "--name", default=None,
+            help="only this built-in circuit (an unknown name lists them; default: all)",
+        )
+        examples.add_argument("--emit-tsv", action="store_true", help="dump the distribution instead")
 
     enum = subs.add_parser("enumerate", help="list part families")
-    _add_common(enum, input_required=None, with_measure=False)
-    enum.add_argument(
-        "--what",
-        required=True,
-        choices=["parts", "bipartitions", "almosts", "almost-pairs"],
-    )
-    enum.add_argument(
-        "--n", type=int, required=True, help=f"number of predictors, 2 to {MAX_PARTITION_N}"
-    )
+    if "enumerate" in built:
+        _add_common(enum, input_required=None, with_measure=False)
+        enum.add_argument(
+            "--what",
+            required=True,
+            choices=["parts", "bipartitions", "almosts", "almost-pairs"],
+        )
+        enum.add_argument(
+            "--n", type=int, required=True, help=f"number of predictors, 2 to {MAX_PARTITION_N}"
+        )
 
     lattice = subs.add_parser("lattice", help="order/join/meet diagnostics")
-    _add_common(lattice, input_required=True, with_measure=False)
-    lattice.add_argument(
-        "--vars",
-        default=None,
-        help="space-separated groups of comma-joined variable names",
-    )
+    if "lattice" in built:
+        _add_common(lattice, input_required=True, with_measure=False)
+        lattice.add_argument(
+            "--vars",
+            default=None,
+            help="space-separated groups of comma-joined variable names",
+        )
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

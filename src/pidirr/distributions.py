@@ -15,7 +15,6 @@ decimal or as an exact fraction ``a/b``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -37,14 +36,48 @@ class DistributionError(ValueError):
     """A pmf or distribution file violates the format contract."""
 
 
-@dataclass(frozen=True)
-class VariableSelector:
+class _Value:
+    """An immutable value, compared, hashed and shown by its ``_fields``.
+
+    Each ``__init__`` stores its fields in the instance ``__dict__``, past
+    ``__setattr__``; after that, assigning or deleting any attribute raises
+    ``AttributeError``.  Equality holds only between instances of one class.
+    Pickling and copying restore the ``__dict__`` directly, so they need no
+    hook; ``__slots__`` would need one.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class VariableSelector(_Value):
     """Positions of the variables a query refers to (may include the target).
 
     Positions index into ``JointDistribution.variables`` and are stored
     sorted and deduplicated.
     """
 
+    _fields = ("indices",)
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int]):

@@ -36,12 +36,11 @@ per link; :func:`full_report` raises on any larger break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .distributions import JointDistribution
+from .distributions import JointDistribution, _Value
 from .parts import (
     PartFamily,
     PartitionSpec,
@@ -69,20 +68,39 @@ class OrderingViolationError(RuntimeError):
     solver is at fault, not the input."""
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(_Value):
     """All four measures plus their argmax witnesses."""
 
-    predictor_names: tuple[str, ...]
-    target_name: str
-    whole_mi: float
-    ibe: float
-    ibdp: float
-    ib2p: float
-    ibap: float
-    witness_bipartition: PartitionSpec
-    witness_almost_pair: PartFamily
-    measure: UnionMeasure
+    _fields = (
+        "predictor_names", "target_name", "whole_mi", "ibe", "ibdp", "ib2p", "ibap",
+        "witness_bipartition", "witness_almost_pair", "measure",
+    )
+
+    def __init__(
+        self,
+        predictor_names: tuple[str, ...],
+        target_name: str,
+        whole_mi: float,
+        ibe: float,
+        ibdp: float,
+        ib2p: float,
+        ibap: float,
+        witness_bipartition: PartitionSpec,
+        witness_almost_pair: PartFamily,
+        measure: UnionMeasure,
+    ):
+        vars(self).update(
+            predictor_names=predictor_names,
+            target_name=target_name,
+            whole_mi=whole_mi,
+            ibe=ibe,
+            ibdp=ibdp,
+            ib2p=ib2p,
+            ibap=ibap,
+            witness_bipartition=witness_bipartition,
+            witness_almost_pair=witness_almost_pair,
+            measure=measure,
+        )
 
     def values(self) -> tuple[float, float, float, float, float]:
         return (self.whole_mi, self.ibe, self.ibdp, self.ib2p, self.ibap)

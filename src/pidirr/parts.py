@@ -16,9 +16,10 @@ Counts, for n predictors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
+
+from .distributions import _Value
 
 __all__ = [
     "PartSpec",
@@ -35,10 +36,13 @@ __all__ = [
 MAX_PARTITION_N = 10
 
 
-@dataclass(frozen=True, order=True)
-class PartSpec:
-    """A nonempty proper subset of the 0-based predictor indices {0..n-1}."""
+class PartSpec(_Value):
+    """A nonempty proper subset of the 0-based predictor indices {0..n-1}.
 
+    Parts order by their index tuples.
+    """
+
+    _fields = ("member_indices",)
     member_indices: tuple[int, ...]
 
     def __init__(self, member_indices):
@@ -62,11 +66,31 @@ class PartSpec:
     def __len__(self) -> int:
         return len(self.member_indices)
 
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.member_indices < other.member_indices
 
-@dataclass(frozen=True)
-class PartitionSpec:
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.member_indices <= other.member_indices
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.member_indices > other.member_indices
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.member_indices >= other.member_indices
+
+
+class PartitionSpec(_Value):
     """Pairwise-disjoint parts whose union is the full predictor set."""
 
+    _fields = ("blocks",)
     blocks: tuple[PartSpec, ...]
 
     def __init__(self, blocks: Sequence[PartSpec]):
@@ -89,10 +113,10 @@ class PartitionSpec:
         return PartFamily(self.blocks)
 
 
-@dataclass(frozen=True)
-class PartFamily:
+class PartFamily(_Value):
     """A set of m >= 1 distinct parts."""
 
+    _fields = ("parts",)
     parts: tuple[PartSpec, ...]
 
     def __init__(self, parts: Sequence[PartSpec]):

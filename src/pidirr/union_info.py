@@ -87,14 +87,13 @@ the shape alone is cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import JointDistribution
+from .distributions import JointDistribution, _Value
 from .parts import PartFamily, PartSpec
 
 __all__ = [
@@ -121,8 +120,7 @@ class MeasureKind(str, Enum):
     MAX_SINGLE_MI = "maxmi"
 
 
-@dataclass(frozen=True)
-class UnionMeasure:
+class UnionMeasure(_Value):
     """Which union-information measure to compute, and how accurately.
 
     ``tolerance`` (bits) bounds how far a ``minsyn`` value may lie above the
@@ -132,12 +130,13 @@ class UnionMeasure:
     is tunable.  ``maxmi`` values are exact.
     """
 
-    kind: MeasureKind = MeasureKind.MIN_SYNERGY
-    tolerance: float = 1e-6
+    _fields = ("kind", "tolerance")
 
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:  # also refuses NaN
-            raise ValueError(f"tolerance must be positive and finite, not {self.tolerance!r}")
+    def __init__(self, kind: MeasureKind = MeasureKind.MIN_SYNERGY, tolerance: float = 1e-6):
+        if not 0.0 < tolerance < math.inf:  # also refuses NaN
+            raise ValueError(f"tolerance must be positive and finite, not {tolerance!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "tolerance", tolerance)
 
     def settings_dict(self) -> dict:
         return {"measure": self.kind.value, "tolerance": self.tolerance}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pidirr
-from pidirr.cli import main, render_json
+from pidirr.cli import build_parser, main, render_json
 from pidirr.corpus import EXAMPLE_NAMES, load_example
 
 from conftest import make_random
@@ -128,6 +128,45 @@ def test_compute_bad_file_is_domain_error(tmp_path, capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _parse_with_every_option(argv, capsys):
+    """What the parser with every command's options prints for ``argv``."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    *([cmd, "--help"] for cmd in ("compute", "axioms", "examples", "enumerate", "lattice")),
+    ["--help"],
+    ["-h", "compute"],
+    [],
+    ["frobnicate"],
+    ["compute"],
+    ["compute", "--input", "x.tsv", "--bogus"],
+    ["compute", "--input", "x.tsv", "stray"],
+    ["--bogus", "compute", "--input", "x.tsv"],
+    ["axioms", "--trials", "many"],
+    ["enumerate", "--what", "nope", "--n", "3"],
+    ["lattice", "--format"],
+    ["-", "compute", "--help"],
+])
+def test_parser_for_the_named_command_prints_what_the_full_parser_prints(argv, capsys):
+    # main builds only the named command's options; every help text and
+    # usage error must read as the parser with every option prints it.
+    full = _parse_with_every_option(argv, capsys)
+    assert full[0] in (0, 2) and (full[1] or full[2])
+    assert run(argv, capsys) == full
+
+
+def test_parser_for_a_command_leaves_out_the_other_commands_options(capsys):
+    parser = build_parser(["compute", "--input", "x.tsv"])
+    assert parser.parse_args(["compute", "--input", "x.tsv"]).input == "x.tsv"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["axioms", "--trials", "3"])
+    assert "unrecognized arguments: --trials 3" in capsys.readouterr().err
 
 
 def test_examples_table(capsys):

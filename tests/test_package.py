@@ -55,8 +55,7 @@ def test_export_list_is_the_modules_export_lists():
     expected.remove("brute_force_union_oracle")
     assert exported == expected
     for module, names in pidirr._LAZY.items():
-        module_all = import_module(f"pidirr.{module}").__all__
-        assert set(names) <= set(module_all), module
+        assert list(names) == import_module(f"pidirr.{module}").__all__, module
 
 
 def test_star_import_leaves_out_the_oracle():

@@ -440,12 +440,13 @@ def test_default_path_never_imports_scipy_optimize():
 
 def test_import_loads_only_the_report_path():
     # A report needs distributions, parts, union_info and irreducibility;
-    # the checker, the corpus, the lattice and the oracle load on first use.
+    # the checker, the corpus, the lattice and the oracle load on first use,
+    # and the value types are plain classes, not dataclasses.
     code = (
         "import sys\n"
         "import pidirr\n"
         "unwanted = ('pidirr.corpus', 'pidirr.lattice', 'pidirr.axioms', 'pidirr.oracle',\n"
-        "            'fractions', 'scipy')\n"
+        "            'fractions', 'scipy', 'dataclasses')\n"
         "loaded = [name for name in unwanted if name in sys.modules]\n"
         "assert not loaded, f'import pidirr loaded {loaded}'\n"
     )
