@@ -71,7 +71,9 @@ others before any Newton step.  Once every start is known, each group's
 rows are checked again, and those not done are stepped by stacked numpy
 calls until each stops; on programs this small a step's cost is numpy's
 per-call overhead.  Each row keeps its own iterates, ``mu`` schedule and
-stop.
+stop.  A row that stops leaves its stack, which is re-indexed, unless the
+stack is small (``_SMALL_STACK``), where re-indexing costs more than a step:
+there it stays, takes zero steps and leaves its bracket alone.
 
 :func:`union_information` solves the one family it is asked for to the
 tolerance.  A report needs only each of its scans' largest union and the
@@ -113,6 +115,17 @@ _THIN_START = 1e-4
 
 #: Newton steps per solve before it is declared stuck.
 _MAX_NEWTON_STEPS = 500
+
+#: A lockstep stack whose cells times padded null width squared (about a
+#: Newton step's work per row) lie below this keeps its rows once they are
+#: done, rather than re-indexing its arrays.  Every binary n=3 stack is
+#: 16 * 8**2 = 1024, where keeping rows takes about 5% off a report; binary
+#: n=4 stacks are 32 * 22**2 = 15488, where it cost 22-27% (n=5: 89-94%; n=3
+#: ternary, 81 * 60**2: 41-47%).  Any value between decides every measured
+#: input the same way: the binary n=3 and n=2 ternary-with-zeros stacks (at
+#: most 27 * 12**2) keep their rows, and the corpus's one stepped stack
+#: (triple_xor, 128 * 32**2) re-indexes.
+_SMALL_STACK = 2**12
 
 
 class MeasureKind(str, Enum):
@@ -487,22 +500,24 @@ class _Brackets:
     def done(self, ids: Sequence[int], stalled: Sequence[bool] = ()) -> list[bool]:
         """Whether each family of ``ids`` is done; ``stalled[k]`` says that
         ``ids[k]`` can no longer move."""
-        tops = [max(map(self.lower.__getitem__, s)) for s in self.scans]
-        close, tolerance = 0.1 * self.tolerance, self.tolerance
+        close, tolerance, tops = 0.1 * self.tolerance, self.tolerance, None
         verdicts = []
         for i, stuck in zip(ids, stalled or [False] * len(ids)):
             upper, of = self.upper[i], self.of[i]
             gap = upper - self.lower[i]
             if gap <= (tolerance if stuck else close):
                 verdicts.append(True)
-            elif of and min(map(tops.__getitem__, of)) > upper + tolerance:
-                verdicts.append(True)
-            elif stuck:
+                continue
+            if of:  # each scan's top, once a row's own gap leaves it open
+                tops = tops or [max(map(self.lower.__getitem__, s)) for s in self.scans]
+                if min(map(tops.__getitem__, of)) > upper + tolerance:
+                    verdicts.append(True)
+                    continue
+            if stuck:
                 raise UnionConvergenceError(
                     f"minimum-synergy barrier solver stalled (gap {gap!r} bits)", upper, gap
                 )
-            else:
-                verdicts.append(False)
+            verdicts.append(False)
         return verdicts
 
 
@@ -565,14 +580,21 @@ def _lockstep(
     move again.  Each row takes the iterates and ``mu`` schedule it would
     take alone.  Null bases are cut to the widest row, with ones on the
     padded Hessian diagonal, so padded directions get zero steps.  When rows
-    leave, only what the next step reads is re-indexed.  Vectors are stacks
-    of columns, so that ``matmul`` takes them as they are, and per-row
-    control runs on one ``tolist`` per step."""
+    are done, a stack of cells times padded width squared at or above
+    ``_SMALL_STACK`` re-indexes only what the next step reads.  A smaller
+    stack keeps them: a row done takes zero steps and keeps its ``mu``, so
+    its Newton system stays at a point and ``mu`` it has solved at, and the
+    brackets, :meth:`_Brackets.done`, step lengths and line search see only
+    the rows not done.  Every stacked operation is per row, so either way a
+    row's values are those it takes alone.  Vectors are stacks of columns,
+    so that ``matmul`` takes them as they are, and per-row control runs on
+    one ``tolist`` per step."""
     s, lower, upper = stack.structure, brackets.lower, brackets.upper
     q = q[:, :, None]
     k, n, _ = q.shape
     width = np.array(s.width)[rows]
     r, nx, diag = width.max(), max(s.nx[j] for j in rows), np.arange(width.max())
+    reindex = n * r * r >= _SMALL_STACK
     pad = np.zeros((k, r, r))
     pad[:, diag, diag] = diag >= width[:, None]
     at = slice(None) if len(rows) == len(stack.group) else rows  # every row: views, not copies
@@ -592,6 +614,7 @@ def _lockstep(
     m = np.array(mu).reshape(k, 1, 1)
     mh = m  # the Hessian's mu: the previous step's, see the stage cut below
     stalled = [False] * k
+    live = list(range(k))  # the rows not done
     resized = True  # what follows from the stepping rows is derived again when rows leave
     for _ in range(_MAX_NEWTON_STEPS):
         if resized:
@@ -631,13 +654,15 @@ def _lockstep(
         np.matmul(g.transpose(0, 2, 1), dz, out=c_dec)
         np.minimum.reduce(dq * inv, 1, keepdims=True, out=c_fall)
         f, zx, tops, smax, decs, falls = ctl.reshape(6, k).tolist()
-        for i, fj, v, t, sm in zip(ids, f, zx, tops, smax):
-            lower[i] = max(lower[i], hy + (v - (t + math.log(sm))) / _LN2)
-            upper[i] = min(upper[i], hy + fj / _LN2)
-        keep = [j for j, done in enumerate(brackets.done(ids, stalled)) if not done]
+        for j in live:
+            i = ids[j]
+            lower[i] = max(lower[i], hy + (zx[j] - (tops[j] + math.log(smax[j]))) / _LN2)
+            upper[i] = min(upper[i], hy + f[j] / _LN2)
+        verdicts = brackets.done([ids[j] for j in live], [stalled[j] for j in live])
+        keep = [j for j, done in zip(live, verdicts) if not done]
         if not keep:
             return
-        resized = len(keep) < k
+        resized = reindex and len(keep) < k
         if resized:
             # Only what the next step reads: the line search below replaces
             # grad and qx.
@@ -648,8 +673,14 @@ def _lockstep(
                 v[keep] for v in (q, m, dq, basis, group_basis, pad, multi, shared, x0t, xidx)
             )
             gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
-        # 0.99 of the longest step that keeps every cell positive, at most 1.
-        steps = [1.0 if fall >= 0.0 else min(1.0, -0.99 / fall) for fall in falls]
+            live = list(range(k))
+        else:
+            live = keep
+        # 0.99 of the longest step that keeps every cell positive, at most 1; a
+        # row done takes a zero step.
+        steps = [0.0] * k
+        for j in live:
+            steps[j] = 1.0 if falls[j] >= 0.0 else min(1.0, -0.99 / falls[j])
         # Halve while the step overshoots the minimum along the line by more
         # than half the starting slope.  Slopes of a convex function need no
         # differences of rounded values, which vanish as mu gets small.
@@ -657,7 +688,7 @@ def _lockstep(
             cand = q + np.array(steps).reshape(k, 1, 1) * dq
             gc, qxc = _gradient(cand, gidx, nx)
             slopes = ((gc - m / cand).transpose(0, 2, 1) @ dq).ravel().tolist()
-            over = [j for j in range(k) if not (slopes[j] <= 0.5 * decs[j] or steps[j] < 1e-12)]
+            over = [j for j in live if not (slopes[j] <= 0.5 * decs[j] or steps[j] < 1e-12)]
             if not over:
                 break
             for j in over:
@@ -667,17 +698,21 @@ def _lockstep(
         # A step that began with a Newton decrement of at most 5 mu ends its
         # row's stage.  The next system keeps the stage's mu in its Hessian,
         # so its step is the tangent predictor; the dual bound holds for any
-        # Hessian.  The system after it is built at the new mu.
-        stage = [max(mk / 100.0, mu_end) if dk <= 5.0 * mk else mk for mk, dk in zip(mu, decs)]
+        # Hessian.  The system after it is built at the new mu.  A row done
+        # keeps its mu.
+        stage = list(mu)
+        for j in live:
+            if decs[j] <= 5.0 * mu[j]:
+                stage[j] = max(mu[j] / 100.0, mu_end)
         mh = m
         if stage != mu:
             mu, m = stage, np.array(stage).reshape(k, 1, 1)
-    gaps = [upper[i] - lower[i] for i in ids]
-    widest = max(range(k), key=gaps.__getitem__)
+    gaps = {i: upper[i] - lower[i] for i in (ids[j] for j in live)}
+    widest = max(gaps, key=gaps.__getitem__)
     raise UnionConvergenceError(
         f"minimum-synergy barrier solver did not close its gap in "
         f"{_MAX_NEWTON_STEPS} Newton steps (gap {gaps[widest]!r} bits)",
-        upper[ids[widest]],
+        upper[widest],
         gaps[widest],
     )
 

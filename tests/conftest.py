@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from pidirr import irreducibility, union_info
 from pidirr.distributions import random_distribution
 from pidirr.corpus import EXAMPLE_NAMES, load_example
 
@@ -52,3 +55,30 @@ def make_random(seed: int, n_predictors: int = 3, alphabet_size: int = 2, zero_f
         alphabet_size=alphabet_size,
         zero_fraction=zero_fraction,
     )
+
+
+def fail_support_lp(monkeypatch):
+    """Make every support LP report failure, as ``linprog`` does on an
+    infeasible program."""
+    import scipy.optimize
+
+    failed = SimpleNamespace(status=2, message="The problem is infeasible.")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+
+
+def zero_starts(monkeypatch):
+    """Make every start the solver pulls zero."""
+    monkeypatch.setattr(union_info, "_pull", lambda p, q: 0.0 * q)
+
+
+def unordered_unions(monkeypatch):
+    """Make each family's union the whole's mutual information over its
+    number of parts, which puts IbAp (2/3 of the whole at n = 3, from the
+    three Almosts) above Ib2p (1/2, from two-part pairs)."""
+    solve = irreducibility._solve
+
+    def unordered(m, d, families, scans=()):
+        whole, _ = solve(m, d, families, scans)
+        return whole, [whole / len(parts) for parts in families]
+
+    monkeypatch.setattr(irreducibility, "_solve", unordered)

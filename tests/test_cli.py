@@ -12,7 +12,7 @@ import pidirr
 from pidirr.cli import build_parser, main, render_json
 from pidirr.corpus import EXAMPLE_NAMES, load_example
 
-from conftest import make_random
+from conftest import fail_support_lp, make_random, unordered_unions, zero_starts
 
 
 @pytest.fixture()
@@ -124,6 +124,20 @@ def test_compute_bad_file_is_domain_error(tmp_path, capsys):
     missing = tmp_path / "missing.tsv"
     code, _, _ = run(["compute", "--input", str(missing)], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("fault, args, message", [
+    (fail_support_lp, (2, 3, 2, 0.3), "maximal-support LP failed"),
+    (zero_starts, (400,), "no strictly positive start"),
+    (unordered_unions, (400,), "exceeds ib2p"),
+])
+def test_compute_solver_failure_is_domain_error(monkeypatch, tmp_path, capsys, fault, args, message):
+    path = tmp_path / "input.tsv"
+    path.write_text(make_random(*args).to_tsv(), encoding="utf-8")
+    fault(monkeypatch)
+    code, out, err = run(["compute", "--input", str(path)], capsys)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and message in err
 
 
 def test_unknown_subcommand(capsys):

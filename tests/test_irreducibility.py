@@ -16,7 +16,7 @@ from pidirr.parts import (
 from pidirr import irreducibility, union_info
 from pidirr.union_info import MeasureKind, UnionMeasure, union_information
 
-from conftest import make_random
+from conftest import make_random, unordered_unions
 
 MINSYN = UnionMeasure()
 
@@ -111,6 +111,12 @@ def test_ordering_chain_on_randoms(tolerance, seeds):
         assert dp <= e + tolerance
         assert e <= w + tolerance
         assert ap >= -1e-12
+
+
+def test_an_order_the_unions_break_is_a_typed_error(monkeypatch):
+    unordered_unions(monkeypatch)
+    with pytest.raises(irreducibility.OrderingViolationError, match="ibap=.* exceeds ib2p="):
+        full_report(make_random(400), MINSYN)
 
 
 def test_relabeling_leaves_measures_fixed(xor_unique):

@@ -27,7 +27,7 @@ from pidirr.union_info import (
     whole_mutual_information,
 )
 
-from conftest import make_random
+from conftest import fail_support_lp, make_random, zero_starts
 
 MINSYN = UnionMeasure()
 MAXMI = UnionMeasure(kind=MeasureKind.MAX_SINGLE_MI)
@@ -681,6 +681,158 @@ def test_mixed_reports_keep_their_newton_step_budget(monkeypatch):
     ]
     steps = _newton_steps(monkeypatch, inputs)
     assert 0 < steps <= 358
+
+
+class _WriteLog(list):
+    """A list that logs the index of each item it is assigned."""
+
+    def __init__(self, values, log):
+        super().__init__(values)
+        self.log = log
+
+    def __setitem__(self, i, value):
+        self.log.append(i)
+        super().__setitem__(i, value)
+
+
+def _checked_report(monkeypatch, small_stack, d):
+    """A report on ``d`` with ``_SMALL_STACK`` at ``small_stack``: its repr,
+    each family's ``(value, lower)`` from ``_min_synergy_brackets``, and its
+    ``np.linalg.solve`` calls; and how many Newton systems a row done sat in.
+    On the way it checks, at each lockstep step, that a stack below
+    ``small_stack`` keeps every row and a larger one only the rows not done,
+    and that a row done leaves ``_Brackets.done``, writes no bracket and
+    takes no step: its Newton gradient stays the one it had when done."""
+    monkeypatch.setattr(union_info, "_SMALL_STACK", small_stack)
+    solve, done = np.linalg.solve, union_info._Brackets.done
+    lockstep, min_synergy = union_info._lockstep, union_info._min_synergy_brackets
+    brackets, solves, kept, call = [], 0, 0, None
+
+    def recording_solve(hess, g):
+        nonlocal solves
+        solves += 1
+        if call is not None:
+            call["g"] = g.copy()
+        return solve(hess, g)
+
+    def checked_done(self, ids, stalled=()):
+        nonlocal kept
+        verdicts = done(self, ids, stalled)
+        if call is None:
+            return verdicts
+        rows, g, finished = call["rows"], call["g"], call["finished"]
+        assert not finished.keys() & (set(ids) | set(call["writes"]))
+        call["writes"].clear()
+        assert len(g) == (len(rows) if call["keeps"] else len(ids))
+        if call["keeps"]:
+            for i, last in finished.items():
+                assert np.array_equal(g[rows.index(i)], last)
+                kept += 1
+        for i, row_done in zip(ids, verdicts):
+            if row_done:
+                finished[i] = g[rows.index(i)].copy() if call["keeps"] else None
+        return verdicts
+
+    def checked_lockstep(stack, rows, q, ids, hy, brackets_):
+        nonlocal call
+        width = max(stack.structure.width[k] for k in rows.tolist())
+        writes = []
+        brackets_.lower = _WriteLog(brackets_.lower, writes)
+        brackets_.upper = _WriteLog(brackets_.upper, writes)
+        call = {"rows": list(ids), "keeps": q.shape[1] * width**2 < small_stack,
+                "finished": {}, "writes": writes}
+        try:
+            lockstep(stack, rows, q, ids, hy, brackets_)
+        finally:
+            brackets_.lower, brackets_.upper = list(brackets_.lower), list(brackets_.upper)
+            call = None
+
+    def recording(tab, families, m, scans=()):
+        out = min_synergy(tab, families, m, scans)
+        brackets.extend(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", recording_solve)
+        patch.setattr(union_info._Brackets, "done", checked_done)
+        patch.setattr(union_info, "_lockstep", checked_lockstep)
+        patch.setattr(union_info, "_min_synergy_brackets", recording)
+        report = full_report(d)
+    return repr((report, brackets, solves)), kept
+
+
+def test_rows_done_leave_or_stay_in_their_stack_with_the_same_bits(monkeypatch):
+    # Small stacks keep their rows done instead of re-indexing; every stacked
+    # operation is per row, so whether a stack re-indexes (0), decides by its
+    # size (the module's bound) or keeps every row (inf), each report, every
+    # family's bracket and the count of Newton systems are the same bits.
+    bound = union_info._SMALL_STACK
+    inputs = [make_random(seed, 3) for seed in range(400, 410)]
+    inputs += [make_random(0, 4), make_random(0, 3, 3), make_random(1, 3, 2, 0.3)]
+    kept = 0
+    for d in inputs:
+        reindexed, _ = _checked_report(monkeypatch, 0, d)
+        sized, _ = _checked_report(monkeypatch, bound, d)
+        everywhere, rows_kept = _checked_report(monkeypatch, math.inf, d)
+        assert reindexed == sized == everywhere
+        kept += rows_kept
+    assert kept > 0
+
+
+def test_a_stalled_row_with_an_open_gap_is_a_typed_error():
+    # Row 0 is neither closed nor dominated (its scan's top lower bound is
+    # 0.5, below its upper bound); row 1's gap is within the tolerance but
+    # not a tenth of it, which closes it only once it cannot move.
+    brackets = union_info._Brackets([[0, 1]], 2, 0.01)
+    brackets.lower[:], brackets.upper[:] = [0.25, 0.5], [0.75, 0.505]
+    assert brackets.done([0, 1]) == [False, False]
+    assert brackets.done([1], [True]) == [True]
+    with pytest.raises(UnionConvergenceError, match="stalled") as err:
+        brackets.done([1, 0], [True, True])
+    assert err.value.value == 0.75
+    assert err.value.gap == 0.75 - 0.25
+
+
+def test_a_failed_support_lp_is_a_typed_error(monkeypatch):
+    # This input's Almosts need the support LP (see
+    # test_face_without_free_direction_ends_before_the_solve).
+    fail_support_lp(monkeypatch)
+    with pytest.raises(UnionConvergenceError, match="maximal-support LP failed: The problem") as err:
+        full_report(make_random(2, 3, 2, 0.3))
+    assert err.value.value == err.value.gap == math.inf
+
+
+def test_a_start_that_is_not_strictly_positive_is_a_typed_error(monkeypatch):
+    zero_starts(monkeypatch)
+    with pytest.raises(UnionConvergenceError, match="no strictly positive start") as err:
+        full_report(make_random(400))
+    assert err.value.value == err.value.gap == math.inf
+
+
+class _Sized:
+    def __init__(self, nbytes):
+        self.nbytes = nbytes
+
+
+def test_cache_evicts_the_least_recently_used_within_its_bound():
+    cache, built = union_info._Cache(10), []
+
+    def get(key, nbytes):
+        return cache.get(key, lambda: built.append(key) or _Sized(nbytes))
+
+    a, _ = get("a", 4), get("b", 4)
+    assert list(cache.values) == ["a", "b"] and cache.held == 8
+    assert get("a", 4) is a and built == ["a", "b"]  # a hit builds nothing
+    assert list(cache.values) == ["b", "a"]  # and makes its key the most recent
+    get("c", 4)  # 12 bytes: the least recently used goes
+    assert list(cache.values) == ["a", "c"] and cache.held == 8
+    big = get("big", 11)  # above the bound: returned, not kept
+    assert big.nbytes == 11 and list(cache.values) == ["a", "c"] and cache.held == 8
+    assert get("big", 11) is not big and built == ["a", "b", "c", "big", "big"]
+    get("d", 10)  # exactly the bound: every other entry goes
+    assert list(cache.values) == ["d"] and cache.held == 10
+    cache.clear()
+    assert not cache.values and cache.held == 0
 
 
 def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
