@@ -25,14 +25,18 @@ load their module on first use, as do those submodules (``pidirr.corpus``).
 The oracle stays out of ``__all__``, so ``from pidirr import *`` never
 imports ``scipy.optimize``.
 
-The immutable value types a report uses (``VariableSelector``, ``PartSpec``,
-``PartitionSpec``, ``PartFamily``, ``UnionMeasure`` and
-``IrreducibilityReport``) are plain classes on one small base in
-``distributions``, not ``@dataclass`` classes: ``@dataclass`` writes and
-``exec``-compiles their methods while the module loads, about 4-5 ms of
-every fresh ``import pidirr``, plus about 1 ms to import ``dataclasses``.
-They compare, hash and print as the dataclasses did, but
-``dataclasses.fields``, ``replace`` and ``asdict`` do not apply to them.
+The package's immutable value types (``VariableSelector``,
+``JointDistribution``, ``PartSpec``, ``PartitionSpec``, ``PartFamily``,
+``UnionMeasure``, ``IrreducibilityReport``, and the corpus records
+``NamedExample``, ``VerificationRow`` and ``CorpusVerification``) are plain
+classes on one small base in ``distributions``, not ``@dataclass`` classes:
+``@dataclass`` writes and ``exec``-compiles their methods while the module
+loads, about 4-5 ms of every fresh ``import pidirr``, plus about 1 ms to
+import ``dataclasses``.  The base's constructor takes each field by position
+or by keyword; a type that normalizes its fields has its own.  Each value
+compares, hashes, prints, pickles and copies by its fields and refuses
+assignment and deletion, but ``dataclasses.fields``, ``replace`` and
+``asdict`` do not apply to them.
 """
 
 from importlib import import_module

@@ -30,13 +30,12 @@ any size, together with their exact profile: ``xor`` is the edge set
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
-from .distributions import JointDistribution
-from .irreducibility import IrreducibilityReport, _scan_table, full_report
+from .distributions import JointDistribution, _Value
+from .irreducibility import _scan_table, full_report
 from .union_info import UnionMeasure
 
 __all__ = [
@@ -188,11 +187,11 @@ EXPECTED = {
 EXAMPLE_NAMES = ("xor", "xor_unique", "double_xor", "triple_xor", "parity")
 
 
-@dataclass(frozen=True)
-class NamedExample:
-    name: str
-    distribution: JointDistribution
-    expected: tuple[float, float, float, float, float]
+class NamedExample(_Value):
+    """A circuit's name, its distribution and its expected
+    ``(whole_mi, ibe, ibdp, ib2p, ibap)``, in bits."""
+
+    _fields = ("name", "distribution", "expected")
 
 
 @lru_cache(maxsize=None)
@@ -247,11 +246,10 @@ def xor_circuit(n: int, edges: Sequence[Sequence[int]]) -> NamedExample:
     return NamedExample(name, distribution, (whole, *profile))
 
 
-@dataclass(frozen=True)
-class VerificationRow:
-    name: str
-    report: IrreducibilityReport
-    expected: tuple[float, float, float, float, float]
+class VerificationRow(_Value):
+    """One example's report next to its expected row."""
+
+    _fields = ("name", "report", "expected")
 
     @property
     def max_abs_error(self) -> float:
@@ -261,10 +259,10 @@ class VerificationRow:
         return self.max_abs_error <= tol
 
 
-@dataclass(frozen=True)
-class CorpusVerification:
-    rows: tuple[VerificationRow, ...]
-    tolerance: float
+class CorpusVerification(_Value):
+    """The rows of :func:`verify_corpus` and the tolerance they are held to."""
+
+    _fields = ("rows", "tolerance")
 
     @property
     def mismatches(self) -> tuple[VerificationRow, ...]:

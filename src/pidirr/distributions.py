@@ -39,14 +39,40 @@ class DistributionError(ValueError):
 class _Value:
     """An immutable value, compared, hashed and shown by its ``_fields``.
 
-    Each ``__init__`` stores its fields in the instance ``__dict__``, past
-    ``__setattr__``; after that, assigning or deleting any attribute raises
-    ``AttributeError``.  Equality holds only between instances of one class.
-    Pickling and copying restore the ``__dict__`` directly, so they need no
-    hook; ``__slots__`` would need one.
+    The value types of the package sit on this base: ``VariableSelector``
+    and ``JointDistribution`` here, ``PartSpec``, ``PartitionSpec`` and
+    ``PartFamily`` in :mod:`pidirr.parts`, ``UnionMeasure`` in
+    :mod:`pidirr.union_info`, ``IrreducibilityReport`` in
+    :mod:`pidirr.irreducibility`, and ``NamedExample``, ``VerificationRow``
+    and ``CorpusVerification`` in :mod:`pidirr.corpus`.
+
+    The constructor takes each of ``_fields`` by position or by keyword and
+    raises ``TypeError`` on a missing, extra or repeated one.  A type that
+    normalizes or checks its fields has its own ``__init__``.  Either way
+    the fields go into the instance ``__dict__``, past ``__setattr__``;
+    after that, assigning or deleting any attribute raises
+    ``AttributeError``.  Equality holds only between instances of one
+    class.  Pickling and copying restore the ``__dict__`` directly, so they
+    need no hook; ``__slots__`` would need one.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__qualname__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{name} takes {len(self._fields)} fields, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        for field in kwargs:
+            if field in values:
+                raise TypeError(f"{name} got field {field!r} twice")
+            if field not in self._fields:
+                raise TypeError(f"{name} has no field {field!r}")
+        values.update(kwargs)
+        missing = [field for field in self._fields if field not in values]
+        if missing:
+            raise TypeError(f"{name} is missing fields {missing}")
+        vars(self).update(values)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -113,7 +139,7 @@ def _parse_probability(token: str) -> float:
         raise DistributionError(f"cannot parse probability {token!r}") from exc
 
 
-class JointDistribution:
+class JointDistribution(_Value):
     """Immutable pmf over named finite variables.
 
     Parameters
@@ -130,9 +156,9 @@ class JointDistribution:
     target:
         Name of the target variable.  Defaults to the last variable.
         ``None`` is allowed for marginals that dropped the target.
-    """
 
-    __slots__ = ("variables", "alphabets", "target", "pmf")
+    Two distributions are equal when their :meth:`key` is.
+    """
 
     def __init__(
         self,
@@ -174,22 +200,15 @@ class JointDistribution:
         if not pmf:
             raise DistributionError("distribution has empty support")
 
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "pmf", pmf)
-
         if target == "__last__":
             target = variables[-1]
         if target is not None and target not in variables:
             raise DistributionError(f"target {target!r} not among variables {variables}")
-        object.__setattr__(self, "target", target)
 
         alphabets = tuple(
             tuple(sorted({o[i] for o in pmf})) for i in range(len(variables))
         )
-        object.__setattr__(self, "alphabets", alphabets)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("JointDistribution is immutable")
+        vars(self).update(variables=variables, alphabets=alphabets, target=target, pmf=pmf)
 
     # -- identity ---------------------------------------------------------
 
@@ -197,13 +216,7 @@ class JointDistribution:
         """Content key: equal distributions compare and hash equal."""
         return (self.variables, self.target, tuple(self.pmf.items()))
 
-    def __eq__(self, other):
-        if not isinstance(other, JointDistribution):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    _values = key
 
     def __repr__(self):
         return (
@@ -293,8 +306,13 @@ class JointDistribution:
 
     def relabeled(self, variable: str, mapping: Mapping[str, str]) -> "JointDistribution":
         """Copy with one variable's symbols renamed through an injective map."""
+        if variable not in self.variables:
+            raise DistributionError(f"unknown variable {variable!r} in {self.variables}")
         i = self.variables.index(variable)
-        symbols = set(self.alphabets[i])
+        symbols = self.alphabets[i]
+        missing = [s for s in symbols if s not in mapping]
+        if missing:
+            raise DistributionError(f"relabeling of {variable!r} misses symbols {missing}")
         image = {mapping[s] for s in symbols}
         if len(image) != len(symbols):
             raise DistributionError(f"relabeling of {variable!r} is not injective")

@@ -76,32 +76,6 @@ class IrreducibilityReport(_Value):
         "witness_bipartition", "witness_almost_pair", "measure",
     )
 
-    def __init__(
-        self,
-        predictor_names: tuple[str, ...],
-        target_name: str,
-        whole_mi: float,
-        ibe: float,
-        ibdp: float,
-        ib2p: float,
-        ibap: float,
-        witness_bipartition: PartitionSpec,
-        witness_almost_pair: PartFamily,
-        measure: UnionMeasure,
-    ):
-        vars(self).update(
-            predictor_names=predictor_names,
-            target_name=target_name,
-            whole_mi=whole_mi,
-            ibe=ibe,
-            ibdp=ibdp,
-            ib2p=ib2p,
-            ibap=ibap,
-            witness_bipartition=witness_bipartition,
-            witness_almost_pair=witness_almost_pair,
-            measure=measure,
-        )
-
     def values(self) -> tuple[float, float, float, float, float]:
         return (self.whole_mi, self.ibe, self.ibdp, self.ib2p, self.ibap)
 

@@ -19,7 +19,7 @@ evaluated on the support only.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .distributions import DistributionError, JointDistribution, VariableSelector, _entropy_bits
 
@@ -53,9 +53,9 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _canonicalize(labels: Sequence[int]) -> tuple[int, ...]:
+def _canonicalize(labels: Iterable[Hashable]) -> tuple[int, ...]:
     """Relabel so first occurrence in support order gets 0, next new value 1, ..."""
-    seen: dict[int, int] = {}
+    seen: dict[Hashable, int] = {}
     out = []
     for lab in labels:
         if lab not in seen:
@@ -65,17 +65,21 @@ def _canonicalize(labels: Sequence[int]) -> tuple[int, ...]:
 
 
 class DerivedVariable:
-    """A random variable given as a labeling of a base distribution's support."""
+    """A random variable given as a labeling of a base distribution's support.
+
+    Any hashable labels will do, one per support outcome in support order;
+    they are stored renumbered by first appearance.
+    """
 
     __slots__ = ("base", "labels")
 
-    def __init__(self, base: JointDistribution, labels: Sequence[int]):
-        if len(labels) != len(base.pmf):
+    def __init__(self, base: JointDistribution, labels: Iterable[Hashable]):
+        self.labels = _canonicalize(labels)
+        if len(self.labels) != len(base.pmf):
             raise ValueError(
-                f"labeling has {len(labels)} entries for support of size {len(base.pmf)}"
+                f"labeling has {len(self.labels)} entries for support of size {len(base.pmf)}"
             )
         self.base = base
-        self.labels = _canonicalize([int(x) for x in labels])
 
     @property
     def n_labels(self) -> int:
@@ -113,15 +117,7 @@ def _require_same_base(u: DerivedVariable, v: DerivedVariable) -> None:
 def from_selector(d: JointDistribution, sel: VariableSelector) -> DerivedVariable:
     """The variable reading off the selected coordinates of each outcome."""
     sel.validate(d)
-    idx = sel.indices
-    seen: dict[tuple, int] = {}
-    labels = []
-    for outcome in d.pmf:
-        k = tuple(outcome[i] for i in idx)
-        if k not in seen:
-            seen[k] = len(seen)
-        labels.append(seen[k])
-    return DerivedVariable(d, labels)
+    return DerivedVariable(d, [tuple(outcome[i] for i in sel.indices) for outcome in d.pmf])
 
 
 def is_poorer(u: DerivedVariable, v: DerivedVariable) -> bool:
@@ -144,13 +140,7 @@ def is_equivalent(u: DerivedVariable, v: DerivedVariable) -> bool:
 def join(u: DerivedVariable, v: DerivedVariable) -> DerivedVariable:
     """Least upper bound: the pair variable (u, v)."""
     _require_same_base(u, v)
-    seen: dict[tuple[int, int], int] = {}
-    labels = []
-    for pair in zip(u.labels, v.labels):
-        if pair not in seen:
-            seen[pair] = len(seen)
-        labels.append(seen[pair])
-    return DerivedVariable(u.base, labels)
+    return DerivedVariable(u.base, zip(u.labels, v.labels))
 
 
 def meet(u: DerivedVariable, v: DerivedVariable) -> DerivedVariable:

@@ -16,6 +16,7 @@ Counts, for n predictors:
 
 from __future__ import annotations
 
+from functools import total_ordering
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -36,6 +37,7 @@ __all__ = [
 MAX_PARTITION_N = 10
 
 
+@total_ordering
 class PartSpec(_Value):
     """A nonempty proper subset of the 0-based predictor indices {0..n-1}.
 
@@ -70,21 +72,6 @@ class PartSpec(_Value):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.member_indices < other.member_indices
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.member_indices <= other.member_indices
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.member_indices > other.member_indices
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.member_indices >= other.member_indices
 
 
 class PartitionSpec(_Value):

@@ -158,6 +158,16 @@ def test_relabeled_requires_injective(xor):
     assert swapped.pmf[("1", "0", "0")] == 0.25
 
 
+def test_relabeled_names_an_unknown_variable(xor):
+    with pytest.raises(DistributionError, match="unknown variable 'Z'"):
+        xor.relabeled("Z", {"0": "1", "1": "0"})
+
+
+def test_relabeled_names_the_symbols_its_mapping_misses(xor):
+    with pytest.raises(DistributionError, match=r"'X1' misses symbols \['1'\]"):
+        xor.relabeled("X1", {"0": "a"})
+
+
 def test_constant_target_collapse(xor):
     const = xor.with_constant_target()
     assert const.alphabets[const.target_index] == ("*",)

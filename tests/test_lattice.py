@@ -159,3 +159,9 @@ def test_lattice_bounds(seed):
 def test_canonical_labels_first_occurrence_order(xor):
     var = DerivedVariable(xor, [7, 3, 3, 7])
     assert var.labels == (0, 1, 1, 0)
+
+
+def test_labels_of_any_hashable_type_keep_their_classes(xor):
+    assert DerivedVariable(xor, [1.2, 1.7, 1.7, 1.2]).labels == (0, 1, 1, 0)
+    assert DerivedVariable(xor, ["a", ("a",), ("a",), "a"]).labels == (0, 1, 1, 0)
+    assert DerivedVariable(xor, iter([5, 5, 6, 6])).labels == (0, 0, 1, 1)

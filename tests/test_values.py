@@ -2,12 +2,27 @@
 by their fields."""
 
 import copy
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pidirr.distributions import VariableSelector
-from pidirr.irreducibility import IrreducibilityReport
+import pidirr
+from pidirr.corpus import (
+    EXAMPLE_NAMES,
+    CorpusVerification,
+    NamedExample,
+    VerificationRow,
+    load_example,
+)
+from pidirr.distributions import JointDistribution, VariableSelector, random_distribution
+from pidirr.irreducibility import IrreducibilityReport, full_report
 from pidirr.parts import PartFamily, PartitionSpec, PartSpec
 from pidirr.union_info import MeasureKind, UnionMeasure
 
@@ -26,6 +41,29 @@ def _report():
         measure=UnionMeasure(tolerance=1e-8),
     )
 
+
+def _distribution():
+    return JointDistribution(("X1", "Y"), {("1", "1"): 0.5, ("0", "0"): 0.5})
+
+
+def _row():
+    return VerificationRow("xor", _report(), (1.5, 1.0, 0.5, 0.25, 0.0))
+
+
+_REPORT_REPR = (
+    "IrreducibilityReport(predictor_names=('X1', 'X2', 'X3'), target_name='Y', "
+    "whole_mi=1.5, ibe=1.0, ibdp=0.5, ib2p=0.25, ibap=0.0, "
+    "witness_bipartition=PartitionSpec(blocks=(PartSpec(member_indices=(0,)), "
+    "PartSpec(member_indices=(1, 2)))), "
+    "witness_almost_pair=PartFamily(parts=(PartSpec(member_indices=(0, 2)), "
+    "PartSpec(member_indices=(1, 2)))), "
+    "measure=UnionMeasure(kind=<MeasureKind.MIN_SYNERGY: 'minsyn'>, tolerance=1e-08))"
+)
+_DISTRIBUTION_REPR = "JointDistribution(variables=('X1', 'Y'), target='Y', support=2)"
+_ROW_REPR = (
+    f"VerificationRow(name='xor', report={_REPORT_REPR}, "
+    "expected=(1.5, 1.0, 0.5, 0.25, 0.0))"
+)
 
 # Each type's constructor of one instance, and that instance's repr.
 VALUES = {
@@ -48,15 +86,17 @@ VALUES = {
         lambda: UnionMeasure(kind=MeasureKind.MAX_SINGLE_MI, tolerance=1e-8),
         "UnionMeasure(kind=<MeasureKind.MAX_SINGLE_MI: 'maxmi'>, tolerance=1e-08)",
     ),
-    "IrreducibilityReport": (
-        _report,
-        "IrreducibilityReport(predictor_names=('X1', 'X2', 'X3'), target_name='Y', "
-        "whole_mi=1.5, ibe=1.0, ibdp=0.5, ib2p=0.25, ibap=0.0, "
-        "witness_bipartition=PartitionSpec(blocks=(PartSpec(member_indices=(0,)), "
-        "PartSpec(member_indices=(1, 2)))), "
-        "witness_almost_pair=PartFamily(parts=(PartSpec(member_indices=(0, 2)), "
-        "PartSpec(member_indices=(1, 2)))), "
-        "measure=UnionMeasure(kind=<MeasureKind.MIN_SYNERGY: 'minsyn'>, tolerance=1e-08))",
+    "IrreducibilityReport": (_report, _REPORT_REPR),
+    "JointDistribution": (_distribution, _DISTRIBUTION_REPR),
+    "NamedExample": (
+        lambda: NamedExample("xor", _distribution(), (1.0, 1.0, 1.0, 1.0, 1.0)),
+        f"NamedExample(name='xor', distribution={_DISTRIBUTION_REPR}, "
+        "expected=(1.0, 1.0, 1.0, 1.0, 1.0))",
+    ),
+    "VerificationRow": (_row, _ROW_REPR),
+    "CorpusVerification": (
+        lambda: CorpusVerification((_row(),), 1e-8),
+        f"CorpusVerification(rows=({_ROW_REPR},), tolerance=1e-08)",
     ),
 }
 
@@ -120,7 +160,69 @@ def test_part_specs_sort_by_member_tuple():
 
 
 def test_only_part_specs_are_ordered():
-    for name in ("VariableSelector", "PartitionSpec", "PartFamily", "UnionMeasure"):
-        make = VALUES[name][0]
-        with pytest.raises(TypeError):
-            make() < make()
+    for name in VALUES:
+        if name != "PartSpec":
+            make = VALUES[name][0]
+            with pytest.raises(TypeError):
+                make() < make()
+
+
+def test_fields_go_by_position_or_by_keyword():
+    report = _report()
+    assert IrreducibilityReport(*[getattr(report, f) for f in report._fields]) == report
+    example = VALUES["NamedExample"][0]()
+    assert NamedExample(name=example.name, distribution=example.distribution,
+                        expected=example.expected) == example
+    assert NamedExample(example.name, example.distribution, expected=example.expected) == example
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (("xor", None), {}),
+        ((), {"name": "xor", "expected": ()}),
+        (("xor",), {"distribution": None}),
+        (("xor", None, (), "extra"), {}),
+        (("xor", None, ()), {"extra": 1}),
+        (("xor", None), {"name": "xor", "expected": ()}),
+    ],
+    ids=["missing", "missing-keyword", "missing-last", "extra-position",
+         "extra-keyword", "repeated"],
+)
+def test_constructor_refuses_a_missing_extra_or_repeated_field(args, kwargs):
+    with pytest.raises(TypeError):
+        NamedExample(*args, **kwargs)
+
+
+def test_a_pickled_distribution_reports_the_same():
+    d = random_distribution(np.random.default_rng(400), 3)
+    loaded = pickle.loads(pickle.dumps(d))
+    assert loaded == d and list(loaded.pmf) == list(d.pmf)
+    assert repr(full_report(loaded)) == repr(full_report(d))
+
+
+def test_reports_run_in_worker_processes():
+    # Each worker unpickles a distribution and pickles its report back.
+    dists = [load_example(name).distribution for name in EXAMPLE_NAMES]
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(2, mp_context=context) as pool:
+        reports = list(pool.map(full_report, dists, timeout=120))
+    assert [repr(r) for r in reports] == [repr(full_report(d)) for d in dists]
+
+
+def test_corpus_loads_without_dataclasses():
+    # The corpus records are values on the package's one base, as the
+    # report's types are.
+    code = (
+        "import sys\n"
+        "import pidirr.corpus\n"
+        "assert 'dataclasses' not in sys.modules, 'pidirr.corpus loaded dataclasses'\n"
+    )
+    src = str(Path(pidirr.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
