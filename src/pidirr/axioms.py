@@ -13,7 +13,8 @@ worst violation in bits:
 * ``UB`` - never above the whole's mutual information.
 
 A property passes when its worst violation is within the measure's
-tolerance.  ``pidirr axioms`` runs it; a report never does.
+tolerance; its worst case is the earliest within that tolerance of the worst.
+``pidirr axioms`` runs it; a report never does.
 """
 
 from __future__ import annotations
@@ -35,16 +36,31 @@ __all__ = ["AxiomResult", "AxiomReport", "check_axioms"]
 
 @dataclass
 class AxiomResult:
+    """One property's ``cases``, ``(violation in bits, description)`` in the
+    order checked.  Its ``worst_case`` is named as a report names its
+    witness: the earliest case within ``tolerance`` of the worst violation.
+    Violations that close to each other are ties, which rounding may order
+    either way."""
+
     axiom: str
-    worst_violation: float = 0.0
-    n_cases: int = 0
-    worst_case: str = ""
+    tolerance: float = 0.0
+    cases: list[tuple[float, str]] = field(default_factory=list)
 
     def record(self, violation: float, description: str) -> None:
-        self.n_cases += 1
-        if violation > self.worst_violation:
-            self.worst_violation = violation
-            self.worst_case = description
+        self.cases.append((violation, description))
+
+    @property
+    def n_cases(self) -> int:
+        return len(self.cases)
+
+    @property
+    def worst_violation(self) -> float:
+        return max((v for v, _ in self.cases), default=0.0)
+
+    @property
+    def worst_case(self) -> str:
+        floor = self.worst_violation - self.tolerance
+        return next((d for v, d in self.cases if v >= floor), "")
 
     def passed(self, tol: float) -> bool:
         return self.worst_violation <= tol
@@ -58,7 +74,7 @@ class AxiomReport:
     AXIOMS = ("GP", "Eq", "M0", "S0", "SR", "UB")
 
     def result(self, axiom: str) -> AxiomResult:
-        return self.results.setdefault(axiom, AxiomResult(axiom))
+        return self.results.setdefault(axiom, AxiomResult(axiom, self.tolerance))
 
     @property
     def all_passed(self) -> bool:

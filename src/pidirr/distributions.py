@@ -139,6 +139,21 @@ def _parse_probability(token: str) -> float:
         raise DistributionError(f"cannot parse probability {token!r}") from exc
 
 
+class _ReadOnlyDict(dict):
+    """A ``dict`` whose mutators raise ``TypeError``: a distribution's pmf,
+    which is hashed and compared as part of its value.  It pickles and
+    copies as a rebuild from a plain ``dict``."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a distribution's pmf is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class JointDistribution(_Value):
     """Immutable pmf over named finite variables.
 
@@ -157,7 +172,8 @@ class JointDistribution(_Value):
         Name of the target variable.  Defaults to the last variable.
         ``None`` is allowed for marginals that dropped the target.
 
-    Two distributions are equal when their :meth:`key` is.
+    Its ``pmf`` maps each outcome of the support to its mass and refuses
+    changes.  Two distributions are equal when their :meth:`key` is.
     """
 
     def __init__(
@@ -194,9 +210,9 @@ class JointDistribution(_Value):
             raise DistributionError(
                 f"probabilities sum to {total!r}, outside [1-{RAW_SUM_SLACK}, 1+{RAW_SUM_SLACK}]"
             )
-        pmf = {
-            o: p / total for o, p in sorted(accum.items()) if p / total >= MASS_FLOOR
-        }
+        pmf = _ReadOnlyDict(
+            (o, p / total) for o, p in sorted(accum.items()) if p / total >= MASS_FLOOR
+        )
         if not pmf:
             raise DistributionError("distribution has empty support")
 
@@ -313,7 +329,7 @@ class JointDistribution(_Value):
         missing = [s for s in symbols if s not in mapping]
         if missing:
             raise DistributionError(f"relabeling of {variable!r} misses symbols {missing}")
-        image = {mapping[s] for s in symbols}
+        image = {str(mapping[s]) for s in symbols}  # as the constructor stores them
         if len(image) != len(symbols):
             raise DistributionError(f"relabeling of {variable!r} is not injective")
         pmf = {

@@ -158,6 +158,14 @@ def test_relabeled_requires_injective(xor):
     assert swapped.pmf[("1", "0", "0")] == 0.25
 
 
+def test_relabeled_checks_injectivity_on_the_stored_symbols(xor):
+    # The constructor stores every symbol as str, so 1 and "1" are one symbol.
+    with pytest.raises(DistributionError, match="not injective"):
+        xor.relabeled("X1", {"0": 1, "1": "1"})
+    numbered = xor.relabeled("X1", {"0": 1, "1": 2})
+    assert numbered.alphabets[0] == ("1", "2")
+
+
 def test_relabeled_names_an_unknown_variable(xor):
     with pytest.raises(DistributionError, match="unknown variable 'Z'"):
         xor.relabeled("Z", {"0": "1", "1": "0"})

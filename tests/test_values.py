@@ -194,6 +194,32 @@ def test_constructor_refuses_a_missing_extra_or_repeated_field(args, kwargs):
         NamedExample(*args, **kwargs)
 
 
+def test_a_distribution_pmf_is_read_only_and_copies_as_one():
+    d = random_distribution(np.random.default_rng(400), 3)
+    outcome, before = next(iter(d.pmf.items()))
+    for change in (
+        lambda pmf: pmf.__setitem__(outcome, 0.5),
+        lambda pmf: pmf.__delitem__(outcome),
+        lambda pmf: pmf.__ior__({outcome: 0.5}),
+        lambda pmf: pmf.update({outcome: 0.5}),
+        lambda pmf: pmf.setdefault(("x",) * 4, 0.5),
+        lambda pmf: pmf.pop(outcome),
+        lambda pmf: pmf.popitem(),
+        lambda pmf: pmf.clear(),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            change(d.pmf)
+    assert d.pmf[outcome] == before and len(d.pmf) == 16
+    copies = [pickle.loads(pickle.dumps(d, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in copies + [copy.copy(d), copy.deepcopy(d)]:
+        assert c == d and hash(c) == hash(d) and list(c.pmf.items()) == list(d.pmf.items())
+        with pytest.raises(TypeError, match="read-only"):
+            c.pmf[outcome] = 0.5
+    pmf = copy.deepcopy(d.pmf)
+    assert type(pmf) is type(d.pmf) and pmf == d.pmf and pmf is not d.pmf
+
+
 def test_a_pickled_distribution_reports_the_same():
     d = random_distribution(np.random.default_rng(400), 3)
     loaded = pickle.loads(pickle.dumps(d))
@@ -202,7 +228,8 @@ def test_a_pickled_distribution_reports_the_same():
 
 
 def test_reports_run_in_worker_processes():
-    # Each worker unpickles a distribution and pickles its report back.
+    # Each worker unpickles a distribution, read-only pmf and all, and
+    # pickles its report back.
     dists = [load_example(name).distribution for name in EXAMPLE_NAMES]
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(2, mp_context=context) as pool:

@@ -4,9 +4,13 @@ Runs ``full_report`` on 600 random distributions: n = 3 at alphabets 2 and
 3 and n = 4 binary, at zero fractions 0, 0.1, 0.2, 0.3 and 0.5, with seeds
 0-39 of ``random_distribution(np.random.default_rng(seed), n, a, z)``.  For
 each of the tolerances 1e-10, 1e-11 and 1e-12 bits it prints how many
-reports raised, which ones, and the Newton steps (``np.linalg.solve``
-calls) the 600 reports took.  It exits non-zero if any report raises at
-1e-10 or 1e-11; at 1e-12 failures are printed, not fatal.
+reports raised, which ones, the Newton steps (``np.linalg.solve``
+calls) the 600 reports took, and its margin: the largest final gap
+``(value - lower) / tolerance`` among the families that closed, those with
+``value - lower <= tolerance``: a dominated family that stopped with a wider
+gap is left out.  It
+exits non-zero if any report raises at 1e-10 or 1e-11; at 1e-12 failures
+are printed, not fatal.
 
 Run it from the repository root, at one BLAS thread to match the quoted
 times (about 40 s on one core)::
@@ -22,6 +26,7 @@ import warnings
 
 import numpy as np
 
+from pidirr import union_info
 from pidirr.distributions import random_distribution
 from pidirr.irreducibility import OrderingViolationError, full_report
 from pidirr.union_info import UnionConvergenceError, UnionMeasure
@@ -49,19 +54,30 @@ def main() -> int:
         return solve(*args, **kwargs)
 
     np.linalg.solve = counting
+    gaps = []
+    brackets = union_info._min_synergy_brackets
+
+    def recording(*args, **kwargs):
+        out = brackets(*args, **kwargs)
+        gaps.extend(value - lower for value, lower in out)
+        return out
+
+    union_info._min_synergy_brackets = recording
     fatal = False
     for tolerance, required in TOLERANCES:
         measure = UnionMeasure(tolerance=tolerance)
         steps, failures, start = 0, [], time.perf_counter()
+        gaps.clear()
         for args, d in zip(inputs, dists):
             try:
                 full_report(d, measure)
             except (UnionConvergenceError, OrderingViolationError) as exc:
                 failures.append((args, exc))
         seconds = time.perf_counter() - start
+        margin = max(gap for gap in gaps if gap <= tolerance) / tolerance
         print(
             f"tol {tolerance:g}: {len(failures)} of {len(inputs)} reports raised, "
-            f"{steps} Newton steps, {seconds:.1f} s"
+            f"{steps} Newton steps, {seconds:.1f} s, largest closed gap {margin:.3f} tol"
         )
         for (seed, n, a, z), exc in failures:
             print(f"  seed {seed}, n {n}, alphabet {a}, zero fraction {z}: {exc}")
