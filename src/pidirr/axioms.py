@@ -12,6 +12,12 @@ worst violation in bits:
 * ``SR`` - a single part's union information is its mutual information;
 * ``UB`` - never above the whole's mutual information.
 
+S0 solves the family again with its parts in reverse order, which the
+solver lays out and constrains in another order.  SR and UB take their
+mutual informations from
+:meth:`~pidirr.distributions.JointDistribution.mutual_information`, which
+shares no code with the solver.
+
 A property passes when its worst violation is within the measure's
 tolerance; its worst case is the earliest within that tolerance of the worst.
 ``pidirr axioms`` runs it; a report never does.
@@ -22,14 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .distributions import JointDistribution
+from .distributions import JointDistribution, VariableSelector
 from .parts import PartFamily, PartSpec, all_parts
-from .union_info import (
-    UnionMeasure,
-    part_mutual_information,
-    union_information,
-    whole_mutual_information,
-)
+from .union_info import UnionMeasure, _solve
 
 __all__ = ["AxiomResult", "AxiomReport", "check_axioms"]
 
@@ -101,6 +102,16 @@ def _relabel_map(symbols: Sequence[str], salt: str) -> dict[str, str]:
     return {s: f"{r}{salt}" for s, r in zip(symbols, rotated)}
 
 
+def _unions(
+    m: UnionMeasure, d: JointDistribution, families: Sequence[tuple[PartSpec, ...]]
+) -> list[float]:
+    """The union information of each of ``families`` on ``d``, from one
+    :func:`pidirr.union_info._solve` call on the distinct ones."""
+    distinct = list(dict.fromkeys(families))
+    unions = dict(zip(distinct, _solve(m, d, distinct)[1]))
+    return [unions[f] for f in families]
+
+
 def check_axioms(
     m: UnionMeasure, suite: Iterable[tuple[JointDistribution, PartFamily]]
 ) -> AxiomReport:
@@ -109,87 +120,58 @@ def check_axioms(
     Each suite entry is an input distribution paired with a part family.
     Violations are magnitudes in bits; an axiom passes when its worst
     violation over all applicable cases is within the measure tolerance.
+    Each distribution's families are solved in one call: on ``d`` the
+    family, its parts in reverse order, its first part alone and M0's
+    extensions; on each constant-target or relabeled copy the family alone.
     """
     report = AxiomReport(tolerance=m.tolerance)
     for item_no, (d, family) in enumerate(suite):
         n = d.n_predictors
         family.validate(n)
         label = f"item {item_no}"
-        solved: dict[PartFamily, float] = {}
+        parts, preds, tpos = family.parts, d.predictor_indices, d.target_index
 
-        def union(f: PartFamily) -> float:
-            # S0's reversed family is the family itself, as PartFamily sorts
-            # its parts, and M0's grown family may be the extended one: each
-            # distinct family on d is solved once per item.
-            if f not in solved:
-                solved[f] = union_information(m, d, f)
-            return solved[f]
-
-        value = union(family)
-        whole = whole_mutual_information(d)
+        # M0's extensions, (description, family, whether it keeps the value):
+        # appending W that is a sub-part of some member, and any part.
+        extensions = []
+        wide = next((p for p in parts if len(p) >= 2), None)
+        if wide is not None and (w := PartSpec(wide.member_indices[:-1])) not in parts:
+            extensions.append(("append sub-part", PartFamily(parts + (w,)).parts, True))
+        fresh = next((p for p in all_parts(n) if p not in parts), None)
+        if fresh is not None:
+            extensions.append(("append arbitrary part", PartFamily(parts + (fresh,)).parts, False))
+        value, reordered, single, *extended = _unions(
+            m, d, [parts, parts[::-1], parts[:1], *(f for _, f, _ in extensions)]
+        )
 
         # GP: nonnegative, and zero when the target is constant.
         report.result("GP").record(max(0.0, -value), f"{label}: negative value")
-        const_val = union_information(m, d.with_constant_target(), family)
+        [const_val] = _unions(m, d.with_constant_target(), [parts])
         report.result("GP").record(abs(const_val), f"{label}: constant target")
 
         # Eq: invariance under relabeling a member variable and the target.
-        preds = d.predictor_indices
-        member_pos = preds[family.parts[0].member_indices[0]]
-        member = d.variables[member_pos]
-        relabeled = d.relabeled(member, _relabel_map(d.alphabets[member_pos], "~"))
-        report.result("Eq").record(
-            abs(union_information(m, relabeled, family) - value),
-            f"{label}: relabel {member}",
-        )
-        tpos = d.target_index
-        relabeled_y = d.relabeled(
-            d.variables[tpos], _relabel_map(d.alphabets[tpos], "~")
-        )
-        report.result("Eq").record(
-            abs(union_information(m, relabeled_y, family) - value),
-            f"{label}: relabel target",
-        )
+        member_pos = preds[parts[0].member_indices[0]]
+        for pos, what in ((member_pos, d.variables[member_pos]), (tpos, "target")):
+            relabeled = d.relabeled(d.variables[pos], _relabel_map(d.alphabets[pos], "~"))
+            [moved] = _unions(m, relabeled, [parts])
+            report.result("Eq").record(abs(moved - value), f"{label}: relabel {what}")
 
-        # M0 equality clause: appending W that is a sub-part of some member.
-        wide = next((p for p in family.parts if len(p) >= 2), None)
-        if wide is not None:
-            w = PartSpec(wide.member_indices[:-1])
-            if w not in family.parts:
-                extended = PartFamily(family.parts + (w,))
-                report.result("M0").record(
-                    abs(union(extended) - value),
-                    f"{label}: append sub-part",
-                )
-        # M0 monotonicity clause: appending any part never decreases the value.
-        fresh = next((p for p in all_parts(n) if p not in family.parts), None)
-        if fresh is not None:
-            grown = PartFamily(family.parts + (fresh,))
+        # M0: the sub-part leaves the value as it is; no part lowers it.
+        for (what, _, keeps), v in zip(extensions, extended):
             report.result("M0").record(
-                max(0.0, value - union(grown)),
-                f"{label}: append arbitrary part",
+                abs(v - value) if keeps else max(0.0, value - v), f"{label}: {what}"
             )
 
-        # S0: reordering the family.  PartFamily sorts its parts, so the
-        # reversed family is the family itself and its value is read back
-        # from `solved`: S0 holds by construction, with no solve of its own.
-        reordered = PartFamily(tuple(reversed(family.parts)))
-        report.result("S0").record(
-            abs(union(reordered) - value), f"{label}: reorder"
-        )
+        # S0: invariance under solving the parts in reverse order.
+        report.result("S0").record(abs(reordered - value), f"{label}: reorder")
 
         # SR: a single part's union information is its mutual information.
-        first = family.parts[0]
+        # UB: never above the whole's mutual information.
+        target = d.target_selector()
+        first = VariableSelector(preds[i] for i in parts[0].member_indices)
         report.result("SR").record(
-            abs(
-                union(PartFamily((first,)))
-                - part_mutual_information(d, first)
-            ),
-            f"{label}: single part",
+            abs(single - d.mutual_information(first, target)), f"{label}: single part"
         )
-
-        # UB: never exceeds the whole's mutual information.
-        report.result("UB").record(
-            max(0.0, value - whole), f"{label}: upper bound"
-        )
+        whole = d.mutual_information(d.whole_selector(), target)
+        report.result("UB").record(max(0.0, value - whole), f"{label}: upper bound")
     return report

@@ -59,7 +59,7 @@ from .parts import (
     almost_pairs,
     almosts,
 )
-from .union_info import MeasureKind, UnionConvergenceError, UnionMeasure
+from .union_info import UnionConvergenceError, UnionMeasure
 
 __all__ = ["main", "run"]
 
@@ -155,7 +155,7 @@ def render_tsv(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _measure_from(args) -> UnionMeasure:
-    return UnionMeasure(kind=MeasureKind(args.measure), tolerance=args.tol)
+    return UnionMeasure(kind=args.measure, tolerance=args.tol)
 
 
 def _load_input(path: str, target: str | None) -> JointDistribution:

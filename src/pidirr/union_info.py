@@ -141,11 +141,12 @@ class MeasureKind(str, Enum):
 class UnionMeasure(_Value):
     """Which union-information measure to compute, and how accurately.
 
-    ``tolerance`` (bits) bounds how far a ``minsyn`` value may lie above the
-    true minimum: every exit of the barrier solver stops a family within a
-    tenth of it of a certified lower bound (within all of it once the family
-    cannot move), or raises.  The solver is deterministic, so nothing else
-    is tunable.  ``maxmi`` values are exact.
+    ``kind`` is a :class:`MeasureKind` or its value.  ``tolerance`` (bits)
+    bounds how far a ``minsyn`` value may lie above the true minimum: every
+    exit of the barrier solver stops a family within a tenth of it of a
+    certified lower bound (within all of it once the family cannot move), or
+    raises.  The solver is deterministic, so nothing else is tunable.
+    ``maxmi`` values are exact.
     """
 
     _fields = ("kind", "tolerance")
@@ -153,7 +154,7 @@ class UnionMeasure(_Value):
     def __init__(self, kind: MeasureKind = MeasureKind.MIN_SYNERGY, tolerance: float = 1e-6):
         if not 0.0 < tolerance < math.inf:  # also refuses NaN
             raise ValueError(f"tolerance must be positive and finite, not {tolerance!r}")
-        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "kind", MeasureKind(kind))
         object.__setattr__(self, "tolerance", tolerance)
 
     def settings_dict(self) -> dict:
@@ -211,14 +212,6 @@ def _entropies(v: np.ndarray, part: np.ndarray) -> list[float]:
     pos = v > 0.0
     plogp, ends = v[pos] * np.log2(v[pos]), np.cumsum(np.bincount(part[pos])).tolist()
     return [float(-plogp[a:b].sum()) for a, b in zip([0] + ends, ends)]
-
-
-def part_mutual_information(d: JointDistribution, part: PartSpec) -> float:
-    return _Tables(d).masses([(part,)])[3][0]
-
-
-def whole_mutual_information(d: JointDistribution) -> float:
-    return _Tables(d).whole_mi
 
 
 class _Cache:

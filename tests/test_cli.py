@@ -251,6 +251,63 @@ def test_enumerate_n_guard(capsys):
     assert code == 2 and not out and "--n" in err
 
 
+AXIOMS_JSON = """\
+{
+  "tolerance": 0.000001000,
+  "all_passed": true,
+  "axioms": {
+    "GP": {
+      "passed": true,
+      "worst_violation": 0.000000000,
+      "cases": 86,
+      "worst_case": "item 0: negative value"
+    },
+    "Eq": {
+      "passed": true,
+      "worst_violation": 0.000000000,
+      "cases": 86,
+      "worst_case": "item 0: relabel X1"
+    },
+    "M0": {
+      "passed": true,
+      "worst_violation": 0.000000000,
+      "cases": 54,
+      "worst_case": "item 1: append arbitrary part"
+    },
+    "S0": {
+      "passed": true,
+      "worst_violation": 0.000000000,
+      "cases": 43,
+      "worst_case": "item 0: reorder"
+    },
+    "SR": {
+      "passed": true,
+      "worst_violation": 0.000000000,
+      "cases": 43,
+      "worst_case": "item 0: single part"
+    },
+    "UB": {
+      "passed": true,
+      "worst_violation": 0.000000000,
+      "cases": 43,
+      "worst_case": "item 0: upper bound"
+    }
+  }
+}
+"""
+
+AXIOMS_HUMAN = """\
+axiom passed      worst violation  cases
+GP    true            0.000000000  86
+Eq    true            0.000000000  86
+M0    true            0.000000000  54
+S0    true            0.000000000  43
+SR    true            0.000000000  43
+UB    true            0.000000000  43
+all passed: true
+"""
+
+
 def test_axioms_small_run(capsys, xor_file):
     code, out, _ = run(
         ["axioms", "--input", xor_file, "--trials", "2", "--seed", "1"], capsys
@@ -259,6 +316,13 @@ def test_axioms_small_run(capsys, xor_file):
     payload = json.loads(out)
     assert payload["all_passed"] is True
     assert set(payload["axioms"]) == {"GP", "Eq", "M0", "S0", "SR", "UB"}
+    # The corpus and 20 random distributions of seed 0, byte for byte: every
+    # violation rounds to zero, and each worst case is its property's first.
+    for args, expected in [
+        (["--format", "json"], AXIOMS_JSON),
+        (["--measure", "maxmi", "--format", "human"], AXIOMS_HUMAN),
+    ]:
+        assert run(["axioms", *args], capsys)[:2] == (0, expected)
 
 
 def test_axioms_trials_guard(capsys):

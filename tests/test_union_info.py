@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pidirr.distributions import DistributionError, JointDistribution
+from pidirr.distributions import DistributionError, JointDistribution, VariableSelector
 from pidirr.irreducibility import full_report
 from pidirr.parts import PartFamily, PartSpec, all_bipartitions, almost_pairs, almosts
-from pidirr import union_info
+from pidirr import axioms, union_info
 from pidirr.axioms import AxiomResult, check_axioms
 from pidirr.oracle import brute_force_union_oracle
 from pidirr.union_info import (
@@ -22,9 +22,7 @@ from pidirr.union_info import (
     MeasureKind,
     UnionConvergenceError,
     UnionMeasure,
-    part_mutual_information,
     union_information,
-    whole_mutual_information,
 )
 
 from conftest import fail_support_lp, make_random, zero_starts
@@ -62,6 +60,18 @@ def _set_up(d, families):
     return batches, brackets
 
 
+def part_mi(d, part):
+    """``I(part; Y)`` in bits from the distribution's own entropies, which
+    share no code with the solver."""
+    sel = VariableSelector(d.predictor_indices[i] for i in part.member_indices)
+    return d.mutual_information(sel, d.target_selector())
+
+
+def whole_mi(d):
+    """The whole's mutual information with the target, as :func:`part_mi`."""
+    return d.mutual_information(d.whole_selector(), d.target_selector())
+
+
 def _live(d, parts):
     """The live cells of ``parts`` on ``d``, as the solver finds them."""
     tab = union_info._Tables(d)
@@ -78,6 +88,20 @@ def test_measure_validation():
         MeasureKind("imin")
 
 
+def test_measure_kind_is_stored_as_its_member(xor_unique):
+    # A kind given by its value is the member itself, so the solver takes
+    # the measure asked for and the report names it.
+    by_value = UnionMeasure(kind="maxmi")
+    assert by_value.kind is MeasureKind.MAX_SINGLE_MI
+    assert by_value == MAXMI
+    assert UnionMeasure(kind="minsyn") == MINSYN
+    report = full_report(xor_unique, by_value)
+    assert report.values() == full_report(xor_unique, MAXMI).values() == (2.0, 1.0, 1.0, 1.0, 1.0)
+    assert report.to_dict()["settings"]["measure"] == "maxmi"
+    with pytest.raises(ValueError):
+        UnionMeasure(kind="bogus")
+
+
 def test_xor_separate_elements_convey_nothing(xor):
     assert union_information(MINSYN, xor, singletons(2)) <= 1e-9
 
@@ -85,9 +109,9 @@ def test_xor_separate_elements_convey_nothing(xor):
 def test_whole_as_single_part_is_whole_mi(xor_unique):
     fam = PartFamily((PartSpec((0, 1, 2)),))
     v = union_information(MINSYN, xor_unique, fam)
-    assert math.isclose(v, whole_mutual_information(xor_unique), abs_tol=1e-9)
+    assert math.isclose(v, whole_mi(xor_unique), abs_tol=1e-9)
     v2 = union_information(MAXMI, xor_unique, fam)
-    assert math.isclose(v2, whole_mutual_information(xor_unique), abs_tol=1e-12)
+    assert math.isclose(v2, whole_mi(xor_unique), abs_tol=1e-12)
 
 
 def test_xor_unique_bipartition_accounts_for_everything(xor_unique):
@@ -122,8 +146,8 @@ def test_value_between_bounds_on_randoms():
         d = make_random(seed, n_predictors=3)
         fam = singletons(3)
         v = union_information(MINSYN, d, fam)
-        lb = max(part_mutual_information(d, p) for p in fam.parts)
-        ub = whole_mutual_information(d)
+        lb = max(part_mi(d, p) for p in fam.parts)
+        ub = whole_mi(d)
         assert lb - 1e-6 <= v <= ub + 1e-6
 
 
@@ -153,7 +177,7 @@ def test_unclosed_gap_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(union_info, "_MAX_NEWTON_STEPS", 2)
     with pytest.raises(UnionConvergenceError) as err:
         _brackets(d, [singletons(3).parts], MINSYN)[0]
-    lower = max(part_mutual_information(d, p) for p in singletons(3).parts)
+    lower = max(part_mi(d, p) for p in singletons(3).parts)
     assert err.value.gap > 0.0
     assert err.value.value >= lower
     assert math.isfinite(err.value.gap)
@@ -252,8 +276,8 @@ def test_polytope_base_is_feasible(triple_xor):
     poly = MarginalPolytope(triple_xor, tuple(almosts(3)))
     assert np.abs(poly.A @ poly.x0 - poly.b).max() <= 1e-12
     assert len(poly.cells) == 64  # three pinned target bits leave one y per x
-    lower = max(part_mutual_information(triple_xor, p) for p in almosts(3))
-    assert whole_mutual_information(triple_xor) >= lower
+    lower = max(part_mi(triple_xor, p) for p in almosts(3))
+    assert whole_mi(triple_xor) >= lower
 
 
 def test_polytope_rejects_empty_parts(xor):
@@ -276,7 +300,7 @@ def test_oracle_matches_on_known_cases(xor, double_xor):
     whole = PartFamily((PartSpec((0, 1, 2)),))
     assert abs(
         brute_force_union_oracle(double_xor, whole)
-        - whole_mutual_information(double_xor)
+        - whole_mi(double_xor)
     ) <= 1e-9
 
 
@@ -353,6 +377,49 @@ def test_axiom_worst_case_is_the_earliest_within_the_tolerance_of_the_worst(xor_
         ("GP", "Eq", "M0", "S0", "SR", "UB"), "item 0")
 
 
+def _axiom_suite(xor, xor_unique):
+    return [
+        (xor, singletons(2)),
+        (xor_unique, PartFamily((PartSpec((0, 1)), PartSpec((2,))))),
+        (make_random(5, n_predictors=3), almost_pairs(3)[0]),
+    ]
+
+
+def test_single_part_check_catches_shifted_part_informations(monkeypatch, xor, xor_unique):
+    # SR takes its reference from the distribution's own entropies, not from
+    # the solver's tables, so a solver whose part informations are 1e-3 bits
+    # off fails it.
+    masses = union_info._Tables.masses
+
+    def shifted(self, families):
+        layout, mass, live, mi = masses(self, families)
+        return layout, mass, live, [v + 1e-3 for v in mi]
+
+    monkeypatch.setattr(union_info._Tables, "masses", shifted)
+    for m in (MINSYN, MAXMI):
+        result = check_axioms(m, _axiom_suite(xor, xor_unique)).results["SR"]
+        assert result.worst_violation == pytest.approx(1e-3, abs=1e-9)
+        assert not result.passed(m.tolerance)
+
+
+def test_order_check_catches_an_order_dependent_solver(monkeypatch, xor, xor_unique):
+    # S0 solves each family again with its parts in reverse order, so a
+    # solver whose value depends on that order fails it.
+    solve = axioms._solve
+
+    def order_dependent(m, d, families, scans=()):
+        whole, unions = solve(m, d, families, scans)
+        return whole, [u + 1e-3 * (list(parts) != sorted(parts))
+                       for u, parts in zip(unions, families)]
+
+    monkeypatch.setattr(axioms, "_solve", order_dependent)
+    for m in (MINSYN, MAXMI):
+        report = check_axioms(m, _axiom_suite(xor, xor_unique))
+        assert report.results["S0"].worst_violation == pytest.approx(1e-3, abs=1e-9)
+        assert report.results["S0"].worst_case == "item 0: reorder"
+        assert not report.all_passed
+
+
 def test_a_distribution_without_a_target_is_a_typed_error(xor):
     # Every variable counts as a predictor here, so a family over all of them
     # passes validation; the error comes from the missing target.
@@ -426,7 +493,7 @@ def test_binary_zeros_between_part_bound_and_oracle(seed, n, zero_fraction, fami
     d = make_random(seed, n, 2, zero_fraction)
     for fam in families:
         value = union_information(MINSYN, d, fam)
-        lower = max(part_mutual_information(d, p) for p in fam.parts)
+        lower = max(part_mi(d, p) for p in fam.parts)
         assert value >= lower - 1e-12
         assert value <= brute_force_union_oracle(d, fam) + 1e-7
         certified = _brackets(d, [fam.parts], MINSYN)[0][1]
@@ -494,13 +561,13 @@ def test_every_value_is_certified(seed, n, alphabet_size, zero_fraction):
     # Each family alone, and all of a report's families in one lockstep
     # batch: both certified, and equal within the tolerance.
     d = make_random(seed, n, alphabet_size if n < 4 else 2, zero_fraction)
-    whole = whole_mutual_information(d)
+    whole = whole_mi(d)
     families = _report_families(n)
     batch = _brackets(d, [fam.parts for fam in families], MINSYN)
     for fam, (batch_value, batch_lower) in zip(families, batch):
         value, lower = _brackets(d, [fam.parts], MINSYN)[0]
         assert lower <= value <= lower + MINSYN.tolerance
-        assert value >= max(part_mutual_information(d, p) for p in fam.parts) - 1e-12
+        assert value >= max(part_mi(d, p) for p in fam.parts) - 1e-12
         assert value <= whole + 1e-12
         assert batch_lower <= batch_value <= batch_lower + MINSYN.tolerance
         assert abs(batch_value - value) <= MINSYN.tolerance
@@ -569,7 +636,7 @@ def test_face_without_free_direction_ends_before_the_solve(monkeypatch):
     d = make_random(2, 3, 2, 0.3)
     [(value, lower)] = _brackets(d, [tuple(almosts(3))], MINSYN)
     assert len(lps) == 1
-    assert value == lower == whole_mutual_information(d)
+    assert value == lower == union_info._Tables(d).whole_mi
     assert abs(value - 0.4097012568427534) <= 1e-12
 
 
@@ -913,7 +980,7 @@ def test_mixed_batches_with_facial_reduction_raise_no_warning():
         alone = _brackets(d, [fam.parts], MINSYN)[0][0]
         assert union_information(MINSYN, d, fam) == alone
         assert abs(alone - value) <= MINSYN.tolerance
-    assert report.ibe == pytest.approx(whole_mutual_information(d) - brackets[0][0], abs=1e-15)
+    assert report.ibe == pytest.approx(union_info._Tables(d).whole_mi - brackets[0][0], abs=1e-15)
 
 
 def _loop_build(d, parts):
@@ -997,13 +1064,14 @@ def test_tables_follow_target_and_constant_target():
     const = d.with_constant_target()
     for dist in (d, retargeted, const):
         whole = dist.mutual_information(dist.whole_selector(), dist.target_selector())
-        assert whole_mutual_information(dist) == pytest.approx(whole, abs=1e-14)
+        tab = union_info._Tables(dist)
+        assert tab.whole_mi == pytest.approx(whole, abs=1e-14)
         for part in singletons(2).parts:
             sel = dist.selector(dist.variables[dist.predictor_indices[part.member_indices[0]]])
             mi = dist.mutual_information(sel, dist.target_selector())
-            assert part_mutual_information(dist, part) == pytest.approx(mi, abs=1e-14)
-    assert abs(whole_mutual_information(retargeted) - whole_mutual_information(d)) > 1e-3
-    assert whole_mutual_information(const) == 0.0
+            assert tab.masses([(part,)])[3][0] == pytest.approx(mi, abs=1e-14)
+    assert abs(union_info._Tables(retargeted).whole_mi - union_info._Tables(d).whole_mi) > 1e-3
+    assert union_info._Tables(const).whole_mi == 0.0
     # Retargeted again from d, as the CLI's --target does it: the same bits.
     again = JointDistribution(d.variables, dict(d.pmf), target="X1")
     assert union_information(MINSYN, again, singletons(2)) == union_information(
@@ -1236,7 +1304,7 @@ def test_a_maxmi_report_reads_every_part_from_one_layout():
     report = full_report(d, MAXMI)
     [layout] = union_info._structures.values.values()
     assert isinstance(layout, union_info._Layout) and len(layout.parts) == 6
-    best = max(part_mutual_information(d, PartSpec((i,))) for i in range(3))
+    best = max(union_info._Tables(d).masses([singletons(3).parts])[3])
     assert report.ibe == min(max(report.whole_mi - best, 0.0), report.whole_mi)
 
 
