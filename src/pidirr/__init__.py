@@ -27,8 +27,9 @@ imports ``scipy.optimize``.
 
 The package's immutable value types (``VariableSelector``,
 ``JointDistribution``, ``PartSpec``, ``PartitionSpec``, ``PartFamily``,
-``UnionMeasure``, ``IrreducibilityReport``, and the corpus records
-``NamedExample``, ``VerificationRow`` and ``CorpusVerification``) are plain
+``UnionMeasure``, ``IrreducibilityReport``, the corpus records
+``NamedExample``, ``VerificationRow`` and ``CorpusVerification``, and the
+property report's ``AxiomResult`` and ``AxiomReport``) are plain
 classes on one small base in ``distributions``, not ``@dataclass`` classes:
 ``@dataclass`` writes and ``exec``-compiles their methods while the module
 loads, about 4-5 ms of every fresh ``import pidirr``, plus about 1 ms to

@@ -25,34 +25,23 @@ tolerance; its worst case is the earliest within that tolerance of the worst.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .distributions import JointDistribution, VariableSelector
+from .distributions import JointDistribution, VariableSelector, _Value
 from .parts import PartFamily, PartSpec, all_parts
 from .union_info import UnionMeasure, _solve
 
 __all__ = ["AxiomResult", "AxiomReport", "check_axioms"]
 
 
-@dataclass
-class AxiomResult:
+class AxiomResult(_Value):
     """One property's ``cases``, ``(violation in bits, description)`` in the
     order checked.  Its ``worst_case`` is named as a report names its
     witness: the earliest case within ``tolerance`` of the worst violation.
     Violations that close to each other are ties, which rounding may order
     either way."""
 
-    axiom: str
-    tolerance: float = 0.0
-    cases: list[tuple[float, str]] = field(default_factory=list)
-
-    def record(self, violation: float, description: str) -> None:
-        self.cases.append((violation, description))
-
-    @property
-    def n_cases(self) -> int:
-        return len(self.cases)
+    _fields = ("axiom", "tolerance", "cases")
 
     @property
     def worst_violation(self) -> float:
@@ -63,36 +52,33 @@ class AxiomResult:
         floor = self.worst_violation - self.tolerance
         return next((d for v, d in self.cases if v >= floor), "")
 
-    def passed(self, tol: float) -> bool:
-        return self.worst_violation <= tol
+    @property
+    def passed(self) -> bool:
+        return self.worst_violation <= self.tolerance
 
 
-@dataclass
-class AxiomReport:
-    tolerance: float
-    results: dict[str, AxiomResult] = field(default_factory=dict)
+class AxiomReport(_Value):
+    """The :class:`AxiomResult` of each property that had a case, in the
+    order GP, Eq, M0, S0, SR, UB."""
 
-    AXIOMS = ("GP", "Eq", "M0", "S0", "SR", "UB")
-
-    def result(self, axiom: str) -> AxiomResult:
-        return self.results.setdefault(axiom, AxiomResult(axiom, self.tolerance))
+    _fields = ("tolerance", "results")
 
     @property
     def all_passed(self) -> bool:
-        return all(r.passed(self.tolerance) for r in self.results.values())
+        return all(r.passed for r in self.results)
 
     def to_dict(self) -> dict:
         return {
             "tolerance": self.tolerance,
             "all_passed": self.all_passed,
             "axioms": {
-                name: {
-                    "passed": r.passed(self.tolerance),
+                r.axiom: {
+                    "passed": r.passed,
                     "worst_violation": r.worst_violation,
-                    "cases": r.n_cases,
+                    "cases": len(r.cases),
                     "worst_case": r.worst_case,
                 }
-                for name, r in ((a, self.results[a]) for a in self.AXIOMS if a in self.results)
+                for r in self.results
             },
         }
 
@@ -124,7 +110,7 @@ def check_axioms(
     family, its parts in reverse order, its first part alone and M0's
     extensions; on each constant-target or relabeled copy the family alone.
     """
-    report = AxiomReport(tolerance=m.tolerance)
+    cases = {axiom: [] for axiom in ("GP", "Eq", "M0", "S0", "SR", "UB")}
     for item_no, (d, family) in enumerate(suite):
         n = d.n_predictors
         family.validate(n)
@@ -145,33 +131,34 @@ def check_axioms(
         )
 
         # GP: nonnegative, and zero when the target is constant.
-        report.result("GP").record(max(0.0, -value), f"{label}: negative value")
+        cases["GP"].append((max(0.0, -value), f"{label}: negative value"))
         [const_val] = _unions(m, d.with_constant_target(), [parts])
-        report.result("GP").record(abs(const_val), f"{label}: constant target")
+        cases["GP"].append((abs(const_val), f"{label}: constant target"))
 
         # Eq: invariance under relabeling a member variable and the target.
         member_pos = preds[parts[0].member_indices[0]]
         for pos, what in ((member_pos, d.variables[member_pos]), (tpos, "target")):
             relabeled = d.relabeled(d.variables[pos], _relabel_map(d.alphabets[pos], "~"))
             [moved] = _unions(m, relabeled, [parts])
-            report.result("Eq").record(abs(moved - value), f"{label}: relabel {what}")
+            cases["Eq"].append((abs(moved - value), f"{label}: relabel {what}"))
 
         # M0: the sub-part leaves the value as it is; no part lowers it.
         for (what, _, keeps), v in zip(extensions, extended):
-            report.result("M0").record(
-                abs(v - value) if keeps else max(0.0, value - v), f"{label}: {what}"
+            cases["M0"].append(
+                (abs(v - value) if keeps else max(0.0, value - v), f"{label}: {what}")
             )
 
         # S0: invariance under solving the parts in reverse order.
-        report.result("S0").record(abs(reordered - value), f"{label}: reorder")
+        cases["S0"].append((abs(reordered - value), f"{label}: reorder"))
 
         # SR: a single part's union information is its mutual information.
         # UB: never above the whole's mutual information.
         target = d.target_selector()
         first = VariableSelector(preds[i] for i in parts[0].member_indices)
-        report.result("SR").record(
-            abs(single - d.mutual_information(first, target)), f"{label}: single part"
+        cases["SR"].append(
+            (abs(single - d.mutual_information(first, target)), f"{label}: single part")
         )
         whole = d.mutual_information(d.whole_selector(), target)
-        report.result("UB").record(max(0.0, value - whole), f"{label}: upper bound")
-    return report
+        cases["UB"].append((max(0.0, value - whole), f"{label}: upper bound"))
+    results = (AxiomResult(a, m.tolerance, tuple(found)) for a, found in cases.items() if found)
+    return AxiomReport(m.tolerance, tuple(results))

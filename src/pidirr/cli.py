@@ -12,7 +12,10 @@ Exit status: 0 on success, 1 on domain errors (unparseable input,
 non-convergence, failed verification), 2 on usage errors.  Data goes to
 stdout or ``--out``; diagnostics go to stderr.  JSON output is byte-stable
 for identical flags: floats are printed with 9 decimal places and key order
-is fixed.
+is fixed.  Each command builds one payload and its human-readable lines,
+and one helper renders them in the ``--format`` asked for: the payload as
+JSON or TSV, or the lines.  Only ``enumerate --format tsv``, one family per
+line, and ``examples --emit-tsv`` print text of their own.
 
 :func:`main` runs one command and returns its exit status; it changes
 nothing for the rest of the process, so tests call it in-process.  It
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -154,6 +158,16 @@ def render_tsv(payload: dict) -> str:
 # Handlers
 # ---------------------------------------------------------------------------
 
+def _render(args, payload: dict, lines: list[str], status: int = 0) -> tuple[str, int]:
+    """A command's output in ``args.format``, ``payload`` as JSON or TSV or
+    the human-readable ``lines``, and its exit status."""
+    if args.format == "json":
+        return render_json(payload) + "\n", status
+    if args.format == "tsv":
+        return render_tsv(payload), status
+    return "\n".join(lines) + "\n", status
+
+
 def _measure_from(args) -> UnionMeasure:
     return UnionMeasure(kind=args.measure, tolerance=args.tol)
 
@@ -177,14 +191,9 @@ def _cmd_compute(args) -> tuple[str, int]:
             f"compute needs at least 2 predictor variables, got {d.n_predictors}"
         )
     report = full_report(d, _measure_from(args))
-    payload = report.to_dict()
-    if args.format == "json":
-        return render_json(payload) + "\n", 0
-    if args.format == "tsv":
-        return render_tsv(payload), 0
     names = report.predictor_names
     whole = f"I(whole;{report.target_name})"
-    lines = [
+    return _render(args, report.to_dict(), [
         f"{'source':<16}{whole:>14}{'IbE':>14}{'IbDp':>14}{'Ib2p':>14}{'IbAp':>14}",
         f"{Path(args.input).name:<16}"
         + "".join(f"{_fmt_float(v):>14}" for v in report.values()),
@@ -194,8 +203,7 @@ def _cmd_compute(args) -> tuple[str, int]:
         "ib2p witness: {"
         + ", ".join(_part_label(names, p) for p in report.witness_almost_pair.parts)
         + "}",
-    ]
-    return "\n".join(lines) + "\n", 0
+    ])
 
 
 def _axiom_suite(args):
@@ -225,22 +233,15 @@ def _axiom_suite(args):
 def _cmd_axioms(args) -> tuple[str, int]:
     from .axioms import check_axioms
 
-    m = _measure_from(args)
-    report = check_axioms(m, _axiom_suite(args))
-    payload = report.to_dict()
-    status = 0 if report.all_passed else 1
-    if args.format == "tsv":
-        return render_tsv(payload), status
-    if args.format == "human":
-        lines = [f"{'axiom':<6}{'passed':<9}{'worst violation':>18}  cases"]
-        for name, info in payload["axioms"].items():
-            lines.append(
-                f"{name:<6}{str(info['passed']).lower():<9}"
-                f"{_fmt_float(info['worst_violation']):>18}  {info['cases']}"
-            )
-        lines.append(f"all passed: {str(payload['all_passed']).lower()}")
-        return "\n".join(lines) + "\n", status
-    return render_json(payload) + "\n", status
+    report = check_axioms(_measure_from(args), _axiom_suite(args))
+    lines = [f"{'axiom':<6}{'passed':<9}{'worst violation':>18}  cases"]
+    for r in report.results:
+        lines.append(
+            f"{r.axiom:<6}{str(r.passed).lower():<9}"
+            f"{_fmt_float(r.worst_violation):>18}  {len(r.cases)}"
+        )
+    lines.append(f"all passed: {str(report.all_passed).lower()}")
+    return _render(args, report.to_dict(), lines, 0 if report.all_passed else 1)
 
 
 def _cmd_examples(args) -> tuple[str, int]:
@@ -257,15 +258,9 @@ def _cmd_examples(args) -> tuple[str, int]:
         return example.distribution.to_tsv(), 0
     names = (args.name,) if args.name else EXAMPLE_NAMES
     verification = verify_corpus(_measure_from(args), names=names)
-    status = 0 if verification.all_ok else 1
-    if args.format == "json":
-        return render_json(verification.to_dict()) + "\n", status
-    if args.format == "tsv":
-        return render_tsv(verification.to_dict()), status
-    header = (
+    lines = [
         f"{'example':<12}{'I(whole;Y)':>12}{'IbE':>8}{'IbDp':>8}{'Ib2p':>8}{'IbAp':>8}  status"
-    )
-    lines = [header]
+    ]
     for r in verification.rows:
         got = r.report.values()
         ok = r.ok(verification.tolerance)
@@ -277,7 +272,16 @@ def _cmd_examples(args) -> tuple[str, int]:
         )
         if not ok:
             lines.append(f"{'':<12}expected {r.expected}")
-    return "\n".join(lines) + "\n", status
+    return _render(args, verification.to_dict(), lines, 0 if verification.all_ok else 1)
+
+
+#: Each ``enumerate --what`` choice's families of n predictors, each as its parts.
+_FAMILIES = {
+    "parts": lambda n: [(p,) for p in all_parts(n)],
+    "bipartitions": lambda n: [b.blocks for b in all_bipartitions(n)],
+    "almosts": lambda n: [(p,) for p in almosts(n)],
+    "almost-pairs": lambda n: [f.parts for f in almost_pairs(n)],
+}
 
 
 def _cmd_enumerate(args) -> tuple[str, int]:
@@ -285,23 +289,11 @@ def _cmd_enumerate(args) -> tuple[str, int]:
     if not 2 <= n <= MAX_PARTITION_N:
         raise UsageError(f"enumerate needs 2 <= --n <= {MAX_PARTITION_N}, got {n}")
     names = [f"X{i + 1}" for i in range(n)]
-    if args.what == "parts":
-        groups = [[_part_label(names, p)] for p in all_parts(n)]
-    elif args.what == "bipartitions":
-        groups = [
-            [_part_label(names, b) for b in part.blocks] for part in all_bipartitions(n)
-        ]
-    elif args.what == "almosts":
-        groups = [[_part_label(names, p)] for p in almosts(n)]
-    else:
-        groups = [
-            [_part_label(names, p) for p in fam.parts] for fam in almost_pairs(n)
-        ]
-    if args.format == "json":
-        return render_json({"what": args.what, "n": n, "families": groups}) + "\n", 0
-    if args.format == "tsv":
+    groups = [[_part_label(names, p) for p in parts] for parts in _FAMILIES[args.what](n)]
+    if args.format == "tsv":  # one family per line, which no payload renders
         return "\n".join("\t".join(g) for g in groups) + "\n", 0
-    return "\n".join("{" + " | ".join(g) + "}" for g in groups) + "\n", 0
+    payload = {"what": args.what, "n": n, "families": groups}
+    return _render(args, payload, ["{" + " | ".join(g) + "}" for g in groups])
 
 
 def _cmd_lattice(args) -> tuple[str, int]:
@@ -309,10 +301,7 @@ def _cmd_lattice(args) -> tuple[str, int]:
 
     d = _load_input(args.input, args.target)
     if args.vars:
-        groups = []
-        for token in args.vars.split():
-            names = tuple(token.split(","))
-            groups.append((",".join(names), d.selector(*names)))
+        groups = [(token, d.selector(*token.split(","))) for token in args.vars.split()]
     else:
         groups = [(name, d.selector(name)) for name in d.variables]
     derived = [(label, from_selector(d, sel)) for label, sel in groups]
@@ -320,37 +309,30 @@ def _cmd_lattice(args) -> tuple[str, int]:
     entropies = {label: var.entropy() for label, var in derived}
     relations = []
     pairs = []
-    for i in range(len(derived)):
-        for j in range(i + 1, len(derived)):
-            la, ua = derived[i]
-            lb, ub = derived[j]
-            relations.append(
-                {
-                    "a": la,
-                    "b": lb,
-                    "a_poorer_b": is_poorer(ua, ub),
-                    "b_poorer_a": is_poorer(ub, ua),
-                    "equivalent": is_equivalent(ua, ub),
-                }
-            )
-            pairs.append(
-                {
-                    "a": la,
-                    "b": lb,
-                    "join_entropy": join(ua, ub).entropy(),
-                    "meet_entropy": meet(ua, ub).entropy(),
-                }
-            )
+    for (la, ua), (lb, ub) in combinations(derived, 2):
+        relations.append(
+            {
+                "a": la,
+                "b": lb,
+                "a_poorer_b": is_poorer(ua, ub),
+                "b_poorer_a": is_poorer(ub, ua),
+                "equivalent": is_equivalent(ua, ub),
+            }
+        )
+        pairs.append(
+            {
+                "a": la,
+                "b": lb,
+                "join_entropy": join(ua, ub).entropy(),
+                "meet_entropy": meet(ua, ub).entropy(),
+            }
+        )
     payload = {
         "input": Path(args.input).name,
         "entropies": entropies,
         "relations": relations,
         "pairs": pairs,
     }
-    if args.format == "json":
-        return render_json(payload) + "\n", 0
-    if args.format == "tsv":
-        return render_tsv(payload), 0
     lines = ["entropies (bits):"]
     for label, h in entropies.items():
         lines.append(f"  H({label}) = {_fmt_float(h)}")
@@ -371,7 +353,7 @@ def _cmd_lattice(args) -> tuple[str, int]:
             f"  {p['a']} vs {p['b']}: H(join) = {_fmt_float(p['join_entropy'])}, "
             f"H(meet) = {_fmt_float(p['meet_entropy'])}"
         )
-    return "\n".join(lines) + "\n", 0
+    return _render(args, payload, lines)
 
 
 _HANDLERS = {
@@ -452,7 +434,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         enum.add_argument(
             "--what",
             required=True,
-            choices=["parts", "bipartitions", "almosts", "almost-pairs"],
+            choices=list(_FAMILIES),
         )
         enum.add_argument(
             "--n", type=int, required=True, help=f"number of predictors, 2 to {MAX_PARTITION_N}"

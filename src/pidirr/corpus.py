@@ -167,24 +167,17 @@ _PARITY_ROWS = (
     ("1", "1", "1", "1"),
 )
 
-_TABLES = {
-    "xor": (_XOR_VARS, _XOR_ROWS),
-    "xor_unique": (_XOR_UNIQUE_VARS, _XOR_UNIQUE_ROWS),
-    "double_xor": (_DOUBLE_XOR_VARS, _DOUBLE_XOR_ROWS),
-    "triple_xor": (_TRIPLE_XOR_VARS, _TRIPLE_XOR_ROWS),
-    "parity": (_PARITY_VARS, _PARITY_ROWS),
+#: Each circuit's variables, truth-table rows and expected
+#: (whole_mi, ibe, ibdp, ib2p, ibap), in bits.
+_CIRCUITS = {
+    "xor": (_XOR_VARS, _XOR_ROWS, (1.0, 1.0, 1.0, 1.0, 1.0)),
+    "xor_unique": (_XOR_UNIQUE_VARS, _XOR_UNIQUE_ROWS, (2.0, 1.0, 0.0, 0.0, 0.0)),
+    "double_xor": (_DOUBLE_XOR_VARS, _DOUBLE_XOR_ROWS, (2.0, 2.0, 1.0, 0.0, 0.0)),
+    "triple_xor": (_TRIPLE_XOR_VARS, _TRIPLE_XOR_ROWS, (3.0, 3.0, 2.0, 1.0, 0.0)),
+    "parity": (_PARITY_VARS, _PARITY_ROWS, (1.0, 1.0, 1.0, 1.0, 1.0)),
 }
 
-#: Expected (whole_mi, ibe, ibdp, ib2p, ibap) per example, in bits.
-EXPECTED = {
-    "xor": (1.0, 1.0, 1.0, 1.0, 1.0),
-    "xor_unique": (2.0, 1.0, 0.0, 0.0, 0.0),
-    "double_xor": (2.0, 2.0, 1.0, 0.0, 0.0),
-    "triple_xor": (3.0, 3.0, 2.0, 1.0, 0.0),
-    "parity": (1.0, 1.0, 1.0, 1.0, 1.0),
-}
-
-EXAMPLE_NAMES = ("xor", "xor_unique", "double_xor", "triple_xor", "parity")
+EXAMPLE_NAMES = tuple(_CIRCUITS)
 
 
 class NamedExample(_Value):
@@ -198,14 +191,14 @@ class NamedExample(_Value):
 def load_example(name: str) -> NamedExample:
     """One of the built-in circuits, uniform over its embedded truth table."""
     try:
-        variables, rows = _TABLES[name]
+        variables, rows, expected = _CIRCUITS[name]
     except KeyError:
         raise ValueError(
             f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
         ) from None
     mass = 1.0 / len(rows)
     dist = JointDistribution(variables, [(row, mass) for row in rows])
-    return NamedExample(name=name, distribution=dist, expected=EXPECTED[name])
+    return NamedExample(name=name, distribution=dist, expected=expected)
 
 
 def xor_circuit(n: int, edges: Sequence[Sequence[int]]) -> NamedExample:

@@ -43,8 +43,9 @@ class _Value:
     and ``JointDistribution`` here, ``PartSpec``, ``PartitionSpec`` and
     ``PartFamily`` in :mod:`pidirr.parts`, ``UnionMeasure`` in
     :mod:`pidirr.union_info`, ``IrreducibilityReport`` in
-    :mod:`pidirr.irreducibility`, and ``NamedExample``, ``VerificationRow``
-    and ``CorpusVerification`` in :mod:`pidirr.corpus`.
+    :mod:`pidirr.irreducibility`, ``NamedExample``, ``VerificationRow``
+    and ``CorpusVerification`` in :mod:`pidirr.corpus`, and ``AxiomResult``
+    and ``AxiomReport`` in :mod:`pidirr.axioms`.
 
     The constructor takes each of ``_fields`` by position or by keyword and
     raises ``TypeError`` on a missing, extra or repeated one.  A type that

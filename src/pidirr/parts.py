@@ -92,10 +92,6 @@ class PartitionSpec(_Value):
         if seen != set(range(len(seen))):
             raise ValueError(f"blocks do not cover a full index range: {self.blocks}")
 
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
     def family(self) -> "PartFamily":
         return PartFamily(self.blocks)
 

@@ -152,10 +152,12 @@ class UnionMeasure(_Value):
     _fields = ("kind", "tolerance")
 
     def __init__(self, kind: MeasureKind = MeasureKind.MIN_SYNERGY, tolerance: float = 1e-6):
+        if isinstance(tolerance, bool):
+            raise TypeError(f"tolerance must be a number of bits, not {tolerance!r}")
         if not 0.0 < tolerance < math.inf:  # also refuses NaN
             raise ValueError(f"tolerance must be positive and finite, not {tolerance!r}")
         object.__setattr__(self, "kind", MeasureKind(kind))
-        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "tolerance", float(tolerance))
 
     def settings_dict(self) -> dict:
         return {"measure": self.kind.value, "tolerance": self.tolerance}

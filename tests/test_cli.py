@@ -346,6 +346,136 @@ def test_lattice_output(xor_file, capsys):
     assert payload["entropies"]["Y"] == 1.0
 
 
+EXAMPLES_JSON = """\
+{
+  "tolerance": 0.000001000,
+  "all_ok": false,
+  "rows": {
+    "xor_unique": {
+      "got": {
+        "whole_mi": 2.000000000,
+        "ibe": 1.000000000,
+        "ibdp": 1.000000000,
+        "ib2p": 1.000000000,
+        "ibap": 1.000000000
+      },
+      "expected": {
+        "whole_mi": 2.000000000,
+        "ibe": 1.000000000,
+        "ibdp": 0.000000000,
+        "ib2p": 0.000000000,
+        "ibap": 0.000000000
+      },
+      "max_abs_error": 1.000000000,
+      "ok": false
+    }
+  }
+}
+"""
+
+EXAMPLES_TSV = """\
+tolerance\t0.000001000
+all_ok\tfalse
+rows.xor_unique.got.whole_mi\t2.000000000
+rows.xor_unique.got.ibe\t1.000000000
+rows.xor_unique.got.ibdp\t1.000000000
+rows.xor_unique.got.ib2p\t1.000000000
+rows.xor_unique.got.ibap\t1.000000000
+rows.xor_unique.expected.whole_mi\t2.000000000
+rows.xor_unique.expected.ibe\t1.000000000
+rows.xor_unique.expected.ibdp\t0.000000000
+rows.xor_unique.expected.ib2p\t0.000000000
+rows.xor_unique.expected.ibap\t0.000000000
+rows.xor_unique.max_abs_error\t1.000000000
+rows.xor_unique.ok\tfalse
+"""
+
+EXAMPLES_HUMAN = """\
+example       I(whole;Y)     IbE    IbDp    Ib2p    IbAp  status
+xor_unique         2.000   1.000   1.000   1.000   1.000  MISMATCH
+            expected (2.0, 1.0, 0.0, 0.0, 0.0)
+"""
+
+ENUMERATE_JSON = """\
+{
+  "what": "bipartitions",
+  "n": 3,
+  "families": [["X1", "X2 X3"], ["X1 X2", "X3"], ["X1 X3", "X2"]]
+}
+"""
+
+LATTICE_JSON = """\
+{
+  "input": "xor.tsv",
+  "entropies": {
+    "X1": 1.000000000,
+    "X1,X2": 2.000000000
+  },
+  "relations": [{
+      "a": "X1",
+      "b": "X1,X2",
+      "a_poorer_b": true,
+      "b_poorer_a": false,
+      "equivalent": false
+    }],
+  "pairs": [{
+      "a": "X1",
+      "b": "X1,X2",
+      "join_entropy": 2.000000000,
+      "meet_entropy": 1.000000000
+    }]
+}
+"""
+
+LATTICE_TSV = """\
+input\txor.tsv
+entropies.X1\t1.000000000
+entropies.X1,X2\t2.000000000
+relations\t{'a': 'X1', 'b': 'X1,X2', 'a_poorer_b': True, 'b_poorer_a': False, 'equivalent': False}
+pairs\t{'a': 'X1', 'b': 'X1,X2', 'join_entropy': 2.0, 'meet_entropy': 1.0}
+"""
+
+LATTICE_HUMAN = """\
+entropies (bits):
+  H(X1) = 1.000000000
+  H(X1,X2) = 2.000000000
+order:
+  X1 poorer than X1,X2
+join/meet (bits):
+  X1 vs X1,X2: H(join) = 2.000000000, H(meet) = 1.000000000
+"""
+
+
+@pytest.mark.parametrize("args, status, outputs", [
+    (["examples", "--name", "xor_unique", "--measure", "maxmi"], 1,
+     {"json": EXAMPLES_JSON, "tsv": EXAMPLES_TSV, "human": EXAMPLES_HUMAN}),
+    (["enumerate", "--what", "bipartitions", "--n", "3"], 0,
+     {"json": ENUMERATE_JSON,
+      "tsv": "X1\tX2 X3\nX1 X2\tX3\nX1 X3\tX2\n",
+      "human": "{X1 | X2 X3}\n{X1 X2 | X3}\n{X1 X3 | X2}\n"}),
+    (["lattice", "--input", "XOR_FILE", "--vars", "X1 X1,X2"], 0,
+     {"json": LATTICE_JSON, "tsv": LATTICE_TSV, "human": LATTICE_HUMAN}),
+], ids=["examples", "enumerate", "lattice"])
+def test_command_bytes_in_every_format(args, status, outputs, xor_file, capsys):
+    args = [xor_file if a == "XOR_FILE" else a for a in args]
+    for fmt, expected in outputs.items():
+        assert run([*args, "--format", fmt], capsys) == (status, expected, "")
+
+
+def test_axioms_leave_out_a_property_without_cases(xor_file, capsys):
+    # One two-predictor item has no M0 extension, so M0 has no row.
+    args = ["axioms", "--input", xor_file, "--trials", "0", "--format", "human"]
+    assert run(args, capsys) == (0, """\
+axiom passed      worst violation  cases
+GP    true            0.000000000  2
+Eq    true            0.000000000  2
+S0    true            0.000000000  1
+SR    true            0.000000000  1
+UB    true            0.000000000  1
+all passed: true
+""", "")
+
+
 def test_render_json_stability():
     text = render_json({"a": 1.0, "b": [1, 2.5], "c": {"d": True, "e": None}})
     assert json.loads(text) == {"a": 1.0, "b": [1, 2.5], "c": {"d": True, "e": None}}

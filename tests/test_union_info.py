@@ -82,6 +82,12 @@ def test_measure_validation():
     for bad in (0.0, -1e-6, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="tolerance"):
             UnionMeasure(tolerance=bad)
+    with pytest.raises(TypeError, match="tolerance"):
+        UnionMeasure(tolerance=True)
+    # A whole number of bits is stored, and printed, as the float it means.
+    loose = UnionMeasure(tolerance=1)
+    assert type(loose.tolerance) is float and loose == UnionMeasure(tolerance=1.0)
+    assert loose.settings_dict() == {"measure": "minsyn", "tolerance": 1.0}
     assert MeasureKind("minsyn") is MeasureKind.MIN_SYNERGY
     assert MeasureKind("maxmi") is MeasureKind.MAX_SINGLE_MI
     with pytest.raises(ValueError):
@@ -348,10 +354,11 @@ def test_axioms_pass_on_small_suite(measure, xor, xor_unique):
         (make_random(5, n_predictors=3), singletons(3)),
     ]
     report = check_axioms(measure, suite)
-    assert set(report.results) == {"GP", "Eq", "M0", "S0", "SR", "UB"}
-    for axiom, result in report.results.items():
-        assert result.passed(measure.tolerance), (
-            f"{axiom} violated by {result.worst_violation} in {result.worst_case}"
+    assert [r.axiom for r in report.results] == ["GP", "Eq", "M0", "S0", "SR", "UB"]
+    for result in report.results:
+        assert result.tolerance == measure.tolerance
+        assert result.passed, (
+            f"{result.axiom} violated by {result.worst_violation} in {result.worst_case}"
         )
     assert report.all_passed
     payload = report.to_dict()
@@ -363,14 +370,12 @@ def test_axiom_worst_case_is_the_earliest_within_the_tolerance_of_the_worst(xor_
     # Violations within the tolerance of the worst are ties, as a report's
     # witnesses are: the label names the earliest of them, not the argmax of
     # rounding noise.
-    result = AxiomResult("M0", 1e-6)
-    for violation, case in [(0.0, "a"), (3e-12, "b"), (0.0, "c")]:
-        result.record(violation, case)
+    cases = ((0.0, "a"), (3e-12, "b"), (0.0, "c"))
+    result = AxiomResult("M0", 1e-6, cases)
     assert (result.worst_violation, result.worst_case) == (3e-12, "a")
-    result.record(2e-6, "d")
-    result.record(2.5e-6, "e")
+    result = AxiomResult("M0", 1e-6, cases + ((2e-6, "d"), (2.5e-6, "e")))
     assert (result.worst_violation, result.worst_case) == (2.5e-6, "d")
-    assert result.n_cases == 5 and AxiomResult("UB").worst_case == ""
+    assert len(result.cases) == 5 and AxiomResult("UB", 1e-6, ()).worst_case == ""
     suite = [(xor_unique, singletons(3)), (make_random(5, n_predictors=3), singletons(3))]
     axioms = check_axioms(MINSYN, suite).to_dict()["axioms"]
     assert {a: r["worst_case"].split(":")[0] for a, r in axioms.items()} == dict.fromkeys(
@@ -397,9 +402,10 @@ def test_single_part_check_catches_shifted_part_informations(monkeypatch, xor, x
 
     monkeypatch.setattr(union_info._Tables, "masses", shifted)
     for m in (MINSYN, MAXMI):
-        result = check_axioms(m, _axiom_suite(xor, xor_unique)).results["SR"]
+        results = check_axioms(m, _axiom_suite(xor, xor_unique)).results
+        [result] = (r for r in results if r.axiom == "SR")
         assert result.worst_violation == pytest.approx(1e-3, abs=1e-9)
-        assert not result.passed(m.tolerance)
+        assert not result.passed
 
 
 def test_order_check_catches_an_order_dependent_solver(monkeypatch, xor, xor_unique):
@@ -415,8 +421,9 @@ def test_order_check_catches_an_order_dependent_solver(monkeypatch, xor, xor_uni
     monkeypatch.setattr(axioms, "_solve", order_dependent)
     for m in (MINSYN, MAXMI):
         report = check_axioms(m, _axiom_suite(xor, xor_unique))
-        assert report.results["S0"].worst_violation == pytest.approx(1e-3, abs=1e-9)
-        assert report.results["S0"].worst_case == "item 0: reorder"
+        [result] = (r for r in report.results if r.axiom == "S0")
+        assert result.worst_violation == pytest.approx(1e-3, abs=1e-9)
+        assert result.worst_case == "item 0: reorder"
         assert not report.all_passed
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import pidirr
+from pidirr.axioms import AxiomReport, AxiomResult
 from pidirr.corpus import (
     EXAMPLE_NAMES,
     CorpusVerification,
@@ -65,6 +66,15 @@ _ROW_REPR = (
     "expected=(1.5, 1.0, 0.5, 0.25, 0.0))"
 )
 
+
+def _result():
+    return AxiomResult("M0", 1e-6, ((0.0, "item 0: append sub-part"),))
+
+
+_RESULT_REPR = (
+    "AxiomResult(axiom='M0', tolerance=1e-06, cases=((0.0, 'item 0: append sub-part'),))"
+)
+
 # Each type's constructor of one instance, and that instance's repr.
 VALUES = {
     "VariableSelector": (
@@ -97,6 +107,11 @@ VALUES = {
     "CorpusVerification": (
         lambda: CorpusVerification((_row(),), 1e-8),
         f"CorpusVerification(rows=({_ROW_REPR},), tolerance=1e-08)",
+    ),
+    "AxiomResult": (_result, _RESULT_REPR),
+    "AxiomReport": (
+        lambda: AxiomReport(1e-6, (_result(),)),
+        f"AxiomReport(tolerance=1e-06, results=({_RESULT_REPR},))",
     ),
 }
 
@@ -238,12 +253,13 @@ def test_reports_run_in_worker_processes():
 
 
 def test_corpus_loads_without_dataclasses():
-    # The corpus records are values on the package's one base, as the
-    # report's types are.
+    # The corpus records and the property report are values on the
+    # package's one base, as the report's types are.
     code = (
         "import sys\n"
-        "import pidirr.corpus\n"
-        "assert 'dataclasses' not in sys.modules, 'pidirr.corpus loaded dataclasses'\n"
+        "for module in ('pidirr.corpus', 'pidirr.axioms'):\n"
+        "    __import__(module)\n"
+        "    assert 'dataclasses' not in sys.modules, f'{module} loaded dataclasses'\n"
     )
     src = str(Path(pidirr.__file__).resolve().parents[1])
     proc = subprocess.run(
