@@ -129,6 +129,8 @@ def _json_string(s: str) -> str:
 
 
 def _flatten(value, prefix: str = "") -> list[tuple[str, str]]:
+    if isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
+        value = dict(enumerate(value))  # records: a row per field, keyed by index
     if isinstance(value, dict):
         rows: list[tuple[str, str]] = []
         for k, v in value.items():
@@ -261,17 +263,15 @@ def _cmd_examples(args) -> tuple[str, int]:
     lines = [
         f"{'example':<12}{'I(whole;Y)':>12}{'IbE':>8}{'IbDp':>8}{'Ib2p':>8}{'IbAp':>8}  status"
     ]
+
+    def columns(values):
+        return f"{values[0]:>12.3f}" + "".join(f"{v:>8.3f}" for v in values[1:])
+
     for r in verification.rows:
-        got = r.report.values()
         ok = r.ok(verification.tolerance)
-        lines.append(
-            f"{r.name:<12}"
-            + f"{got[0]:>12.3f}"
-            + "".join(f"{v:>8.3f}" for v in got[1:])
-            + ("  ok" if ok else "  MISMATCH")
-        )
+        lines.append(f"{r.name:<12}" + columns(r.report.values()) + ("  ok" if ok else "  MISMATCH"))
         if not ok:
-            lines.append(f"{'':<12}expected {r.expected}")
+            lines.append(f"{'expected':<12}" + columns(r.expected))
     return _render(args, verification.to_dict(), lines, 0 if verification.all_ok else 1)
 
 

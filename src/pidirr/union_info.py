@@ -42,19 +42,20 @@ its union, and the one rule that stops it at every exit, are
 
 A barrier method needs only a strictly positive feasible start, and one rule
 picks it: one sweep of iterative proportional fitting (IPF) over the live
-cells, projected onto the constraints.  Where the base pmf is zero, that
-sweep decides the face.  When it is not thin on any such cell (nowhere below
-``_THIN_START`` of its largest cell), the face is every live cell.  The
-start is then the sweep if it is strictly positive, else the point from the
-base pmf towards it, half as far as positivity allows; that point is
-positive where the base pmf is zero, since the sweep is, and elsewhere since
-the base pmf is.  Otherwise some cells may be zero at every feasible point
-without being pinned (cyclic families with structured zeros): one linear
-program finds the largest feasible support and a positive point on it, and
-the start is pulled from that point instead.  When the support is smaller
-than the live cells, the solver works on it alone (facial reduction): the
-family is set up again on those cells, like any other, with the LP's point
-as the start's origin.
+cells, projected onto the constraints.  A feasible point lies within
+``(|A q - b| + rounding) / sigma_min(A)`` of that sweep q; if q exceeds this
+on every cell where the base pmf is zero, that point is positive there, and
+the face is every live cell (a decomposable family's sweep is its
+maximum-entropy point, positive on the largest feasible support: Csiszar
+1975).  The start is then the sweep if it is strictly positive, else the
+point from the base pmf towards it, half as far as positivity allows; that
+point is positive where the base pmf is zero, since the sweep is, and
+elsewhere since the base pmf is.  Otherwise some cells may be zero at every feasible point without being
+pinned (cyclic families with structured zeros): one linear program finds the
+largest feasible support and a positive point on it, and the start is pulled
+from that point instead.  When the support is smaller than the live cells,
+the solver works on it alone (facial reduction): the family is set up again
+on those cells, like any other, with the LP's point as the start's origin.
 
 Where a call's part marginals lie in one flat vector (:class:`_Layout`),
 and the polytopes of the families of one live-cell group but for the
@@ -112,11 +113,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-#: A start sweep below this fraction of its largest cell on some cell where
-#: the base pmf is zero may mark a cell that every feasible point leaves at
-#: zero; the support LP then decides the face.
-_THIN_START = 1e-4
 
 #: Newton steps per solve before it is declared stuck.
 _MAX_NEWTON_STEPS = 500
@@ -308,9 +304,10 @@ def _block(layout: _Layout, f: int, cells: np.ndarray) -> tuple:
     a = np.zeros((sizes[-1], n))
     a[np.array(slots), np.arange(n)] = 1.0
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < n)
+    rank = (s > s[0] * max(a.shape) * np.finfo(float).eps).sum()
     xidx, keys = _ranks(layout.whole[cells], layout.whole.size)
     return (a, tuple(map(slice, sizes[:-1], sizes[1:])), slots, np.concatenate(gather), xidx,
-            keys.size, vt[(s > s[0] * max(a.shape) * np.finfo(float).eps).sum():].T.copy())
+            keys.size, vt[rank:].T.copy(), s[rank - 1])
 
 
 class _Structure:
@@ -328,7 +325,8 @@ class _Structure:
     ``xidx`` numbers each cell's x-group among ``nx[k]``.  ``basis[k]``,
     zero-padded from ``width[k]`` columns, spans the null space of ``A[k]``
     alone, by one SVD (counting singular values above ``s[0] *
-    max(A.shape) * eps``); ``group_basis`` sums it over each x-group.
+    max(A.shape) * eps``), and ``sigma[k]`` is the least of those counted;
+    ``group_basis`` sums the basis over each x-group.
     ``multi`` marks x-groups of more than one cell, ``shared`` each cell's:
     for one cell the Hessian block ``1/q - 1/q_x`` is exactly 0, and
     assembling it from two huge terms would leave rounding."""
@@ -336,7 +334,7 @@ class _Structure:
     def __init__(self, layout: _Layout, rows: Sequence[tuple]):
         self.cells = np.array([cells for _, cells in rows])
         k, n = self.cells.shape
-        self.A, self.blocks, slots, gathers, xidx, self.nx, bases = zip(
+        self.A, self.blocks, slots, gathers, xidx, self.nx, bases, self.sigma = zip(
             *(_block(layout, *row) for row in rows))
         self.m, self.width = [g.size for g in gathers], [b.shape[1] for b in bases]
         width, depth, r, nx = max(self.m), max(map(len, slots)), max(self.width), max(self.nx)
@@ -354,6 +352,11 @@ class _Structure:
         self.shared = self.multi.ravel()[gidx]
         self.nbytes = _read_only(self, *self.A)
 
+    def misfit(self, v: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``A v - b`` per row, for stacks ``v`` and ``b`` as :class:`_Stack` holds them."""
+        fit = np.bincount(self.slot.ravel(), (v[:, None, :] * self.real).ravel(), b.size)
+        return fit.reshape(b.shape) - b
+
 
 class _Stack:
     """A live-cell group of rows ``(i, live, inner)`` (family i of ``layout``
@@ -369,9 +372,7 @@ class _Stack:
             lambda: _Structure(layout, [(i, np.flatnonzero(live)) for i, live, _ in group]))
         self.x0 = tab.pmf.ravel()[s.cells]
         self.b = mass[s.bidx]
-        fit = np.bincount(s.slot.ravel(), (self.x0[:, None, :] * s.real).ravel(), self.b.size)
-        residual = np.abs(fit - self.b.ravel()).max()
-        if residual > 1e-9:
+        if (residual := np.abs(s.misfit(self.x0, self.b)).max()) > 1e-9:
             raise AssertionError(f"base distribution violates its own marginals by {residual}")
 
 
@@ -528,7 +529,7 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
     the support LP's point, or None.  A family with no free direction is done
     there, at the whole's mutual information.  A face smaller than the live
     cells joins ``groups`` at its size, not yet set up, with the LP's point,
-    the start's origin, and no further thin test.  Whether a started row is
+    the start's origin, and no further proof.  Whether a started row is
     done is checked before the steps, once every group's start is known."""
     s, x0 = stack.structure, stack.x0
     ids, inner = [i for i, *_ in stack.group], [v for *_, v in stack.group]
@@ -538,13 +539,17 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
         return x0[at] + (s.basis[at] @ (s.basis[at].transpose(0, 2, 1) @ dv))[:, :, 0]
 
     q = project(_ipf_sweep(s.slot, stack.b.ravel()), slice(None))
-    thin = np.where(x0 == 0.0, q, np.inf).min(axis=1) < _THIN_START * q.max(axis=1)
+    low = np.where(x0 == 0.0, q, np.inf).min(axis=1)
+    unproven = low < np.inf  # the face proof, on rows with a zero in the base pmf
+    if unproven.any():  # rounding: at most cells * eps * |q|_1 per block
+        rounding = s.slot[0].size * np.finfo(float).eps * np.abs(q).sum(axis=1)
+        unproven &= low <= (np.linalg.norm(s.misfit(q, stack.b), axis=1) + rounding) / s.sigma
     keep = []
     for k, i in enumerate(ids):
         if not s.width[k]:  # no free direction: the base pmf is the only feasible q
             brackets.lower[i] = brackets.upper[i]
             continue
-        if thin[k] and inner[k] is None:
+        if unproven[k] and inner[k] is None:
             face, inner[k] = _maximal_support(s.A[k], stack.b[k, : s.m[k]])
             if not face.all():
                 live = np.isin(np.arange(tab.pmf.size), s.cells[k, face])

@@ -393,7 +393,7 @@ rows.xor_unique.ok\tfalse
 EXAMPLES_HUMAN = """\
 example       I(whole;Y)     IbE    IbDp    Ib2p    IbAp  status
 xor_unique         2.000   1.000   1.000   1.000   1.000  MISMATCH
-            expected (2.0, 1.0, 0.0, 0.0, 0.0)
+expected           2.000   1.000   0.000   0.000   0.000
 """
 
 ENUMERATE_JSON = """\
@@ -431,8 +431,15 @@ LATTICE_TSV = """\
 input\txor.tsv
 entropies.X1\t1.000000000
 entropies.X1,X2\t2.000000000
-relations\t{'a': 'X1', 'b': 'X1,X2', 'a_poorer_b': True, 'b_poorer_a': False, 'equivalent': False}
-pairs\t{'a': 'X1', 'b': 'X1,X2', 'join_entropy': 2.0, 'meet_entropy': 1.0}
+relations.0.a\tX1
+relations.0.b\tX1,X2
+relations.0.a_poorer_b\ttrue
+relations.0.b_poorer_a\tfalse
+relations.0.equivalent\tfalse
+pairs.0.a\tX1
+pairs.0.b\tX1,X2
+pairs.0.join_entropy\t2.000000000
+pairs.0.meet_entropy\t1.000000000
 """
 
 LATTICE_HUMAN = """\

@@ -693,29 +693,35 @@ def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
 
 
 @pytest.mark.parametrize(
-    "seed, zero_fraction, face, expected",
+    "seed, zero_fraction, parts, face, expected",
     [
-        (0, 0.1, None, 0.3834888361),
-        (955071336, 0.052, "full", 0.1689744707),
-        (1, 0.1, "smaller", 0.2810894763),
+        (0, 0.1, None, None, 0.3834888361),
+        (0, 0.3, ((0,), (1, 2, 3)), None, 0.3498739171),
+        (955071336, 0.052, None, "full", 0.1689744707),
+        (1, 0.1, None, "smaller", 0.2810894763),
     ],
-    ids=["no-lp", "lp-full-face", "lp-smaller-face"],
+    ids=["no-lp", "proof-near-zero", "lp-full-face", "lp-smaller-face"],
 )
-def test_zero_cell_start_takes_one_sweep_per_face(monkeypatch, seed, zero_fraction, face, expected):
-    # Almosts on inputs with zero cells in the base pmf.  On the first the
-    # start sweep is not thin on any of them, so no support LP runs; on the
-    # other two it is, and the LP keeps every live cell or drops one.  The
-    # expected values are certified at tolerance 1e-10.
+def test_zero_cell_start_takes_one_sweep_per_face(
+    monkeypatch, seed, zero_fraction, parts, face, expected
+):
+    # Almosts (or the bipartition given) on inputs with zero cells in the
+    # base pmf.  On the first two the projected start sweep exceeds, on every
+    # such cell, its misfit's bound on its distance to the polytope, which
+    # proves the face full, so no support LP runs.  On the bipartition the
+    # sweep is below 1e-4 of its largest cell there, yet the proof holds.  On
+    # the other two the proof fails, and the LP keeps every live cell or
+    # drops one.  The expected values are certified at tolerance 1e-10.
     sweeps, faces = [], []
     sweep, support = union_info._ipf_sweep, union_info._maximal_support
 
     def counting_sweep(*args):
-        sweeps.append(args)
-        return sweep(*args)
+        sweeps.append(sweep(*args))
+        return sweeps[-1]
 
     def checked_support(a, b):
         if face is None:
-            raise AssertionError("support LP run although the start sweep is not thin")
+            raise AssertionError("support LP run although the start sweep proves the face")
         live, inner = support(a, b)
         faces.append(bool(live.all()))
         return live, inner
@@ -723,14 +729,36 @@ def test_zero_cell_start_takes_one_sweep_per_face(monkeypatch, seed, zero_fracti
     monkeypatch.setattr(union_info, "_ipf_sweep", counting_sweep)
     monkeypatch.setattr(union_info, "_maximal_support", checked_support)
     d = make_random(seed, 4, 2, zero_fraction)
-    fam = PartFamily(tuple(almosts(4)))
-    assert (MarginalPolytope(d, fam.parts).x0 == 0.0).any()
+    fam = PartFamily(tuple(almosts(4)) if parts is None else tuple(map(PartSpec, parts)))
+    zero = MarginalPolytope(d, fam.parts).x0 == 0.0
+    assert zero.any()
     value, lower = _brackets(d, [fam.parts], MINSYN)[0]
     # A face smaller than the live cells takes its own sweep.
     assert len(sweeps) == 1 + faces.count(False)
+    if parts is not None:
+        assert 0.0 < sweeps[0][0, zero].min() < 1e-4 * sweeps[0].max()
     assert faces == {None: [], "full": [True], "smaller": [False]}[face]
     assert lower <= value <= lower + MINSYN.tolerance
     assert abs(value - expected) <= 1e-6
+
+
+def test_every_support_lp_shrinks_the_face_on_n4_zero_inputs(monkeypatch):
+    # At n=4 the start sweep of each decomposable family (every report family
+    # but the Almosts) proves its face full, and each Almosts face the proof
+    # leaves to the LP on these inputs is smaller than the live cells: no LP
+    # call is spent on a face a proof could have given.
+    shrunk = []
+    support = union_info._maximal_support
+
+    def recording_support(a, b):
+        live, inner = support(a, b)
+        shrunk.append(not live.all())
+        return live, inner
+
+    monkeypatch.setattr(union_info, "_maximal_support", recording_support)
+    for seed in range(40):
+        full_report(make_random(seed, 4, 2, 0.3), MINSYN)
+    assert len(shrunk) == 10 and all(shrunk)
 
 
 def _newton_steps(monkeypatch, inputs):
@@ -1063,6 +1091,11 @@ def test_vectorized_build_matches_loops(corpus):
         assert len(set(zip(poly.xidx.tolist(), xkeys))) == len(set(xkeys)) == poly.nx
         assert set(poly.xidx.tolist()) == set(range(poly.nx))
         assert poly.null_basis.shape[1] == len(cells) - np.linalg.matrix_rank(a_loop)
+        # The least singular value counted in the rank, which the face proof reads.
+        layout, _, live, _ = union_info._Tables(d).masses([fam.parts])
+        [sigma] = union_info._Structure(layout, [(0, np.flatnonzero(live[0]))]).sigma
+        values = np.linalg.svd(a_loop, compute_uv=False)
+        assert sigma == pytest.approx(values[np.linalg.matrix_rank(a_loop) - 1], rel=1e-12)
 
 
 def test_tables_follow_target_and_constant_target():
