@@ -76,24 +76,33 @@ class UsageError(Exception):
 # Deterministic rendering
 # ---------------------------------------------------------------------------
 
-def _fmt_float(v: float) -> str:
+#: Keys whose float values are settings, not results: each prints as the
+#: value it was run with, which 9 decimals may round away (``--tol 1e-10``).
+_EXACT_KEYS = frozenset({"tolerance"})
+
+
+def _fmt_float(v: float, exact: bool = False) -> str:
+    """``v`` to 9 decimals; with ``exact``, in its shortest round-trip form
+    (such as ``1e-10``) when 9 decimals do not hold it exactly."""
     if not (v == v and abs(v) != float("inf")):
         raise ValueError(f"refusing to emit non-finite value {v!r}")
     rounded = round(v, 9)
     if rounded == 0.0:
         rounded = 0.0  # normalize -0.0
-    return f"{rounded:.9f}"
+    text = f"{rounded:.9f}"
+    return repr(v) if exact and float(text) != v else text
 
 
-def render_json(value, indent: int = 0) -> str:
-    """Minimal JSON writer with stable key order and 9-decimal floats."""
+def render_json(value, indent: int = 0, key=None) -> str:
+    """Minimal JSON writer with stable key order and 9-decimal floats (the
+    values of ``_EXACT_KEYS`` exactly)."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
         if not value:
             return "{}"
         items = ",\n".join(
-            f"{inner}{_json_string(str(k))}: {render_json(v, indent + 1)}"
+            f"{inner}{_json_string(str(k))}: {render_json(v, indent + 1, k)}"
             for k, v in value.items()
         )
         return "{\n" + items + "\n" + pad + "}"
@@ -105,7 +114,7 @@ def render_json(value, indent: int = 0) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt_float(value)
+        return _fmt_float(value, key in _EXACT_KEYS)
     if isinstance(value, int):
         return str(value)
     if value is None:
@@ -139,6 +148,8 @@ def _flatten(value, prefix: str = "") -> list[tuple[str, str]]:
         return rows
     if isinstance(value, (list, tuple)):
         return [(prefix, " | ".join(_scalar(v) for v in value))]
+    if isinstance(value, float) and prefix.rpartition(".")[2] in _EXACT_KEYS:
+        return [(prefix, _fmt_float(value, exact=True))]
     return [(prefix, _scalar(value))]
 
 

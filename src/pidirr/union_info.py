@@ -76,10 +76,11 @@ rows are checked again, and those not done are stepped by stacked numpy
 calls until each stops; on programs this small a step's cost is numpy's
 per-call overhead.  Each row keeps its own iterates, ``mu`` schedule and
 stop, and is judged once per step, at the point its line search accepts,
-before the next Newton system is built.  A row that stops leaves its stack,
-which is re-indexed, unless the stack is small (``_SMALL_STACK``), where
-re-indexing costs more than a step: there it stays, takes zero steps and
-leaves its bracket alone.
+before the next Newton system is built.  The per-row control of a step is
+one Python pass over the rows before the line search and one after it.  A
+row that stops leaves its stack, which is re-indexed, unless the stack is
+small (``_SMALL_STACK``), where re-indexing costs more than a step: there it
+stays, takes zero steps and leaves its bracket alone.
 
 :func:`union_information` solves the one family it is asked for to the
 tolerance.  A report needs only each of its scans' largest union and the
@@ -597,8 +598,12 @@ def _lockstep(
     the same, and the brackets, :meth:`_Brackets.done`, step lengths and
     line search see only the rows not done.  Every stacked operation is per
     row, so either way a row's values are those it takes alone.  Vectors are
-    stacks of columns, so that ``matmul`` takes them as they are, and
-    per-row control runs on a few ``tolist`` calls per step."""
+    stacks of columns, so that ``matmul`` takes them as they are.  Per-row
+    control reads a few ``tolist`` calls per step, in one pass over the rows
+    not done before the line search (the dual bound, the first trial step)
+    and one after it (the value, the stall flag, the stage cut and the
+    arguments of the verdict); a bracket entry is written only when it
+    tightens."""
     s, lower, upper = stack.structure, brackets.lower, brackets.upper
     q = q[:, :, None]
     k, n, _ = q.shape
@@ -628,12 +633,14 @@ def _lockstep(
     for _ in range(_MAX_NEWTON_STEPS):
         if resized:
             basis_t, group_t = basis.transpose(0, 2, 1), group_basis.transpose(0, 2, 1)
-            gflat = gidx.ravel()
+            gflat, kx = gidx.ravel(), k * nx
             single = 1.0 - multi  # keeps w finite on padded groups
             # Per row: z.x0, max z, the largest sum of exp(z - max z) over an
             # x-group, the Newton decrement, and the most negative dq / q,
             # which limits the step.
             c_zx, c_top, c_sum, c_dec, c_fall = ctl = np.empty((5, k, 1, 1))
+            trial = np.empty((k, 1, 1))  # each row's trial step
+            trials = trial.reshape(k)
         inv = 1.0 / q
         descent = m * inv - grad  # minus the barrier gradient
         g = basis_t @ descent
@@ -652,12 +659,12 @@ def _lockstep(
         # such z every feasible q has z.q = z.x0, and -H(Y|X) - z.q is at
         # least -max_x logsumexp_y z_xy on the simplex (nats), at any iterate.
         # A padded x-group sums to 0 and never wins.
-        dqx = np.bincount(gflat, dq.ravel(), k * nx)
+        dqx = np.bincount(gflat, dq.ravel(), kx)
         z = d * dq - descent - (w.ravel() * dqx)[gidx]
         z -= basis @ (basis_t @ z)
         np.matmul(x0t, z, out=c_zx)
         np.maximum.reduce(z, 1, keepdims=True, out=c_top)
-        sums = np.bincount(gflat, np.exp(z - c_top).ravel(), k * nx)
+        sums = np.bincount(gflat, np.exp(z - c_top).ravel(), kx)
         np.maximum.reduce(sums.reshape(k, nx, 1), 1, keepdims=True, out=c_sum)
         np.matmul(g.transpose(0, 2, 1), dz, out=c_dec)
         np.minimum.reduce(dq * inv, 1, keepdims=True, out=c_fall)
@@ -672,34 +679,44 @@ def _lockstep(
         steps = [0.0] * k
         for j in live:
             i = ids[j]
-            lower[i] = max(lower[i], hy + (zx[j] - (tops[j] + math.log(smax[j]))) / _LN2)
-            steps[j] = 1.0 if falls[j] >= 0.0 else min(1.0, -0.9 / falls[j])
+            bound = hy + (zx[j] - (tops[j] + math.log(smax[j]))) / _LN2
+            if bound > lower[i]:
+                lower[i] = bound
+            step = 1.0 if falls[j] >= 0.0 else -0.9 / falls[j]
+            steps[j] = step if step < 1.0 else 1.0
         # Halve while the step overshoots the minimum along the line by more
         # than half the starting slope.  Slopes of a convex function need no
         # differences of rounded values, which vanish as mu gets small.
         while True:
-            cand = q + np.array(steps).reshape(k, 1, 1) * dq
-            gc, qxc = _gradient(cand, gidx, nx)
+            trials[:] = steps
+            cand = q + trial * dq
+            vx = np.bincount(gflat, cand.ravel(), kx)  # x-group masses
+            gc = np.log(cand / vx[gidx])  # the gradient, ln q(y|x)
             slopes = ((gc - m / cand).transpose(0, 2, 1) @ dq).ravel().tolist()
             over = [j for j in live if not (slopes[j] <= 0.5 * decs[j] or steps[j] < 1e-12)]
             if not over:
                 break
             for j in over:
                 steps[j] *= 0.5
-        q, grad, qx = cand, gc, qxc
+        q, grad, qx = cand, gc, vx.reshape(k, nx, 1)
         f = (q.transpose(0, 2, 1) @ grad).ravel().tolist()
-        stalled = [sk < 1e-12 and mk == mu_end for sk, mk in zip(steps, mu)]
         # A step that began with a Newton decrement of at most 5 mu ends its
         # row's stage.  The next system keeps the stage's mu in its Hessian,
         # so its step is the tangent predictor; the dual bound holds for any
         # Hessian.  The system after it is built at the new mu.  A row done
         # keeps its mu.
-        stage = list(mu)
+        stage, judged, stalled = list(mu), [], []
         for j in live:
-            upper[ids[j]] = min(upper[ids[j]], hy + f[j] / _LN2)
-            if decs[j] <= 5.0 * mu[j]:
-                stage[j] = max(mu[j] / 100.0, mu_end)
-        verdicts = brackets.done([ids[j] for j in live], [stalled[j] for j in live])
+            i, mj = ids[j], mu[j]
+            value = hy + f[j] / _LN2
+            if value < upper[i]:
+                upper[i] = value
+            if decs[j] <= 5.0 * mj:
+                cut = mj / 100.0
+                stage[j] = mu_end if mu_end > cut else cut
+            judged.append(i)
+            stalled.append(steps[j] < 1e-12 and mj == mu_end)
+        verdicts = brackets.done(judged, stalled)
         keep = [j for j, done in zip(live, verdicts) if not done]
         if not keep:
             return

@@ -105,6 +105,27 @@ def test_compute_loose_tolerance_keeps_the_order_check(tmp_path, capsys):
     assert json.loads(out)["settings"]["tolerance"] == 0.01
 
 
+@pytest.mark.parametrize("command, key", [
+    (["compute"], ("settings", "tolerance")),
+    (["axioms", "--trials", "0"], ("tolerance",)),
+    (["examples", "--name", "xor"], ("tolerance",)),
+])
+def test_a_tolerance_below_nine_decimals_reads_back(xor_file, capsys, command, key):
+    # Nine decimals would print 1e-10 as 0.000000000, a tolerance that
+    # UnionMeasure refuses; each command prints the one it ran with.
+    if command[0] != "examples":
+        command = [*command, "--input", xor_file]
+    code, out, err = run([*command, "--tol", "1e-10"], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    for k in key:
+        payload = payload[k]
+    assert payload == 1e-10
+    code, out, err = run([*command, "--tol", "1e-10", "--format", "tsv"], capsys)
+    assert code == 0, err
+    assert f"{'.'.join(key)}\t1e-10" in out.splitlines()
+
+
 def test_compute_one_predictor_is_usage_error(one_predictor_file, capsys):
     code, _, err = run(["compute", "--input", one_predictor_file], capsys)
     assert code == 2

@@ -922,6 +922,25 @@ def test_a_stalled_row_with_an_open_gap_is_a_typed_error():
     assert err.value.gap == 0.75 - 0.25
 
 
+def test_a_row_that_cannot_move_stalls_out_of_the_lockstep(monkeypatch):
+    # At 1e-20 bits a gap closes only by luck of rounding: a row whose line
+    # search ends below a step of 1e-12 with mu at its floor must leave
+    # through _lockstep's own stall flag, at a gap of rounding size, long
+    # before the step limit (this report raises after 19 Newton systems).
+    solves, solve = 0, np.linalg.solve
+
+    def counting(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    with pytest.raises(UnionConvergenceError, match="stalled") as err:
+        full_report(make_random(400, 3), UnionMeasure(tolerance=1e-20))
+    assert 1e-20 < err.value.gap < 1e-12
+    assert solves <= 50
+
+
 def test_a_failed_support_lp_is_a_typed_error(monkeypatch):
     # This input's Almosts need the support LP (see
     # test_face_without_free_direction_ends_before_the_solve).
