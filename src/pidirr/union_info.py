@@ -64,7 +64,9 @@ constraints alone), depend only on the shape, the target, the families and
 their cells.  Both are kept in one least-recently-used cache bounded by the
 bytes it holds, each group under exactly the rows it builds: a report of a
 shape seen before takes its part masses from one stacked pass, and factors
-nothing for a group that keeps the rows it kept then.
+nothing for a group that keeps the rows it kept then.  The arrays a solve
+reads that no mass changes, a structure's ``gidx``, ``single`` and ``pad``,
+are cached with it.
 
 The families asked for in one call (all of a report's, in
 :func:`pidirr.irreducibility.full_report`) are solved in lockstep.  Each
@@ -74,13 +76,14 @@ to fewer cells joins a group not yet set up, and every start bounds the
 others before any Newton step.  Once every start is known, each group's
 rows are checked again, and those not done are stepped by stacked numpy
 calls until each stops; on programs this small a step's cost is numpy's
-per-call overhead.  Each row keeps its own iterates, ``mu`` schedule and
-stop, and is judged once per step, at the point its line search accepts,
-before the next Newton system is built.  The per-row control of a step is
-one Python pass over the rows before the line search and one after it.  A
-row that stops leaves its stack, which is re-indexed, unless the stack is
-small (``_SMALL_STACK``), where re-indexing costs more than a step: there it
-stays, takes zero steps and leaves its bracket alone.
+per-call overhead, so a step's Newton systems skip ``np.linalg.solve``'s
+wrapper (:func:`_newton_solve`).  Each row keeps its own iterates, ``mu``
+schedule and stop, and is judged once per step, at the point its line
+search accepts, before the next Newton system is built.  The per-row
+control of a step is one Python pass over the rows before the line search
+and one after it.  A row that stops leaves its stack, which is re-indexed,
+unless the stack is small (``_SMALL_STACK``), where re-indexing costs more
+than a step: there it stays, takes zero steps and leaves its bracket alone.
 
 :func:`union_information` solves the one family it is asked for to the
 tolerance.  A report needs only each of its scans' largest union and the
@@ -198,7 +201,7 @@ class _Tables:
         families = tuple(tuple(p.member_indices for p in f) for f in families)
         layout = _structures.get(key := (self.pmf.shape, self.target, families),
                                  lambda: _Layout(*key))
-        mass = np.bincount(layout.joint.ravel(), np.tile(self.pmf.ravel(), len(layout.parts)),
+        mass = np.bincount(layout.joint.ravel(), self.pmf.ravel()[layout.cell],
                            layout.joint_part.size + 1)
         hp = _entropies(np.bincount(layout.alone, mass[:-1]), layout.alone_part)
         mi = [h + self.hy - hpy for h, hpy in zip(hp, _entropies(mass[:-1], layout.joint_part))]
@@ -264,7 +267,8 @@ class _Layout:
     """Where a call's part masses lie, a function of the shape, the target and
     the ``families`` (of parts, tuples of predictor indices) alone.  Part j
     has a segment of one flat vector of part-target marginals, ``joint[j]``
-    each product cell's key there; ``alone`` maps each entry to its part
+    each product cell's key there, and ``cell`` gathers the pmf's mass of
+    each entry of ``joint``, ravelled; ``alone`` maps each entry to its part
     marginal's, ``*_part`` number entries' parts, and ``whole`` is each
     cell's whole-predictor key.  ``families[i]`` lists family i's parts,
     ``members[i, j]`` is 1 where it holds part j, and ``disjoint[i]`` if
@@ -289,6 +293,7 @@ class _Layout:
             joint[-1] += ny * sum(sizes)
             sizes.append(math.prod(shape[a] for a in axes))
         self.joint, self.alone, self.whole = np.array(joint), np.concatenate(alone), keys(preds)
+        self.cell = np.tile(np.arange(cells.shape[1]), len(self.parts))
         self.joint_part, self.alone_part = (
             np.repeat(range(len(sizes)), np.multiply(sizes, y)) for y in (ny, 1))
         self.nbytes = _read_only(self)
@@ -311,6 +316,13 @@ def _block(layout: _Layout, f: int, cells: np.ndarray) -> tuple:
             keys.size, vt[rank:].T.copy(), s[rank - 1])
 
 
+def _group_index(xidx: np.ndarray, nx: int) -> np.ndarray:
+    """Each cell's x-group across the rows of a stack of x-groups ``xidx``,
+    shape ``(rows, cells, 1)``: row k's groups are ``k * nx`` to ``k * nx +
+    nx - 1``."""
+    return (xidx + nx * np.arange(len(xidx))[:, None])[:, :, None]
+
+
 class _Structure:
     """The polytopes of a live-cell group's ``rows`` ``(i, cells)``, family
     i of ``layout`` on ``cells`` each, but for the masses and base pmf: a
@@ -330,7 +342,10 @@ class _Structure:
     ``group_basis`` sums the basis over each x-group.
     ``multi`` marks x-groups of more than one cell, ``shared`` each cell's:
     for one cell the Hessian block ``1/q - 1/q_x`` is exactly 0, and
-    assembling it from two huge terms would leave rounding."""
+    assembling it from two huge terms would leave rounding.
+    Built once here, not per report: ``gidx``, each cell's x-group across
+    rows; ``single = 1 - multi``; and ``pad``, ones on each row's Hessian
+    diagonal past its width, so padded directions get zero steps."""
 
     def __init__(self, layout: _Layout, rows: Sequence[tuple]):
         self.cells = np.array([cells for _, cells in rows])
@@ -346,11 +361,14 @@ class _Structure:
         self.basis, self.xidx = np.zeros((k, n, r)), np.array(xidx)
         for row, (gather, basis) in enumerate(zip(gathers, bases)):
             self.bidx[row, : gather.size], self.basis[row, :, : basis.shape[1]] = gather, basis
-        gidx = (self.xidx + nx * np.arange(k)[:, None])[:, :, None]
+        self.gidx = gidx = _group_index(self.xidx, nx)
         self.group_basis = np.bincount(
             (gidx * r + np.arange(r)).ravel(), self.basis.ravel(), k * nx * r).reshape(k, nx, r)
         self.multi = (np.bincount(gidx.ravel(), minlength=k * nx) > 1).reshape(k, nx, 1) * 1.0
         self.shared = self.multi.ravel()[gidx]
+        self.single, diag = 1.0 - self.multi, np.arange(r)
+        self.pad = np.zeros((k, r, r))
+        self.pad[:, diag, diag] = diag >= np.array(self.width)[:, None]
         self.nbytes = _read_only(self, *self.A)
 
     def misfit(self, v: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -464,6 +482,24 @@ def _gradient(v: np.ndarray, gidx: np.ndarray, nx: int):
     return np.log(v / vx[gidx]), vx.reshape(-1, nx, 1)
 
 
+def _newton_solve(hess: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``hess \\ g`` per matrix of a stack of float64 Newton systems; raises
+    ``np.linalg.LinAlgError`` on a singular one.
+
+    The private LAPACK gufunc and floating-point state of ``np.linalg.solve``,
+    without its wrapping, type promotion and shape checks, which the stacks
+    here do not need: 4.9 against 6.3 µs on a ``(7, 8, 8)`` stack (one core
+    of a Xeon host, numpy 2.4), once per lockstep step.  A singular matrix
+    is an invalid operation, raised here.  Checked on numpy 2.4; numpy
+    1.24's ``np.linalg.solve`` calls the same gufunc, and the CI leg at
+    numpy 1.24 runs this one."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return np.linalg._umath_linalg.solve(hess, g, signature="dd->d")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
+
+
 class _Brackets:
     """Each family's certified bracket on its union, in bits, and the scans
     (lists of family indices) a report takes its maxima over.
@@ -568,7 +604,7 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
             "no strictly positive start on the feasible face", math.inf, math.inf
         )
     v, nx = q[:, :, None], max(s.nx)
-    grad, _ = _gradient(v, (s.xidx[keep] + nx * np.arange(len(keep))[:, None])[:, :, None], nx)
+    grad, _ = _gradient(v, s.gidx if len(keep) == len(ids) else _group_index(s.xidx[keep], nx), nx)
     for k, f in zip(keep, (v.transpose(0, 2, 1) @ grad).ravel().tolist()):  # f = -H(Y|X), nats
         brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + f / _LN2)
     return keep, q
@@ -587,10 +623,14 @@ def _lockstep(
     the search accepts goes to the bracket, the row is judged there, and
     rows done leave before the next system is built, so a row whose step
     closes its bracket builds no further system.  A row whose line search
-    ends below a step of 1e-12 with ``mu`` at its floor cannot move again.
+    ends below a step of 1e-12 with ``mu`` at its floor cannot move again,
+    nor can a row at that floor whose gap is within the rounding of its
+    value, cells times eps times ``-f`` as bits, since ``-f = sum |q ln
+    q(y|x)|``: about 1e-15 bits, read only by tolerances below 1e-14.
     Each row takes the iterates and ``mu`` schedule it would take alone.
     Null bases are cut to the widest row, with ones on the padded Hessian
-    diagonal, so padded directions get zero steps.  When rows are done, a
+    diagonal (``pad``), so padded directions get zero steps; a step's
+    systems are one call of :func:`_newton_solve`.  When rows are done, a
     stack of cells times padded width squared at or above ``_SMALL_STACK``
     re-indexes only what the next system reads.  A smaller stack keeps
     them: a row done takes zero steps and keeps its ``mu``, so after its
@@ -607,22 +647,20 @@ def _lockstep(
     s, lower, upper = stack.structure, brackets.lower, brackets.upper
     q = q[:, :, None]
     k, n, _ = q.shape
-    width = np.array(s.width)[rows]
-    r, nx, diag = width.max(), max(s.nx[j] for j in rows), np.arange(width.max())
+    r, nx = max(s.width[j] for j in rows), max(s.nx[j] for j in rows)
     reindex = n * r * r >= _SMALL_STACK
-    pad = np.zeros((k, r, r))
-    pad[:, diag, diag] = diag >= width[:, None]
     at = slice(None) if len(rows) == len(stack.group) else rows  # every row: views, not copies
     basis, group_basis = s.basis[at, :, :r], s.group_basis[at, :nx, :r]
-    multi, shared, xidx = s.multi[at, :nx], s.shared[at], s.xidx[at]
-    x0t = stack.x0[at][:, None, :]
-    gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
+    multi, single, shared, xidx = s.multi[at, :nx], s.single[at, :nx], s.shared[at], s.xidx[at]
+    pad, x0t = s.pad[at, :r, :r], stack.x0[at][:, None, :]
+    gidx = s.gidx if isinstance(at, slice) else _group_index(xidx, nx)
 
     # A centred gap is below cells * mu: mu ends at a tenth of the stop gap over
     # the cells, leaving room for rounding.
     mu_end = 0.1 * (0.1 * brackets.tolerance * _LN2) / n
     grad, qx = _gradient(q, gidx, nx)
     f = (q.transpose(0, 2, 1) @ grad).ravel().tolist()
+    rounding = n * np.finfo(float).eps / _LN2  # times -f: a value's rounding, in bits
     # Each row's lower end, its part-MI bound so far, in f's terms: every
     # feasible q has H(Y) = hy.
     mu = [max((fk - (lower[i] - hy) * _LN2) / n, mu_end) for fk, i in zip(f, ids)]
@@ -634,7 +672,6 @@ def _lockstep(
         if resized:
             basis_t, group_t = basis.transpose(0, 2, 1), group_basis.transpose(0, 2, 1)
             gflat, kx = gidx.ravel(), k * nx
-            single = 1.0 - multi  # keeps w finite on padded groups
             # Per row: z.x0, max z, the largest sum of exp(z - max z) over an
             # x-group, the Newton decrement, and the most negative dq / q,
             # which limits the step.
@@ -644,13 +681,13 @@ def _lockstep(
         inv = 1.0 / q
         descent = m * inv - grad  # minus the barrier gradient
         g = basis_t @ descent
-        w = multi / (qx + single)
+        w = multi / (qx + single)  # single keeps w finite on padded groups
         d = (shared + mh * inv) * inv
         hess = basis_t @ (basis * d)
         hess -= group_t @ (group_basis * w)  # in place: one Hessian stack fewer at peak
         hess += pad
         try:
-            dz = np.linalg.solve(hess, g)
+            dz = _newton_solve(hess, g)
         except np.linalg.LinAlgError:
             dz = np.array([np.linalg.lstsq(h, gk, rcond=None)[0] for h, gk in zip(hess, g)])
         dq = basis @ dz
@@ -715,7 +752,8 @@ def _lockstep(
                 cut = mj / 100.0
                 stage[j] = mu_end if mu_end > cut else cut
             judged.append(i)
-            stalled.append(steps[j] < 1e-12 and mj == mu_end)
+            stalled.append(mj == mu_end and (
+                steps[j] < 1e-12 or upper[i] - lower[i] <= -f[j] * rounding))
         verdicts = brackets.done(judged, stalled)
         keep = [j for j, done in zip(live, verdicts) if not done]
         if not keep:
@@ -729,11 +767,11 @@ def _lockstep(
             k = len(keep)
             ids, mu = [ids[j] for j in keep], [mu[j] for j in keep]
             keep = np.array(keep)
-            q, grad, qx, m, mh, basis, group_basis, pad, multi, shared, x0t, xidx = (
+            q, grad, qx, m, mh, basis, group_basis, pad, multi, single, shared, x0t, xidx = (
                 v[keep] for v in
-                (q, grad, qx, m, mh, basis, group_basis, pad, multi, shared, x0t, xidx)
+                (q, grad, qx, m, mh, basis, group_basis, pad, multi, single, shared, x0t, xidx)
             )
-            gidx = (xidx + nx * np.arange(k)[:, None])[:, :, None]
+            gidx = _group_index(xidx, nx)
             live = list(range(k))
         else:
             live = keep

@@ -762,17 +762,17 @@ def test_every_support_lp_shrinks_the_face_on_n4_zero_inputs(monkeypatch):
 
 
 def _newton_steps(monkeypatch, inputs):
-    """``np.linalg.solve`` calls, one per lockstep Newton step, of one report
-    on each of ``make_random(*args)`` for ``args`` in ``inputs``."""
+    """``union_info._newton_solve`` calls, one per lockstep Newton step, of
+    one report on each of ``make_random(*args)`` for ``args`` in ``inputs``."""
     steps = 0
-    solve = np.linalg.solve
+    solve = union_info._newton_solve
 
     def counting(*args, **kwargs):
         nonlocal steps
         steps += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(union_info, "_newton_solve", counting)
     for args in inputs:
         full_report(make_random(*args))
     return steps
@@ -822,15 +822,15 @@ class _WriteLog(list):
 def _checked_report(monkeypatch, small_stack, d):
     """A report on ``d`` with ``_SMALL_STACK`` at ``small_stack``: its repr,
     each family's ``(value, lower)`` from ``_min_synergy_brackets``, and its
-    ``np.linalg.solve`` calls; and how many Newton systems a row done sat in.
-    On the way it checks, at each lockstep step, that a stack below
-    ``small_stack`` keeps every row and a larger one only the rows not done,
-    and that a row done leaves ``_Brackets.done``, writes no bracket and
-    takes no step.  A row is judged where its line search lands, so the
+    ``union_info._newton_solve`` calls; and how many Newton systems a row
+    done sat in.  On the way it checks, at each lockstep step, that a stack
+    below ``small_stack`` keeps every row and a larger one only the rows not
+    done, and that a row done leaves ``_Brackets.done``, writes no bracket
+    and takes no step.  A row is judged where its line search lands, so the
     first system after its verdict is built there, and every later Newton
     gradient of the row equals that system's."""
     monkeypatch.setattr(union_info, "_SMALL_STACK", small_stack)
-    solve, done = np.linalg.solve, union_info._Brackets.done
+    solve, done = union_info._newton_solve, union_info._Brackets.done
     lockstep, min_synergy = union_info._lockstep, union_info._min_synergy_brackets
     brackets, solves, kept, call = [], 0, 0, None
 
@@ -882,7 +882,7 @@ def _checked_report(monkeypatch, small_stack, d):
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "solve", recording_solve)
+        patch.setattr(union_info, "_newton_solve", recording_solve)
         patch.setattr(union_info._Brackets, "done", checked_done)
         patch.setattr(union_info, "_lockstep", checked_lockstep)
         patch.setattr(union_info, "_min_synergy_brackets", recording)
@@ -922,22 +922,39 @@ def test_a_stalled_row_with_an_open_gap_is_a_typed_error():
     assert err.value.gap == 0.75 - 0.25
 
 
-def test_a_row_that_cannot_move_stalls_out_of_the_lockstep(monkeypatch):
-    # At 1e-20 bits a gap closes only by luck of rounding: a row whose line
-    # search ends below a step of 1e-12 with mu at its floor must leave
-    # through _lockstep's own stall flag, at a gap of rounding size, long
-    # before the step limit (this report raises after 19 Newton systems).
-    solves, solve = 0, np.linalg.solve
+def _stall_at_1e20(monkeypatch, seed):
+    """The stall error of the n=3 binary report ``make_random(seed, 3)`` at
+    tolerance 1e-20, and the ``union_info._newton_solve`` calls it took."""
+    solves, solve = 0, union_info._newton_solve
 
     def counting(*args, **kwargs):
         nonlocal solves
         solves += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    monkeypatch.setattr(union_info, "_newton_solve", counting)
     with pytest.raises(UnionConvergenceError, match="stalled") as err:
-        full_report(make_random(400, 3), UnionMeasure(tolerance=1e-20))
-    assert 1e-20 < err.value.gap < 1e-12
+        full_report(make_random(seed, 3), UnionMeasure(tolerance=1e-20))
+    return err.value, solves
+
+
+def test_a_row_that_cannot_move_stalls_out_of_the_lockstep(monkeypatch):
+    # At 1e-20 bits a gap closes only by luck of rounding: a row whose line
+    # search ends below a step of 1e-12 with mu at its floor must leave
+    # through _lockstep's own stall flag, at a gap of rounding size, long
+    # before the step limit (this report raises after 17 Newton systems).
+    err, solves = _stall_at_1e20(monkeypatch, 400)
+    assert 1e-20 < err.gap < 1e-12
+    assert solves <= 50
+
+
+def test_a_row_whose_gap_sits_at_rounding_stalls_out_of_the_lockstep(monkeypatch):
+    # On this input a row reaches mu's floor with its gap at rounding size,
+    # and its line search keeps taking steps above 1e-12: it must stall once
+    # the gap is within the rounding of its value, not run to the step limit
+    # (this report raises after 15 Newton systems, not 500).
+    err, solves = _stall_at_1e20(monkeypatch, 401)
+    assert 1e-20 < err.gap < 1e-12
     assert solves <= 50
 
 
@@ -984,7 +1001,7 @@ def test_cache_evicts_the_least_recently_used_within_its_bound():
 
 
 def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
-    # When np.linalg.solve refuses a stacked Newton system, each system is
+    # When _newton_solve refuses a stacked Newton system, each system is
     # solved by least squares instead, with the same values.
     d = make_random(400)
     families = [fam.parts for fam in _report_families(3)]
@@ -997,7 +1014,7 @@ def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
         refused += 1
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(union_info, "_newton_solve", singular)
     brackets = _brackets(d, families, MINSYN)
     fallback_report = full_report(d)
     assert refused > 0
@@ -1005,6 +1022,47 @@ def test_singular_newton_systems_fall_back_to_least_squares(monkeypatch):
         assert lower <= value <= lower + MINSYN.tolerance
         assert abs(value - expected_value) <= 1e-12
     assert fallback_report.values() == pytest.approx(report.values(), abs=1e-12)
+
+
+def test_newton_solve_refuses_a_singular_stack_and_solves_an_ill_conditioned_one():
+    # The real LAPACK call, nothing patched: a stack holding one zero matrix
+    # is refused as np.linalg.solve refuses it, and a regular stack, however
+    # ill-conditioned, is solved to np.linalg.solve's bits; neither warns.
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(2, 3, 1))
+    singular = np.stack([np.eye(3), np.zeros((3, 3))])
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    ill = np.stack([np.eye(3), u @ np.diag([1.0, 1e-8, 1e-15]) @ u.T])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(singular, g)
+        with pytest.raises(np.linalg.LinAlgError):
+            union_info._newton_solve(singular, g)
+        dz = union_info._newton_solve(ill, g)
+        assert np.isfinite(dz).all()
+        assert np.array_equal(dz, np.linalg.solve(ill, g))
+
+
+@pytest.mark.parametrize("args", [(400, 3), (0, 4), (1, 3, 3, 0.3)])
+def test_cached_shape_arrays_equal_a_row_by_row_reference(args):
+    # The structure's pad, 1 - multi and gidx, read by a lockstep step over
+    # all its rows, are read-only and equal a reference built one row at a
+    # time.
+    full_report(make_random(*args))
+    groups = _groups()
+    assert groups
+    for s in groups:
+        k, nx, r = len(s.width), max(s.nx), max(s.width)
+        pad, single, gidx = np.zeros((k, r, r)), np.ones((k, nx, 1)), []
+        for row, width in enumerate(s.width):
+            pad[row, width:, width:] = np.eye(r - width)
+            single[row, np.bincount(s.xidx[row], minlength=nx) > 1] = 0.0
+            gidx.append(row * nx + s.xidx[row])
+        reference = (pad, single, np.array(gidx)[:, :, None])
+        for cached, ref in zip((s.pad, s.single, s.gidx), reference):
+            assert not cached.flags.writeable
+            assert np.array_equal(cached, ref)
 
 
 def test_mixed_batches_with_facial_reduction_raise_no_warning():
