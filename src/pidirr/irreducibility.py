@@ -126,6 +126,19 @@ def _scan_table(n: int) -> tuple[tuple, Mapping[str, tuple[tuple, tuple[int, ...
     })
 
 
+@lru_cache(maxsize=16)
+def _scan_plan(n: int, names: tuple[str, ...]) -> tuple[list, list, list]:
+    """The families a scan of the measures ``names`` at ``n`` predictors asks
+    for, those of :func:`_scan_table` the named scans list, in its order; each
+    named scan's indices into them; and each measure's witnesses.  Built once
+    per ``(n, names)`` and shared; :func:`_scan` only reads it."""
+    families, table = _scan_table(n)
+    scans = [table[name][1] for name in names]
+    at = {i: k for k, i in enumerate(dict.fromkeys(i for scan in scans for i in scan))}
+    return ([families[i] for i in at], [[at[i] for i in scan] for scan in scans],
+            [table[name][0] for name in names])
+
+
 def _scan(
     d: JointDistribution, m: UnionMeasure | None, *names: str
 ) -> tuple[float, list[tuple[float, PartFamily | PartitionSpec]]]:
@@ -147,17 +160,14 @@ def _scan(
     if n < 2:
         raise ValueError(f"irreducibility needs at least 2 predictors, got {n}")
     m = m or UnionMeasure()
-    families, table = _scan_table(n)
-    scans = [table[name][1] for name in names]
-    at = {i: k for k, i in enumerate(dict.fromkeys(i for scan in scans for i in scan))}
-    whole, unions = _solve(m, d, [families[i] for i in at],
-                           [[at[i] for i in scan] for scan in scans])
+    asked, scans, witnesses = _scan_plan(n, names)
+    whole, unions = _solve(m, d, asked, scans)
     results = []
-    for name, scan in zip(names, scans):
-        values = [unions[at[i]] for i in scan]
+    for scan, scanned in zip(scans, witnesses):
+        values = [unions[k] for k in scan]
         top = max(values)
         best = next(k for k, v in enumerate(values) if v >= top - m.tolerance)
-        results.append((min(max(whole - top, 0.0), whole), table[name][0][best]))
+        results.append((min(max(whole - top, 0.0), whole), scanned[best]))
     return whole, results
 
 

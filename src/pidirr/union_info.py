@@ -79,11 +79,15 @@ calls until each stops; on programs this small a step's cost is numpy's
 per-call overhead, so a step's Newton systems skip ``np.linalg.solve``'s
 wrapper (:func:`_newton_solve`).  Each row keeps its own iterates, ``mu``
 schedule and stop, and is judged once per step, at the point its line
-search accepts, before the next Newton system is built.  The per-row
-control of a step is one Python pass over the rows before the line search
-and one after it.  A row that stops leaves its stack, which is re-indexed,
-unless the stack is small (``_SMALL_STACK``), where re-indexing costs more
-than a step: there it stays, takes zero steps and leaves its bracket alone.
+search accepts, before the next Newton system is built.  A row's iterates
+are those it takes in any stack of the same padded null width, which sets
+the shapes, and so the rounding, of its matrix products: a measure asked
+for alone, whose stack holds only its own scan's families, can differ from
+the full report's in the last bits.  The per-row control of a step is one
+Python pass over the rows before the line search and one after it.  A row
+that stops leaves its stack, which is re-indexed, unless the stack is small
+(``_SMALL_STACK``), where re-indexing costs more than a step: there it
+stays, takes zero steps and leaves its bracket alone.
 
 :func:`union_information` solves the one family it is asked for to the
 tolerance.  A report needs only each of its scans' largest union and the
@@ -187,7 +191,7 @@ class _Tables:
         index = [{s: i for i, s in enumerate(a)} for a in d.alphabets]
         self.pmf = np.zeros(tuple(len(a) for a in d.alphabets))
         for outcome, p in d.pmf.items():
-            self.pmf[tuple(ix[s] for ix, s in zip(index, outcome))] = p
+            self.pmf[tuple(map(dict.__getitem__, index, outcome))] = p
         self.target = d.target_index
         self.hy = _neg_plogp(self.pmf.sum(axis=d.predictor_indices))
         self.whole_mi = self.hy + _neg_plogp(self.pmf.sum(axis=self.target)) - _neg_plogp(self.pmf)
@@ -203,8 +207,10 @@ class _Tables:
                                  lambda: _Layout(*key))
         mass = np.bincount(layout.joint.ravel(), self.pmf.ravel()[layout.cell],
                            layout.joint_part.size + 1)
-        hp = _entropies(np.bincount(layout.alone, mass[:-1]), layout.alone_part)
-        mi = [h + self.hy - hpy for h, hpy in zip(hp, _entropies(mass[:-1], layout.joint_part))]
+        joint = mass[:-1]  # without the closing zero
+        h = _entropies(np.concatenate([joint, np.bincount(layout.alone, joint)]),
+                       layout.entropy_part)
+        mi = [hp + self.hy - hpy for hpy, hp in zip(h, h[len(layout.parts):])]
         return layout, mass, layout.members @ (mass == 0.0)[layout.joint] == 0.0, mi
 
 
@@ -212,8 +218,9 @@ def _entropies(v: np.ndarray, part: np.ndarray) -> list[float]:
     """Entropy in bits of each part's masses ``v[part == j]``, summed as
     :func:`_neg_plogp` sums it alone, over its positive masses in order."""
     pos = v > 0.0
-    plogp, ends = v[pos] * np.log2(v[pos]), np.cumsum(np.bincount(part[pos])).tolist()
-    return [float(-plogp[a:b].sum()) for a, b in zip([0] + ends, ends)]
+    vv = v[pos]
+    plogp, ends = vv * np.log2(vv), np.cumsum(np.bincount(part[pos])).tolist()
+    return [-float(np.add.reduce(plogp[a:b])) for a, b in zip([0] + ends, ends)]
 
 
 class _Cache:
@@ -269,10 +276,11 @@ class _Layout:
     has a segment of one flat vector of part-target marginals, ``joint[j]``
     each product cell's key there, and ``cell`` gathers the pmf's mass of
     each entry of ``joint``, ravelled; ``alone`` maps each entry to its part
-    marginal's, ``*_part`` number entries' parts, and ``whole`` is each
-    cell's whole-predictor key.  ``families[i]`` lists family i's parts,
-    ``members[i, j]`` is 1 where it holds part j, and ``disjoint[i]`` if
-    they are pairwise disjoint."""
+    marginal's, ``joint_part`` numbers entries' parts, ``entropy_part``
+    numbers the entries' parts and then the part marginals' entries' (past
+    the last part), and ``whole`` is each cell's whole-predictor key.
+    ``families[i]`` lists family i's parts, ``members[i, j]`` is 1 where it
+    holds part j, and ``disjoint[i]`` if they are pairwise disjoint."""
 
     def __init__(self, shape: tuple, target: int, families: tuple):
         self.key = (shape, target, families)
@@ -294,8 +302,9 @@ class _Layout:
             sizes.append(math.prod(shape[a] for a in axes))
         self.joint, self.alone, self.whole = np.array(joint), np.concatenate(alone), keys(preds)
         self.cell = np.tile(np.arange(cells.shape[1]), len(self.parts))
-        self.joint_part, self.alone_part = (
+        self.joint_part, alone_part = (
             np.repeat(range(len(sizes)), np.multiply(sizes, y)) for y in (ny, 1))
+        self.entropy_part = np.concatenate([self.joint_part, alone_part + len(sizes)])
         self.nbytes = _read_only(self)
 
 
@@ -334,7 +343,8 @@ class _Structure:
     gathers their masses from the layout's vector, zero-padded.  ``slot[k,
     j, c]`` is the constraint of block j holding cell c in the flat stack of
     those; a row with fewer parts repeats its last block (``real`` marks the
-    others), which a sweep has just fitted.
+    others), which a sweep has just fitted; ``sweep[j]`` is block j's
+    ``slot[:, j]``, contiguous.
     ``xidx`` numbers each cell's x-group among ``nx[k]``.  ``basis[k]``,
     zero-padded from ``width[k]`` columns, spans the null space of ``A[k]``
     alone, by one SVD (counting singular values above ``s[0] *
@@ -356,6 +366,7 @@ class _Structure:
         width, depth, r, nx = max(self.m), max(map(len, slots)), max(self.width), max(self.nx)
         self.slot = np.array([[sl[min(j, len(sl) - 1)] for j in range(depth)] for sl in slots])
         self.slot += width * np.arange(k)[:, None, None]
+        self.sweep = np.ascontiguousarray(self.slot.transpose(1, 0, 2))
         self.real = 1.0 * (np.arange(depth)[:, None] < np.array([[[len(b)]] for b in self.blocks]))
         self.bidx = np.full((k, width), layout.joint_part.size)  # the closing zero
         self.basis, self.xidx = np.zeros((k, n, r)), np.array(xidx)
@@ -382,10 +393,13 @@ class _Stack:
     on the cells of the mask ``live``) over one distribution: its cached
     :class:`_Structure`, keyed on exactly these rows; each row's base pmf
     ``x0`` and masses ``b`` from ``mass``, which the base pmf must meet at
-    every constraint.  Row k of each is the k-th of ``group``."""
+    every constraint.  Row k of each is the k-th of ``group``.  ``start`` is
+    what :func:`_starts` leaves for :func:`_lockstep` when it starts every
+    row: the starts, and at them the gradient, x-group masses and values;
+    else None."""
 
     def __init__(self, tab: _Tables, layout: _Layout, mass: np.ndarray, group: Sequence[tuple]):
-        self.group = group
+        self.group, self.start = group, None
         s = self.structure = _structures.get(
             (layout.key, tuple((i, live.tobytes()) for i, live, _ in group)),
             lambda: _Structure(layout, [(i, np.flatnonzero(live)) for i, live, _ in group]))
@@ -418,15 +432,14 @@ class MarginalPolytope:
         self.xidx, self.nx, self.b, self.x0 = s.xidx[0], s.nx[0], stack.b[0], stack.x0[0]
 
 
-def _ipf_sweep(slot: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _ipf_sweep(sweep: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One sweep of iterative proportional fitting from uniform, per row of a
-    stack: block j rescales cell c of row k to the constraint ``slot[k, j,
+    stack: block j rescales cell c of row k to the constraint ``sweep[j, k,
     c]`` of ``b``.  For a decomposable family (every report family but the
     Almosts) it is the feasible point of largest entropy on the cells."""
-    k, blocks, n = slot.shape
+    _, k, n = sweep.shape
     q = np.full((k, n), 1.0 / n)
-    for j in range(blocks):
-        r = slot[:, j]
+    for r in sweep:
         q *= b[r] / np.bincount(r.ravel(), q.ravel(), b.size)[r]
     return q
 
@@ -530,7 +543,10 @@ class _Brackets:
 
     def __init__(self, scans: Sequence[Sequence[int]], count: int, tolerance: float):
         self.scans = [list(s) for s in scans if s]
-        self.of = [[k for k, s in enumerate(self.scans) if i in s] for i in range(count)]
+        self.of = [[] for _ in range(count)]
+        for k, s in enumerate(self.scans):
+            for i in s:
+                self.of[i].append(k)
         self.lower = [-math.inf] * count
         self.upper = [math.inf] * count
         self.tolerance = tolerance
@@ -569,18 +585,20 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
     the start's origin, and no further proof.  Whether a started row is
     done is checked before the steps, once every group's start is known."""
     s, x0 = stack.structure, stack.x0
-    ids, inner = [i for i, *_ in stack.group], [v for *_, v in stack.group]
+    ids, inner = [row[0] for row in stack.group], [row[2] for row in stack.group]
 
     def project(v, at):  # v[j] onto the constraints of row at[j]
         dv = (v - x0[at])[:, :, None]
         return x0[at] + (s.basis[at] @ (s.basis[at].transpose(0, 2, 1) @ dv))[:, :, 0]
 
-    q = project(_ipf_sweep(s.slot, stack.b.ravel()), slice(None))
-    low = np.where(x0 == 0.0, q, np.inf).min(axis=1)
-    unproven = low < np.inf  # the face proof, on rows with a zero in the base pmf
-    if unproven.any():  # rounding: at most cells * eps * |q|_1 per block
+    q = project(_ipf_sweep(s.sweep, stack.b.ravel()), slice(None))
+    zero, unproven = x0 == 0.0, [False] * len(ids)
+    if zero.any():  # the face proof, on rows with a zero in the base pmf
+        low = np.where(zero, q, np.inf).min(axis=1)
+        # rounding: at most cells * eps * |q|_1 per block
         rounding = s.slot[0].size * np.finfo(float).eps * np.abs(q).sum(axis=1)
-        unproven &= low <= (np.linalg.norm(s.misfit(q, stack.b), axis=1) + rounding) / s.sigma
+        bound = (np.linalg.norm(s.misfit(q, stack.b), axis=1) + rounding) / s.sigma
+        unproven = ((low < np.inf) & (low <= bound)).tolist()
     keep = []
     for k, i in enumerate(ids):
         if not s.width[k]:  # no free direction: the base pmf is the only feasible q
@@ -593,20 +611,26 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
                 groups.setdefault(int(face.sum()), []).append((i, live, inner[k]))
                 continue
         keep.append(k)
-    keep = np.array(keep, dtype=np.intp)
-    origin = x0[keep]
     lp = [j for j, k in enumerate(keep) if inner[k] is not None]
-    if lp:
-        origin[lp] = project(np.array([inner[keep[j]] for j in lp]), keep[lp])
-    q = _pull(origin, q[keep])
+    keep = np.array(keep, dtype=np.intp)
+    if lp or len(keep) < len(ids):
+        origin, q = x0[keep], q[keep]
+        if lp:
+            origin[lp] = project(np.array([inner[keep[j]] for j in lp]), keep[lp])
+    else:  # every row kept, none from the LP: no copies
+        origin = x0
+    q = _pull(origin, q)
     if not (q > 0.0).all():
         raise UnionConvergenceError(
             "no strictly positive start on the feasible face", math.inf, math.inf
         )
-    v, nx = q[:, :, None], max(s.nx)
-    grad, _ = _gradient(v, s.gidx if len(keep) == len(ids) else _group_index(s.xidx[keep], nx), nx)
-    for k, f in zip(keep, (v.transpose(0, 2, 1) @ grad).ravel().tolist()):  # f = -H(Y|X), nats
-        brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + f / _LN2)
+    v, nx, every = q[:, :, None], max(s.nx), len(keep) == len(ids)
+    grad, qx = _gradient(v, s.gidx if every else _group_index(s.xidx[keep], nx), nx)
+    f = (v.transpose(0, 2, 1) @ grad).ravel().tolist()  # -H(Y|X), nats
+    if every:
+        stack.start = q, grad, qx, f
+    for k, fk in zip(keep, f):
+        brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + fk / _LN2)
     return keep, q
 
 
@@ -615,7 +639,9 @@ def _lockstep(
 ) -> None:
     """Damped Newton steps on rows ``rows`` of ``stack`` at once, from their
     starts ``q``, until ``brackets`` has each row done; ``ids`` are the rows'
-    families in ``brackets``, and ``hy`` is ``H(Y)`` in bits.
+    families in ``brackets``, and ``hy`` is ``H(Y)`` in bits.  Every row of
+    the stack, from the starts :func:`_starts` left, takes its gradient and
+    values there from ``stack.start``.
 
     A step builds each row's Newton system at its point, whose dual bound
     goes to the row's bracket, and searches the line from 0.9 of the
@@ -627,27 +653,31 @@ def _lockstep(
     nor can a row at that floor whose gap is within the rounding of its
     value, cells times eps times ``-f`` as bits, since ``-f = sum |q ln
     q(y|x)|``: about 1e-15 bits, read only by tolerances below 1e-14.
-    Each row takes the iterates and ``mu`` schedule it would take alone.
-    Null bases are cut to the widest row, with ones on the padded Hessian
-    diagonal (``pad``), so padded directions get zero steps; a step's
-    systems are one call of :func:`_newton_solve`.  When rows are done, a
-    stack of cells times padded width squared at or above ``_SMALL_STACK``
-    re-indexes only what the next system reads.  A smaller stack keeps
-    them: a row done takes zero steps and keeps its ``mu``, so after its
-    first system, at the point it was judged at, its Newton system stays
-    the same, and the brackets, :meth:`_Brackets.done`, step lengths and
-    line search see only the rows not done.  Every stacked operation is per
-    row, so either way a row's values are those it takes alone.  Vectors are
-    stacks of columns, so that ``matmul`` takes them as they are.  Per-row
-    control reads a few ``tolist`` calls per step, in one pass over the rows
-    not done before the line search (the dual bound, the first trial step)
-    and one after it (the value, the stall flag, the stage cut and the
-    arguments of the verdict); a bracket entry is written only when it
-    tightens."""
+    A row's iterates and ``mu`` schedule are those it takes in any stack of
+    the same padded null width ``r``, which sets the shapes, and so the
+    rounding, of its matrix products; alone, in a narrower stack, its last
+    bits can differ.  Null bases are cut to the widest row, with ones on
+    the padded Hessian diagonal (``pad``), so padded directions get zero
+    steps; a step's systems are one call of :func:`_newton_solve`.  When
+    rows are done, a stack of cells times padded width squared at or above
+    ``_SMALL_STACK`` re-indexes only what the next system reads.  A smaller
+    stack keeps them: a row done takes zero steps and keeps its ``mu``, so
+    after its first system, at the point it was judged at, its Newton
+    system stays the same, and the brackets, :meth:`_Brackets.done`, step
+    lengths and line search see only the rows not done.  Every stacked
+    operation is per row, so either way a row takes the same bits.  Vectors
+    are stacks of columns, so that ``matmul`` takes them as they are.
+    Per-row control reads a few ``tolist`` calls per step, in one pass over
+    the rows not done before the line search (the dual bound, the first
+    trial step) and one after it (the value, the stall flag, the stage cut
+    and the arguments of the verdict); a bracket entry is written only when
+    it tightens."""
     s, lower, upper = stack.structure, brackets.lower, brackets.upper
+    start = stack.start if stack.start is not None and stack.start[0] is q else None
     q = q[:, :, None]
     k, n, _ = q.shape
-    r, nx = max(s.width[j] for j in rows), max(s.nx[j] for j in rows)
+    picked = rows.tolist()
+    r, nx = max([s.width[j] for j in picked]), max([s.nx[j] for j in picked])
     reindex = n * r * r >= _SMALL_STACK
     at = slice(None) if len(rows) == len(stack.group) else rows  # every row: views, not copies
     basis, group_basis = s.basis[at, :, :r], s.group_basis[at, :nx, :r]
@@ -658,8 +688,11 @@ def _lockstep(
     # A centred gap is below cells * mu: mu ends at a tenth of the stop gap over
     # the cells, leaving room for rounding.
     mu_end = 0.1 * (0.1 * brackets.tolerance * _LN2) / n
-    grad, qx = _gradient(q, gidx, nx)
-    f = (q.transpose(0, 2, 1) @ grad).ravel().tolist()
+    if start is not None:  # every row of the stack, at its start
+        _, grad, qx, f = start
+    else:
+        grad, qx = _gradient(q, gidx, nx)
+        f = (q.transpose(0, 2, 1) @ grad).ravel().tolist()
     rounding = n * np.finfo(float).eps / _LN2  # times -f: a value's rounding, in bits
     # Each row's lower end, its part-MI bound so far, in f's terms: every
     # feasible q has H(Y) = hy.
@@ -808,15 +841,18 @@ def _min_synergy_brackets(
     started = []
     while groups:
         group = groups.pop(max(groups))
-        group = [row for row, done in zip(group, brackets.done([i for i, *_ in group])) if not done]
+        verdicts = brackets.done([row[0] for row in group])
+        group = [row for row, done in zip(group, verdicts) if not done]
         if group:
             stack = _Stack(tab, layout, mass, group)
             rows, q = _starts(tab, stack, brackets, groups)
             started.append((stack, rows, q, [group[k][0] for k in rows.tolist()]))
     for stack, rows, q, ids in started:
         keep = [j for j, done in enumerate(brackets.done(ids)) if not done]
-        if keep:
-            _lockstep(stack, rows[keep], q[keep], [ids[j] for j in keep], tab.hy, brackets)
+        if len(keep) < len(ids):  # with every row open, no copies
+            rows, q, ids = rows[keep], q[keep], [ids[j] for j in keep]
+        if ids:
+            _lockstep(stack, rows, q, ids, tab.hy, brackets)
     return [(u, min(l, u)) for l, u in zip(brackets.lower, brackets.upper)]
 
 

@@ -82,6 +82,28 @@ def test_bipartition_values_lie_between_their_part_bounds(monkeypatch, corpus):
             assert max(mis) - 1e-12 <= value <= sum(mis)
 
 
+@pytest.mark.parametrize("n, alphabet, zeros, seeds", [
+    (3, 2, 0.0, 15), (3, 2, 0.3, 15), (4, 2, 0.0, 10), (3, 3, 0.0, 10), (3, 3, 0.2, 15),
+    (2, 3, 0.3, 15),
+])
+def test_single_measures_match_the_full_report(n, alphabet, zeros, seeds):
+    # Each measure asked for alone solves only its own scan's families, in a
+    # stack of its own, so it may differ from the report's field in the last
+    # bits (the stack's padded null width shapes the rounding); its witness
+    # is the report's.
+    for seed in range(seeds):
+        d = make_random(seed, n, alphabet, zeros)
+        report = full_report(d)
+        value, bipartition = ibdp(d)
+        assert value == pytest.approx(report.ibdp, abs=1e-12), seed
+        assert bipartition == report.witness_bipartition, seed
+        value, pair = ib2p(d)
+        assert value == pytest.approx(report.ib2p, abs=1e-12), seed
+        assert pair == report.witness_almost_pair, seed
+        assert ibe(d) == pytest.approx(report.ibe, abs=1e-12), seed
+        assert ibap(d) == pytest.approx(report.ibap, abs=1e-12), seed
+
+
 def test_parity_utterly_irreducible(parity):
     rep = full_report(parity, MINSYN)
     assert all(math.isclose(v, 1.0, abs_tol=1e-7) for v in rep.values())

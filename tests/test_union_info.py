@@ -1175,6 +1175,35 @@ def test_vectorized_build_matches_loops(corpus):
         assert sigma == pytest.approx(values[np.linalg.matrix_rank(a_loop) - 1], rel=1e-12)
 
 
+def test_part_entropies_are_summed_as_each_part_alone():
+    # Each part's entropy is its own positive masses' sum, in their order,
+    # to the bit: numpy sums fewer than 8 values in a row and 8 or more
+    # pairwise, so segments of both lengths are checked, with zero masses
+    # among and between them.
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        sizes = rng.integers(1, 24, size=rng.integers(1, 7))
+        v = rng.random(sizes.sum()) ** 3
+        v[rng.random(v.size) < 0.3] = 0.0
+        v[np.cumsum(sizes) - 1] += 1e-3  # every part keeps a positive mass
+        part = np.repeat(np.arange(sizes.size), sizes)
+        expected = [union_info._neg_plogp(v[part == j]) for j in range(sizes.size)]
+        assert union_info._entropies(v, part) == expected
+    # The solver's own layouts: every part's joint and alone entropies.
+    for d in [make_random(400), make_random(0, 4, 2, 0.3), make_random(1, 3, 3, 0.2)]:
+        tab = union_info._Tables(d)
+        layout, mass, _, mi = tab.masses([f.parts for f in _report_families(d.n_predictors)])
+        joint, parts = mass[:-1], len(layout.parts)
+        alone = np.bincount(layout.alone, joint)
+        part = layout.joint_part
+        alone_part = layout.entropy_part[joint.size:] - parts
+        assert mi == [
+            union_info._neg_plogp(alone[alone_part == j]) + tab.hy
+            - union_info._neg_plogp(joint[part == j])
+            for j in range(parts)
+        ]
+
+
 def test_tables_follow_target_and_constant_target():
     d = make_random(7, n_predictors=2)
     retargeted = JointDistribution(d.variables, d.pmf, target="X1")
