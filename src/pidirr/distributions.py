@@ -31,6 +31,9 @@ MASS_FLOOR = 1e-15
 #: Accepted deviation of the raw probability column from 1 before normalizing.
 RAW_SUM_SLACK = 1e-6
 
+#: The default target, the last variable: an object no variable name equals.
+_LAST = object()
+
 
 class DistributionError(ValueError):
     """A pmf or distribution file violates the format contract."""
@@ -181,7 +184,7 @@ class JointDistribution(_Value):
         self,
         variables: Sequence[str],
         outcomes: Mapping[tuple, float] | Iterable[tuple[tuple, float]],
-        target: str | None = "__last__",
+        target: str | None = _LAST,
     ):
         variables = tuple(str(v) for v in variables)
         if len(set(variables)) != len(variables):
@@ -217,7 +220,7 @@ class JointDistribution(_Value):
         if not pmf:
             raise DistributionError("distribution has empty support")
 
-        if target == "__last__":
+        if target is _LAST:
             target = variables[-1]
         if target is not None and target not in variables:
             raise DistributionError(f"target {target!r} not among variables {variables}")
@@ -438,7 +441,7 @@ def parse_distribution(text: str) -> JointDistribution:
         raise DistributionError("no outcome rows")
     if target is not None and target not in variables:
         raise DistributionError(f"target {target!r} not among variables {variables}")
-    return JointDistribution(variables, rows, target=target or "__last__")
+    return JointDistribution(variables, rows, target=_LAST if target is None else target)
 
 
 def random_distribution(

@@ -340,11 +340,11 @@ class _Structure:
     constraints per part (``A[k]``, ``blocks[k]``; ``m[k]`` in all), one per
     part-target tuple of the cells in sorted order: those of positive mass,
     as each holds a base-support cell, live and in every face.  ``bidx[k]``
-    gathers their masses from the layout's vector, zero-padded.  ``slot[k,
-    j, c]`` is the constraint of block j holding cell c in the flat stack of
-    those; a row with fewer parts repeats its last block (``real`` marks the
-    others), which a sweep has just fitted; ``sweep[j]`` is block j's
-    ``slot[:, j]``, contiguous.
+    gathers their masses from the layout's vector, zero-padded.  ``sweep[j,
+    k, c]`` is the constraint of row k's block j holding cell c in the flat
+    stack of those, block by block as :func:`_ipf_sweep` reads them; a row
+    with fewer parts repeats its last block (``real`` marks the others),
+    which a sweep has just fitted.
     ``xidx`` numbers each cell's x-group among ``nx[k]``.  ``basis[k]``,
     zero-padded from ``width[k]`` columns, spans the null space of ``A[k]``
     alone, by one SVD (counting singular values above ``s[0] *
@@ -364,10 +364,9 @@ class _Structure:
             *(_block(layout, *row) for row in rows))
         self.m, self.width = [g.size for g in gathers], [b.shape[1] for b in bases]
         width, depth, r, nx = max(self.m), max(map(len, slots)), max(self.width), max(self.nx)
-        self.slot = np.array([[sl[min(j, len(sl) - 1)] for j in range(depth)] for sl in slots])
-        self.slot += width * np.arange(k)[:, None, None]
-        self.sweep = np.ascontiguousarray(self.slot.transpose(1, 0, 2))
-        self.real = 1.0 * (np.arange(depth)[:, None] < np.array([[[len(b)]] for b in self.blocks]))
+        self.sweep = np.array([[sl[min(j, len(sl) - 1)] for sl in slots] for j in range(depth)])
+        self.sweep += width * np.arange(k)[:, None]
+        self.real = 1.0 * (np.arange(depth)[:, None, None] < [[len(b)] for b in self.blocks])
         self.bidx = np.full((k, width), layout.joint_part.size)  # the closing zero
         self.basis, self.xidx = np.zeros((k, n, r)), np.array(xidx)
         for row, (gather, basis) in enumerate(zip(gathers, bases)):
@@ -384,7 +383,7 @@ class _Structure:
 
     def misfit(self, v: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``A v - b`` per row, for stacks ``v`` and ``b`` as :class:`_Stack` holds them."""
-        fit = np.bincount(self.slot.ravel(), (v[:, None, :] * self.real).ravel(), b.size)
+        fit = np.bincount(self.sweep.ravel(), (v * self.real).ravel(), b.size)
         return fit.reshape(b.shape) - b
 
 
@@ -393,13 +392,10 @@ class _Stack:
     on the cells of the mask ``live``) over one distribution: its cached
     :class:`_Structure`, keyed on exactly these rows; each row's base pmf
     ``x0`` and masses ``b`` from ``mass``, which the base pmf must meet at
-    every constraint.  Row k of each is the k-th of ``group``.  ``start`` is
-    what :func:`_starts` leaves for :func:`_lockstep` when it starts every
-    row: the starts, and at them the gradient, x-group masses and values;
-    else None."""
+    every constraint.  Row k of each is the k-th of ``group``."""
 
     def __init__(self, tab: _Tables, layout: _Layout, mass: np.ndarray, group: Sequence[tuple]):
-        self.group, self.start = group, None
+        self.group = group
         s = self.structure = _structures.get(
             (layout.key, tuple((i, live.tobytes()) for i, live, _ in group)),
             lambda: _Structure(layout, [(i, np.flatnonzero(live)) for i, live, _ in group]))
@@ -578,7 +574,10 @@ class _Brackets:
 def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, list]):
     """Start every row of a live-cell group of rows ``(i, live, inner)`` in
     one pass, by the rule of the module docstring; return the indices of the
-    rows started, and their starts.  ``i`` indexes ``brackets``; ``inner`` is
+    rows started, and their starts ``(q, grad, qx, f)``: the points, and at
+    them the gradient ``ln q(y|x)``, the x-group masses (as
+    :func:`_gradient` gives them) and the values ``-H(Y|X)`` in nats, a
+    list.  ``i`` indexes ``brackets``; ``inner`` is
     the support LP's point, or None.  A family with no free direction is done
     there, at the whole's mutual information.  A face smaller than the live
     cells joins ``groups`` at its size, not yet set up, with the LP's point,
@@ -596,7 +595,7 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
     if zero.any():  # the face proof, on rows with a zero in the base pmf
         low = np.where(zero, q, np.inf).min(axis=1)
         # rounding: at most cells * eps * |q|_1 per block
-        rounding = s.slot[0].size * np.finfo(float).eps * np.abs(q).sum(axis=1)
+        rounding = s.sweep[:, 0].size * np.finfo(float).eps * np.abs(q).sum(axis=1)
         bound = (np.linalg.norm(s.misfit(q, stack.b), axis=1) + rounding) / s.sigma
         unproven = ((low < np.inf) & (low <= bound)).tolist()
     keep = []
@@ -627,21 +626,19 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
     v, nx, every = q[:, :, None], max(s.nx), len(keep) == len(ids)
     grad, qx = _gradient(v, s.gidx if every else _group_index(s.xidx[keep], nx), nx)
     f = (v.transpose(0, 2, 1) @ grad).ravel().tolist()  # -H(Y|X), nats
-    if every:
-        stack.start = q, grad, qx, f
     for k, fk in zip(keep, f):
         brackets.upper[ids[k]] = min(brackets.upper[ids[k]], tab.hy + fk / _LN2)
-    return keep, q
+    return keep, (q, grad, qx, f)
 
 
 def _lockstep(
-    stack: _Stack, rows: np.ndarray, q: np.ndarray, ids: list[int], hy: float, brackets: _Brackets
+    stack: _Stack, rows: np.ndarray, start: tuple, ids: list[int], hy: float, brackets: _Brackets
 ) -> None:
     """Damped Newton steps on rows ``rows`` of ``stack`` at once, from their
-    starts ``q``, until ``brackets`` has each row done; ``ids`` are the rows'
-    families in ``brackets``, and ``hy`` is ``H(Y)`` in bits.  Every row of
-    the stack, from the starts :func:`_starts` left, takes its gradient and
-    values there from ``stack.start``.
+    starts ``start``, as :func:`_starts` returns them for these rows, until
+    ``brackets`` has each row done; ``ids`` are the rows' families in
+    ``brackets``, and ``hy`` is ``H(Y)`` in bits.  The starts' x-group
+    masses are cut to the rows' widest x-group count.
 
     A step builds each row's Newton system at its point, whose dual bound
     goes to the row's bracket, and searches the line from 0.9 of the
@@ -673,11 +670,12 @@ def _lockstep(
     and the arguments of the verdict); a bracket entry is written only when
     it tightens."""
     s, lower, upper = stack.structure, brackets.lower, brackets.upper
-    start = stack.start if stack.start is not None and stack.start[0] is q else None
+    q, grad, qx, f = start
     q = q[:, :, None]
     k, n, _ = q.shape
     picked = rows.tolist()
     r, nx = max([s.width[j] for j in picked]), max([s.nx[j] for j in picked])
+    qx = qx[:, :nx]
     reindex = n * r * r >= _SMALL_STACK
     at = slice(None) if len(rows) == len(stack.group) else rows  # every row: views, not copies
     basis, group_basis = s.basis[at, :, :r], s.group_basis[at, :nx, :r]
@@ -688,11 +686,6 @@ def _lockstep(
     # A centred gap is below cells * mu: mu ends at a tenth of the stop gap over
     # the cells, leaving room for rounding.
     mu_end = 0.1 * (0.1 * brackets.tolerance * _LN2) / n
-    if start is not None:  # every row of the stack, at its start
-        _, grad, qx, f = start
-    else:
-        grad, qx = _gradient(q, gidx, nx)
-        f = (q.transpose(0, 2, 1) @ grad).ravel().tolist()
     rounding = n * np.finfo(float).eps / _LN2  # times -f: a value's rounding, in bits
     # Each row's lower end, its part-MI bound so far, in f's terms: every
     # feasible q has H(Y) = hy.
@@ -845,14 +838,16 @@ def _min_synergy_brackets(
         group = [row for row, done in zip(group, verdicts) if not done]
         if group:
             stack = _Stack(tab, layout, mass, group)
-            rows, q = _starts(tab, stack, brackets, groups)
-            started.append((stack, rows, q, [group[k][0] for k in rows.tolist()]))
-    for stack, rows, q, ids in started:
+            rows, start = _starts(tab, stack, brackets, groups)
+            started.append((stack, rows, start, [group[k][0] for k in rows.tolist()]))
+    for stack, rows, start, ids in started:
         keep = [j for j, done in enumerate(brackets.done(ids)) if not done]
         if len(keep) < len(ids):  # with every row open, no copies
-            rows, q, ids = rows[keep], q[keep], [ids[j] for j in keep]
+            q, grad, qx, f = start
+            rows, ids = rows[keep], [ids[j] for j in keep]
+            start = q[keep], grad[keep], qx[keep], [f[j] for j in keep]
         if ids:
-            _lockstep(stack, rows, q, ids, tab.hy, brackets)
+            _lockstep(stack, rows, start, ids, tab.hy, brackets)
     return [(u, min(l, u)) for l, u in zip(brackets.lower, brackets.upper)]
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import pidirr
-from pidirr.cli import build_parser, main, render_json
+from pidirr.cli import _fmt_float, build_parser, main, render_json
 from pidirr.corpus import EXAMPLE_NAMES, load_example
+from pidirr.distributions import JointDistribution
 
 from conftest import fail_support_lp, make_random, unordered_unions, zero_starts
 
@@ -508,6 +510,44 @@ def test_render_json_stability():
     text = render_json({"a": 1.0, "b": [1, 2.5], "c": {"d": True, "e": None}})
     assert json.loads(text) == {"a": 1.0, "b": [1, 2.5], "c": {"d": True, "e": None}}
     assert render_json(-1e-13) == "0.000000000"  # negative zero normalized
+    assert render_json({}) == "{}" and render_json([]) == "[]" and render_json(()) == "[]"
+    assert json.loads(render_json({"a": {}, "b": []})) == {"a": {}, "b": []}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_render_refuses_a_non_finite_value(value):
+    with pytest.raises(ValueError, match="refusing to emit non-finite value"):
+        _fmt_float(value)
+    with pytest.raises(ValueError, match="refusing to emit non-finite value"):
+        render_json({"whole_mi": value})
+
+
+def test_compute_json_escapes_quotes_backslashes_and_control_characters(tmp_path, capsys):
+    names = ('X"1', "X\\2", "Y\x01")
+    xor = load_example("xor").distribution
+    path = tmp_path / "named.tsv"
+    path.write_text(JointDistribution(names, xor.pmf).to_tsv(), encoding="utf-8")
+    code, out, _ = run(["compute", "--input", str(path)], capsys)
+    assert code == 0
+    assert '"X\\"1"' in out and '"X\\\\2"' in out and '"Y\\u0001"' in out
+    payload = json.loads(out)
+    assert payload["settings"]["target"] == "Y\x01"
+    assert payload["witnesses"]["ibdp_bipartition"] == [['X"1'], ["X\\2"]]
+
+
+def test_compute_target_named_like_the_old_default_sentinel(tmp_path, capsys):
+    # "--target __last__" names a variable, never "the last variable".
+    path = tmp_path / "last.tsv"
+    text = load_example("xor").distribution.to_tsv()
+    path.write_text(text.replace("# vars: X1 X2 Y", "# vars: X1 __last__ Y"), encoding="utf-8")
+    code, out, _ = run(["compute", "--input", str(path), "--target", "__last__"], capsys)
+    assert code == 0
+    assert json.loads(out)["settings"]["target"] == "__last__"
+    code, out, _ = run(["compute", "--input", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["settings"]["target"] == "Y"
+    code, _, err = run(["compute", "--input", str(path), "--target", "__first__"], capsys)
+    assert code == 1 and "target '__first__' not among variables" in err
 
 
 def run_python(*argv):

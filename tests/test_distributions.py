@@ -77,6 +77,54 @@ def test_parse_rejects_bad_input(text):
         parse_distribution(text)
 
 
+def test_no_variable_name_stands_for_the_default_target():
+    # The default target, the last variable, is a private object, so a
+    # variable named "__last__" is a target like any other.
+    outcomes = {("0", "0", "0"): 0.5, ("1", "1", "1"): 0.5}
+    names = ("__last__", "A", "B")
+    assert JointDistribution(names, outcomes, target="__last__").target == "__last__"
+    assert JointDistribution(names, outcomes).target == "B"
+    text = "# vars: __last__ A B  target: __last__\n0\t0\t0\t0.5\n1\t1\t1\t0.5\n"
+    assert parse_distribution(text).target == "__last__"
+    assert parse_distribution(text.replace("  target: __last__", "")).target == "B"
+    with pytest.raises(DistributionError, match="target '__last__' not among variables"):
+        JointDistribution(("A", "B"), {("0", "0"): 1.0}, target="__last__")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: VariableSelector([0, -1]), "negative variable position in"),
+        (lambda: JointDistribution(("A", "A"), {("0", "0"): 1.0}), "duplicate variable names"),
+        (lambda: JointDistribution((), {(): 1.0}), "needs at least one variable"),
+        (lambda: JointDistribution(("A", "B"), {("0",): 1.0}), "has arity 1, expected 2"),
+        (lambda: JointDistribution(("A", "B"), {("0", "0"): 1.0}, target="C"),
+         "target 'C' not among variables"),
+        (lambda: parse_distribution("# vars:\n0\t1.0\n"), "line 1: empty variable list"),
+        (lambda: parse_distribution("# vars:  target: A\n"), "line 1: empty variable list"),
+        (lambda: parse_distribution("# a comment\n\n"), "missing '# vars:' header line"),
+        (lambda: parse_distribution(""), "missing '# vars:' header line"),
+        (lambda: parse_distribution("# vars: A B\n# no rows\n"), "no outcome rows"),
+    ],
+)
+def test_malformed_input_is_a_distribution_error_that_names_it(build, message):
+    with pytest.raises(DistributionError, match=re.escape(message)):
+        build()
+
+
+def test_a_query_outside_the_variables_is_a_distribution_error(xor):
+    with pytest.raises(DistributionError, match=re.escape("selector (0, 3) out of range for 3")):
+        VariableSelector([0, 3]).validate(xor)
+    with pytest.raises(DistributionError, match=re.escape("unknown variable in ('X1', 'Z')")):
+        xor.selector("X1", "Z")
+
+
+def test_random_distribution_keeps_one_outcome_when_every_one_is_knocked_out():
+    d = make_random(0, n_predictors=2, zero_fraction=1.0)
+    assert list(d.pmf.values()) == [1.0]
+    assert d.variables == ("X1", "X2", "Y")
+
+
 def test_parse_accepts_slack_then_normalizes():
     d = parse_distribution("# vars: A B\n0\t0\t0.5000001\n1\t1\t0.5\n")
     assert math.isclose(sum(d.pmf.values()), 1.0, abs_tol=1e-12)

@@ -323,8 +323,8 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
     calls = []
     lockstep, solve = union_info._lockstep, union_info._min_synergy_brackets
 
-    def recording_lockstep(stack, rows, q, ids, hy, brackets):
-        lockstep(stack, rows, q, ids, hy, brackets)
+    def recording_lockstep(stack, rows, start, ids, hy, brackets):
+        lockstep(stack, rows, start, ids, hy, brackets)
         calls[-1]["newton"].update(ids)
 
     def recording_solve(tab, families, m, scans=()):
@@ -364,13 +364,13 @@ def test_a_later_group_meets_the_certified_bounds_of_earlier_ones(monkeypatch):
     starts, lockstep = union_info._starts, union_info._lockstep
 
     def recording_starts(tab, stack, brackets, groups):
-        rows, q = starts(tab, stack, brackets, groups)
+        rows, start = starts(tab, stack, brackets, groups)
         started.append([stack.group[k][0] for k in rows])
-        return rows, q
+        return rows, start
 
-    def recording_lockstep(stack, rows, q, ids, hy, brackets):
+    def recording_lockstep(stack, rows, start, ids, hy, brackets):
         stepped.append(list(ids))
-        lockstep(stack, rows, q, ids, hy, brackets)
+        lockstep(stack, rows, start, ids, hy, brackets)
 
     d = make_random(11, 3, 2, 0.3)
     expected = _report_every_family_solved(monkeypatch, d, UnionMeasure())

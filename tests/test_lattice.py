@@ -103,6 +103,14 @@ def test_labeling_must_cover_support(xor):
         DerivedVariable(xor, [0, 1])
 
 
+def test_relabeling_must_permute_the_labels(xor):
+    u = from_selector(xor, xor.selector("X1"))
+    assert u.relabeled([1, 0]).n_labels == 2
+    for permutation in ([0, 0], [0, 1, 2], [1, 2]):
+        with pytest.raises(ValueError, match=r"relabeling must permute 0\.\.n_labels-1"):
+            u.relabeled(permutation)
+
+
 @given(st.integers(min_value=0, max_value=5_000))
 def test_order_entropy_coherence(seed):
     rng = np.random.default_rng(seed)

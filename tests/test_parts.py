@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -111,6 +112,19 @@ def test_guards():
     with pytest.raises(ValueError):
         PartSpec((0, 1)).validate(2)  # not a proper subset
     PartSpec((0, 1)).validate(2, allow_full=True)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PartSpec((0, -1)), "negative predictor index in (-1, 0)"),
+        (lambda: PartitionSpec((PartSpec((1,)), PartSpec((2,)))),
+         "blocks do not cover a full index range"),
+    ],
+)
+def test_malformed_parts_name_their_fault(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_family_canonical_order():

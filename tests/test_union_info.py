@@ -47,11 +47,11 @@ def _set_up(d, families):
     x-groups; and each family's ``(value, lower)`` bracket at its start."""
     batches = []
 
-    def recording_lockstep(stack, rows, q, ids, hy, brackets):
+    def recording_lockstep(stack, rows, start, ids, hy, brackets):
         s = stack.structure
         batches.append([
             (i, s.cells[k], qk, s.basis[k, :, : s.width[k]], s.xidx[k])
-            for i, k, qk in zip(ids, rows, q)
+            for i, k, qk in zip(ids, rows, start[0])
         ])
 
     with pytest.MonkeyPatch.context() as patch:
@@ -198,9 +198,9 @@ def test_unclosed_gap_in_a_batch_is_a_typed_error(monkeypatch):
     stepping = []
     lockstep = union_info._lockstep
 
-    def recording_lockstep(stack, rows, q, ids, hy, brackets):
+    def recording_lockstep(stack, rows, start, ids, hy, brackets):
         try:
-            lockstep(stack, rows, q, ids, hy, brackets)
+            lockstep(stack, rows, start, ids, hy, brackets)
         except UnionConvergenceError:
             stepping.extend(
                 (brackets.upper[i] - brackets.lower[i], brackets.upper[i])
@@ -862,16 +862,16 @@ def _checked_report(monkeypatch, small_stack, d):
                 finished[i] = None
         return verdicts
 
-    def checked_lockstep(stack, rows, q, ids, hy, brackets_):
+    def checked_lockstep(stack, rows, start, ids, hy, brackets_):
         nonlocal call
         width = max(stack.structure.width[k] for k in rows.tolist())
         writes = []
         brackets_.lower = _WriteLog(brackets_.lower, writes)
         brackets_.upper = _WriteLog(brackets_.upper, writes)
-        call = {"rows": list(ids), "keeps": q.shape[1] * width**2 < small_stack,
+        call = {"rows": list(ids), "keeps": start[0].shape[1] * width**2 < small_stack,
                 "finished": {}, "writes": writes}
         try:
-            lockstep(stack, rows, q, ids, hy, brackets_)
+            lockstep(stack, rows, start, ids, hy, brackets_)
         finally:
             brackets_.lower, brackets_.upper = list(brackets_.lower), list(brackets_.upper)
             call = None
@@ -906,6 +906,21 @@ def test_rows_done_leave_or_stay_in_their_stack_with_the_same_bits(monkeypatch):
         assert reindexed == sized == everywhere
         kept += rows_kept
     assert kept > 0
+
+
+def test_a_familys_bracket_does_not_depend_on_the_order_of_the_families():
+    # Every stacked operation is per row, and reversing the families keeps
+    # each live-cell group's rows and so its padded widths: each family's
+    # (value, lower) is the same bits in either order.
+    inputs = [make_random(seed, 3) for seed in range(400, 410)]
+    inputs += [make_random(seed, 3, 2, 0.3) for seed in range(10)]
+    inputs += [make_random(seed, 4, 2, z) for z in (0.0, 0.3) for seed in range(5)]
+    inputs += [make_random(seed, 3, 3) for seed in range(3)]
+    for d in inputs:
+        families = [f.parts for f in _report_families(d.n_predictors)]
+        forward = _brackets(d, families, MINSYN)
+        backward = _brackets(d, families[::-1], MINSYN)[::-1]
+        assert repr(forward) == repr(backward), d
 
 
 def test_a_stalled_row_with_an_open_gap_is_a_typed_error():
@@ -1251,9 +1266,9 @@ def test_stacked_rows_match_their_families_alone(corpus):
                 m, blocks = alone.m[0], len(parts)
                 assert [product_cells[c] for c in live] == poly.cells
                 assert (group.A[k] == alone.A[0]).all() and (poly.A == alone.A[0]).all()
-                assert (group.slot[k, :blocks] == alone.slot[0, :blocks] + width * k).all()
+                assert (group.sweep[:blocks, k] == alone.sweep[:blocks, 0] + width * k).all()
                 # A row with fewer parts repeats its last block.
-                assert (group.slot[k, blocks:] == group.slot[k, blocks - 1]).all()
+                assert (group.sweep[blocks:, k] == group.sweep[blocks - 1, k]).all()
                 assert (stack.b[k, :m] == poly.b).all() and not stack.b[k, m:].any()
                 assert (stack.x0[k] == poly.x0).all()
                 assert (group.xidx[k] == alone.xidx[0]).all()
@@ -1367,9 +1382,9 @@ def test_each_group_is_cached_under_the_rows_it_builds(monkeypatch):
     starts, structure = union_info._starts, union_info._Structure
 
     def recording_starts(tab, stack, brackets, groups):
-        rows, q = starts(tab, stack, brackets, groups)
+        rows, start = starts(tab, stack, brackets, groups)
         started.append(len(rows))
-        return rows, q
+        return rows, start
 
     def counting_structure(*args):
         builds.append(args)
@@ -1410,7 +1425,7 @@ def test_structure_depends_on_shape_and_cells_alone():
             layout, mass, live_e, _ = tab_e.masses([fam.parts])
             fresh = union_info._Stack(tab_e, layout, mass, [(0, live_e[0], None)]).structure
             assert fresh is not built
-            assert (fresh.A[0] == built.A[0]).all() and (fresh.slot == built.slot).all()
+            assert (fresh.A[0] == built.A[0]).all() and (fresh.sweep == built.sweep).all()
             assert (fresh.xidx == built.xidx).all() and fresh.nx == built.nx
             assert fresh.blocks == built.blocks
             projector = built.basis[0] @ built.basis[0].T
