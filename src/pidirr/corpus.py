@@ -35,7 +35,7 @@ from itertools import product
 from typing import Sequence
 
 from .distributions import JointDistribution, _Value
-from .irreducibility import _scan_table, full_report
+from .irreducibility import _MEASURES, _scan_plan, full_report
 from .union_info import UnionMeasure
 
 __all__ = [
@@ -230,11 +230,11 @@ def xor_circuit(n: int, edges: Sequence[Sequence[int]]) -> NamedExample:
         rows.append((tuple(inputs) + (target,), 0.5 ** len(slots)))
     distribution = JointDistribution([f"X{i + 1}" for i in range(n)] + ["Y"], rows)
 
-    families, table = _scan_table(n)
+    families, scans, _ = _scan_plan(n, _MEASURES)
     unions = [float(sum(any(set(e) <= set(p.member_indices) for p in parts) for e in edges))
               for parts in families]
     whole = float(len(edges))
-    profile = [whole - max(unions[i] for i in scan) for _, scan in table.values()]
+    profile = [whole - max(unions[i] for i in scan) for scan in scans]
     name = "xor_circuit(" + ", ".join("".join(str(i + 1) for i in e) for e in edges) + ")"
     return NamedExample(name, distribution, (whole, *profile))
 
@@ -271,12 +271,8 @@ class CorpusVerification(_Value):
             "all_ok": self.all_ok,
             "rows": {
                 r.name: {
-                    "got": dict(
-                        zip(("whole_mi", "ibe", "ibdp", "ib2p", "ibap"), r.report.values())
-                    ),
-                    "expected": dict(
-                        zip(("whole_mi", "ibe", "ibdp", "ib2p", "ibap"), r.expected)
-                    ),
+                    "got": dict(zip(("whole_mi", *_MEASURES), r.report.values())),
+                    "expected": dict(zip(("whole_mi", *_MEASURES), r.expected)),
                     "max_abs_error": r.max_abs_error,
                     "ok": r.ok(self.tolerance),
                 }

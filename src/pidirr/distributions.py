@@ -439,8 +439,6 @@ def parse_distribution(text: str) -> JointDistribution:
         raise DistributionError("missing '# vars:' header line")
     if not rows:
         raise DistributionError("no outcome rows")
-    if target is not None and target not in variables:
-        raise DistributionError(f"target {target!r} not among variables {variables}")
     return JointDistribution(variables, rows, target=_LAST if target is None else target)
 
 

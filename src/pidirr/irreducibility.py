@@ -37,8 +37,6 @@ per link; :func:`full_report` raises on any larger break.
 from __future__ import annotations
 
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from .distributions import JointDistribution, _Value
 from .parts import (
@@ -101,42 +99,30 @@ class IrreducibilityReport(_Value):
         }
 
 
+#: The four measures, weakest first, as :func:`full_report` computes them.
+_MEASURES = ("ibe", "ibdp", "ib2p", "ibap")
+
+
 @lru_cache(maxsize=16)
-def _scan_table(n: int) -> tuple[tuple, Mapping[str, tuple[tuple, tuple[int, ...]]]]:
-    """The plan of every report at ``n`` predictors: the distinct families
-    of the four scans, each a tuple of parts, in first-seen order; and each
-    measure's witnesses, in enumeration order, with the indices of the
-    families it scans into those.  Built once per ``n`` and shared, so
-    everything in it is immutable."""
-    singletons = (PartFamily(tuple(PartSpec((i,)) for i in range(n))),)
-    bipartitions = tuple(all_bipartitions(n))
-    pairs = tuple(almost_pairs(n))
-    all_almosts = (PartFamily(tuple(almosts(n))),)
-    scans = {
-        "ibe": (singletons, singletons),
-        "ibdp": (bipartitions, tuple(b.family() for b in bipartitions)),
-        "ib2p": (pairs, pairs),
-        "ibap": (all_almosts, all_almosts),
+def _scan_plan(n: int, names: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
+    """The plan of a scan of the measures ``names`` at ``n`` predictors: the
+    distinct families of the named scans, each a tuple of parts, in
+    first-seen order; each named scan's indices into them; and each named
+    measure's witnesses, in enumeration order.  Only the named scans are
+    enumerated.  Built once per ``(n, names)`` and shared, so all of it is
+    tuples; :func:`_scan` only reads it."""
+    enumerations = {
+        "ibe": lambda: (PartFamily(tuple(PartSpec((i,)) for i in range(n))),),
+        "ibdp": lambda: tuple(all_bipartitions(n)),
+        "ib2p": lambda: tuple(almost_pairs(n)),
+        "ibap": lambda: (PartFamily(tuple(almosts(n))),),
     }
-    families = tuple(dict.fromkeys(f.parts for _, scanned in scans.values() for f in scanned))
+    witnesses = tuple(enumerations[name]() for name in names)
+    scanned = [[(w.family() if isinstance(w, PartitionSpec) else w).parts for w in found]
+               for found in witnesses]
+    families = tuple(dict.fromkeys(parts for scan in scanned for parts in scan))
     index = {parts: i for i, parts in enumerate(families)}
-    return families, MappingProxyType({
-        name: (witnesses, tuple(index[f.parts] for f in scanned))
-        for name, (witnesses, scanned) in scans.items()
-    })
-
-
-@lru_cache(maxsize=16)
-def _scan_plan(n: int, names: tuple[str, ...]) -> tuple[list, list, list]:
-    """The families a scan of the measures ``names`` at ``n`` predictors asks
-    for, those of :func:`_scan_table` the named scans list, in its order; each
-    named scan's indices into them; and each measure's witnesses.  Built once
-    per ``(n, names)`` and shared; :func:`_scan` only reads it."""
-    families, table = _scan_table(n)
-    scans = [table[name][1] for name in names]
-    at = {i: k for k, i in enumerate(dict.fromkeys(i for scan in scans for i in scan))}
-    return ([families[i] for i in at], [[at[i] for i in scan] for scan in scans],
-            [table[name][0] for name in names])
+    return families, tuple(tuple(map(index.__getitem__, scan)) for scan in scanned), witnesses
 
 
 def _scan(
@@ -144,8 +130,8 @@ def _scan(
 ) -> tuple[float, list[tuple[float, PartFamily | PartitionSpec]]]:
     """The whole's mutual information and, for each named measure, its value
     and witness, from one :func:`pidirr.union_info._solve` call on the
-    families of the named scans in :func:`_scan_table`'s order (all of them,
-    for a full report).
+    families of the named scans, in the order of their :func:`_scan_plan`
+    (all four scans', for a full report).
 
     A measure's witnesses are its families in enumeration order: the
     singletons, the bipartitions, the Almost pairs or the Almosts.  The
@@ -209,7 +195,7 @@ def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> Irreduci
     certified union values cannot do.
     """
     m = m or UnionMeasure()
-    whole, results = _scan(d, m, "ibe", "ibdp", "ib2p", "ibap")
+    whole, results = _scan(d, m, *_MEASURES)
     (v_ibe, _), (v_ibdp, bipartition), (v_ib2p, pair), (v_ibap, _) = results
 
     chain = [("ibap", v_ibap), ("ib2p", v_ib2p), ("ibdp", v_ibdp), ("ibe", v_ibe), ("whole_mi", whole)]

@@ -56,6 +56,8 @@ largest feasible support and a positive point on it, and the start is pulled
 from that point instead.  When the support is smaller than the live cells,
 the solver works on it alone (facial reduction): the family is set up again
 on those cells, like any other, with the LP's point as the start's origin.
+The base pmf is feasible, so its support lies inside the largest one; an LP
+answer that misses one of its cells is a failed LP, and raises as one.
 
 Where a call's part marginals lie in one flat vector (:class:`_Layout`),
 and the polytopes of the families of one live-cell group but for the
@@ -581,7 +583,8 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
     the support LP's point, or None.  A family with no free direction is done
     there, at the whole's mutual information.  A face smaller than the live
     cells joins ``groups`` at its size, not yet set up, with the LP's point,
-    the start's origin, and no further proof.  Whether a started row is
+    the start's origin, and no further proof; one that misses a cell of the
+    base support raises.  Whether a started row is
     done is checked before the steps, once every group's start is known."""
     s, x0 = stack.structure, stack.x0
     ids, inner = [row[0] for row in stack.group], [row[2] for row in stack.group]
@@ -605,6 +608,9 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
             continue
         if unproven[k] and inner[k] is None:
             face, inner[k] = _maximal_support(s.A[k], stack.b[k, : s.m[k]])
+            if not face[x0[k] > 0.0].all():  # the base pmf is feasible: its support is in the face
+                raise UnionConvergenceError("maximal-support LP failed: its face misses the "
+                                            "base support", math.inf, math.inf)
             if not face.all():
                 live = np.isin(np.arange(tab.pmf.size), s.cells[k, face])
                 groups.setdefault(int(face.sum()), []).append((i, live, inner[k]))

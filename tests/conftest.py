@@ -1,3 +1,4 @@
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from pidirr import irreducibility, union_info
-from pidirr.distributions import random_distribution
+from pidirr.distributions import JointDistribution, random_distribution
 from pidirr.corpus import EXAMPLE_NAMES, load_example
 
 settings.register_profile(
@@ -55,6 +56,15 @@ def make_random(seed: int, n_predictors: int = 3, alphabet_size: int = 2, zero_f
         alphabet_size=alphabet_size,
         zero_fraction=zero_fraction,
     )
+
+
+def make_sparse(seed: int):
+    """X1 X2 X3 Y over alphabets of 2, 3, 3 and 3 symbols, with Dirichlet(0.1)
+    masses over the cells in product order: the smallest masses lie many
+    orders below the rest."""
+    cells = list(product("01", "012", "012", "012"))
+    masses = np.random.default_rng(seed).dirichlet([0.1] * len(cells))
+    return JointDistribution(("X1", "X2", "X3", "Y"), list(zip(cells, masses)))
 
 
 def fail_support_lp(monkeypatch):

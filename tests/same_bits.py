@@ -13,11 +13,15 @@ error, its value and gap; any other error stops the script.  The classes:
 * ``random``: 88 inputs, n = 3 binary seeds 0-29, n = 4 binary seeds 0-7
   and n = 3 ternary seeds 0-5, each at zero fractions 0 and 0.3;
 * ``tol 1e-10``, ``tol 1e-12``, ``tol 1e-20``: n = 3 binary seeds 400-411
-  at each of those tolerances (bits).
+  at each of those tolerances (bits);
+* ``sparse``: X1 X2 X3 Y over alphabets of 2, 3, 3 and 3 symbols, with
+  Dirichlet(0.1) masses over the cells in product order, seeds 0-29: mixed
+  alphabets, masses many orders apart, and typed errors from the support LP
+  and the barrier.
 
 A claim that a change keeps every report's bits is one diff of this
 script's output before and after it.  Run it from the repository root, at
-one BLAS thread (about a second on one core)::
+one BLAS thread (about two seconds on one core)::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/same_bits.py
 
@@ -26,18 +30,25 @@ The name has no ``test_`` prefix, so pytest does not collect it.
 
 import hashlib
 import sys
+from itertools import product
 
 import numpy as np
 
 from pidirr import union_info
 from pidirr.corpus import EXAMPLE_NAMES, load_example
-from pidirr.distributions import random_distribution
+from pidirr.distributions import JointDistribution, random_distribution
 from pidirr.irreducibility import OrderingViolationError, full_report
 from pidirr.union_info import UnionConvergenceError, UnionMeasure
 
 
 def make_random(seed, n=3, alphabet=2, zeros=0.0):
     return random_distribution(np.random.default_rng(seed), n, alphabet, zeros)
+
+
+def make_sparse(seed):
+    cells = list(product("01", "012", "012", "012"))
+    masses = np.random.default_rng(seed).dirichlet([0.1] * len(cells))
+    return JointDistribution(("X1", "X2", "X3", "Y"), list(zip(cells, masses)))
 
 
 def classes():
@@ -57,6 +68,7 @@ def classes():
     for tolerance in (1e-10, 1e-12, 1e-20):
         yield (f"tol {tolerance:g}", UnionMeasure(tolerance=tolerance),
                [make_random(seed) for seed in range(400, 412)])
+    yield "sparse", default, [make_sparse(seed) for seed in range(30)]
 
 
 def main() -> int:

@@ -14,7 +14,7 @@ from pidirr.cli import _fmt_float, build_parser, main, render_json
 from pidirr.corpus import EXAMPLE_NAMES, load_example
 from pidirr.distributions import JointDistribution
 
-from conftest import fail_support_lp, make_random, unordered_unions, zero_starts
+from conftest import fail_support_lp, make_random, make_sparse, unordered_unions, zero_starts
 
 
 @pytest.fixture()
@@ -161,6 +161,16 @@ def test_compute_solver_failure_is_domain_error(monkeypatch, tmp_path, capsys, f
     code, out, err = run(["compute", "--input", str(path)], capsys)
     assert code == 1 and not out
     assert err.startswith("error: ") and message in err
+
+
+def test_compute_on_a_support_lp_face_that_misses_the_base_support(tmp_path, capsys):
+    # With scipy 1.17's HiGHS this input's support LP reports success with an
+    # empty face, which is a failed LP: an error line, not a traceback.
+    path = tmp_path / "sparse.tsv"
+    path.write_text(make_sparse(25).to_tsv(), encoding="utf-8")
+    code, out, err = run(["compute", "--input", str(path)], capsys)
+    assert code == 1 and not out
+    assert err.startswith("error: maximal-support LP") and "Traceback" not in err
 
 
 def test_unknown_subcommand(capsys):

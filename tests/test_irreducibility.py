@@ -292,11 +292,12 @@ def test_witnesses_are_the_earliest_of_their_tie_class(monkeypatch, corpus, shif
     solve = union_info._solve
     for name, example in corpus.items():
         d = example.distribution
-        families, table = irreducibility._scan_table(d.n_predictors)
+        families, ids, witnesses = irreducibility._scan_plan(
+            d.n_predictors, irreducibility._MEASURES)
         seen = []
 
         def shifted(m, d, asked, scans):
-            assert asked == list(families)
+            assert asked == families
             whole, unions = solve(m, d, asked, scans)
             seen.append(unions)
             return whole, [v + shift(i) * 1e-15 for i, v in enumerate(unions)]
@@ -307,9 +308,9 @@ def test_witnesses_are_the_earliest_of_their_tie_class(monkeypatch, corpus, shif
             moved = full_report(d, MINSYN)
         [unions] = seen
         earliest = {}
-        for scan, (witnesses, ids) in table.items():
-            values = [unions[i] for i in ids]
-            earliest[scan] = next(w for w, v in zip(witnesses, values) if v >= max(values) - 1e-9)
+        for scan, found, at in zip(irreducibility._MEASURES, witnesses, ids):
+            values = [unions[i] for i in at]
+            earliest[scan] = next(w for w, v in zip(found, values) if v >= max(values) - 1e-9)
         assert report.witness_bipartition == earliest["ibdp"], name
         assert report.witness_almost_pair == earliest["ib2p"], name
         assert _witnesses(moved) == _witnesses(report), name
@@ -384,17 +385,18 @@ def test_a_later_group_meets_the_certified_bounds_of_earlier_ones(monkeypatch):
 
 
 def test_scan_families_are_built_once_per_n_and_shared_read_only():
-    plan = irreducibility._scan_table(4)
-    assert irreducibility._scan_table(4) is plan
-    families, table = plan
+    names = irreducibility._MEASURES
+    plan = irreducibility._scan_plan(4, names)
+    assert irreducibility._scan_plan(4, names) is plan
+    families, ids, witnesses = plan
     with pytest.raises(TypeError):
-        table["ibe"] = ((), ())
-    for witnesses, scanned in table.values():
-        assert isinstance(witnesses, tuple) and isinstance(scanned, tuple)
+        ids[0] = ()
+    for scan, found in zip(ids, witnesses):
+        assert isinstance(found, tuple) and isinstance(scan, tuple)
     # The plan's families are the four scans' distinct families in first-seen
     # order, and each scan's indices give back its enumeration.
     for n in range(2, 6):
-        families, table = irreducibility._scan_table(n)
+        families, ids, witnesses = irreducibility._scan_plan(n, names)
         scans = {
             "ibe": (PartFamily(tuple(PartSpec((i,)) for i in range(n))),),
             "ibdp": tuple(b.family() for b in all_bipartitions(n)),
@@ -403,10 +405,16 @@ def test_scan_families_are_built_once_per_n_and_shared_read_only():
         }
         assert isinstance(families, tuple) and len(set(families)) == len(families)
         assert families == tuple(dict.fromkeys(f.parts for s in scans.values() for f in s))
-        for name, scanned in scans.items():
-            assert tuple(PartFamily(families[i]) for i in table[name][1]) == scanned
-        assert table["ibdp"][0] == tuple(all_bipartitions(n))
-        assert table["ib2p"][0] == tuple(almost_pairs(n))
+        for scanned, at in zip(scans.values(), ids):
+            assert tuple(PartFamily(families[i]) for i in at) == scanned
+        assert witnesses[names.index("ibdp")] == tuple(all_bipartitions(n))
+        assert witnesses[names.index("ib2p")] == tuple(almost_pairs(n))
+        # A plan of fewer measures enumerates only their scans, in the order
+        # the names give.
+        for some in [("ib2p",), ("ibap", "ibe"), ("ibdp", "ib2p")]:
+            part, at, _ = irreducibility._scan_plan(n, some)
+            assert part == tuple(dict.fromkeys(f.parts for name in some for f in scans[name]))
+            assert [tuple(PartFamily(part[i]) for i in a) for a in at] == [scans[k] for k in some]
     # At n = 2 all four scans are one family.
-    families, table = irreducibility._scan_table(2)
-    assert len(families) == 1 and all(scan == (0,) for _, scan in table.values())
+    families, ids, _ = irreducibility._scan_plan(2, names)
+    assert len(families) == 1 and all(scan == (0,) for scan in ids)

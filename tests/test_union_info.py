@@ -25,7 +25,7 @@ from pidirr.union_info import (
     union_information,
 )
 
-from conftest import fail_support_lp, make_random, zero_starts
+from conftest import fail_support_lp, make_random, make_sparse, zero_starts
 
 MINSYN = UnionMeasure()
 MAXMI = UnionMeasure(kind=MeasureKind.MAX_SINGLE_MI)
@@ -980,6 +980,41 @@ def test_a_failed_support_lp_is_a_typed_error(monkeypatch):
     with pytest.raises(UnionConvergenceError, match="maximal-support LP failed: The problem") as err:
         full_report(make_random(2, 3, 2, 0.3))
     assert err.value.value == err.value.gap == math.inf
+
+
+def test_a_support_lp_face_that_misses_the_base_support_is_a_typed_error(monkeypatch):
+    # The base pmf is feasible, so its support lies inside the largest
+    # feasible one: a face that misses one of its cells is a failed LP, not a
+    # group to set up (an empty group has no cells to factor).
+    def empty_face(a, b):
+        return np.zeros(a.shape[1], dtype=bool), np.zeros(0)
+
+    monkeypatch.setattr(union_info, "_maximal_support", empty_face)
+    with pytest.raises(UnionConvergenceError, match="face misses the base support") as err:
+        full_report(make_random(2, 3, 2, 0.3))
+    assert err.value.value == err.value.gap == math.inf
+
+
+def test_sparse_inputs_end_in_a_report_or_a_typed_error():
+    # Masses many orders apart.  With scipy 1.17's HiGHS, the support LP of
+    # seeds 25, 28, 38 and 42 reports success with an empty face, and other
+    # seeds fail the LP or stall; every one must end in a report or a typed
+    # error.
+    for seed in range(20, 45):
+        try:
+            full_report(make_sparse(seed))
+        except UnionConvergenceError:
+            pass
+
+
+@pytest.mark.xfail(strict=True, raises=UnionConvergenceError)
+def test_a_sparse_input_with_a_positive_start_completes():
+    # Its smallest mass is 5.7e-15.  The barrier stalls on the Almost pair
+    # {X1 X2, X2 X3} at a gap of 0.0297 bits, from a start that is feasible
+    # (misfit 2.8e-17) and positive: that decomposable family's one IPF
+    # sweep, its maximum-entropy point, whose smallest cell is 2.3e-18.  A
+    # solver that completes this report flips the test.
+    full_report(make_sparse(16))
 
 
 def test_a_start_that_is_not_strictly_positive_is_a_typed_error(monkeypatch):
