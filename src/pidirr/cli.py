@@ -18,13 +18,7 @@ JSON or TSV, or the lines.  Only ``enumerate --format tsv``, one family per
 line, and ``examples --emit-tsv`` print text of their own.
 
 :func:`main` runs one command and returns its exit status; it changes
-nothing for the rest of the process, so tests call it in-process.  It
-builds the options of the invoked command only (all of them when the
-arguments name no known command, as ``--help`` does): in a fresh process,
-building the parser and parsing a ``compute`` command line took a median
-of 3.7 ms that way against 4.0 ms with every command's options (30
-interleaved processes each, on a 2-core Xeon host).  Every help
-text and usage error reads the same either way.
+nothing for the rest of the process, so tests call it in-process.
 :func:`run` is the process entry, used by ``python -m pidirr.cli`` and by
 the installed ``pidirr`` script: it calls :func:`main`, then
 ``gc.freeze()``, then exits with the status.  Freezing moves every object
@@ -45,7 +39,6 @@ import gc
 import sys
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -399,17 +392,8 @@ def _add_common(sub, input_required=False, with_measure=True):
         sub.add_argument("--target", default=None, help="target variable name")
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The ``pidirr`` parser for ``argv``.
-
-    Every command is listed, but only the command ``argv`` names gets its
-    options, since parsing ``argv`` reads no other; when ``argv`` names no
-    known command (no arguments, ``--help``, a typo) every command gets
-    them.  The top-level parser takes no option with a value, so its first
-    argument not starting with ``-`` is where it reads the command.
-    """
-    named = next((a for a in argv if not a.startswith("-")), None)
-    built = {named} if named in _HANDLERS else set(_HANDLERS)
+def build_parser() -> argparse.ArgumentParser:
+    """The ``pidirr`` parser, with every command's options."""
     parser = argparse.ArgumentParser(
         prog="pidirr",
         description="Irreducibility measures of multivariate information.",
@@ -423,51 +407,45 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="cmd", required=True)
 
     compute = subs.add_parser("compute", help="the four measures of one distribution")
-    if "compute" in built:
-        _add_common(compute, input_required=True)
+    _add_common(compute, input_required=True)
 
     axioms = subs.add_parser("axioms", help="verify the union-measure property list")
-    if "axioms" in built:
-        _add_common(axioms, input_required=False)
-        axioms.add_argument("--trials", type=int, default=20, help="random distributions to add")
-        axioms.add_argument("--seed", type=int, default=0, help="seed of the random distributions")
+    _add_common(axioms, input_required=False)
+    axioms.add_argument("--trials", type=int, default=20, help="random distributions to add")
+    axioms.add_argument("--seed", type=int, default=0, help="seed of the random distributions")
 
     examples = subs.add_parser("examples", help="built-in circuits vs expected values")
-    if "examples" in built:
-        _add_common(examples, input_required=None)
-        examples.add_argument(
-            "--name", default=None,
-            help="only this built-in circuit (an unknown name lists them; default: all)",
-        )
-        examples.add_argument("--emit-tsv", action="store_true", help="dump the distribution instead")
+    _add_common(examples, input_required=None)
+    examples.add_argument(
+        "--name", default=None,
+        help="only this built-in circuit (an unknown name lists them; default: all)",
+    )
+    examples.add_argument("--emit-tsv", action="store_true", help="dump the distribution instead")
 
     enum = subs.add_parser("enumerate", help="list part families")
-    if "enumerate" in built:
-        _add_common(enum, input_required=None, with_measure=False)
-        enum.add_argument(
-            "--what",
-            required=True,
-            choices=list(_FAMILIES),
-        )
-        enum.add_argument(
-            "--n", type=int, required=True, help=f"number of predictors, 2 to {MAX_PARTITION_N}"
-        )
+    _add_common(enum, input_required=None, with_measure=False)
+    enum.add_argument(
+        "--what",
+        required=True,
+        choices=list(_FAMILIES),
+    )
+    enum.add_argument(
+        "--n", type=int, required=True, help=f"number of predictors, 2 to {MAX_PARTITION_N}"
+    )
 
     lattice = subs.add_parser("lattice", help="order/join/meet diagnostics")
-    if "lattice" in built:
-        _add_common(lattice, input_required=True, with_measure=False)
-        lattice.add_argument(
-            "--vars",
-            default=None,
-            help="space-separated groups of comma-joined variable names",
-        )
+    _add_common(lattice, input_required=True, with_measure=False)
+    lattice.add_argument(
+        "--vars",
+        default=None,
+        help="space-separated groups of comma-joined variable names",
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

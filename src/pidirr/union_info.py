@@ -66,9 +66,9 @@ constraints alone), depend only on the shape, the target, the families and
 their cells.  Both are kept in one least-recently-used cache bounded by the
 bytes it holds, each group under exactly the rows it builds: a report of a
 shape seen before takes its part masses from one stacked pass, and factors
-nothing for a group that keeps the rows it kept then.  The arrays a solve
-reads that no mass changes, a structure's ``gidx``, ``single`` and ``pad``,
-are cached with it.
+nothing for a group that keeps the rows it kept then.  A structure holds
+only what a start and a Newton step read, ``gidx``, ``single`` and ``pad``
+among them; the support LP rebuilds a row's dense constraint matrix.
 
 The families asked for in one call (all of a report's, in
 :func:`pidirr.irreducibility.full_report`) are solved in lockstep.  Each
@@ -255,10 +255,10 @@ class _Cache:
 _structures = _Cache(64 << 20)
 
 
-def _read_only(owner, *more) -> int:
-    """Make the arrays among ``owner``'s attributes and ``more`` read-only;
-    return the bytes they hold."""
-    arrays = [a for a in [*vars(owner).values(), *more] if isinstance(a, np.ndarray)]
+def _read_only(owner) -> int:
+    """Make the arrays among ``owner``'s attributes read-only; return the
+    bytes they hold."""
+    arrays = [a for a in vars(owner).values() if isinstance(a, np.ndarray)]
     for a in arrays:
         a.flags.writeable = False
     return sum(a.nbytes for a in arrays)
@@ -310,6 +310,13 @@ class _Layout:
         self.nbytes = _read_only(self)
 
 
+def _constraints(slots: np.ndarray, m: int) -> np.ndarray:
+    """The 0/1 matrix of ``m`` constraints, 1 at cell c's ``slots[j, c]``."""
+    a = np.zeros((m, slots.shape[1]))
+    a[slots, np.arange(slots.shape[1])] = 1.0
+    return a
+
+
 def _block(layout: _Layout, f: int, cells: np.ndarray) -> tuple:
     """Family f of ``layout`` on ``cells`` alone, as :class:`_Structure` holds it."""
     n, sizes, slots, gather = cells.size, [0], [], []
@@ -318,12 +325,11 @@ def _block(layout: _Layout, f: int, cells: np.ndarray) -> tuple:
         slots.append(sizes[-1] + rank)
         gather.append(keys)
         sizes.append(sizes[-1] + keys.size)
-    a = np.zeros((sizes[-1], n))
-    a[np.array(slots), np.arange(n)] = 1.0
+    a = _constraints(np.array(slots), sizes[-1])
     _, s, vt = np.linalg.svd(a, full_matrices=a.shape[0] < n)
     rank = (s > s[0] * max(a.shape) * np.finfo(float).eps).sum()
     xidx, keys = _ranks(layout.whole[cells], layout.whole.size)
-    return (a, tuple(map(slice, sizes[:-1], sizes[1:])), slots, np.concatenate(gather), xidx,
+    return (tuple(map(slice, sizes[:-1], sizes[1:])), slots, np.concatenate(gather), xidx,
             keys.size, vt[rank:].T.copy(), s[rank - 1])
 
 
@@ -339,8 +345,9 @@ class _Structure:
     i of ``layout`` on ``cells`` each, but for the masses and base pmf: a
     function of the :class:`_Layout` and the rows alone, so cached, with
     read-only arrays.  Row k, the k-th of ``rows``, has a block of
-    constraints per part (``A[k]``, ``blocks[k]``; ``m[k]`` in all), one per
-    part-target tuple of the cells in sorted order: those of positive mass,
+    constraints per part (``blocks[k]``; ``m[k]`` in all, which
+    :meth:`constraints` builds as a matrix), one per part-target tuple of
+    the cells in sorted order: those of positive mass,
     as each holds a base-support cell, live and in every face.  ``bidx[k]``
     gathers their masses from the layout's vector, zero-padded.  ``sweep[j,
     k, c]`` is the constraint of row k's block j holding cell c in the flat
@@ -348,21 +355,23 @@ class _Structure:
     with fewer parts repeats its last block (``real`` marks the others),
     which a sweep has just fitted.
     ``xidx`` numbers each cell's x-group among ``nx[k]``.  ``basis[k]``,
-    zero-padded from ``width[k]`` columns, spans the null space of ``A[k]``
-    alone, by one SVD (counting singular values above ``s[0] *
-    max(A.shape) * eps``), and ``sigma[k]`` is the least of those counted;
+    zero-padded from ``width[k]`` columns, spans the null space of row k's
+    constraints alone, by one SVD of their matrix (counting singular values
+    above ``s[0] * max(m[k], cells) * eps``), and ``sigma[k]`` is the least
+    of those counted;
     ``group_basis`` sums the basis over each x-group.
     ``multi`` marks x-groups of more than one cell, ``shared`` each cell's:
     for one cell the Hessian block ``1/q - 1/q_x`` is exactly 0, and
     assembling it from two huge terms would leave rounding.
     Built once here, not per report: ``gidx``, each cell's x-group across
-    rows; ``single = 1 - multi``; and ``pad``, ones on each row's Hessian
-    diagonal past its width, so padded directions get zero steps."""
+    rows; ``single = 1 - multi``; and ``pad``, shape ``(rows, r)``, 1 at
+    each row's directions past its width, whose Hessian diagonal a step sets
+    to 1 so that they get zero steps."""
 
     def __init__(self, layout: _Layout, rows: Sequence[tuple]):
         self.cells = np.array([cells for _, cells in rows])
         k, n = self.cells.shape
-        self.A, self.blocks, slots, gathers, xidx, self.nx, bases, self.sigma = zip(
+        self.blocks, slots, gathers, xidx, self.nx, bases, self.sigma = zip(
             *(_block(layout, *row) for row in rows))
         self.m, self.width = [g.size for g in gathers], [b.shape[1] for b in bases]
         width, depth, r, nx = max(self.m), max(map(len, slots)), max(self.width), max(self.nx)
@@ -378,13 +387,16 @@ class _Structure:
             (gidx * r + np.arange(r)).ravel(), self.basis.ravel(), k * nx * r).reshape(k, nx, r)
         self.multi = (np.bincount(gidx.ravel(), minlength=k * nx) > 1).reshape(k, nx, 1) * 1.0
         self.shared = self.multi.ravel()[gidx]
-        self.single, diag = 1.0 - self.multi, np.arange(r)
-        self.pad = np.zeros((k, r, r))
-        self.pad[:, diag, diag] = diag >= np.array(self.width)[:, None]
-        self.nbytes = _read_only(self, *self.A)
+        self.single = 1.0 - self.multi
+        self.pad = 1.0 * (np.arange(r) >= np.array(self.width)[:, None])
+        self.nbytes = _read_only(self)
+
+    def constraints(self, k: int) -> np.ndarray:
+        """Row k's constraint matrix, ``m[k]`` by cells, rebuilt from ``sweep``."""
+        return _constraints(self.sweep[:, k] - self.bidx.shape[1] * k, self.m[k])
 
     def misfit(self, v: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``A v - b`` per row, for stacks ``v`` and ``b`` as :class:`_Stack` holds them."""
+        """Each row's constraints on ``v``, less ``b``, for stacks as :class:`_Stack` holds them."""
         fit = np.bincount(self.sweep.ravel(), (v * self.real).ravel(), b.size)
         return fit.reshape(b.shape) - b
 
@@ -414,9 +426,10 @@ class MarginalPolytope:
     support).  A cell is dropped when some preserved marginal forces it to
     zero; every feasible q vanishes there, so the reduction is exact.  The
     base pmf ``x0`` is feasible.  ``b`` and ``x0`` are the distribution's;
-    ``A``, ``blocks``, ``xidx``, ``nx`` and ``null_basis`` (an orthonormal
-    basis of the constraint null space) are read-only views of the family's
-    cached :class:`_Structure`, a group of one."""
+    ``blocks``, ``xidx``, ``nx`` and ``null_basis`` (an orthonormal basis of
+    the constraint null space) are read-only views of the family's cached
+    :class:`_Structure`, a group of one, and ``A``, the 0/1 constraint
+    matrix, is built from it for each polytope."""
 
     def __init__(self, base: JointDistribution, parts: Sequence[PartSpec]):
         parts = tuple(parts)
@@ -426,7 +439,7 @@ class MarginalPolytope:
         stack = _Stack(tab, layout, mass, [(0, live[0], None)])
         s, cells = stack.structure, list(iter_product(*base.alphabets))
         self.cells: list[tuple] = [cells[c] for c in s.cells[0].tolist()]
-        self.A, self.blocks, self.null_basis = s.A[0], s.blocks[0], s.basis[0]
+        self.A, self.blocks, self.null_basis = s.constraints(0), s.blocks[0], s.basis[0]
         self.xidx, self.nx, self.b, self.x0 = s.xidx[0], s.nx[0], stack.b[0], stack.x0[0]
 
 
@@ -607,7 +620,7 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
             brackets.lower[i] = brackets.upper[i]
             continue
         if unproven[k] and inner[k] is None:
-            face, inner[k] = _maximal_support(s.A[k], stack.b[k, : s.m[k]])
+            face, inner[k] = _maximal_support(s.constraints(k), stack.b[k, : s.m[k]])
             if not face[x0[k] > 0.0].all():  # the base pmf is feasible: its support is in the face
                 raise UnionConvergenceError("maximal-support LP failed: its face misses the "
                                             "base support", math.inf, math.inf)
@@ -659,9 +672,10 @@ def _lockstep(
     A row's iterates and ``mu`` schedule are those it takes in any stack of
     the same padded null width ``r``, which sets the shapes, and so the
     rounding, of its matrix products; alone, in a narrower stack, its last
-    bits can differ.  Null bases are cut to the widest row, with ones on
-    the padded Hessian diagonal (``pad``), so padded directions get zero
-    steps; a step's systems are one call of :func:`_newton_solve`.  When
+    bits can differ.  Null bases are cut to the widest row, and the Hessian
+    diagonal of the padded directions (``pad``), exactly 0, is set to 1 at
+    flat indices found again when rows leave, so they get zero steps; a
+    step's systems are one call of :func:`_newton_solve`.  When
     rows are done, a stack of cells times padded width squared at or above
     ``_SMALL_STACK`` re-indexes only what the next system reads.  A smaller
     stack keeps them: a row done takes zero steps and keeps its ``mu``, so
@@ -686,7 +700,7 @@ def _lockstep(
     at = slice(None) if len(rows) == len(stack.group) else rows  # every row: views, not copies
     basis, group_basis = s.basis[at, :, :r], s.group_basis[at, :nx, :r]
     multi, single, shared, xidx = s.multi[at, :nx], s.single[at, :nx], s.shared[at], s.xidx[at]
-    pad, x0t = s.pad[at, :r, :r], stack.x0[at][:, None, :]
+    pad, x0t = s.pad[at, :r], stack.x0[at][:, None, :]
     gidx = s.gidx if isinstance(at, slice) else _group_index(xidx, nx)
 
     # A centred gap is below cells * mu: mu ends at a tenth of the stop gap over
@@ -710,6 +724,8 @@ def _lockstep(
             c_zx, c_top, c_sum, c_dec, c_fall = ctl = np.empty((5, k, 1, 1))
             trial = np.empty((k, 1, 1))  # each row's trial step
             trials = trial.reshape(k)
+            row, col = np.nonzero(pad)
+            padded = row * (r * r) + col * (r + 1)  # the padded Hessian diagonal, flat
         inv = 1.0 / q
         descent = m * inv - grad  # minus the barrier gradient
         g = basis_t @ descent
@@ -717,7 +733,7 @@ def _lockstep(
         d = (shared + mh * inv) * inv
         hess = basis_t @ (basis * d)
         hess -= group_t @ (group_basis * w)  # in place: one Hessian stack fewer at peak
-        hess += pad
+        hess.ravel()[padded] = 1.0  # hess is C-contiguous, so ravel is a view
         try:
             dz = _newton_solve(hess, g)
         except np.linalg.LinAlgError:

@@ -76,6 +76,13 @@ def fail_support_lp(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
 
 
+def empty_support_face(monkeypatch):
+    """Make every support LP return an empty face, which misses the base
+    support."""
+    monkeypatch.setattr(union_info, "_maximal_support",
+                        lambda a, b: (np.zeros(a.shape[1], dtype=bool), np.zeros(0)))
+
+
 def zero_starts(monkeypatch):
     """Make every start the solver pulls zero."""
     monkeypatch.setattr(union_info, "_pull", lambda p, q: 0.0 * q)

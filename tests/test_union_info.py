@@ -25,7 +25,7 @@ from pidirr.union_info import (
     union_information,
 )
 
-from conftest import fail_support_lp, make_random, make_sparse, zero_starts
+from conftest import empty_support_face, fail_support_lp, make_random, make_sparse, zero_starts
 
 MINSYN = UnionMeasure()
 MAXMI = UnionMeasure(kind=MeasureKind.MAX_SINGLE_MI)
@@ -986,10 +986,7 @@ def test_a_support_lp_face_that_misses_the_base_support_is_a_typed_error(monkeyp
     # The base pmf is feasible, so its support lies inside the largest
     # feasible one: a face that misses one of its cells is a failed LP, not a
     # group to set up (an empty group has no cells to factor).
-    def empty_face(a, b):
-        return np.zeros(a.shape[1], dtype=bool), np.zeros(0)
-
-    monkeypatch.setattr(union_info, "_maximal_support", empty_face)
+    empty_support_face(monkeypatch)
     with pytest.raises(UnionConvergenceError, match="face misses the base support") as err:
         full_report(make_random(2, 3, 2, 0.3))
     assert err.value.value == err.value.gap == math.inf
@@ -1096,17 +1093,17 @@ def test_newton_solve_refuses_a_singular_stack_and_solves_an_ill_conditioned_one
 
 @pytest.mark.parametrize("args", [(400, 3), (0, 4), (1, 3, 3, 0.3)])
 def test_cached_shape_arrays_equal_a_row_by_row_reference(args):
-    # The structure's pad, 1 - multi and gidx, read by a lockstep step over
-    # all its rows, are read-only and equal a reference built one row at a
-    # time.
+    # The structure's pad (a mask of each row's padded directions), 1 -
+    # multi and gidx, read by a lockstep step over all its rows, are
+    # read-only and equal a reference built one row at a time.
     full_report(make_random(*args))
     groups = _groups()
     assert groups
     for s in groups:
         k, nx, r = len(s.width), max(s.nx), max(s.width)
-        pad, single, gidx = np.zeros((k, r, r)), np.ones((k, nx, 1)), []
+        pad, single, gidx = np.zeros((k, r)), np.ones((k, nx, 1)), []
         for row, width in enumerate(s.width):
-            pad[row, width:, width:] = np.eye(r - width)
+            pad[row, width:] = 1.0
             single[row, np.bincount(s.xidx[row], minlength=nx) > 1] = 0.0
             gidx.append(row * nx + s.xidx[row])
         reference = (pad, single, np.array(gidx)[:, :, None])
@@ -1300,7 +1297,10 @@ def test_stacked_rows_match_their_families_alone(corpus):
                 alone = union_info._Structure(tab.masses([parts])[0], [(0, live)])
                 m, blocks = alone.m[0], len(parts)
                 assert [product_cells[c] for c in live] == poly.cells
-                assert (group.A[k] == alone.A[0]).all() and (poly.A == alone.A[0]).all()
+                a = alone.constraints(0)
+                assert (group.constraints(k) == a).all() and (poly.A == a).all()
+                # The rebuilt matrix is the one whose null space the basis spans.
+                assert np.abs(group.constraints(k) @ group.basis[k]).max(initial=0.0) <= 1e-12
                 assert (group.sweep[:blocks, k] == alone.sweep[:blocks, 0] + width * k).all()
                 # A row with fewer parts repeats its last block.
                 assert (group.sweep[blocks:, k] == group.sweep[blocks - 1, k]).all()
@@ -1308,7 +1308,7 @@ def test_stacked_rows_match_their_families_alone(corpus):
                 assert (stack.x0[k] == poly.x0).all()
                 assert (group.xidx[k] == alone.xidx[0]).all()
                 assert group.nx[k] == alone.nx[0] == poly.nx
-                rank = np.linalg.matrix_rank(alone.A[0])
+                rank = np.linalg.matrix_rank(a)
                 assert len(poly.cells) - rank == poly.null_basis.shape[1] == alone.width[0]
                 assert group.width[k] == alone.width[0] == alone.basis.shape[2]
                 projector = alone.basis[0] @ alone.basis[0].T
@@ -1460,15 +1460,16 @@ def test_structure_depends_on_shape_and_cells_alone():
             layout, mass, live_e, _ = tab_e.masses([fam.parts])
             fresh = union_info._Stack(tab_e, layout, mass, [(0, live_e[0], None)]).structure
             assert fresh is not built
-            assert (fresh.A[0] == built.A[0]).all() and (fresh.sweep == built.sweep).all()
+            assert (fresh.constraints(0) == built.constraints(0)).all()
+            assert (fresh.sweep == built.sweep).all()
             assert (fresh.xidx == built.xidx).all() and fresh.nx == built.nx
             assert fresh.blocks == built.blocks
             projector = built.basis[0] @ built.basis[0].T
             assert np.abs(fresh.basis[0] @ fresh.basis[0].T - projector).max() <= 1e-12
-            assert not fresh.A[0].flags.writeable and not fresh.basis.flags.writeable
+            assert not fresh.sweep.flags.writeable and not fresh.basis.flags.writeable
             # The other distribution's masses fit the shared structure.
             poly = MarginalPolytope(e, fam.parts)
-            assert poly.A is fresh.A[0]
+            assert (poly.A == fresh.constraints(0)).all()
             assert np.abs(poly.A @ poly.x0 - poly.b).max() <= 1e-15
 
 
@@ -1510,6 +1511,8 @@ def test_structure_cache_stays_within_its_bound(monkeypatch):
     # it keeps nothing, and the report is the same each way.  Its entries are
     # the report's layout and its live-cell groups, each counted with every
     # array it holds; a group kept on other rows is an entry of its own.
+    # Beside the null bases, no array of a group holds more entries than its
+    # slot layout: rows times cells times blocks.
     cache = union_info._structures
     d = make_random(0, 5)
     cache.clear()
@@ -1518,8 +1521,12 @@ def test_structure_cache_stays_within_its_bound(monkeypatch):
     assert 0 < held == sum(v.nbytes for v in cache.values.values()) <= cache.bound
     assert len(_groups()) == len(cache.values) - 1 and max(len(g.cells) for g in _groups()) > 1
     for group in _groups():
-        arrays = [v for v in vars(group).values() if isinstance(v, np.ndarray)]
-        assert group.nbytes == sum(a.nbytes for a in arrays + list(group.A))
+        arrays = {key: v for key, v in vars(group).items() if isinstance(v, np.ndarray)}
+        assert group.nbytes == sum(a.nbytes for a in arrays.values())
+        budget = group.sweep.size  # depth * rows * cells
+        assert group.sweep.shape[1:] == group.cells.shape
+        for key, a in arrays.items():
+            assert key in ("basis", "group_basis") or a.size <= budget, key
     cache.clear()
     _report_bits(make_random(400, 3))
     [group] = _groups()
