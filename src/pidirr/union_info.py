@@ -52,12 +52,17 @@ point from the base pmf towards it, half as far as positivity allows; that
 point is positive where the base pmf is zero, since the sweep is, and
 elsewhere since the base pmf is.  Otherwise some cells may be zero at every feasible point without being
 pinned (cyclic families with structured zeros): one linear program finds the
-largest feasible support and a positive point on it, and the start is pulled
-from that point instead.  When the support is smaller than the live cells,
-the solver works on it alone (facial reduction): the family is set up again
-on those cells, like any other, with the LP's point as the start's origin.
-The base pmf is feasible, so its support lies inside the largest one; an LP
-answer that misses one of its cells is a failed LP, and raises as one.
+largest feasible support.  That support is the smallest face of ``cone(A)``
+that holds the columns of the base support S, so it depends on S alone, and
+the LP runs on S's image ``A 1_S``, whose entries are small integers, not on
+the masses ``b``, which may be as small as 1e-15.  The LP's point y, positive
+on the face, meets ``A 1_S``; the point ``x0 + (min_S x0 / 2) (y - 1_S)``
+meets ``b`` and is positive on the face, and the start is pulled from it
+instead.  When the support is smaller than the live cells, the solver works
+on it alone (facial reduction): the family is set up again on those cells,
+like any other, with that point as the start's origin.  The base pmf is
+feasible, so its support lies inside the largest one; an LP answer that
+misses one of its cells is a failed LP, and raises as one.
 
 Where a call's part marginals lie in one flat vector (:class:`_Layout`),
 and the polytopes of the families of one live-cell group but for the
@@ -498,11 +503,13 @@ def _pull(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _gradient(v: np.ndarray, gidx: np.ndarray, nx: int):
-    """For a stack of columns ``v``, shape ``(rows, cells, 1)``: the gradient
-    of ``f = -H(Y|X) = v.grad`` (nats), which is ``ln v(y|x)``, and the
-    x-group masses, shape ``(rows, nx, 1)``.  ``gidx`` numbers each cell's
-    x-group across rows: row k's groups are ``k * nx`` to ``k * nx + nx - 1``."""
-    vx = np.bincount(gidx.ravel(), weights=v.ravel(), minlength=v.shape[0] * nx)
+    """At every point the solver visits, each start and each trial of a
+    line search: for a stack of columns ``v``, shape ``(rows, cells, 1)``,
+    the gradient of ``f = -H(Y|X) = v.grad`` (nats), which is ``ln
+    v(y|x)``, and the x-group masses, shape ``(rows, nx, 1)``.  ``gidx``
+    numbers each cell's x-group across rows: row k's groups are ``k * nx``
+    to ``k * nx + nx - 1``."""
+    vx = np.bincount(gidx.ravel(), v.ravel(), v.shape[0] * nx)
     return np.log(v / vx[gidx]), vx.reshape(-1, nx, 1)
 
 
@@ -590,14 +597,14 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
     """Start every row of a live-cell group of rows ``(i, live, inner)`` in
     one pass, by the rule of the module docstring; return the indices of the
     rows started, and their starts ``(q, grad, qx, f)``: the points, and at
-    them the gradient ``ln q(y|x)``, the x-group masses (as
-    :func:`_gradient` gives them) and the values ``-H(Y|X)`` in nats, a
-    list.  ``i`` indexes ``brackets``; ``inner`` is
-    the support LP's point, or None.  A family with no free direction is done
-    there, at the whole's mutual information.  A face smaller than the live
-    cells joins ``groups`` at its size, not yet set up, with the LP's point,
-    the start's origin, and no further proof; one that misses a cell of the
-    base support raises.  Whether a started row is
+    them the gradient ``ln q(y|x)`` and the x-group masses, from one call
+    of :func:`_gradient`, and the values ``-H(Y|X)`` in nats, a list.
+    ``i`` indexes ``brackets``; ``inner`` is the start's origin from the
+    support LP's point, feasible and positive on the face, or None.  A
+    family with no free direction is done there, at the whole's mutual
+    information.  A face smaller than the live cells joins ``groups`` at its
+    size, not yet set up, with that origin and no further proof; one that
+    misses a cell of the base support raises.  Whether a started row is
     done is checked before the steps, once every group's start is known."""
     s, x0 = stack.structure, stack.x0
     ids, inner = [row[0] for row in stack.group], [row[2] for row in stack.group]
@@ -620,10 +627,12 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
             brackets.lower[i] = brackets.upper[i]
             continue
         if unproven[k] and inner[k] is None:
-            face, inner[k] = _maximal_support(s.constraints(k), stack.b[k, : s.m[k]])
-            if not face[x0[k] > 0.0].all():  # the base pmf is feasible: its support is in the face
+            a, support = s.constraints(k), x0[k] > 0.0
+            face, y = _maximal_support(a, a @ support)
+            if not face[support].all():  # the base pmf is feasible: its support is in the face
                 raise UnionConvergenceError("maximal-support LP failed: its face misses the "
                                             "base support", math.inf, math.inf)
+            inner[k] = x0[k][face] + 0.5 * x0[k][support].min() * (y - support[face])
             if not face.all():
                 live = np.isin(np.arange(tab.pmf.size), s.cells[k, face])
                 groups.setdefault(int(face.sum()), []).append((i, live, inner[k]))
@@ -688,7 +697,9 @@ def _lockstep(
     the rows not done before the line search (the dual bound, the first
     trial step) and one after it (the value, the stall flag, the stage cut
     and the arguments of the verdict); a bracket entry is written only when
-    it tightens."""
+    it tightens.  Every trial point of the line search is evaluated by
+    :func:`_gradient`, as every start is; the values are taken once, at the
+    point the search accepts, not at the trials it rejects."""
     s, lower, upper = stack.structure, brackets.lower, brackets.upper
     q, grad, qx, f = start
     q = q[:, :, None]
@@ -775,15 +786,14 @@ def _lockstep(
         while True:
             trials[:] = steps
             cand = q + trial * dq
-            vx = np.bincount(gflat, cand.ravel(), kx)  # x-group masses
-            gc = np.log(cand / vx[gidx])  # the gradient, ln q(y|x)
+            gc, vx = _gradient(cand, gidx, nx)
             slopes = ((gc - m / cand).transpose(0, 2, 1) @ dq).ravel().tolist()
             over = [j for j in live if not (slopes[j] <= 0.5 * decs[j] or steps[j] < 1e-12)]
             if not over:
                 break
             for j in over:
                 steps[j] *= 0.5
-        q, grad, qx = cand, gc, vx.reshape(k, nx, 1)
+        q, grad, qx = cand, gc, vx
         f = (q.transpose(0, 2, 1) @ grad).ravel().tolist()
         # A step that began with a Newton decrement of at most 5 mu ends its
         # row's stage.  The next system keeps the stage's mu in its Hessian,

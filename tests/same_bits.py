@@ -16,8 +16,8 @@ error, its value and gap; any other error stops the script.  The classes:
   at each of those tolerances (bits);
 * ``sparse``: X1 X2 X3 Y over alphabets of 2, 3, 3 and 3 symbols, with
   Dirichlet(0.1) masses over the cells in product order, seeds 0-29: mixed
-  alphabets, masses many orders apart, and typed errors from the support LP
-  and the barrier.
+  alphabets, masses many orders apart, the support LP, and typed errors
+  from the barrier.
 
 A claim that a change keeps every report's bits is one diff of this
 script's output before and after it.  Run it from the repository root, at
@@ -45,9 +45,9 @@ def make_random(seed, n=3, alphabet=2, zeros=0.0):
     return random_distribution(np.random.default_rng(seed), n, alphabet, zeros)
 
 
-def make_sparse(seed):
+def make_sparse(seed, concentration=0.1):
     cells = list(product("01", "012", "012", "012"))
-    masses = np.random.default_rng(seed).dirichlet([0.1] * len(cells))
+    masses = np.random.default_rng(seed).dirichlet([concentration] * len(cells))
     return JointDistribution(("X1", "X2", "X3", "Y"), list(zip(cells, masses)))
 
 
