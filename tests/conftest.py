@@ -58,13 +58,29 @@ def make_random(seed: int, n_predictors: int = 3, alphabet_size: int = 2, zero_f
     )
 
 
-def make_sparse(seed: int):
-    """X1 X2 X3 Y over alphabets of 2, 3, 3 and 3 symbols, with Dirichlet(0.1)
-    masses over the cells in product order: the smallest masses lie many
-    orders below the rest."""
+def make_sparse(seed: int, concentration: float = 0.1):
+    """X1 X2 X3 Y over alphabets of 2, 3, 3 and 3 symbols, with
+    Dirichlet(``concentration``) masses over the cells in product order: at
+    0.1 or 0.2 the smallest masses lie many orders below the rest."""
     cells = list(product("01", "012", "012", "012"))
-    masses = np.random.default_rng(seed).dirichlet([0.1] * len(cells))
+    masses = np.random.default_rng(seed).dirichlet([concentration] * len(cells))
     return JointDistribution(("X1", "X2", "X3", "Y"), list(zip(cells, masses)))
+
+
+class NewtonSystems:
+    """A count of the Newton systems the solver hands to LAPACK, one per
+    ``union_info._newton_solve`` call, from its construction until
+    ``monkeypatch`` is undone."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        solve = union_info._newton_solve
+
+        def counting(hess, g):
+            self.count += 1
+            return solve(hess, g)
+
+        monkeypatch.setattr(union_info, "_newton_solve", counting)
 
 
 def fail_support_lp(monkeypatch):

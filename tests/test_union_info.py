@@ -25,7 +25,8 @@ from pidirr.union_info import (
     union_information,
 )
 
-from conftest import empty_support_face, fail_support_lp, make_random, make_sparse, zero_starts
+from conftest import (
+    NewtonSystems, empty_support_face, fail_support_lp, make_random, make_sparse, zero_starts)
 
 MINSYN = UnionMeasure()
 MAXMI = UnionMeasure(kind=MeasureKind.MAX_SINGLE_MI)
@@ -764,18 +765,10 @@ def test_every_support_lp_shrinks_the_face_on_n4_zero_inputs(monkeypatch):
 def _newton_steps(monkeypatch, inputs):
     """``union_info._newton_solve`` calls, one per lockstep Newton step, of
     one report on each of ``make_random(*args)`` for ``args`` in ``inputs``."""
-    steps = 0
-    solve = union_info._newton_solve
-
-    def counting(*args, **kwargs):
-        nonlocal steps
-        steps += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(union_info, "_newton_solve", counting)
+    systems = NewtonSystems(monkeypatch)
     for args in inputs:
         full_report(make_random(*args))
-    return steps
+    return systems.count
 
 
 def test_binary_reports_keep_their_newton_step_budget(monkeypatch):
@@ -940,17 +933,10 @@ def test_a_stalled_row_with_an_open_gap_is_a_typed_error():
 def _stall_at_1e20(monkeypatch, seed):
     """The stall error of the n=3 binary report ``make_random(seed, 3)`` at
     tolerance 1e-20, and the ``union_info._newton_solve`` calls it took."""
-    solves, solve = 0, union_info._newton_solve
-
-    def counting(*args, **kwargs):
-        nonlocal solves
-        solves += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(union_info, "_newton_solve", counting)
+    systems = NewtonSystems(monkeypatch)
     with pytest.raises(UnionConvergenceError, match="stalled") as err:
         full_report(make_random(seed, 3), UnionMeasure(tolerance=1e-20))
-    return err.value, solves
+    return err.value, systems.count
 
 
 def test_a_row_that_cannot_move_stalls_out_of_the_lockstep(monkeypatch):
