@@ -18,14 +18,14 @@ irreducible":
 * ``parity``     - three inputs, the target is their parity; no proper part
   conveys anything, so every notion of irreducibility saturates.
 
-Tables are embedded as static rows rather than regenerated from gate
-formulas, so a transcription slip surfaces as a test failure instead of a
-silent reinterpretation.
-
-All five are XOR-hypergraph circuits, which :func:`xor_circuit` builds at
-any size, together with their exact profile: ``xor`` is the edge set
-``{12}``, ``xor_unique`` ``{12}, {3}``, ``double_xor`` ``{12}, {23}``,
-``triple_xor`` ``{12}, {13}, {23}`` and ``parity`` ``{123}``.
+Each is an XOR-hypergraph circuit, built by :func:`xor_circuit` together
+with its exact profile: ``xor`` is the edge set ``{12}``, ``xor_unique``
+``{12}, {3}``, ``double_xor`` ``{12}, {23}``, ``triple_xor`` ``{12}, {13},
+{23}`` and ``parity`` ``{123}``.  ``xor_unique`` and ``double_xor`` rename
+some of the circuit's bit strings to letters.  A slip in an edge or a symbol
+map fails a test: the gate formula each circuit's rows must satisfy, the
+paper's row of values each expected profile must equal, and the SHA-256 of
+each circuit's TSV stored with the benchmark's brackets.
 """
 
 from __future__ import annotations
@@ -47,134 +47,17 @@ __all__ = [
     "verify_corpus",
 ]
 
-_XOR_VARS = ("X1", "X2", "Y")
-_XOR_ROWS = (
-    ("0", "0", "0"),
-    ("0", "1", "1"),
-    ("1", "0", "1"),
-    ("1", "1", "0"),
-)
-
-_XOR_UNIQUE_VARS = ("X1", "X2", "X3", "Y")
-_XOR_UNIQUE_ROWS = (
-    ("0", "0", "a", "0a"),
-    ("0", "1", "a", "1a"),
-    ("1", "0", "a", "1a"),
-    ("1", "1", "a", "0a"),
-    ("0", "0", "A", "0A"),
-    ("0", "1", "A", "1A"),
-    ("1", "0", "A", "1A"),
-    ("1", "1", "A", "0A"),
-)
-
-_DOUBLE_XOR_VARS = ("X1", "X2", "X3", "Y")
-_DOUBLE_XOR_ROWS = (
-    ("0", "00", "0", "lr"),
-    ("0", "01", "0", "lR"),
-    ("0", "10", "0", "Lr"),
-    ("0", "11", "0", "LR"),
-    ("0", "00", "1", "lR"),
-    ("0", "01", "1", "lr"),
-    ("0", "10", "1", "LR"),
-    ("0", "11", "1", "Lr"),
-    ("1", "00", "0", "Lr"),
-    ("1", "01", "0", "LR"),
-    ("1", "10", "0", "lr"),
-    ("1", "11", "0", "lR"),
-    ("1", "00", "1", "LR"),
-    ("1", "01", "1", "Lr"),
-    ("1", "10", "1", "lR"),
-    ("1", "11", "1", "lr"),
-)
-
-_TRIPLE_XOR_VARS = ("X1", "X2", "X3", "Y")
-_TRIPLE_XOR_ROWS = (
-    ("00", "00", "00", "000"),
-    ("00", "00", "01", "001"),
-    ("00", "00", "10", "010"),
-    ("00", "00", "11", "011"),
-    ("00", "01", "00", "001"),
-    ("00", "01", "01", "000"),
-    ("00", "01", "10", "011"),
-    ("00", "01", "11", "010"),
-    ("00", "10", "00", "100"),
-    ("00", "10", "01", "101"),
-    ("00", "10", "10", "110"),
-    ("00", "10", "11", "111"),
-    ("00", "11", "00", "101"),
-    ("00", "11", "01", "100"),
-    ("00", "11", "10", "111"),
-    ("00", "11", "11", "110"),
-    ("01", "00", "00", "010"),
-    ("01", "00", "01", "011"),
-    ("01", "00", "10", "000"),
-    ("01", "00", "11", "001"),
-    ("01", "01", "00", "011"),
-    ("01", "01", "01", "010"),
-    ("01", "01", "10", "001"),
-    ("01", "01", "11", "000"),
-    ("01", "10", "00", "110"),
-    ("01", "10", "01", "111"),
-    ("01", "10", "10", "100"),
-    ("01", "10", "11", "101"),
-    ("01", "11", "00", "111"),
-    ("01", "11", "01", "110"),
-    ("01", "11", "10", "101"),
-    ("01", "11", "11", "100"),
-    ("10", "00", "00", "100"),
-    ("10", "00", "01", "101"),
-    ("10", "00", "10", "110"),
-    ("10", "00", "11", "111"),
-    ("10", "01", "00", "101"),
-    ("10", "01", "01", "100"),
-    ("10", "01", "10", "111"),
-    ("10", "01", "11", "110"),
-    ("10", "10", "00", "000"),
-    ("10", "10", "01", "001"),
-    ("10", "10", "10", "010"),
-    ("10", "10", "11", "011"),
-    ("10", "11", "00", "001"),
-    ("10", "11", "01", "000"),
-    ("10", "11", "10", "011"),
-    ("10", "11", "11", "010"),
-    ("11", "00", "00", "110"),
-    ("11", "00", "01", "111"),
-    ("11", "00", "10", "100"),
-    ("11", "00", "11", "101"),
-    ("11", "01", "00", "111"),
-    ("11", "01", "01", "110"),
-    ("11", "01", "10", "101"),
-    ("11", "01", "11", "100"),
-    ("11", "10", "00", "010"),
-    ("11", "10", "01", "011"),
-    ("11", "10", "10", "000"),
-    ("11", "10", "11", "001"),
-    ("11", "11", "00", "011"),
-    ("11", "11", "01", "010"),
-    ("11", "11", "10", "001"),
-    ("11", "11", "11", "000"),
-)
-
-_PARITY_VARS = ("X1", "X2", "X3", "Y")
-_PARITY_ROWS = (
-    ("0", "0", "0", "0"),
-    ("0", "0", "1", "1"),
-    ("0", "1", "0", "1"),
-    ("0", "1", "1", "0"),
-    ("1", "0", "0", "1"),
-    ("1", "0", "1", "0"),
-    ("1", "1", "0", "0"),
-    ("1", "1", "1", "1"),
-)
-
-#: Each circuit's variables, truth-table rows and expected
-#: (whole_mi, ibe, ibdp, ib2p, ibap), in bits.
+#: Each circuit's input count, hyperedges and symbol maps, one map of the
+#: circuit's symbols per renamed variable.
 _CIRCUITS = {
-    "xor": (_XOR_VARS, _XOR_ROWS, (1.0, 1.0, 1.0, 1.0, 1.0)),
-    "xor_unique": (_XOR_UNIQUE_VARS, _XOR_UNIQUE_ROWS, (2.0, 1.0, 0.0, 0.0, 0.0)),
-    "double_xor": (_DOUBLE_XOR_VARS, _DOUBLE_XOR_ROWS, (2.0, 2.0, 1.0, 0.0, 0.0)),
-    "triple_xor": (_TRIPLE_XOR_VARS, _TRIPLE_XOR_ROWS, (3.0, 3.0, 2.0, 1.0, 0.0)),
-    "parity": (_PARITY_VARS, _PARITY_ROWS, (1.0, 1.0, 1.0, 1.0, 1.0)),
+    "xor": (2, [(0, 1)], {}),
+    "xor_unique": (3, [(0, 1), (2,)], {
+        "X3": {"0": "a", "1": "A"},
+        "Y": {"00": "0a", "10": "1a", "01": "0A", "11": "1A"},
+    }),
+    "double_xor": (3, [(0, 1), (1, 2)], {"Y": {"00": "lr", "01": "lR", "10": "Lr", "11": "LR"}}),
+    "triple_xor": (3, [(0, 1), (0, 2), (1, 2)], {}),
+    "parity": (3, [(0, 1, 2)], {}),
 }
 
 EXAMPLE_NAMES = tuple(_CIRCUITS)
@@ -189,16 +72,19 @@ class NamedExample(_Value):
 
 @lru_cache(maxsize=None)
 def load_example(name: str) -> NamedExample:
-    """One of the built-in circuits, uniform over its embedded truth table."""
+    """One of the built-in circuits, built from its hypergraph by
+    :func:`xor_circuit`, with its symbols renamed and its exact profile."""
     try:
-        variables, rows, expected = _CIRCUITS[name]
+        n, edges, symbols = _CIRCUITS[name]
     except KeyError:
         raise ValueError(
             f"unknown example {name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
         ) from None
-    mass = 1.0 / len(rows)
-    dist = JointDistribution(variables, [(row, mass) for row in rows])
-    return NamedExample(name=name, distribution=dist, expected=expected)
+    circuit = xor_circuit(n, edges)
+    dist = circuit.distribution
+    for variable, mapping in symbols.items():
+        dist = dist.relabeled(variable, mapping)
+    return NamedExample(name=name, distribution=dist, expected=circuit.expected)
 
 
 def xor_circuit(n: int, edges: Sequence[Sequence[int]]) -> NamedExample:

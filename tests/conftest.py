@@ -67,20 +67,28 @@ def make_sparse(seed: int, concentration: float = 0.1):
     return JointDistribution(("X1", "X2", "X3", "Y"), list(zip(cells, masses)))
 
 
-class NewtonSystems:
-    """A count of the Newton systems the solver hands to LAPACK, one per
-    ``union_info._newton_solve`` call, from its construction until
-    ``monkeypatch`` is undone."""
+class Calls:
+    """The calls of ``owner.name`` from the recorder's construction until
+    ``monkeypatch`` is undone: ``count`` counts them, those that raised
+    included, and ``calls`` holds each returned call's ``(args, result)`` in
+    order.  ``Calls(monkeypatch, union_info, "_newton_solve").count`` is the
+    number of Newton systems the solver hands to LAPACK."""
 
-    def __init__(self, monkeypatch):
-        self.count = 0
-        solve = union_info._newton_solve
+    def __init__(self, monkeypatch, owner, name):
+        self.count, self.calls = 0, []
+        function = getattr(owner, name)
 
-        def counting(hess, g):
+        def recording(*args):
             self.count += 1
-            return solve(hess, g)
+            result = function(*args)
+            self.calls.append((args, result))
+            return result
 
-        monkeypatch.setattr(union_info, "_newton_solve", counting)
+        monkeypatch.setattr(owner, name, recording)
+
+    @property
+    def results(self):
+        return [result for _, result in self.calls]
 
 
 def fail_support_lp(monkeypatch):

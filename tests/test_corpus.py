@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,8 @@ from pidirr.corpus import EXAMPLE_NAMES, load_example, verify_corpus, xor_circui
 from pidirr.distributions import JointDistribution
 from pidirr.irreducibility import full_report
 from pidirr.union_info import MeasureKind, UnionMeasure
+
+BRACKETS = Path(__file__).resolve().parents[1] / "bench" / "brackets.json"
 
 
 def test_example_names_and_sizes():
@@ -104,24 +109,31 @@ def test_verify_corpus_maxmi_expected_failures():
     assert xu in report.mismatches
 
 
-# Each static table as an XOR-hypergraph circuit, with the static symbols
-# that differ renamed to the circuit's bit strings.
-@pytest.mark.parametrize("name, n, edges, renamed", [
-    ("xor", 2, [(0, 1)], {}),
-    ("xor_unique", 3, [(0, 1), (2,)],
-     {"X3": {"a": "0", "A": "1"}, "Y": {"0a": "00", "1a": "10", "0A": "01", "1A": "11"}}),
-    ("double_xor", 3, [(0, 1), (1, 2)], {"Y": {"lr": "00", "lR": "01", "Lr": "10", "LR": "11"}}),
-    ("triple_xor", 3, [(0, 1), (0, 2), (1, 2)], {}),
-    ("parity", 3, [(0, 1, 2)], {}),
-])
-def test_xor_circuits_reproduce_the_static_rows(name, n, edges, renamed):
-    example = load_example(name)
-    d = example.distribution
-    for variable, mapping in renamed.items():
-        d = d.relabeled(variable, mapping)
-    circuit = xor_circuit(n, edges)
-    assert circuit.distribution == d
-    assert circuit.expected == example.expected
+# The paper's (whole_mi, ibe, ibdp, ib2p, ibap) of each circuit, in bits,
+# typed from the paper and not derived from the circuits' hypergraphs.
+PAPER_ROWS = {
+    "xor": (1.0, 1.0, 1.0, 1.0, 1.0),
+    "xor_unique": (2.0, 1.0, 0.0, 0.0, 0.0),
+    "double_xor": (2.0, 2.0, 1.0, 0.0, 0.0),
+    "triple_xor": (3.0, 3.0, 2.0, 1.0, 0.0),
+    "parity": (1.0, 1.0, 1.0, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", PAPER_ROWS)
+def test_expected_rows_are_the_papers(name):
+    assert load_example(name).expected == PAPER_ROWS[name]
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_corpus_tsv_bytes_match_the_benchmark_digests(name):
+    # The benchmark stores the SHA-256 of each circuit's TSV; a changed
+    # symbol, row order or mass rendering fails here, not only in the
+    # benchmark's stale-input check.
+    stored = json.loads(BRACKETS.read_text())["workloads"]["cli-corpus"]
+    [digest] = [entry["digest"] for entry in stored if entry["id"] == name]
+    tsv = load_example(name).distribution.to_tsv()
+    assert hashlib.sha256(tsv.encode()).hexdigest() == digest
 
 
 def test_xor_circuit_rejects_bad_edges():

@@ -16,7 +16,7 @@ from pidirr.parts import (
 from pidirr import irreducibility, union_info
 from pidirr.union_info import MeasureKind, UnionMeasure, union_information
 
-from conftest import make_random, unordered_unions
+from conftest import Calls, make_random, unordered_unions
 
 MINSYN = UnionMeasure()
 
@@ -63,17 +63,12 @@ def test_bipartition_values_lie_between_their_part_bounds(monkeypatch, corpus):
     inputs = [example.distribution for example in corpus.values()]
     inputs += [make_random(*args) for args in [(400, 3), (401, 4), (1, 3, 2, 0.3), (102, 3, 3, 0.3),
                                                (0, 4, 2, 0.1), (0, 5)]]
-    solve, reported = union_info._min_synergy_brackets, {}
-
-    def recording_solve(tab, families, m, scans=()):
-        out = solve(tab, families, m, scans)
-        reported.update(zip(families, out))
-        return out
-
-    monkeypatch.setattr(union_info, "_min_synergy_brackets", recording_solve)
+    solves = Calls(monkeypatch, union_info, "_min_synergy_brackets")
     for d in inputs:
-        reported.clear()
+        solves.calls.clear()
         full_report(d)
+        reported = {parts: b for (_, families, *_), out in solves.calls
+                    for parts, b in zip(families, out)}
         for bipartition in all_bipartitions(d.n_predictors):
             # The solver's own part informations: it starts each value at most
             # at their sum, to the bit.

@@ -26,7 +26,7 @@ from pidirr.union_info import (
 )
 
 from conftest import (
-    NewtonSystems, empty_support_face, fail_support_lp, make_random, make_sparse, zero_starts)
+    Calls, empty_support_face, fail_support_lp, make_random, make_sparse, zero_starts)
 
 MINSYN = UnionMeasure()
 MAXMI = UnionMeasure(kind=MeasureKind.MAX_SINGLE_MI)
@@ -220,21 +220,16 @@ def test_unclosed_gap_in_a_batch_is_a_typed_error(monkeypatch):
 
 
 def test_report_solves_each_family_once(monkeypatch):
-    calls = []
-    solve = union_info._min_synergy_brackets
-
-    def counting(tab, families, m, scans=()):
-        calls.append(list(families))
-        return solve(tab, families, m, scans)
-
-    monkeypatch.setattr(union_info, "_min_synergy_brackets", counting)
+    solves = Calls(monkeypatch, union_info, "_min_synergy_brackets")
     d = make_random(402, n_predictors=3)
     first = full_report(d)
+    calls = [list(families) for (_, families, *_), _ in solves.calls]
     assert len(calls) == 1 and len(calls[0]) == 8
     assert len(set(map(tuple, calls[0]))) == 8
     # A second report on an equal distribution solves its families again, to
     # the same bits.
     again = full_report(JointDistribution(d.variables, dict(d.pmf)))
+    calls = [list(families) for (_, families, *_), _ in solves.calls]
     assert len(calls) == 2 and calls[1] == calls[0]
     assert again.values() == first.values()
 
@@ -243,17 +238,10 @@ def test_families_a_report_dominated_are_solved_when_asked_for(monkeypatch):
     # A report leaves a dominated family at an early-exit upper bound;
     # union_information solves it to the tolerance, as it does alone.
     d = make_random(400, n_predictors=3)
-    reported = []
-    solve = union_info._min_synergy_brackets
-
-    def recording(tab, families, m, scans=()):
-        out = solve(tab, families, m, scans)
-        reported.extend(zip(families, out))
-        return out
-
     with monkeypatch.context() as patch:
-        patch.setattr(union_info, "_min_synergy_brackets", recording)
+        solves = Calls(patch, union_info, "_min_synergy_brackets")
         full_report(d)
+    reported = [pair for (_, families, *_), out in solves.calls for pair in zip(families, out)]
     dominated = {parts: b for parts, b in reported if b[0] - b[1] > MINSYN.tolerance}
     assert dominated
     for parts, (upper, _) in dominated.items():
@@ -632,18 +620,11 @@ def test_face_without_free_direction_ends_before_the_solve(monkeypatch):
     def no_solve(*args):
         raise AssertionError("a face with no free direction entered the lockstep solve")
 
-    lps = []
-    support = union_info._maximal_support
-
-    def counting_support(a, b):
-        lps.append(a.shape)
-        return support(a, b)
-
     monkeypatch.setattr(union_info, "_lockstep", no_solve)
-    monkeypatch.setattr(union_info, "_maximal_support", counting_support)
+    lps = Calls(monkeypatch, union_info, "_maximal_support")
     d = make_random(2, 3, 2, 0.3)
     [(value, lower)] = _brackets(d, [tuple(almosts(3))], MINSYN)
-    assert len(lps) == 1
+    assert len(lps.calls) == 1
     assert value == lower == union_info._Tables(d).whole_mi
     assert abs(value - 0.4097012568427534) <= 1e-12
 
@@ -658,35 +639,25 @@ def test_full_support_start_needs_no_face_search(monkeypatch, seed, pulled):
     def no_face_search(a, b):
         raise AssertionError("support LP run on a full-support input")
 
-    sweeps, svds = [], []
-    ipf, svd = union_info._ipf_sweep, np.linalg.svd
-
-    def recording_sweep(*args):
-        sweeps.append(ipf(*args))
-        return sweeps[-1]
-
-    def counting_svd(*args, **kwargs):
-        svds.append(args[0].shape)
-        return svd(*args, **kwargs)
-
     d = make_random(seed, 3)
     fam = PartFamily(tuple(almosts(3)))
     poly = MarginalPolytope(d, fam.parts)
     assert poly.x0.min() > 0.0
     monkeypatch.setattr(union_info, "_maximal_support", no_face_search)
-    monkeypatch.setattr(union_info, "_ipf_sweep", recording_sweep)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    # The polytope above cached its structure; a cold set-up counts its SVD.
+    sweeps = Calls(monkeypatch, union_info, "_ipf_sweep")
+    structures = Calls(monkeypatch, union_info, "_Structure")
+    # The polytope above cached its structure; a cold set-up builds it again.
     union_info._structures.clear()
     [[(_, cells, q, basis, *_)]], _ = _set_up(d, [fam.parts])
-    # No basis of a face is computed: the start's basis is the polytope's.
-    assert len(cells) == len(poly.cells) and len(svds) == 1
+    # No basis of a face is computed: the one structure built is on the
+    # polytope's cells, and the start's basis is the polytope's.
+    assert len(cells) == len(poly.cells) and len(structures.calls) == 1
     assert basis.shape == poly.null_basis.shape
     projector = poly.null_basis @ poly.null_basis.T
     assert np.abs(basis @ basis.T - projector).max() <= 1e-12
     assert q.min() > 0.0
     assert np.abs(poly.A @ q - poly.b).max() <= 1e-12
-    [[start_sweep]] = sweeps
+    [[start_sweep]] = sweeps.results
     sweep = poly.x0 + poly.null_basis @ (poly.null_basis.T @ (start_sweep - poly.x0))
     assert (not sweep.min() > 0.0) == pulled
     value, lower = _brackets(d, [fam.parts], MINSYN)[0]
@@ -713,12 +684,8 @@ def test_zero_cell_start_takes_one_sweep_per_face(
     # sweep is below 1e-4 of its largest cell there, yet the proof holds.  On
     # the other two the proof fails, and the LP keeps every live cell or
     # drops one.  The expected values are certified at tolerance 1e-10.
-    sweeps, faces = [], []
-    sweep, support = union_info._ipf_sweep, union_info._maximal_support
-
-    def counting_sweep(*args):
-        sweeps.append(sweep(*args))
-        return sweeps[-1]
+    faces = []
+    support = union_info._maximal_support
 
     def checked_support(a, b):
         if face is None:
@@ -727,13 +694,14 @@ def test_zero_cell_start_takes_one_sweep_per_face(
         faces.append(bool(live.all()))
         return live, inner
 
-    monkeypatch.setattr(union_info, "_ipf_sweep", counting_sweep)
+    ipf = Calls(monkeypatch, union_info, "_ipf_sweep")
     monkeypatch.setattr(union_info, "_maximal_support", checked_support)
     d = make_random(seed, 4, 2, zero_fraction)
     fam = PartFamily(tuple(almosts(4)) if parts is None else tuple(map(PartSpec, parts)))
     zero = MarginalPolytope(d, fam.parts).x0 == 0.0
     assert zero.any()
     value, lower = _brackets(d, [fam.parts], MINSYN)[0]
+    sweeps = ipf.results
     # A face smaller than the live cells takes its own sweep.
     assert len(sweeps) == 1 + faces.count(False)
     if parts is not None:
@@ -748,24 +716,17 @@ def test_every_support_lp_shrinks_the_face_on_n4_zero_inputs(monkeypatch):
     # but the Almosts) proves its face full, and each Almosts face the proof
     # leaves to the LP on these inputs is smaller than the live cells: no LP
     # call is spent on a face a proof could have given.
-    shrunk = []
-    support = union_info._maximal_support
-
-    def recording_support(a, b):
-        live, inner = support(a, b)
-        shrunk.append(not live.all())
-        return live, inner
-
-    monkeypatch.setattr(union_info, "_maximal_support", recording_support)
+    supports = Calls(monkeypatch, union_info, "_maximal_support")
     for seed in range(40):
         full_report(make_random(seed, 4, 2, 0.3), MINSYN)
+    shrunk = [not live.all() for live, _ in supports.results]
     assert len(shrunk) == 10 and all(shrunk)
 
 
 def _newton_steps(monkeypatch, inputs):
     """``union_info._newton_solve`` calls, one per lockstep Newton step, of
     one report on each of ``make_random(*args)`` for ``args`` in ``inputs``."""
-    systems = NewtonSystems(monkeypatch)
+    systems = Calls(monkeypatch, union_info, "_newton_solve")
     for args in inputs:
         full_report(make_random(*args))
     return systems.count
@@ -933,7 +894,7 @@ def test_a_stalled_row_with_an_open_gap_is_a_typed_error():
 def _stall_at_1e20(monkeypatch, seed):
     """The stall error of the n=3 binary report ``make_random(seed, 3)`` at
     tolerance 1e-20, and the ``union_info._newton_solve`` calls it took."""
-    systems = NewtonSystems(monkeypatch)
+    systems = Calls(monkeypatch, union_info, "_newton_solve")
     with pytest.raises(UnionConvergenceError, match="stalled") as err:
         full_report(make_random(seed, 3), UnionMeasure(tolerance=1e-20))
     return err.value, systems.count
@@ -997,15 +958,9 @@ def test_a_sparse_input_whose_support_lp_failed_on_its_masses_completes(monkeypa
     # support LPs an empty face (seeds 25, 28 and 38) or a solve error (44).
     # On the base support's image the LP finds the face, and the start's
     # origin moves the LP's point onto the true masses.
-    lps = []
-    support = union_info._maximal_support
-
-    def counting_support(a, b):
-        lps.append(b)
-        return support(a, b)
-
-    monkeypatch.setattr(union_info, "_maximal_support", counting_support)
+    supports = Calls(monkeypatch, union_info, "_maximal_support")
     full_report(make_sparse(seed))
+    lps = [b for (_, b), _ in supports.calls]
     assert lps and all((b == np.round(b)).all() and b.min() >= 1.0 for b in lps)
 
 
@@ -1397,25 +1352,15 @@ def test_report_is_the_same_from_a_cold_or_warm_structure_cache(monkeypatch, see
     # one live-cell group, so the group is built on the other six; the inputs
     # that warm the cache keep other rows, and each row set is an entry.
     d = make_random(seed, 3, 2, zero_fraction)
-    builds, sizes, lps = [], [], []
-    structure, support = union_info._Structure, union_info._maximal_support
-
-    def counting_structure(layout, rows):
-        builds.extend(i for i, _ in rows)
-        sizes.append(len(rows))
-        return structure(layout, rows)
-
-    def counting_support(a, b):
-        lps.append(a.shape)
-        return support(a, b)
-
-    monkeypatch.setattr(union_info, "_Structure", counting_structure)
-    monkeypatch.setattr(union_info, "_maximal_support", counting_support)
+    structures = Calls(monkeypatch, union_info, "_Structure")
+    lps = Calls(monkeypatch, union_info, "_maximal_support")
     union_info._structures.clear()
     cold = _report_bits(d)
+    builds = [i for (_, rows), _ in structures.calls for i, _ in rows]
+    sizes = [len(rows) for (_, rows), _ in structures.calls]
     # On the second input one family is built again on its face.
     faces = len(builds) - len(set(builds))
-    assert builds and bool(lps) == bool(faces) == (zero_fraction > 0.0)
+    assert builds and bool(lps.calls) == bool(faces) == (zero_fraction > 0.0)
     assert (sizes == [6]) == (zero_fraction == 0.0)
     union_info._structures.clear()
     warm_up = [make_random(s, 3) for s in (401, 402, 403)] if zero_fraction == 0.0 else []
@@ -1424,10 +1369,10 @@ def test_report_is_the_same_from_a_cold_or_warm_structure_cache(monkeypatch, see
     if warm_up:
         # 401 keeps seven rows, 402 six other than d's, 403 all eight.
         assert [len(g.cells) for g in _groups()] == [7, 6, 8, 6]
-    builds.clear()
+    structures.calls.clear()
     assert _report_bits(_renamed(d, "''")) == cold
     assert _report_bits(d) == cold
-    assert not builds
+    assert not structures.calls
 
 
 def test_each_group_is_cached_under_the_rows_it_builds(monkeypatch):
@@ -1437,27 +1382,16 @@ def test_each_group_is_cached_under_the_rows_it_builds(monkeypatch):
     # exactly the rows it starts and keeps it under them, so the cache holds
     # one entry per row set; renamed copies build nothing and report the same.
     inputs = [make_random(400, 3), make_random(403, 3)]
-    started, builds = [], []
-    starts, structure = union_info._starts, union_info._Structure
-
-    def recording_starts(tab, stack, brackets, groups):
-        rows, start = starts(tab, stack, brackets, groups)
-        started.append(len(rows))
-        return rows, start
-
-    def counting_structure(*args):
-        builds.append(args)
-        return structure(*args)
-
-    monkeypatch.setattr(union_info, "_starts", recording_starts)
-    monkeypatch.setattr(union_info, "_Structure", counting_structure)
+    starts = Calls(monkeypatch, union_info, "_starts")
+    builds = Calls(monkeypatch, union_info, "_Structure")
     union_info._structures.clear()
     cold = [_report_bits(d) for d in inputs]
-    assert started == [6, 8] and len(builds) == 2
+    started = [len(rows) for rows, _ in starts.results]
+    assert started == [6, 8] and len(builds.calls) == 2
     assert [len(g.cells) for g in _groups()] == started
-    builds.clear()
+    builds.calls.clear()
     assert [_report_bits(_renamed(d, "'")) for d in inputs] == cold
-    assert not builds
+    assert not builds.calls
 
 
 def test_structure_depends_on_shape_and_cells_alone():
