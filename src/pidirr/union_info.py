@@ -200,8 +200,10 @@ class _Tables:
         for outcome, p in d.pmf.items():
             self.pmf[tuple(map(dict.__getitem__, index, outcome))] = p
         self.target = d.target_index
-        self.hy = _neg_plogp(self.pmf.sum(axis=d.predictor_indices))
-        self.whole_mi = self.hy + _neg_plogp(self.pmf.sum(axis=self.target)) - _neg_plogp(self.pmf)
+        y, x = self.pmf.sum(axis=d.predictor_indices), self.pmf.sum(axis=self.target)
+        self.hy, hx, hxy = _entropies(np.concatenate([y, x.ravel(), self.pmf.ravel()]),
+                                      np.repeat([0, 1, 2], [y.size, x.size, self.pmf.size]))
+        self.whole_mi = self.hy + hx - hxy
 
     def masses(self, families: Sequence[Sequence[PartSpec]]) -> tuple:
         """``(layout, mass, live, mi)``: the cached :class:`_Layout` of
@@ -222,8 +224,10 @@ class _Tables:
 
 
 def _entropies(v: np.ndarray, part: np.ndarray) -> list[float]:
-    """Entropy in bits of each part's masses ``v[part == j]``, summed as
-    :func:`_neg_plogp` sums it alone, over its positive masses in order."""
+    """Entropy in bits of each part's masses ``v[part == j]``, for ``part``
+    ascending: the ``p log p`` of its positive masses, in order, summed by one
+    ``np.add.reduce`` of that part's alone, so a part takes the same bits
+    whatever segments lie beside it."""
     pos = v > 0.0
     vv = v[pos]
     plogp, ends = vv * np.log2(vv), np.cumsum(np.bincount(part[pos])).tolist()
@@ -911,8 +915,3 @@ def union_information(
         family = PartFamily(tuple(family))
     family.validate(d.n_predictors, allow_full=True)
     return _solve(m, d, [family.parts])[1][0]
-
-
-def _neg_plogp(v: np.ndarray) -> float:
-    vv = v[v > 0.0]
-    return float(-(vv * np.log2(vv)).sum())
