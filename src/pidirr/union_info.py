@@ -77,24 +77,24 @@ among them; the support LP rebuilds a row's dense constraint matrix.
 
 The families asked for in one call (all of a report's, in
 :func:`pidirr.irreducibility.full_report`) are solved in lockstep.  Each
-group of equal cell count, largest first, is checked, set up on its rows
-not done, and started in one pass, so a family that facial reduction moves
-to fewer cells joins a group not yet set up, and every start bounds the
-others before any Newton step.  Once every start is known, each group's
-rows are checked again, and those not done are stepped by stacked numpy
-calls until each stops; on programs this small a step's cost is numpy's
-per-call overhead, so a step's Newton systems skip ``np.linalg.solve``'s
-wrapper (:func:`_newton_solve`).  Each row keeps its own iterates, ``mu``
-schedule and stop, and is judged once per step, at the point its line
-search accepts, before the next Newton system is built.  A row's iterates
-are those it takes in any stack of the same padded null width, which sets
-the shapes, and so the rounding, of its matrix products: a measure asked
-for alone, whose stack holds only its own scan's families, can differ from
-the full report's in the last bits.  The per-row control of a step is one
-Python pass over the rows before the line search and one after it.  A row
-that stops leaves its stack, which is re-indexed, unless the stack is small
-(``_SMALL_STACK``), where re-indexing costs more than a step: there it
-stays, takes zero steps and leaves its bracket alone.
+group of equal cell count, largest first, is checked, set up on its rows not
+done, and started in one pass, so a family that facial reduction moves to
+fewer cells joins a group not yet set up, and every start bounds the others
+before any Newton step.  Once every start is known, each group's started
+rows are stepped by stacked numpy calls until each stops; on programs this
+small a step's cost is numpy's per-call overhead, so a step's Newton systems
+skip ``np.linalg.solve``'s wrapper (:func:`_newton_solve`).  Each row keeps
+its own iterates, ``mu`` schedule and stop, and is judged by one rule at its
+start and then once per step, at the point its line search accepts, before
+the next Newton system is built.  A row's iterates are those it takes in any
+stack of the same padded null width, which sets the shapes, and so the
+rounding, of its matrix products: a measure asked for alone, whose stack
+holds only its own scan's families, can differ from the full report's in the
+last bits.  The per-row control of a step is one Python pass over the rows
+before the line search and one after it.  A row that stops leaves its stack,
+which is re-indexed, unless the stack is small (``_SMALL_STACK``), where
+re-indexing costs more than a step: there it stays, takes zero steps and
+leaves its bracket alone.
 
 :func:`union_information` solves the one family it is asked for to the
 tolerance.  A report needs only each of its scans' largest union and the
@@ -134,13 +134,15 @@ _MAX_NEWTON_STEPS = 500
 
 #: A lockstep stack whose cells times padded null width squared (about a
 #: Newton step's work per row) lie below this keeps its rows once they are
-#: done, rather than re-indexing its arrays.  Every binary n=3 stack is
-#: 16 * 8**2 = 1024, where keeping rows takes about 5% off a report; binary
-#: n=4 stacks are 32 * 22**2 = 15488, where it cost 22-27% (n=5: 89-94%; n=3
-#: ternary, 81 * 60**2: 41-47%).  Any value between decides every measured
-#: input the same way: the binary n=3 and n=2 ternary-with-zeros stacks (at
-#: most 27 * 12**2) keep their rows, and the corpus's one stepped stack
-#: (triple_xor, 128 * 32**2) re-indexes.
+#: done, rather than re-indexing its arrays.  Every binary n=3 stack is at
+#: most 16 * 8**2 = 1024, where keeping rows takes 12% off a report (bench
+#: ``binary-n3`` ``report_p50_s`` 1.22 ms; 1.38 ms at 0, in all 6
+#: alternating 8 s pairs on a 2-core host); binary n=4 stacks are 32 * 22**2
+#: = 15488, where it cost 22-27% (n=5: 89-94%; n=3 ternary, 81 * 60**2:
+#: 41-47%).  Any value between decides every measured input the same way:
+#: the binary n=3 and n=2 ternary-with-zeros stacks (at most 27 * 12**2)
+#: keep their rows, and the corpus's one stepped stack (triple_xor, 128 *
+#: 32**2) re-indexes.
 _SMALL_STACK = 2**12
 
 
@@ -608,8 +610,8 @@ def _starts(tab: _Tables, stack: _Stack, brackets: _Brackets, groups: dict[int, 
     family with no free direction is done there, at the whole's mutual
     information.  A face smaller than the live cells joins ``groups`` at its
     size, not yet set up, with that origin and no further proof; one that
-    misses a cell of the base support raises.  Whether a started row is
-    done is checked before the steps, once every group's start is known."""
+    misses a cell of the base support raises.  :func:`_lockstep` judges a
+    started row, once every group's start is known."""
     s, x0 = stack.structure, stack.x0
     ids, inner = [row[0] for row in stack.group], [row[2] for row in stack.group]
 
@@ -667,43 +669,45 @@ def _lockstep(
     stack: _Stack, rows: np.ndarray, start: tuple, ids: list[int], hy: float, brackets: _Brackets
 ) -> None:
     """Damped Newton steps on rows ``rows`` of ``stack`` at once, from their
-    starts ``start``, as :func:`_starts` returns them for these rows, until
-    ``brackets`` has each row done; ``ids`` are the rows' families in
-    ``brackets``, and ``hy`` is ``H(Y)`` in bits.  The starts' x-group
-    masses are cut to the rows' widest x-group count.
+    starts ``start``, as :func:`_starts` returns them, until ``brackets``
+    has each row done; ``ids`` are the rows' families in ``brackets``, and
+    ``hy`` is ``H(Y)`` in bits.  The starts' x-group masses are cut to the
+    rows' widest x-group count.
 
-    A step builds each row's Newton system at its point, whose dual bound
-    goes to the row's bracket, and searches the line from 0.9 of the
-    longest step that keeps every cell positive.  The value at the point
-    the search accepts goes to the bracket, the row is judged there, and
-    rows done leave before the next system is built, so a row whose step
-    closes its bracket builds no further system.  A row whose line search
-    ends below a step of 1e-12 with ``mu`` at its floor cannot move again,
-    nor can a row at that floor whose gap is within the rounding of its
-    value, cells times eps times ``-f`` as bits, since ``-f = sum |q ln
-    q(y|x)|``: about 1e-15 bits, read only by tolerances below 1e-14.
-    A row's iterates and ``mu`` schedule are those it takes in any stack of
-    the same padded null width ``r``, which sets the shapes, and so the
-    rounding, of its matrix products; alone, in a narrower stack, its last
-    bits can differ.  Null bases are cut to the widest row, and the Hessian
-    diagonal of the padded directions (``pad``), exactly 0, is set to 1 at
-    flat indices found again when rows leave, so they get zero steps; a
-    step's systems are one call of :func:`_newton_solve`.  When
-    rows are done, a stack of cells times padded width squared at or above
-    ``_SMALL_STACK`` re-indexes only what the next system reads.  A smaller
-    stack keeps them: a row done takes zero steps and keeps its ``mu``, so
-    after its first system, at the point it was judged at, its Newton
-    system stays the same, and the brackets, :meth:`_Brackets.done`, step
-    lengths and line search see only the rows not done.  Every stacked
-    operation is per row, so either way a row takes the same bits.  Vectors
-    are stacks of columns, so that ``matmul`` takes them as they are.
-    Per-row control reads a few ``tolist`` calls per step, in one pass over
-    the rows not done before the line search (the dual bound, the first
-    trial step) and one after it (the value, the stall flag, the stage cut
-    and the arguments of the verdict); a bracket entry is written only when
-    it tightens.  Every trial point of the line search is evaluated by
-    :func:`_gradient`, as every start is; the values are taken once, at the
-    point the search accepts, not at the trials it rejects."""
+    A row is judged by :meth:`_Brackets.done` at its start, before the first
+    Newton system, and then once per step.  A step builds each row's Newton
+    system at its point, whose dual bound goes to the row's bracket, and
+    searches the line from 0.9 of the longest step that keeps every cell
+    positive.  The value at the point the search accepts goes to the
+    bracket, the row is judged there, and rows done leave before the next
+    system is built, so a row whose start or step closes its bracket builds
+    no further system.  A row whose line search ends below a step of 1e-12
+    with ``mu`` at its floor cannot move again, nor can a row at that floor
+    whose gap is within the rounding of its value, cells times eps times
+    ``-f`` as bits, since ``-f = sum |q ln q(y|x)|``: about 1e-15 bits, read
+    only by tolerances below 1e-14.  A row's iterates and ``mu`` schedule
+    are those it takes in any stack of the same padded null width ``r``,
+    which sets the shapes, and so the rounding, of its matrix products;
+    alone, in a narrower stack, its last bits can differ.  Null bases are
+    cut to the widest row, and the Hessian diagonal of the padded directions
+    (``pad``), exactly 0, is set to 1 at flat indices found again when rows
+    leave, so they get zero steps; a step's systems are one call of
+    :func:`_newton_solve`.  When rows are done, a stack of cells times
+    padded width squared at or above ``_SMALL_STACK`` re-indexes only what
+    the next system reads.  A smaller stack keeps them: a row done takes
+    zero steps and keeps its ``mu``, so after its first system, at the point
+    it was judged at, its Newton system stays the same, and the brackets,
+    :meth:`_Brackets.done`, step lengths and line search see only the rows
+    not done.  Every stacked operation is per row, so either way a row takes
+    the same bits.  Vectors are stacks of columns, so that ``matmul`` takes
+    them as they are.  Per-row control reads a few ``tolist`` calls per
+    step, in one pass over the rows not done before the line search (the
+    dual bound, the first trial step) and one after it (the value, the stall
+    flag, the stage cut and the arguments of the verdict); a bracket entry
+    is written only when it tightens.  Every trial point of the line search
+    is evaluated by :func:`_gradient`, as every start is; the values are
+    taken once, at the point the search accepts, not at the trials it
+    rejects."""
     s, lower, upper = stack.structure, brackets.lower, brackets.upper
     q, grad, qx, f = start
     q = q[:, :, None]
@@ -727,9 +731,26 @@ def _lockstep(
     mu = [max((fk - (lower[i] - hy) * _LN2) / n, mu_end) for fk, i in zip(f, ids)]
     m = np.array(mu).reshape(k, 1, 1)
     mh = m  # the Hessian's mu: the previous step's, see the stage cut below
-    live = list(range(k))  # the rows not done
-    resized = True  # what follows from the stepping rows is derived again when rows leave
-    for _ in range(_MAX_NEWTON_STEPS):
+    live, judged, stalled = list(range(k)), ids, []  # every row is judged at its start
+    for step in range(_MAX_NEWTON_STEPS + 1):
+        keep = [j for j, done in zip(live, brackets.done(judged, stalled)) if not done]
+        if not keep:
+            return
+        if step == _MAX_NEWTON_STEPS:
+            break
+        resized = not step  # derive what the rows set: at the first step, and when rows leave
+        if reindex and len(keep) < k:
+            # Only what the next system reads.
+            k = len(keep)
+            ids, mu = [ids[j] for j in keep], [mu[j] for j in keep]
+            keep = np.array(keep)
+            q, grad, qx, m, mh, basis, group_basis, pad, multi, single, shared, x0t, xidx = (
+                v[keep] for v in
+                (q, grad, qx, m, mh, basis, group_basis, pad, multi, single, shared, x0t, xidx)
+            )
+            gidx = _group_index(xidx, nx)
+            keep, resized = list(range(k)), True
+        live = keep
         if resized:
             basis_t, group_t = basis.transpose(0, 2, 1), group_basis.transpose(0, 2, 1)
             gflat, kx = gidx.ravel(), k * nx
@@ -816,28 +837,10 @@ def _lockstep(
             judged.append(i)
             stalled.append(mj == mu_end and (
                 steps[j] < 1e-12 or upper[i] - lower[i] <= -f[j] * rounding))
-        verdicts = brackets.done(judged, stalled)
-        keep = [j for j, done in zip(live, verdicts) if not done]
-        if not keep:
-            return
         mh = m
         if stage != mu:
             mu, m = stage, np.array(stage).reshape(k, 1, 1)
-        resized = reindex and len(keep) < k
-        if resized:
-            # Only what the next system reads.
-            k = len(keep)
-            ids, mu = [ids[j] for j in keep], [mu[j] for j in keep]
-            keep = np.array(keep)
-            q, grad, qx, m, mh, basis, group_basis, pad, multi, single, shared, x0t, xidx = (
-                v[keep] for v in
-                (q, grad, qx, m, mh, basis, group_basis, pad, multi, single, shared, x0t, xidx)
-            )
-            gidx = _group_index(xidx, nx)
-            live = list(range(k))
-        else:
-            live = keep
-    gaps = {i: upper[i] - lower[i] for i in (ids[j] for j in live)}
+    gaps = {i: upper[i] - lower[i] for i in (ids[j] for j in keep)}
     widest = max(gaps, key=gaps.__getitem__)
     raise UnionConvergenceError(
         f"minimum-synergy barrier solver did not close its gap in "
@@ -856,9 +859,9 @@ def _min_synergy_brackets(
     """``(value, lower)`` in bits per family over ``tab``'s distribution:
     the upper and lower ends of its bracket (see :class:`_Brackets`), with
     ``scans`` lists of indices into ``families``.  Each live-cell group,
-    largest first, is checked and started by :func:`_starts`; then each is
-    checked again and stepped.  A bracket only tightens, so a row done at its
-    start is done there too."""
+    largest first, is checked and started by :func:`_starts`; then every
+    row each started goes to :func:`_lockstep`, which judges it first.  A
+    bracket only tightens, so a row done at its start is done there too."""
     layout, mass, live, mi = tab.masses(families)
     brackets = _Brackets(scans, len(families), m.tolerance)
     groups: dict[int, list] = {}
@@ -877,11 +880,6 @@ def _min_synergy_brackets(
             rows, start = _starts(tab, stack, brackets, groups)
             started.append((stack, rows, start, [group[k][0] for k in rows.tolist()]))
     for stack, rows, start, ids in started:
-        keep = [j for j, done in enumerate(brackets.done(ids)) if not done]
-        if len(keep) < len(ids):  # with every row open, no copies
-            q, grad, qx, f = start
-            rows, ids = rows[keep], [ids[j] for j in keep]
-            start = q[keep], grad[keep], qx[keep], [f[j] for j in keep]
         if ids:
             _lockstep(stack, rows, start, ids, tab.hy, brackets)
     return [(u, min(l, u)) for l, u in zip(brackets.lower, brackets.upper)]

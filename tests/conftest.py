@@ -91,6 +91,43 @@ class Calls:
         return [result for _, result in self.calls]
 
 
+class WriteLog(list):
+    """A list that logs the index of each item it is assigned."""
+
+    def __init__(self, values, log):
+        super().__init__(values)
+        self.log = log
+
+    def __setitem__(self, i, value):
+        self.log.append(i)
+        super().__setitem__(i, value)
+
+
+class Lockstep:
+    """The calls of ``union_info._lockstep`` until ``monkeypatch`` is undone,
+    each as ``(ids, done, written)``: the families it was handed, in order,
+    the set of those ``_Brackets.done`` finds done at their starts, and the
+    set of those whose bracket entries it assigned, through a
+    :class:`WriteLog` on each end.  A call that raises is recorded too."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        lockstep = union_info._lockstep
+
+        def recording(stack, rows, start, ids, hy, brackets):
+            done = {i for i, row_done in zip(ids, brackets.done(ids)) if row_done}
+            writes = []
+            brackets.lower = WriteLog(brackets.lower, writes)
+            brackets.upper = WriteLog(brackets.upper, writes)
+            try:
+                lockstep(stack, rows, start, ids, hy, brackets)
+            finally:
+                brackets.lower, brackets.upper = list(brackets.lower), list(brackets.upper)
+                self.calls.append((list(ids), done, set(writes)))
+
+        monkeypatch.setattr(union_info, "_lockstep", recording)
+
+
 def fail_support_lp(monkeypatch):
     """Make every support LP report failure, as ``linprog`` does on an
     infeasible program."""

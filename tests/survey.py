@@ -29,9 +29,10 @@ the survey with a traceback.  The classes:
 
 It exits non-zero if any report raises in a ``STRICT`` class, on any error
 but a barrier stall in a ``SPARSE`` class, or on fewer than ``COMPLETIONS``
-completed reports in those; ``failures`` says why on stderr.  Wall times go
-to stderr too, so a claim that a change keeps every report's bits is one
-diff of the stdout before and after it.  Run it from the repository root,
+completed reports in those; ``failures`` says why on stderr.  Each class's
+wall time, and its input that took the most Newton systems, go to stderr
+too, so a claim that a change keeps every report's bits is one diff of the
+stdout before and after it.  Run it from the repository root,
 at one BLAS thread (about 17 s on a 2-core host: 1 s up to ``tol 1e-20``,
 13 s for the tight classes and 3 s for the sparse ones)::
 
@@ -135,8 +136,19 @@ def failures(tallies):
 
 
 def main() -> int:
-    warnings.simplefilter("error", RuntimeWarning)
-    patch, gaps, tallies = pytest.MonkeyPatch(), [], []
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error", RuntimeWarning)
+        tallies = _survey(patch)
+    reasons = failures(tallies)
+    for reason in reasons:
+        print(f"survey fails: {reason}", file=sys.stderr)
+    return 1 if reasons else 0
+
+
+def _survey(patch):
+    """Each class's :class:`Tally`, printed as it is made; the solver is
+    recorded through ``patch``."""
+    gaps, tallies = [], []
     systems = Calls(patch, union_info, "_newton_solve")
     brackets = union_info._min_synergy_brackets
 
@@ -151,7 +163,9 @@ def main() -> int:
         tally, digest = Tally(name, len(inputs), 0), hashlib.sha256()
         systems.count = 0
         gaps.clear()
+        heaviest = (-1, "")  # the most Newton systems one report took, and its input
         for label, d in inputs:
+            before = systems.count
             try:
                 out = repr(full_report(d, measure))
                 tally.completed += 1
@@ -165,6 +179,8 @@ def main() -> int:
             digest.update(out.encode())
             digest.update(b"\n")
             systems.calls.clear()  # only the count is read
+            if systems.count - before > heaviest[0]:
+                heaviest = systems.count - before, label
         tolerance = measure.tolerance
         closed = [gap for gap in gaps if gap <= tolerance]
         if closed:
@@ -172,12 +188,10 @@ def main() -> int:
         tally.systems, tally.digest = systems.count, digest.hexdigest()
         tallies.append(tally)
         print(*tally.lines(), sep="\n", flush=True)
-        print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+        print(f"{name}: {time.perf_counter() - start:.1f} s, most Newton systems "
+              f"{heaviest[0]}: {heaviest[1]}", file=sys.stderr)
         start = time.perf_counter()
-    reasons = failures(tallies)
-    for reason in reasons:
-        print(f"survey fails: {reason}", file=sys.stderr)
-    return 1 if reasons else 0
+    return tallies
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from pidirr.parts import (
 from pidirr import irreducibility, union_info
 from pidirr.union_info import MeasureKind, UnionMeasure, union_information
 
-from conftest import Calls, make_random, unordered_unions
+from conftest import Calls, Lockstep, make_random, unordered_unions
 
 MINSYN = UnionMeasure()
 
@@ -313,29 +313,23 @@ def test_witnesses_are_the_earliest_of_their_tie_class(monkeypatch, corpus, shif
 
 
 def test_each_exit_point_retires_a_dominated_family(monkeypatch):
-    # A dominated family stops inside the lockstep solve, at a Newton step;
-    # before its build, with its whole or disjoint-part bound as its value;
-    # or at its start, with the start's value.
-    calls = []
-    lockstep, solve = union_info._lockstep, union_info._min_synergy_brackets
-
-    def recording_lockstep(stack, rows, start, ids, hy, brackets):
-        lockstep(stack, rows, start, ids, hy, brackets)
-        calls[-1]["newton"].update(ids)
-
-    def recording_solve(tab, families, m, scans=()):
-        calls.append({"tab": tab, "families": families, "newton": set()})
-        calls[-1]["out"] = solve(tab, families, m, scans)
-        return calls[-1]["out"]
-
-    monkeypatch.setattr(union_info, "_lockstep", recording_lockstep)
-    monkeypatch.setattr(union_info, "_min_synergy_brackets", recording_solve)
+    # A dominated family stops inside the lockstep solve: at a Newton step,
+    # whose dual bound or value moves its bracket, or at its start, judged
+    # before the first Newton system, where its bracket never moves again;
+    # or before its build, with its whole or disjoint-part bound as its value.
+    lockstep = Lockstep(monkeypatch)
+    solves = Calls(monkeypatch, union_info, "_min_synergy_brackets")
+    newton = []
     for seed in (400, 401, 402):
         full_report(make_random(seed, 3))
+        newton.append(set())
+        for ids, done, written in lockstep.calls:
+            assert written == set(ids) - done  # a row open at its start takes a step
+            newton[-1] |= written
+        lockstep.calls.clear()
     exits = {"newton": 0, "build": 0, "start": 0}
-    for call in calls:
-        tab = call["tab"]
-        for i, (parts, bracket) in enumerate(zip(call["families"], call["out"])):
+    for ((tab, families, *_), out), stepped in zip(solves.calls, newton):
+        for i, (parts, bracket) in enumerate(zip(families, out)):
             value, lower = bracket
             if value - lower <= 0.1 * MINSYN.tolerance:  # certified, not dominated
                 continue
@@ -343,7 +337,7 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
             built = tab.whole_mi
             if len(set(members)) == len(members):
                 built = min(sum(tab.masses([parts])[3]), built)
-            if i in call["newton"]:
+            if i in stepped:
                 exits["newton"] += 1
             else:
                 exits["build" if value == built else "start"] += 1
@@ -352,29 +346,24 @@ def test_each_exit_point_retires_a_dominated_family(monkeypatch):
 
 def test_a_later_group_meets_the_certified_bounds_of_earlier_ones(monkeypatch):
     # This report's families fall into three live-cell groups.  Every group
-    # is set up and started before any takes a Newton step, and each is
-    # checked again before its steps.  A bipartition of the second group is
-    # started, not done there, and then dominated by a lower bound that the
-    # first group's steps certify, so it never takes a Newton step.
-    started, stepped = [], []
-    starts, lockstep = union_info._starts, union_info._lockstep
-
-    def recording_starts(tab, stack, brackets, groups):
-        rows, start = starts(tab, stack, brackets, groups)
-        started.append([stack.group[k][0] for k in rows])
-        return rows, start
-
-    def recording_lockstep(stack, rows, start, ids, hy, brackets):
-        stepped.append(list(ids))
-        lockstep(stack, rows, start, ids, hy, brackets)
-
+    # is set up and started before any takes a Newton step, and each started
+    # row is judged again at the start of its group's lockstep.  A
+    # bipartition of the second group is started, not done there, and then
+    # dominated by a lower bound that the first group's steps certify: it is
+    # done before its first Newton system and its bracket never moves again.
     d = make_random(11, 3, 2, 0.3)
     expected = _report_every_family_solved(monkeypatch, d, UnionMeasure())
-    monkeypatch.setattr(union_info, "_starts", recording_starts)
-    monkeypatch.setattr(union_info, "_lockstep", recording_lockstep)
+    starts = Calls(monkeypatch, union_info, "_starts")
+    lockstep = Lockstep(monkeypatch)
     report = full_report(d)
-    assert list(map(len, started)) == [2, 4, 2] and list(map(len, stepped)) == [2, 3, 1]
-    assert stepped[0] == started[0] and set(stepped[1]) < set(started[1])
+    started = [[stack.group[k][0] for k in rows]
+               for (_, stack, *_), (rows, _) in starts.calls]
+    assert list(map(len, started)) == [2, 4, 2]
+    assert [ids for ids, *_ in lockstep.calls] == started
+    assert [len(ids) - len(done) for ids, done, _ in lockstep.calls] == [2, 3, 1]
+    assert not lockstep.calls[0][1] and lockstep.calls[1][1]
+    for _, done, written in lockstep.calls:
+        assert not done & written
     assert report.values() == pytest.approx(expected.values(), abs=1e-12)
     assert _witnesses(report) == _witnesses(expected)
 

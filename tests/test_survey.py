@@ -1,10 +1,15 @@
-"""The exit gates of ``tests/survey.py``, fed synthetic outcomes: no report
-is solved here."""
+"""The exit gates of ``tests/survey.py``, fed synthetic outcomes, and the
+line it writes per class, from a class of two reports."""
+
+import re
 
 import pytest
 
-from pidirr.irreducibility import OrderingViolationError
-from pidirr.union_info import UnionConvergenceError
+import survey
+from conftest import Calls, make_random
+from pidirr import union_info
+from pidirr.irreducibility import OrderingViolationError, full_report
+from pidirr.union_info import UnionConvergenceError, UnionMeasure
 from survey import Tally, failures
 
 
@@ -68,3 +73,18 @@ def test_a_raise_at_1e_10_or_1e_11_fails(name, raised, outcome):
     getattr(tally, raised).append(outcome)
     assert failures(tallies) == [f"{name}: 1 of 600 reports raised"]
 
+
+def test_each_class_names_the_input_that_took_the_most_newton_systems(monkeypatch, capsys):
+    inputs = [("light", make_random(400, 3)), ("heavy", make_random(408, 3))]
+    counts = []
+    for _, d in inputs:
+        with monkeypatch.context() as patch:
+            systems = Calls(patch, union_info, "_newton_solve")
+            full_report(d)
+        counts.append(systems.count)
+    assert counts[0] < counts[1]
+    monkeypatch.setattr(survey, "classes", lambda: iter([("pair", UnionMeasure(), inputs)]))
+    survey.main()  # fails on its sparse completions, as no sparse class runs
+    out, err = capsys.readouterr()
+    assert re.search(fr"^pair: [0-9.]+ s, most Newton systems {counts[1]}: heavy$", err, re.M)
+    assert f" {sum(counts):>6} systems " in out

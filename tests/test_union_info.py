@@ -26,7 +26,7 @@ from pidirr.union_info import (
 )
 
 from conftest import (
-    Calls, empty_support_face, fail_support_lp, make_random, make_sparse, zero_starts)
+    Calls, WriteLog, empty_support_face, fail_support_lp, make_random, make_sparse, zero_starts)
 
 MINSYN = UnionMeasure()
 MAXMI = UnionMeasure(kind=MeasureKind.MAX_SINGLE_MI)
@@ -43,7 +43,7 @@ def _brackets(d, families, m):
 
 def _set_up(d, families):
     """What the solver hands ``_lockstep`` for the families, with no Newton
-    step taken: per live-cell group that steps, its rows ``(i, cells, q,
+    step taken: per live-cell group started, its rows ``(i, cells, q,
     basis, xidx)``, each a family's index, cells, start, null basis and
     x-groups; and each family's ``(value, lower)`` bracket at its start."""
     batches = []
@@ -761,32 +761,23 @@ def test_mixed_reports_keep_their_newton_step_budget(monkeypatch):
     assert 0 < steps <= 298
 
 
-class _WriteLog(list):
-    """A list that logs the index of each item it is assigned."""
-
-    def __init__(self, values, log):
-        super().__init__(values)
-        self.log = log
-
-    def __setitem__(self, i, value):
-        self.log.append(i)
-        super().__setitem__(i, value)
-
-
 def _checked_report(monkeypatch, small_stack, d):
     """A report on ``d`` with ``_SMALL_STACK`` at ``small_stack``: its repr,
     each family's ``(value, lower)`` from ``_min_synergy_brackets``, and its
-    ``union_info._newton_solve`` calls; and how many Newton systems a row
-    done sat in.  On the way it checks, at each lockstep step, that a stack
-    below ``small_stack`` keeps every row and a larger one only the rows not
-    done, and that a row done leaves ``_Brackets.done``, writes no bracket
-    and takes no step.  A row is judged where its line search lands, so the
-    first system after its verdict is built there, and every later Newton
-    gradient of the row equals that system's."""
+    ``union_info._newton_solve`` calls; how many Newton systems a row done
+    sat in; and how many rows were done at their starts.  On the way it
+    checks that every row is judged at its start, before the first Newton
+    system, and at each lockstep step; that a stack below ``small_stack``
+    keeps every row and a larger one only the rows not done; and that a row
+    done, at its start or at a step, leaves ``_Brackets.done``, writes no
+    bracket and takes no step.  A row is judged at its start or where its
+    line search lands, so the first system after its verdict is built
+    there, and every later Newton gradient of the row equals that
+    system's."""
     monkeypatch.setattr(union_info, "_SMALL_STACK", small_stack)
     solve, done = union_info._newton_solve, union_info._Brackets.done
     lockstep, min_synergy = union_info._lockstep, union_info._min_synergy_brackets
-    brackets, solves, kept, call = [], 0, 0, None
+    brackets, solves, kept, at_start, call = [], 0, 0, 0, None
 
     def recording_solve(hess, g):
         nonlocal solves
@@ -796,15 +787,19 @@ def _checked_report(monkeypatch, small_stack, d):
         return solve(hess, g)
 
     def checked_done(self, ids, stalled=()):
-        nonlocal kept
+        nonlocal kept, at_start
         verdicts = done(self, ids, stalled)
         if call is None:
             return verdicts
         rows, g, finished = call["rows"], call["g"], call["finished"]
         assert not finished.keys() & (set(ids) | set(call["writes"]))
         call["writes"].clear()
-        assert len(g) == (len(rows) if call["keeps"] else len(ids))
-        if call["keeps"]:
+        if g is None:  # before the first system: every row, at its start
+            assert list(ids) == rows and not stalled
+            at_start += sum(verdicts)
+        else:
+            assert len(g) == (len(rows) if call["keeps"] else len(ids))
+        if g is not None and call["keeps"]:
             for i, first in finished.items():
                 if first is None:  # the first system after the verdict
                     finished[i] = g[rows.index(i)].copy()
@@ -820,10 +815,10 @@ def _checked_report(monkeypatch, small_stack, d):
         nonlocal call
         width = max(stack.structure.width[k] for k in rows.tolist())
         writes = []
-        brackets_.lower = _WriteLog(brackets_.lower, writes)
-        brackets_.upper = _WriteLog(brackets_.upper, writes)
+        brackets_.lower = WriteLog(brackets_.lower, writes)
+        brackets_.upper = WriteLog(brackets_.upper, writes)
         call = {"rows": list(ids), "keeps": start[0].shape[1] * width**2 < small_stack,
-                "finished": {}, "writes": writes}
+                "finished": {}, "writes": writes, "g": None}
         try:
             lockstep(stack, rows, start, ids, hy, brackets_)
         finally:
@@ -841,25 +836,27 @@ def _checked_report(monkeypatch, small_stack, d):
         patch.setattr(union_info, "_lockstep", checked_lockstep)
         patch.setattr(union_info, "_min_synergy_brackets", recording)
         report = full_report(d)
-    return repr((report, brackets, solves)), kept
+    return repr((report, brackets, solves)), kept, at_start
 
 
 def test_rows_done_leave_or_stay_in_their_stack_with_the_same_bits(monkeypatch):
-    # Small stacks keep their rows done instead of re-indexing; every stacked
-    # operation is per row, so whether a stack re-indexes (0), decides by its
-    # size (the module's bound) or keeps every row (inf), each report, every
-    # family's bracket and the count of Newton systems are the same bits.
+    # Small stacks keep their rows done, at their starts or at a step,
+    # instead of re-indexing; every stacked operation is per row, so whether
+    # a stack re-indexes (0), decides by its size (the module's bound) or
+    # keeps every row (inf), each report, every family's bracket and the
+    # count of Newton systems are the same bits.
     bound = union_info._SMALL_STACK
     inputs = [make_random(seed, 3) for seed in range(400, 410)]
     inputs += [make_random(0, 4), make_random(0, 3, 3), make_random(1, 3, 2, 0.3)]
-    kept = 0
+    kept = at_start = 0
     for d in inputs:
-        reindexed, _ = _checked_report(monkeypatch, 0, d)
-        sized, _ = _checked_report(monkeypatch, bound, d)
-        everywhere, rows_kept = _checked_report(monkeypatch, math.inf, d)
+        reindexed, *_ = _checked_report(monkeypatch, 0, d)
+        sized, *_ = _checked_report(monkeypatch, bound, d)
+        everywhere, rows_kept, done = _checked_report(monkeypatch, math.inf, d)
         assert reindexed == sized == everywhere
         kept += rows_kept
-    assert kept > 0
+        at_start += done
+    assert kept > 0 and at_start > 0
 
 
 def test_a_familys_bracket_does_not_depend_on_the_order_of_the_families():
