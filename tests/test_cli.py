@@ -360,6 +360,12 @@ def test_axioms_trials_guard(capsys):
     assert code == 2 and not out and "--trials" in err
 
 
+def test_axioms_one_predictor_is_usage_error(one_predictor_file, capsys):
+    args = ["axioms", "--input", one_predictor_file, "--trials", "0"]
+    assert run(args, capsys) == (
+        2, "", "usage error: axioms needs at least 2 predictor variables\n")
+
+
 def test_lattice_output(xor_file, capsys):
     code, out, _ = run(
         ["lattice", "--input", xor_file, "--vars", "X1 X2 Y X1,X2", "--format", "human"],
@@ -372,6 +378,23 @@ def test_lattice_output(xor_file, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["entropies"]["Y"] == 1.0
+
+
+def test_lattice_human_names_each_order(xor_file, capsys):
+    # X1,X2 and X1,X2,Y carry the same information in XOR, so each is poorer
+    # than the other: the pair is equivalent.
+    args = ["lattice", "--input", xor_file, "--vars", "X1,X2 X1 Y X1,X2,Y", "--format", "human"]
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    order = out.split("order:\n")[1].split("join/meet")[0]
+    assert order == """\
+  X1,X2 richer than X1
+  X1,X2 richer than Y
+  X1,X2 equivalent to X1,X2,Y
+  X1 incomparable with Y
+  X1 poorer than X1,X2,Y
+  Y poorer than X1,X2,Y
+"""
 
 
 EXAMPLES_JSON = """\
@@ -517,6 +540,18 @@ def test_render_json_stability():
     assert render_json(-1e-13) == "0.000000000"  # negative zero normalized
     assert render_json({}) == "{}" and render_json([]) == "[]" and render_json(()) == "[]"
     assert json.loads(render_json({"a": {}, "b": []})) == {"a": {}, "b": []}
+
+
+@pytest.mark.parametrize("char, escaped", [
+    *((chr(code), f"\\u{code:04x}") for code in range(0x20)),
+    ('"', '\\"'),
+    ("\\", "\\\\"),
+])
+def test_render_json_escapes_control_characters_quotes_and_backslashes(char, escaped):
+    # Every control character takes the \u00XX form, \n and \t included.
+    text = render_json({char: "a" + char})
+    assert text == f'{{\n  "{escaped}": "a{escaped}"\n}}'
+    assert json.loads(text) == {char: "a" + char}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
