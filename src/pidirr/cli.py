@@ -88,9 +88,31 @@ def _fmt_float(v: float, exact: bool = False) -> str:
     return repr(v) if exact and float(text) != v else text
 
 
+#: JSON's escape of each character a string may not hold as it is: the
+#: quote, the backslash and every control character, the last as ``\u00XX``
+#: (never ``\n`` or ``\t``).
+_JSON_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)} | {
+    ord('"'): '\\"', ord("\\"): "\\\\"}
+
+
+def _scalar(v, key=None) -> str:
+    """A leaf of a payload that is not a string: a float by
+    :func:`_fmt_float`, exactly when ``key`` is one of ``_EXACT_KEYS``; a
+    boolean as ``true`` or ``false``; a list's items joined by spaces; and
+    anything else by ``str``."""
+    if isinstance(v, float):
+        return _fmt_float(v, key in _EXACT_KEYS)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (list, tuple)):
+        return " ".join(_scalar(x) for x in v)
+    return str(v)
+
+
 def render_json(value, indent: int = 0, key=None) -> str:
-    """Minimal JSON writer with stable key order and 9-decimal floats (the
-    values of ``_EXACT_KEYS`` exactly)."""
+    """Minimal JSON writer with stable key order; ``key`` is the key that
+    ``value`` is held under, and each boolean or number is printed by
+    :func:`_scalar`."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
@@ -102,34 +124,14 @@ def render_json(value, indent: int = 0, key=None) -> str:
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ", ".join(render_json(v, indent + 1) for v in value)
-        return "[" + items + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_float(value, key in _EXACT_KEYS)
-    if isinstance(value, int):
-        return str(value)
-    if value is None:
-        return "null"
-    return _json_string(str(value))
+        return "[" + ", ".join(render_json(v, indent + 1) for v in value) + "]"
+    if isinstance(value, (bool, int, float)):
+        return _scalar(value, key)
+    return "null" if value is None else _json_string(str(value))
 
 
 def _json_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_JSON_ESCAPES) + '"'
 
 
 def _flatten(value, prefix: str = "") -> list[tuple[str, str]]:
@@ -143,19 +145,7 @@ def _flatten(value, prefix: str = "") -> list[tuple[str, str]]:
         return rows
     if isinstance(value, (list, tuple)):
         return [(prefix, " | ".join(_scalar(v) for v in value))]
-    if isinstance(value, float) and prefix.rpartition(".")[2] in _EXACT_KEYS:
-        return [(prefix, _fmt_float(value, exact=True))]
-    return [(prefix, _scalar(value))]
-
-
-def _scalar(v) -> str:
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, (list, tuple)):
-        return " ".join(_scalar(x) for x in v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
+    return [(prefix, _scalar(value, prefix.rpartition(".")[2]))]
 
 
 def render_tsv(payload: dict) -> str:
@@ -245,10 +235,10 @@ def _cmd_axioms(args) -> tuple[str, int]:
     lines = [f"{'axiom':<6}{'passed':<9}{'worst violation':>18}  cases"]
     for r in report.results:
         lines.append(
-            f"{r.axiom:<6}{str(r.passed).lower():<9}"
+            f"{r.axiom:<6}{_scalar(r.passed):<9}"
             f"{_fmt_float(r.worst_violation):>18}  {len(r.cases)}"
         )
-    lines.append(f"all passed: {str(report.all_passed).lower()}")
+    lines.append(f"all passed: {_scalar(report.all_passed)}")
     return _render(args, report.to_dict(), lines, 0 if report.all_passed else 1)
 
 
@@ -302,6 +292,16 @@ def _cmd_enumerate(args) -> tuple[str, int]:
     return _render(args, payload, ["{" + " | ".join(g) + "}" for g in groups])
 
 
+#: ``lattice``'s word for a relation, keyed by whether a is poorer than b
+#: and whether b is poorer than a: each poorer than the other is equivalent.
+_ORDER_WORDS = {
+    (True, True): "equivalent to",
+    (True, False): "poorer than",
+    (False, True): "richer than",
+    (False, False): "incomparable with",
+}
+
+
 def _cmd_lattice(args) -> tuple[str, int]:
     from .lattice import from_selector, is_equivalent, is_poorer, join, meet
 
@@ -344,14 +344,7 @@ def _cmd_lattice(args) -> tuple[str, int]:
         lines.append(f"  H({label}) = {_fmt_float(h)}")
     lines.append("order:")
     for rel in relations:
-        if rel["equivalent"]:
-            mark = "equivalent to"
-        elif rel["a_poorer_b"]:
-            mark = "poorer than"
-        elif rel["b_poorer_a"]:
-            mark = "richer than"
-        else:
-            mark = "incomparable with"
+        mark = _ORDER_WORDS[rel["a_poorer_b"], rel["b_poorer_a"]]
         lines.append(f"  {rel['a']} {mark} {rel['b']}")
     lines.append("join/meet (bits):")
     for p in pairs:

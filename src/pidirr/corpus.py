@@ -35,7 +35,7 @@ from itertools import product
 from typing import Sequence
 
 from .distributions import JointDistribution, _Value
-from .irreducibility import _MEASURES, _scan_plan, full_report
+from .irreducibility import _MEASURES, _VALUES, _scan_plan, full_report
 from .union_info import UnionMeasure
 
 __all__ = [
@@ -157,8 +157,8 @@ class CorpusVerification(_Value):
             "all_ok": self.all_ok,
             "rows": {
                 r.name: {
-                    "got": dict(zip(("whole_mi", *_MEASURES), r.report.values())),
-                    "expected": dict(zip(("whole_mi", *_MEASURES), r.expected)),
+                    "got": dict(zip(_VALUES, r.report.values())),
+                    "expected": dict(zip(_VALUES, r.expected)),
                     "max_abs_error": r.max_abs_error,
                     "ok": r.ok(self.tolerance),
                 }

@@ -66,11 +66,18 @@ class OrderingViolationError(RuntimeError):
     solver is at fault, not the input."""
 
 
+#: The four measures, weakest first, as :func:`full_report` computes them.
+_MEASURES = ("ibe", "ibdp", "ib2p", "ibap")
+#: A report's values, as :meth:`IrreducibilityReport.values` gives them and
+#: as every payload names them: the whole's information, then the measures.
+_VALUES = ("whole_mi", *_MEASURES)
+
+
 class IrreducibilityReport(_Value):
     """All four measures plus their argmax witnesses."""
 
     _fields = (
-        "predictor_names", "target_name", "whole_mi", "ibe", "ibdp", "ib2p", "ibap",
+        "predictor_names", "target_name", *_VALUES,
         "witness_bipartition", "witness_almost_pair", "measure",
     )
 
@@ -81,13 +88,9 @@ class IrreducibilityReport(_Value):
         return [self.predictor_names[i] for i in part.member_indices]
 
     def to_dict(self) -> dict:
-        return {
-            "whole_mi": self.whole_mi,
-            "ibe": self.ibe,
-            "ibdp": self.ibdp,
-            "ib2p": self.ib2p,
-            "ibap": self.ibap,
-            "witnesses": {
+        return dict(
+            zip(_VALUES, self.values()),
+            witnesses={
                 "ibdp_bipartition": [
                     self._part_names(b) for b in self.witness_bipartition.blocks
                 ],
@@ -95,12 +98,8 @@ class IrreducibilityReport(_Value):
                     self._part_names(p) for p in self.witness_almost_pair.parts
                 ],
             },
-            "settings": dict(self.measure.settings_dict(), target=self.target_name),
-        }
-
-
-#: The four measures, weakest first, as :func:`full_report` computes them.
-_MEASURES = ("ibe", "ibdp", "ib2p", "ibap")
+            settings=dict(self.measure.settings_dict(), target=self.target_name),
+        )
 
 
 @lru_cache(maxsize=16)
@@ -198,7 +197,7 @@ def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> Irreduci
     whole, results = _scan(d, m, *_MEASURES)
     (v_ibe, _), (v_ibdp, bipartition), (v_ib2p, pair), (v_ibap, _) = results
 
-    chain = [("ibap", v_ibap), ("ib2p", v_ib2p), ("ibdp", v_ibdp), ("ibe", v_ibe), ("whole_mi", whole)]
+    chain = list(zip(_VALUES, (whole, v_ibe, v_ibdp, v_ib2p, v_ibap)))[::-1]
     for (lo_name, lo), (hi_name, hi) in zip(chain, chain[1:]):
         if lo > hi + m.tolerance:
             raise OrderingViolationError(
