@@ -58,13 +58,25 @@ def make_random(seed: int, n_predictors: int = 3, alphabet_size: int = 2, zero_f
     )
 
 
-def make_sparse(seed: int, concentration: float = 0.1):
-    """X1 X2 X3 Y over alphabets of 2, 3, 3 and 3 symbols, with
+def make_sparse(seed: int, concentration: float = 0.1, alphabets=(2, 3, 3, 3)):
+    """Predictors X1, X2, ... and a target Y last, over ``alphabets`` of
+    symbols (X1 X2 X3 Y over 2, 3, 3 and 3 by default), with
     Dirichlet(``concentration``) masses over the cells in product order: at
     0.1 or 0.2 the smallest masses lie many orders below the rest."""
-    cells = list(product("01", "012", "012", "012"))
+    cells = list(product(*([str(s) for s in range(a)] for a in alphabets)))
     masses = np.random.default_rng(seed).dirichlet([concentration] * len(cells))
-    return JointDistribution(("X1", "X2", "X3", "Y"), list(zip(cells, masses)))
+    names = [f"X{i + 1}" for i in range(len(alphabets) - 1)] + ["Y"]
+    return JointDistribution(names, list(zip(cells, masses)))
+
+
+def reordered(d: JointDistribution, columns) -> JointDistribution:
+    """``d`` with its variables in the order ``columns``, each a position in
+    ``d.variables``; the target keeps its name, wherever it moves."""
+    return JointDistribution(
+        [d.variables[i] for i in columns],
+        {tuple(outcome[i] for i in columns): p for outcome, p in d.pmf.items()},
+        target=d.target,
+    )
 
 
 class Calls:

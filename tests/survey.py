@@ -25,7 +25,16 @@ the survey with a traceback.  The classes:
   and 3 and n = 4 binary, zero fractions 0, 0.1, 0.2, 0.3 and 0.5, seeds
   0-39, at each of those tolerances: 600 reports each;
 * ``Dirichlet(0.1)``, ``Dirichlet(0.2)``: ``make_sparse`` at seeds 0-99 and
-  0-299, masses many orders apart.
+  0-299, masses many orders apart;
+* ``n=5 binary``: n = 5 binary, zero fractions 0 and 0.3, seeds 0-5;
+* ``alphabet 4``: n = 3 over 4 symbols, zero fractions 0 and 0.3, seeds 0-2;
+* ``n=4 ternary``: n = 4 ternary, zero fraction 0.3, seeds 0-2;
+* ``target first``: n = 3 at alphabets 2 and 3, zero fractions 0 and 0.3,
+  seeds 0-9, with the target moved from last to first;
+* ``Dir(1) 2342``: ``make_sparse`` over alphabets 2, 3, 4 and 2 (the digits
+  of the name, the target last) with Dirichlet(1) masses, seeds 0-19;
+* ``Dir(0.1) 22222``, ``Dir(0.1) 3224``: ``make_sparse`` with Dirichlet(0.1)
+  masses over n = 4 binary and over alphabets 3, 2, 2 and 4, seeds 0-39.
 
 It exits non-zero if any report raises in a ``STRICT`` class, on any error
 but a barrier stall in a ``SPARSE`` class, or on fewer than ``COMPLETIONS``
@@ -33,8 +42,9 @@ completed reports in those; ``failures`` says why on stderr.  Each class's
 wall time, and its input that took the most Newton systems, go to stderr
 too, so a claim that a change keeps every report's bits is one diff of the
 stdout before and after it.  Run it from the repository root,
-at one BLAS thread (about 17 s on a 2-core host: 1 s up to ``tol 1e-20``,
-13 s for the tight classes and 3 s for the sparse ones)::
+at one BLAS thread (about 9 s on a 2-core AMD EPYC host: 0.5 s up to ``tol
+1e-20``, 6.3 s for the tight classes, 1.1 s for the two ``Dirichlet`` ones
+and 0.9 s for the seven classes after them)::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/survey.py
 
@@ -49,19 +59,22 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from conftest import Calls, make_random, make_sparse
+from conftest import Calls, make_random, make_sparse, reordered
 from pidirr import union_info
 from pidirr.corpus import EXAMPLE_NAMES, load_example
 from pidirr.irreducibility import OrderingViolationError, full_report
 from pidirr.union_info import UnionConvergenceError, UnionMeasure
 
-#: Classes in which any report that raises fails the survey.
-STRICT = ("tight 1e-10", "tight 1e-11")
+#: Classes in which any report that raises fails the survey: every class
+#: but ``tol 1e-12``, ``tol 1e-20`` and ``tight 1e-12``, where a report's
+#: gap can stall within rounding of the tolerance, and the ``SPARSE`` ones.
+STRICT = ("corpus", "binary-n3", "mixed", "random", "tol 1e-10", "tight 1e-10", "tight 1e-11",
+          "n=5 binary", "alphabet 4", "n=4 ternary", "target first", "Dir(1) 2342")
 #: Classes in which any error but a barrier stall fails the survey.
-SPARSE = ("Dirichlet(0.1)", "Dirichlet(0.2)")
+SPARSE = ("Dirichlet(0.1)", "Dirichlet(0.2)", "Dir(0.1) 22222", "Dir(0.1) 3224")
 #: The fewest completed reports in the ``SPARSE`` classes that pass: the
 #: count once the support LP ran on the base support's image ``A 1_S``.
-COMPLETIONS = 371
+COMPLETIONS = 427
 
 
 def _randoms(inputs):
@@ -95,6 +108,21 @@ def classes():
     for concentration, seeds in [(0.1, 100), (0.2, 300)]:
         yield f"Dirichlet({concentration})", default, [
             (f"make_sparse({seed}, {concentration})", make_sparse(seed, concentration))
+            for seed in range(seeds)
+        ]
+    yield "n=5 binary", default, _randoms((seed, 5, 2, z) for z in (0.0, 0.3) for seed in range(6))
+    yield "alphabet 4", default, _randoms((seed, 3, 4, z) for z in (0.0, 0.3) for seed in range(3))
+    yield "n=4 ternary", default, _randoms((seed, 4, 3, 0.3) for seed in range(3))
+    yield "target first", default, [
+        (f"{label} target first", reordered(d, (3, 0, 1, 2)))
+        for label, d in _randoms((seed, 3, a, z) for a in (2, 3) for z in (0.0, 0.3)
+                                 for seed in range(10))
+    ]
+    for concentration, alphabets, seeds in [(1, (2, 3, 4, 2), 20), (0.1, (2,) * 5, 40),
+                                            (0.1, (3, 2, 2, 4), 40)]:
+        yield f"Dir({concentration}) {''.join(map(str, alphabets))}", default, [
+            (f"make_sparse({seed}, {concentration}, {alphabets})",
+             make_sparse(seed, concentration, alphabets))
             for seed in range(seeds)
         ]
 

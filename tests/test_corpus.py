@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pidirr.corpus import EXAMPLE_NAMES, load_example, verify_corpus, xor_circuit
-from pidirr.distributions import JointDistribution
 from pidirr.irreducibility import full_report
 from pidirr.union_info import MeasureKind, UnionMeasure
+
+from conftest import reordered
 
 BRACKETS = Path(__file__).resolve().parents[1] / "bench" / "brackets.json"
 
@@ -164,11 +165,7 @@ def test_xor_circuit_reports_match_their_closed_form(graph):
     d = circuit.distribution
     columns = list(order)
     columns.insert(at, n)
-    permuted = JointDistribution(
-        [d.variables[i] for i in columns],
-        {tuple(outcome[i] for i in columns): p for outcome, p in d.pmf.items()},
-        target="Y",
-    )
+    permuted = reordered(d, columns)
     assert permuted.target_index == at < n
     measure = UnionMeasure()
     report = full_report(permuted, measure)

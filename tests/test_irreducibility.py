@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import pytest
 
@@ -16,7 +17,7 @@ from pidirr.parts import (
 from pidirr import irreducibility, union_info
 from pidirr.union_info import MeasureKind, UnionMeasure, union_information
 
-from conftest import Calls, Lockstep, make_random, unordered_unions
+from conftest import Calls, Lockstep, make_random, reordered, unordered_unions
 
 MINSYN = UnionMeasure()
 
@@ -144,6 +145,27 @@ def test_relabeling_leaves_measures_fixed(xor_unique):
     rep2 = full_report(swapped, MINSYN)
     for a, b in zip(rep.values(), rep2.values()):
         assert abs(a - b) <= 1e-9
+
+
+def _named(report):
+    """A report's values, and its witnesses as sets of parts, each part the
+    set of its predictors' names."""
+    witnesses = report.to_dict()["witnesses"]
+    return report.values(), {k: {frozenset(part) for part in w} for k, w in witnesses.items()}
+
+
+@pytest.mark.parametrize("args", [(400,), (401,), (0, 3, 3, 0.3), (0, 4)])
+def test_a_report_does_not_depend_on_the_order_of_the_variables(args):
+    # Every order of the predictors, with the target at every position.
+    d = make_random(*args)
+    n = d.n_predictors
+    values, witnesses = _named(full_report(d, MINSYN))
+    for order in permutations(range(n)):
+        for at in range(n + 1):
+            columns = [*order[:at], n, *order[at:]]
+            got, got_witnesses = _named(full_report(reordered(d, columns), MINSYN))
+            assert got == pytest.approx(values, abs=MINSYN.tolerance, rel=0)
+            assert got_witnesses == witnesses
 
 
 def test_constant_target_all_zero(xor_unique):

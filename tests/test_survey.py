@@ -22,16 +22,29 @@ def _error():
 
 
 def _passing():
-    """Outcomes shaped like the survey's that pass: a stall and an error at
-    1e-12, stalls in a digest class, and 371 sparse completions beside
-    barrier stalls."""
+    """Outcomes shaped like the survey's that pass: every report of a
+    class that must complete, a stall and an error at 1e-12, stalls in a
+    digest class, and 427 sparse completions beside barrier stalls."""
     return [
+        Tally("corpus", 5, 5),
+        Tally("binary-n3", 10, 10),
+        Tally("mixed", 12, 12),
+        Tally("random", 88, 88),
+        Tally("tol 1e-10", 12, 12),
+        Tally("tol 1e-12", 12, 11, stalls=[_stall()]),
         Tally("tol 1e-20", 12, 4, stalls=[_stall()] * 8),
         Tally("tight 1e-10", 600, 600),
         Tally("tight 1e-11", 600, 600),
         Tally("tight 1e-12", 600, 598, stalls=[_stall()], errors=[_error()]),
         Tally("Dirichlet(0.1)", 100, 76, stalls=[_stall()] * 24),
         Tally("Dirichlet(0.2)", 300, 295, stalls=[_stall()] * 5),
+        Tally("n=5 binary", 12, 12),
+        Tally("alphabet 4", 6, 6),
+        Tally("n=4 ternary", 3, 3),
+        Tally("target first", 40, 40),
+        Tally("Dir(1) 2342", 20, 20),
+        Tally("Dir(0.1) 22222", 40, 27, stalls=[_stall()] * 13),
+        Tally("Dir(0.1) 3224", 40, 29, stalls=[_stall()] * 11),
     ]
 
 
@@ -39,7 +52,7 @@ def _by_name(tallies):
     return {t.name: t for t in tallies}
 
 
-def test_raises_at_1e_12_and_371_sparse_completions_pass():
+def test_raises_at_1e_12_and_the_fewest_sparse_completions_pass():
     assert failures(_passing()) == []
 
 
@@ -56,12 +69,12 @@ def test_an_error_but_a_barrier_stall_in_a_sparse_class_fails(error):
     assert failures(tallies) == ["Dirichlet(0.2): 1 errors other than barrier stalls"]
 
 
-def test_370_sparse_completions_fail():
+def test_one_sparse_completion_too_few_fails():
     tallies = _passing()
-    sparse = _by_name(tallies)["Dirichlet(0.1)"]
+    sparse = _by_name(tallies)["Dir(0.1) 3224"]
     sparse.completed -= 1
     sparse.stalls.append(_stall())
-    assert failures(tallies) == ["370 sparse reports completed, fewer than 371"]
+    assert failures(tallies) == ["426 sparse reports completed, fewer than 427"]
 
 
 @pytest.mark.parametrize("name", ["tight 1e-10", "tight 1e-11"])
@@ -72,6 +85,19 @@ def test_a_raise_at_1e_10_or_1e_11_fails(name, raised, outcome):
     tally.completed -= 1
     getattr(tally, raised).append(outcome)
     assert failures(tallies) == [f"{name}: 1 of 600 reports raised"]
+
+
+@pytest.mark.parametrize("name", [
+    "corpus", "binary-n3", "mixed", "random", "tol 1e-10",
+    "n=5 binary", "alphabet 4", "n=4 ternary", "target first", "Dir(1) 2342",
+])
+def test_a_raise_in_a_class_that_completes_today_fails(name):
+    # A raise there changes only that class's digest, which no gate reads.
+    tallies = _passing()
+    tally = _by_name(tallies)[name]
+    tally.completed -= 1
+    tally.stalls.append(_stall())
+    assert failures(tallies) == [f"{name}: 1 of {tally.reports} reports raised"]
 
 
 def test_each_class_names_the_input_that_took_the_most_newton_systems(monkeypatch, capsys):
