@@ -96,10 +96,10 @@ _JSON_ESCAPES = {code: f"\\u{code:04x}" for code in range(0x20)} | {
 
 
 def _scalar(v, key=None) -> str:
-    """A leaf of a payload that is not a string: a float by
-    :func:`_fmt_float`, exactly when ``key`` is one of ``_EXACT_KEYS``; a
-    boolean as ``true`` or ``false``; a list's items joined by spaces; and
-    anything else by ``str``."""
+    """A payload's leaf under ``key``, as TSV prints every leaf and JSON
+    every boolean or number: a float by :func:`_fmt_float`, exactly when
+    ``key`` is one of ``_EXACT_KEYS``; a boolean as ``true`` or ``false``; a
+    list's items joined by spaces; and anything else by ``str``."""
     if isinstance(v, float):
         return _fmt_float(v, key in _EXACT_KEYS)
     if isinstance(v, bool):

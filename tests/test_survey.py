@@ -92,7 +92,8 @@ def test_a_raise_at_1e_10_or_1e_11_fails(name, raised, outcome):
     "n=5 binary", "alphabet 4", "n=4 ternary", "target first", "Dir(1) 2342",
 ])
 def test_a_raise_in_a_class_that_completes_today_fails(name):
-    # A raise there changes only that class's digest, which no gate reads.
+    # Without this gate only the class's digest would show the raise, and CI
+    # compares digests only between two runs of one commit.
     tallies = _passing()
     tally = _by_name(tallies)[name]
     tally.completed -= 1
