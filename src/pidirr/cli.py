@@ -171,7 +171,7 @@ def _measure_from(args) -> UnionMeasure:
 
 
 def _load_input(path: str, target: str | None) -> JointDistribution:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     d = parse_distribution(text)
     if target is not None and target != d.target:
         d = JointDistribution(d.variables, d.pmf, target=target)

@@ -35,7 +35,7 @@ from itertools import product
 from typing import Sequence
 
 from .distributions import JointDistribution, _Value
-from .irreducibility import _MEASURES, _VALUES, _scan_plan, full_report
+from .irreducibility import _VALUES, _scan_plan, full_report
 from .union_info import UnionMeasure
 
 __all__ = [
@@ -116,7 +116,7 @@ def xor_circuit(n: int, edges: Sequence[Sequence[int]]) -> NamedExample:
         rows.append((tuple(inputs) + (target,), 0.5 ** len(slots)))
     distribution = JointDistribution([f"X{i + 1}" for i in range(n)] + ["Y"], rows)
 
-    families, scans, _ = _scan_plan(n, _MEASURES)
+    families, scans, _ = _scan_plan(n)
     unions = [float(sum(any(set(e) <= set(p.member_indices) for p in parts) for e in edges))
               for parts in families]
     whole = float(len(edges))

@@ -32,6 +32,11 @@ Every maximum is certified to lie at most the measure's ``tolerance`` above
 its minimum, and richer parts have a larger minimum, so the computed
 measures may break the weakest-to-strongest chain by at most ``tolerance``
 per link; :func:`full_report` raises on any larger break.
+
+The four measures are fields of one :func:`full_report`, the only scan:
+:func:`ibe`, :func:`ibdp`, :func:`ib2p` and :func:`ibap` each return its
+fields, so a measure asked for alone has the report's bits and raises as the
+report does.
 """
 
 from __future__ import annotations
@@ -103,20 +108,19 @@ class IrreducibilityReport(_Value):
 
 
 @lru_cache(maxsize=16)
-def _scan_plan(n: int, names: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
-    """The plan of a scan of the measures ``names`` at ``n`` predictors: the
-    distinct families of the named scans, each a tuple of parts, in
-    first-seen order; each named scan's indices into them; and each named
-    measure's witnesses, in enumeration order.  Only the named scans are
-    enumerated.  Built once per ``(n, names)`` and shared, so all of it is
-    tuples; :func:`_scan` only reads it."""
-    enumerations = {
-        "ibe": lambda: (PartFamily(tuple(PartSpec((i,)) for i in range(n))),),
-        "ibdp": lambda: tuple(all_bipartitions(n)),
-        "ib2p": lambda: tuple(almost_pairs(n)),
-        "ibap": lambda: (PartFamily(tuple(almosts(n))),),
-    }
-    witnesses = tuple(enumerations[name]() for name in names)
+def _scan_plan(n: int) -> tuple[tuple, tuple, tuple]:
+    """The plan of a report's scan at ``n`` predictors: the distinct families
+    of the four scans, each a tuple of parts, in first-seen order; each
+    scan's indices into them; and each measure's witnesses, in enumeration
+    order: the singletons, the bipartitions, the Almost pairs and the
+    Almosts.  Built once per ``n`` and shared, so all of it is tuples;
+    :func:`full_report` only reads it."""
+    witnesses = (
+        (PartFamily(tuple(PartSpec((i,)) for i in range(n))),),
+        tuple(all_bipartitions(n)),
+        tuple(almost_pairs(n)),
+        (PartFamily(tuple(almosts(n))),),
+    )
     scanned = [[(w.family() if isinstance(w, PartitionSpec) else w).parts for w in found]
                for found in witnesses]
     families = tuple(dict.fromkeys(parts for scan in scanned for parts in scan))
@@ -124,80 +128,62 @@ def _scan_plan(n: int, names: tuple[str, ...]) -> tuple[tuple, tuple, tuple]:
     return families, tuple(tuple(map(index.__getitem__, scan)) for scan in scanned), witnesses
 
 
-def _scan(
-    d: JointDistribution, m: UnionMeasure | None, *names: str
-) -> tuple[float, list[tuple[float, PartFamily | PartitionSpec]]]:
-    """The whole's mutual information and, for each named measure, its value
-    and witness, from one :func:`pidirr.union_info._solve` call on the
-    families of the named scans, in the order of their :func:`_scan_plan`
-    (all four scans', for a full report).
-
-    A measure's witnesses are its families in enumeration order: the
-    singletons, the bipartitions, the Almost pairs or the Almosts.  The
-    witness is the earliest one whose union is within ``m.tolerance`` of the
-    largest, and the value is the whole minus the largest.  Only the
-    families that may be within the tolerance of a scan's maximum are solved
-    to the tolerance; a dominated one stands at an upper bound on its union
-    more than the tolerance below it, and is never the witness (see
-    :class:`pidirr.union_info._Brackets`).
-    """
-    n = d.n_predictors
-    if n < 2:
-        raise ValueError(f"irreducibility needs at least 2 predictors, got {n}")
-    m = m or UnionMeasure()
-    asked, scans, witnesses = _scan_plan(n, names)
-    whole, unions = _solve(m, d, asked, scans)
-    results = []
-    for scan, scanned in zip(scans, witnesses):
-        values = [unions[k] for k in scan]
-        top = max(values)
-        best = next(k for k, v in enumerate(values) if v >= top - m.tolerance)
-        results.append((min(max(whole - top, 0.0), whole), scanned[best]))
-    return whole, results
-
-
 def ibe(d: JointDistribution, m: UnionMeasure | None = None) -> float:
-    """Information beyond the elements: whole minus the singletons' union."""
-    _, [(value, _)] = _scan(d, m, "ibe")
-    return value
+    """Information beyond the elements: whole minus the singletons' union,
+    the ``ibe`` field of :func:`full_report`."""
+    return full_report(d, m).ibe
 
 
 def ibdp(d: JointDistribution, m: UnionMeasure | None = None) -> tuple[float, PartitionSpec]:
-    """Information beyond disjoint parts, with the maximizing bipartition."""
-    _, [(value, bipartition)] = _scan(d, m, "ibdp")
-    return value, bipartition
+    """Information beyond disjoint parts, with the maximizing bipartition:
+    the ``ibdp`` and ``witness_bipartition`` fields of :func:`full_report`."""
+    report = full_report(d, m)
+    return report.ibdp, report.witness_bipartition
 
 
 def ib2p(d: JointDistribution, m: UnionMeasure | None = None) -> tuple[float, PartFamily]:
-    """Information beyond two parts, with the maximizing Almost pair."""
-    _, [(value, pair)] = _scan(d, m, "ib2p")
-    return value, pair
+    """Information beyond two parts, with the maximizing Almost pair: the
+    ``ib2p`` and ``witness_almost_pair`` fields of :func:`full_report`."""
+    report = full_report(d, m)
+    return report.ib2p, report.witness_almost_pair
 
 
 def ibap(d: JointDistribution, m: UnionMeasure | None = None) -> float:
-    """Information beyond all parts: whole minus the Almosts' union."""
-    _, [(value, _)] = _scan(d, m, "ibap")
-    return value
+    """Information beyond all parts: whole minus the Almosts' union, the
+    ``ibap`` field of :func:`full_report`."""
+    return full_report(d, m).ibap
 
 
 def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> IrreducibilityReport:
-    """All four measures and their witnesses.
+    """All four measures and their witnesses; :func:`ibe`, :func:`ibdp`,
+    :func:`ib2p` and :func:`ibap` return its fields.
 
     The union informations of all four scans' families (8 at n = 3, 15 at
-    n = 4) are asked for in one call, so the barrier solver steps them in
-    lockstep; a family shared by two scans (every family at n = 2) is solved
-    once.  A family stops, unsolved, once it is dominated (see
-    :class:`pidirr.union_info._Brackets`).
+    n = 4) are asked for in one :func:`pidirr.union_info._solve` call, so the
+    barrier solver steps them in lockstep; a family shared by two scans
+    (every family at n = 2) is solved once.  A family stops, unsolved, once
+    it is dominated (see :class:`pidirr.union_info._Brackets`); it is never
+    a witness.
 
     Raises :class:`OrderingViolationError` when a measure exceeds the next
     weaker one (``whole_mi`` last) by more than ``m.tolerance``, which
     certified union values cannot do.
     """
+    n = d.n_predictors
+    if n < 2:
+        raise ValueError(f"irreducibility needs at least 2 predictors, got {n}")
     m = m or UnionMeasure()
-    whole, results = _scan(d, m, *_MEASURES)
-    (v_ibe, _), (v_ibdp, bipartition), (v_ib2p, pair), (v_ibap, _) = results
+    families, scans, witnesses = _scan_plan(n)
+    whole, unions = _solve(m, d, families, scans)
+    values, found = [whole], []
+    for scan, scanned in zip(scans, witnesses):
+        scores = [unions[k] for k in scan]
+        top = max(scores)
+        values.append(min(max(whole - top, 0.0), whole))
+        found.append(next(w for w, v in zip(scanned, scores) if v >= top - m.tolerance))
+    _, bipartition, pair, _ = found
 
-    chain = list(zip(_VALUES, (whole, v_ibe, v_ibdp, v_ib2p, v_ibap)))[::-1]
+    chain = list(zip(_VALUES, values))[::-1]
     for (lo_name, lo), (hi_name, hi) in zip(chain, chain[1:]):
         if lo > hi + m.tolerance:
             raise OrderingViolationError(
@@ -209,11 +195,7 @@ def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> Irreduci
     return IrreducibilityReport(
         predictor_names=tuple(d.variables[i] for i in d.predictor_indices),
         target_name=d.target or "",
-        whole_mi=whole,
-        ibe=v_ibe,
-        ibdp=v_ibdp,
-        ib2p=v_ib2p,
-        ibap=v_ibap,
+        **dict(zip(_VALUES, values)),
         witness_bipartition=bipartition,
         witness_almost_pair=pair,
         measure=m,

@@ -88,10 +88,10 @@ its own iterates, ``mu`` schedule and stop, and is judged by one rule at its
 start and then once per step, at the point its line search accepts, before
 the next Newton system is built.  A row's iterates are those it takes in any
 stack of the same padded null width, which sets the shapes, and so the
-rounding, of its matrix products: a measure asked for alone, whose stack
-holds only its own scan's families, can differ from the full report's in the
-last bits.  The per-row control of a step is one Python pass over the rows
-before the line search and one after it.  A row that stops leaves its stack,
+rounding, of its matrix products: a family asked for alone through
+:func:`union_information`, in a stack of its own, can differ from the full
+report's value for it in the last bits.  The per-row control of a step is
+one Python pass over the rows before the line search and one after it.  A row that stops leaves its stack,
 which is re-indexed, unless the stack is small (``_SMALL_STACK``), where
 re-indexing costs more than a step: there it stays, takes zero steps and
 leaves its bracket alone.
@@ -687,8 +687,9 @@ def _lockstep(
     ``-f`` as bits, since ``-f = sum |q ln q(y|x)|``: about 1e-15 bits, read
     only by tolerances below 1e-14.  A row's iterates and ``mu`` schedule
     are those it takes in any stack of the same padded null width ``r``,
-    which sets the shapes, and so the rounding, of its matrix products;
-    alone, in a narrower stack, its last bits can differ.  Null bases are
+    which sets the shapes, and so the rounding, of its matrix products; a
+    family asked for alone through :func:`union_information`, in a narrower
+    stack, can differ in its last bits.  Null bases are
     cut to the widest row, and the Hessian diagonal of the padded directions
     (``pad``), exactly 0, is set to 1 at flat indices found again when rows
     leave, so they get zero steps; a step's systems are one call of

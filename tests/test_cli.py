@@ -98,6 +98,22 @@ def test_compute_deterministic_bytes(xor_file, tmp_path):
     assert out1.read_text(encoding="utf-8") == XOR_JSON
 
 
+@pytest.mark.parametrize("command", [
+    ["compute"], ["compute", "--format", "human"], ["lattice"],
+    ["axioms", "--trials", "0"],
+], ids=["compute", "compute-human", "lattice", "axioms"])
+def test_a_file_that_starts_with_a_byte_order_mark_reads_as_without(
+        xor_file, tmp_path, capsys, command):
+    # Some editors save UTF-8 with a leading BOM; the header line is still the
+    # header, so every command prints what it prints on the plain file.
+    marked = tmp_path / "bom" / Path(xor_file).name
+    marked.parent.mkdir()
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(xor_file).read_bytes())
+    plain = run([*command, "--input", xor_file], capsys)
+    assert plain[0] == 0, plain
+    assert run([*command, "--input", str(marked)], capsys) == plain
+
+
 def test_compute_loose_tolerance_keeps_the_order_check(tmp_path, capsys):
     # Certified values at tolerance 1e-2 break the chain by more than 1e-6
     # on this input; the order check allows the tolerance itself.

@@ -83,21 +83,15 @@ def test_bipartition_values_lie_between_their_part_bounds(monkeypatch, corpus):
     (2, 3, 0.3, 15),
 ])
 def test_single_measures_match_the_full_report(n, alphabet, zeros, seeds):
-    # Each measure asked for alone solves only its own scan's families, in a
-    # stack of its own, so it may differ from the report's field in the last
-    # bits (the stack's padded null width shapes the rounding); its witness
-    # is the report's.
+    # Each measure asked for alone is a field of the full report, bit for bit,
+    # and so is its witness.
     for seed in range(seeds):
         d = make_random(seed, n, alphabet, zeros)
         report = full_report(d)
-        value, bipartition = ibdp(d)
-        assert value == pytest.approx(report.ibdp, abs=1e-12), seed
-        assert bipartition == report.witness_bipartition, seed
-        value, pair = ib2p(d)
-        assert value == pytest.approx(report.ib2p, abs=1e-12), seed
-        assert pair == report.witness_almost_pair, seed
-        assert ibe(d) == pytest.approx(report.ibe, abs=1e-12), seed
-        assert ibap(d) == pytest.approx(report.ibap, abs=1e-12), seed
+        assert ibdp(d) == (report.ibdp, report.witness_bipartition), seed
+        assert ib2p(d) == (report.ib2p, report.witness_almost_pair), seed
+        assert ibe(d) == report.ibe, seed
+        assert ibap(d) == report.ibap, seed
 
 
 def test_parity_utterly_irreducible(parity):
@@ -137,6 +131,15 @@ def test_an_order_the_unions_break_is_a_typed_error(monkeypatch):
     unordered_unions(monkeypatch)
     with pytest.raises(irreducibility.OrderingViolationError, match="ibap=.* exceeds ib2p="):
         full_report(make_random(400), MINSYN)
+
+
+@pytest.mark.parametrize("measure", [ibe, ibdp, ib2p, ibap], ids=lambda f: f.__name__)
+def test_a_single_measure_raises_as_the_report_does(monkeypatch, measure):
+    # A measure asked for alone is a field of the full report, so a break of
+    # the chain raises even where that measure's own scan is in order.
+    unordered_unions(monkeypatch)
+    with pytest.raises(irreducibility.OrderingViolationError, match="ibap=.* exceeds ib2p="):
+        measure(make_random(400), MINSYN)
 
 
 def test_relabeling_leaves_measures_fixed(xor_unique):
@@ -309,8 +312,7 @@ def test_witnesses_are_the_earliest_of_their_tie_class(monkeypatch, corpus, shif
     solve = union_info._solve
     for name, example in corpus.items():
         d = example.distribution
-        families, ids, witnesses = irreducibility._scan_plan(
-            d.n_predictors, irreducibility._MEASURES)
+        families, ids, witnesses = irreducibility._scan_plan(d.n_predictors)
         seen = []
 
         def shifted(m, d, asked, scans):
@@ -392,8 +394,8 @@ def test_a_later_group_meets_the_certified_bounds_of_earlier_ones(monkeypatch):
 
 def test_scan_families_are_built_once_per_n_and_shared_read_only():
     names = irreducibility._MEASURES
-    plan = irreducibility._scan_plan(4, names)
-    assert irreducibility._scan_plan(4, names) is plan
+    plan = irreducibility._scan_plan(4)
+    assert irreducibility._scan_plan(4) is plan
     families, ids, witnesses = plan
     with pytest.raises(TypeError):
         ids[0] = ()
@@ -402,7 +404,7 @@ def test_scan_families_are_built_once_per_n_and_shared_read_only():
     # The plan's families are the four scans' distinct families in first-seen
     # order, and each scan's indices give back its enumeration.
     for n in range(2, 6):
-        families, ids, witnesses = irreducibility._scan_plan(n, names)
+        families, ids, witnesses = irreducibility._scan_plan(n)
         scans = {
             "ibe": (PartFamily(tuple(PartSpec((i,)) for i in range(n))),),
             "ibdp": tuple(b.family() for b in all_bipartitions(n)),
@@ -415,12 +417,6 @@ def test_scan_families_are_built_once_per_n_and_shared_read_only():
             assert tuple(PartFamily(families[i]) for i in at) == scanned
         assert witnesses[names.index("ibdp")] == tuple(all_bipartitions(n))
         assert witnesses[names.index("ib2p")] == tuple(almost_pairs(n))
-        # A plan of fewer measures enumerates only their scans, in the order
-        # the names give.
-        for some in [("ib2p",), ("ibap", "ibe"), ("ibdp", "ib2p")]:
-            part, at, _ = irreducibility._scan_plan(n, some)
-            assert part == tuple(dict.fromkeys(f.parts for name in some for f in scans[name]))
-            assert [tuple(PartFamily(part[i]) for i in a) for a in at] == [scans[k] for k in some]
     # At n = 2 all four scans are one family.
-    families, ids, _ = irreducibility._scan_plan(2, names)
+    families, ids, _ = irreducibility._scan_plan(2)
     assert len(families) == 1 and all(scan == (0,) for scan in ids)
