@@ -50,7 +50,6 @@ from .distributions import (
 )
 from .irreducibility import OrderingViolationError, full_report
 from .parts import (
-    MAX_PARTITION_N,
     PartFamily,
     PartSpec,
     all_bipartitions,
@@ -58,7 +57,7 @@ from .parts import (
     almost_pairs,
     almosts,
 )
-from .union_info import UnionConvergenceError, UnionMeasure
+from .union_info import MeasureKind, UnionConvergenceError, UnionMeasure
 
 __all__ = ["main", "run"]
 
@@ -171,7 +170,7 @@ def _measure_from(args) -> UnionMeasure:
 
 
 def _load_input(path: str, target: str | None) -> JointDistribution:
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = Path(path).read_text(encoding="utf-8")
     d = parse_distribution(text)
     if target is not None and target != d.target:
         d = JointDistribution(d.variables, d.pmf, target=target)
@@ -270,6 +269,10 @@ def _cmd_examples(args) -> tuple[str, int]:
             lines.append(f"{'expected':<12}" + columns(r.expected))
     return _render(args, verification.to_dict(), lines, 0 if verification.all_ok else 1)
 
+
+#: The largest predictor count that ``enumerate --n`` accepts: at 10
+#: predictors the parts alone number 1022.
+MAX_PARTITION_N = 10
 
 #: Each ``enumerate --what`` choice's families of n predictors, each as its parts.
 _FAMILIES = {
@@ -370,9 +373,12 @@ _HANDLERS = {
 
 def _add_common(sub, input_required=False, with_measure=True):
     if with_measure:
-        sub.add_argument("--measure", default="minsyn", choices=["minsyn", "maxmi"])
+        default = UnionMeasure()
         sub.add_argument(
-            "--tol", type=float, default=1e-6,
+            "--measure", default=default.kind.value, choices=[k.value for k in MeasureKind]
+        )
+        sub.add_argument(
+            "--tol", type=float, default=default.tolerance,
             help="each union value lies at most this many bits above its minimum "
             "(default: %(default)s)",
         )

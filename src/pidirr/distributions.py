@@ -1,10 +1,11 @@
 """Finite joint probability distributions over named variables.
 
 A :class:`JointDistribution` is an immutable probability mass function over
-tuples of symbols, one symbol per named variable.  One variable is flagged as
-the prediction target; the rest are the predictors.  All information
-quantities are reported in bits (log base 2) and computed in double
-precision, with the convention ``0 * log 0 = 0``.
+tuples of symbols, one symbol per named variable.  Every distribution has a
+target, the variable predicted: the last one unless another is named.  The
+rest are the predictors.  All information quantities are reported in bits
+(log base 2) and computed in double precision, with the convention
+``0 * log 0 = 0``.
 
 The on-disk format is a small TSV dialect: a header comment declaring the
 variable names (and optionally which one is the target), then one outcome per
@@ -30,9 +31,6 @@ MASS_FLOOR = 1e-15
 
 #: Accepted deviation of the raw probability column from 1 before normalizing.
 RAW_SUM_SLACK = 1e-6
-
-#: The default target, the last variable: an object no variable name equals.
-_LAST = object()
 
 
 class DistributionError(ValueError):
@@ -173,8 +171,8 @@ class JointDistribution(_Value):
         dropped, so the stored pmf sums to 1 up to rounding and the dropped
         masses.
     target:
-        Name of the target variable.  Defaults to the last variable.
-        ``None`` is allowed for marginals that dropped the target.
+        Name of the target variable; ``None``, the default, names the last
+        variable.  Every distribution has a target.
 
     Its ``pmf`` maps each outcome of the support to its mass and refuses
     changes.  Two distributions are equal when their :meth:`key` is.
@@ -184,7 +182,7 @@ class JointDistribution(_Value):
         self,
         variables: Sequence[str],
         outcomes: Mapping[tuple, float] | Iterable[tuple[tuple, float]],
-        target: str | None = _LAST,
+        target: str | None = None,
     ):
         variables = tuple(str(v) for v in variables)
         if len(set(variables)) != len(variables):
@@ -220,9 +218,9 @@ class JointDistribution(_Value):
         if not pmf:
             raise DistributionError("distribution has empty support")
 
-        if target is _LAST:
+        if target is None:
             target = variables[-1]
-        if target is not None and target not in variables:
+        elif target not in variables:
             raise DistributionError(f"target {target!r} not among variables {variables}")
 
         alphabets = tuple(
@@ -247,13 +245,7 @@ class JointDistribution(_Value):
     # -- structure --------------------------------------------------------
 
     @property
-    def support(self) -> tuple[tuple, ...]:
-        return tuple(self.pmf)
-
-    @property
     def target_index(self) -> int:
-        if self.target is None:
-            raise DistributionError("distribution has no target variable")
         return self.variables.index(self.target)
 
     @property
@@ -263,7 +255,7 @@ class JointDistribution(_Value):
 
     @property
     def n_predictors(self) -> int:
-        return len(self.variables) - (0 if self.target is None else 1)
+        return len(self.variables) - 1
 
     def selector(self, *names: str) -> VariableSelector:
         """Selector for the given variable names."""
@@ -291,13 +283,6 @@ class JointDistribution(_Value):
             out[k] = out.get(k, 0.0) + p
         return out
 
-    def marginalize(self, sel: VariableSelector) -> "JointDistribution":
-        """Marginal distribution over the selected variables (original order)."""
-        sel.validate(self)
-        names = tuple(self.variables[i] for i in sel.indices)
-        target = self.target if (self.target in names) else None
-        return JointDistribution(names, self.project(sel), target=target)
-
     def entropy(self, sel: VariableSelector | None = None) -> float:
         """Shannon entropy in bits of the selected marginal (all variables if None)."""
         if sel is None:
@@ -305,12 +290,6 @@ class JointDistribution(_Value):
         else:
             masses = self.project(sel).values()
         return _entropy_bits(masses)
-
-    def conditional_entropy(self, a: VariableSelector, b: VariableSelector) -> float:
-        """H(A | B) = H(A ∨ B) − H(B), in bits."""
-        a.validate(self)
-        b.validate(self)
-        return self.entropy(a.union(b)) - self.entropy(b)
 
     def mutual_information(self, a: VariableSelector, b: VariableSelector) -> float:
         """I(A ; B) = H(A) + H(B) − H(A ∨ B), in bits.  Selectors must be disjoint."""
@@ -342,29 +321,23 @@ class JointDistribution(_Value):
         }
         return JointDistribution(self.variables, pmf, target=self.target)
 
-    def with_constant_target(self, symbol: str = "*") -> "JointDistribution":
-        """Copy whose target is collapsed to a single constant symbol."""
+    def with_constant_target(self) -> "JointDistribution":
+        """Copy whose target is collapsed to the single symbol ``*``."""
         t = self.target_index
         pmf: dict[tuple, float] = {}
         for outcome, p in self.pmf.items():
-            k = outcome[:t] + (symbol,) + outcome[t + 1 :]
+            k = outcome[:t] + ("*",) + outcome[t + 1 :]
             pmf[k] = pmf.get(k, 0.0) + p
         return JointDistribution(self.variables, pmf, target=self.target)
 
     def to_tsv(self) -> str:
         """Serialize in the TSV format accepted by :func:`parse_distribution`.
 
-        The format always names a target, so a distribution without one (a
-        marginal that dropped it) raises :class:`DistributionError`.  So does
-        any name or symbol that the parser would read back differently: an
-        empty one, one holding whitespace, a name holding ``target:``, or a
-        first-column symbol starting with ``#``.
+        Any name or symbol that the parser would read back differently
+        raises :class:`DistributionError`: an empty one, one holding
+        whitespace, a name holding ``target:``, or a first-column symbol
+        starting with ``#``.
         """
-        if self.target is None:
-            raise DistributionError(
-                "cannot write a distribution without a target: the TSV format "
-                "always names one"
-            )
         for name, alphabet in zip(self.variables, self.alphabets):
             if name.split() != [name] or "target:" in name:
                 raise DistributionError(
@@ -403,8 +376,10 @@ def parse_distribution(text: str) -> JointDistribution:
     The first non-blank line must read ``# vars: A B ... Z`` and may carry a
     ``target: NAME`` clause (default: the last variable).  Every following
     non-comment line holds one symbol per variable plus a probability,
-    whitespace-separated.  Duplicate outcome rows are summed.
+    whitespace-separated.  Duplicate outcome rows are summed.  One leading
+    byte-order mark (U+FEFF) is dropped; one anywhere else is data.
     """
+    text = text.removeprefix("\ufeff")
     variables: tuple[str, ...] | None = None
     target: str | None = None
     rows: list[tuple[tuple, float]] = []
@@ -439,7 +414,7 @@ def parse_distribution(text: str) -> JointDistribution:
         raise DistributionError("missing '# vars:' header line")
     if not rows:
         raise DistributionError("no outcome rows")
-    return JointDistribution(variables, rows, target=_LAST if target is None else target)
+    return JointDistribution(variables, rows, target=target)
 
 
 def random_distribution(
@@ -447,9 +422,9 @@ def random_distribution(
     n_predictors: int = 3,
     alphabet_size: int = 2,
     zero_fraction: float = 0.0,
-    target_name: str = "Y",
 ) -> JointDistribution:
-    """Seeded random pmf over the full product of small alphabets.
+    """Seeded random pmf over predictors ``X1``, ``X2``, ... and a target
+    ``Y``, over the full product of small alphabets.
 
     Masses are Dirichlet(1); ``zero_fraction`` optionally knocks out a
     random share of outcomes (keeping at least one) to produce structured
@@ -457,7 +432,7 @@ def random_distribution(
     """
     from itertools import product
 
-    names = tuple(f"X{i + 1}" for i in range(n_predictors)) + (target_name,)
+    names = tuple(f"X{i + 1}" for i in range(n_predictors)) + ("Y",)
     symbols = tuple(str(k) for k in range(alphabet_size))
     outcomes = list(product(*([symbols] * len(names))))
     masses = rng.dirichlet([1.0] * len(outcomes))

@@ -194,7 +194,7 @@ def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> Irreduci
 
     return IrreducibilityReport(
         predictor_names=tuple(d.variables[i] for i in d.predictor_indices),
-        target_name=d.target or "",
+        target_name=d.target,
         **dict(zip(_VALUES, values)),
         witness_bipartition=bipartition,
         witness_almost_pair=pair,

@@ -19,7 +19,7 @@ evaluated on the support only.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 from .distributions import DistributionError, JointDistribution, VariableSelector, _entropy_bits
 
@@ -94,16 +94,6 @@ class DerivedVariable:
     def entropy(self) -> float:
         """H of the label distribution, in bits."""
         return _entropy_bits(self.label_masses())
-
-    def conditional_entropy(self, other: "DerivedVariable") -> float:
-        """H(self | other) = H(self ∨ other) − H(other), in bits."""
-        return join(self, other).entropy() - other.entropy()
-
-    def relabeled(self, permutation: Sequence[int]) -> "DerivedVariable":
-        """Equivalent copy with labels mapped through an injective permutation."""
-        if sorted(permutation) != list(range(self.n_labels)):
-            raise ValueError("relabeling must permute 0..n_labels-1")
-        return DerivedVariable(self.base, [permutation[lab] for lab in self.labels])
 
     def __repr__(self):
         return f"DerivedVariable(labels={self.n_labels}, support={len(self.labels)})"

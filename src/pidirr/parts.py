@@ -1,4 +1,4 @@
-"""Enumeration of parts, bipartitions, Almosts, and set partitions.
+"""Enumeration of parts, bipartitions, Almosts, and Almost pairs.
 
 A *part* is a joint variable built from a nonempty proper subset of the n
 predictors; it is described here purely combinatorially by its (0-based)
@@ -11,14 +11,13 @@ Counts, for n predictors:
 * bipartitions: ``2**(n-1) - 1``
 * Almosts: ``n`` (the i-th lacks predictor i)
 * Almost pairs: ``n * (n-1) / 2``
-* set partitions with >= 2 blocks: ``Bell(n) - 1``
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .distributions import _Value
 
@@ -30,11 +29,7 @@ __all__ = [
     "all_bipartitions",
     "almosts",
     "almost_pairs",
-    "all_partitions",
 ]
-
-#: Set-partition enumeration is guarded; Bell numbers explode beyond this.
-MAX_PARTITION_N = 10
 
 
 @total_ordering
@@ -162,43 +157,6 @@ def almost_pairs(n: int) -> list[PartFamily]:
     _require_n(n)
     a = almosts(n)
     return [PartFamily((a[i], a[j])) for i, j in combinations(range(n), 2)]
-
-
-def all_partitions(n: int) -> list[PartitionSpec]:
-    """All set partitions of {0..n-1} with >= 2 blocks (Bell(n) - 1 items).
-
-    Enumerated via restricted growth strings, so the order is deterministic.
-    """
-    _require_n(n)
-    if n > MAX_PARTITION_N:
-        raise ValueError(f"set-partition enumeration guarded at n <= {MAX_PARTITION_N}")
-    out = []
-    for rgs in _restricted_growth_strings(n):
-        nblocks = max(rgs) + 1
-        if nblocks < 2:
-            continue
-        blocks = [[] for _ in range(nblocks)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(i)
-        out.append(PartitionSpec(tuple(PartSpec(b) for b in blocks)))
-    return out
-
-
-def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield all restricted growth strings of length n in lexicographic order."""
-    rgs = [0] * n
-
-    def rec(i: int, m: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(rgs)
-            return
-        for v in range(m + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(m, v))
-
-    if n == 0:
-        return
-    yield from rec(1, 0)
 
 
 def _require_n(n: int) -> None:

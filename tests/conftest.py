@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 
 from pidirr import irreducibility, union_info
 from pidirr.distributions import JointDistribution, random_distribution
+from pidirr.parts import PartSpec, PartitionSpec
 from pidirr.corpus import EXAMPLE_NAMES, load_example
 
 settings.register_profile(
@@ -56,6 +57,48 @@ def make_random(seed: int, n_predictors: int = 3, alphabet_size: int = 2, zero_f
         alphabet_size=alphabet_size,
         zero_fraction=zero_fraction,
     )
+
+
+#: ``all_partitions`` refuses more predictors: Bell(11) is 678570.
+MAX_PARTITION_N = 10
+
+
+def all_partitions(n: int) -> list[PartitionSpec]:
+    """All set partitions of {0..n-1} with >= 2 blocks (Bell(n) - 1 items):
+    the full enumeration that the reduced scans of the report are checked
+    against.
+
+    Enumerated via restricted growth strings, so the order is deterministic.
+    """
+    if n < 2:
+        raise ValueError(f"need at least 2 predictors, got n={n}")
+    if n > MAX_PARTITION_N:
+        raise ValueError(f"set-partition enumeration guarded at n <= {MAX_PARTITION_N}")
+    out = []
+    for rgs in _restricted_growth_strings(n):
+        nblocks = max(rgs) + 1
+        if nblocks < 2:
+            continue
+        blocks = [[] for _ in range(nblocks)]
+        for i, b in enumerate(rgs):
+            blocks[b].append(i)
+        out.append(PartitionSpec(tuple(PartSpec(b) for b in blocks)))
+    return out
+
+
+def _restricted_growth_strings(n: int):
+    """Yield all restricted growth strings of length n in lexicographic order."""
+    rgs = [0] * n
+
+    def rec(i: int, m: int):
+        if i == n:
+            yield tuple(rgs)
+            return
+        for v in range(m + 2):
+            rgs[i] = v
+            yield from rec(i + 1, max(m, v))
+
+    yield from rec(1, 0)
 
 
 def make_sparse(seed: int, concentration: float = 0.1, alphabets=(2, 3, 3, 3)):

@@ -53,12 +53,29 @@ def test_parse_sums_duplicate_rows():
 
 def test_parse_skips_comments_and_blank_lines():
     d = parse_distribution("# vars: A B\n\n# a comment\n0\t1\t1.0\n")
-    assert d.support == (("0", "1"),)
+    assert list(d.pmf) == [("0", "1")]
 
 
 def test_parse_default_target_is_last_column():
     d = parse_distribution("# vars: A B\n0\t1\t1.0\n")
     assert d.target == "B"
+
+
+def test_every_distribution_has_a_target():
+    # No target named, in the constructor or in an empty header clause,
+    # means the last variable.
+    variables = ("A", "B", "C")
+    d = JointDistribution(variables, {("0", "0", "0"): 1.0}, target=None)
+    assert d.target == variables[-1]
+    assert d.n_predictors == 2 and d.target_index == 2
+    assert parse_distribution("# vars: A B C  target:\n0\t0\t0\t1\n") == d
+
+
+def test_parse_drops_one_leading_byte_order_mark():
+    assert parse_distribution("\ufeff" + XOR_TSV) == parse_distribution(XOR_TSV)
+    # Any other U+FEFF is data: here, the first line's.
+    with pytest.raises(DistributionError, match="line 1: data before the '# vars:' header"):
+        parse_distribution("\ufeff\ufeff" + XOR_TSV)
 
 
 @pytest.mark.parametrize(
@@ -132,21 +149,20 @@ def test_parse_accepts_slack_then_normalizes():
 
 def test_marginalize_xor_to_x1_y_is_uniform(xor):
     # Enumerating the four table rows: each (x1, y) combination is hit once.
-    marg = xor.marginalize(xor.selector("X1", "Y"))
-    assert marg.variables == ("X1", "Y")
-    assert set(marg.pmf) == {("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")}
-    assert all(math.isclose(p, 0.25) for p in marg.pmf.values())
+    marg = xor.project(xor.selector("X1", "Y"))
+    assert set(marg) == {("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")}
+    assert all(math.isclose(p, 0.25) for p in marg.values())
 
 
 def test_marginalize_to_all_variables_is_identity(xor):
-    assert xor.marginalize(xor.selector(*xor.variables)) == xor
+    assert xor.project(xor.selector(*xor.variables)) == xor.pmf
 
 
 def test_marginalize_parity_to_x1_x2_y_is_uniform(parity):
     # Summing over X3 pairs up rows with both X3 symbols: 2 * 1/8 each.
-    marg = parity.marginalize(parity.selector("X1", "X2", "Y"))
-    assert len(marg.pmf) == 8
-    assert all(math.isclose(p, 0.125) for p in marg.pmf.values())
+    marg = parity.project(parity.selector("X1", "X2", "Y"))
+    assert len(marg) == 8
+    assert all(math.isclose(p, 0.125) for p in marg.values())
 
 
 def test_marginalize_empty_selector_rejected(xor):
@@ -162,13 +178,14 @@ def test_entropy_values(xor, triple_xor):
 
 
 def test_conditional_entropy(xor, parity):
+    # H(A | B) = H(A v B) - H(B).
     sel_y = xor.selector("Y")
     sel_x = xor.selector("X1", "X2")
-    assert abs(xor.conditional_entropy(sel_y, sel_x)) <= 1e-12
-    assert abs(xor.conditional_entropy(sel_x, sel_x)) <= 1e-12
+    assert abs(xor.entropy(sel_y.union(sel_x)) - xor.entropy(sel_x)) <= 1e-12
     # Parity: any two inputs leave the target as a fair coin.
+    pair = parity.selector("X1", "X2")
     assert math.isclose(
-        parity.conditional_entropy(parity.selector("Y"), parity.selector("X1", "X2")),
+        parity.entropy(parity.selector("Y").union(pair)) - parity.entropy(pair),
         1.0,
         abs_tol=1e-12,
     )
@@ -270,9 +287,15 @@ def test_normalization_and_chain_rule(params, pyrandom):
     indices = list(range(len(d.variables)))
     a = VariableSelector(pyrandom.sample(indices, pyrandom.randint(1, len(indices))))
     b = VariableSelector(pyrandom.sample(indices, pyrandom.randint(1, len(indices))))
-    # Chain rule: H(A v B) = H(B) + H(A | B)
-    joint = d.entropy(a.union(b))
-    assert math.isclose(joint, d.entropy(b) + d.conditional_entropy(a, b), abs_tol=1e-9)
+    # Chain rule: H(A v B) = H(B) + H(A | B), the last summed from the pmf
+    # as -sum p(a, b) log2 p(a | b).
+    union = a.union(b)
+    joint, given = d.project(union), d.project(b)
+    at = [union.indices.index(i) for i in b.indices]
+    conditional = -sum(
+        p * math.log2(p / given[tuple(k[j] for j in at)]) for k, p in joint.items()
+    )
+    assert math.isclose(d.entropy(union), d.entropy(b) + conditional, abs_tol=1e-9)
     assert d.entropy(a) >= -1e-12
 
 
@@ -297,13 +320,13 @@ def test_marginalization_commutes(params, pyrandom):
     s1 = pyrandom.sample(indices, pyrandom.randint(1, len(indices)))
     extra = pyrandom.sample(indices, pyrandom.randint(0, len(indices) - 1))
     union = VariableSelector(set(s1) | set(extra))
-    once = d.marginalize(VariableSelector(s1))
+    once = d.project(VariableSelector(s1))
     # Marginalizing through an intermediate union gives the same distribution.
-    inter = d.marginalize(union)
+    inter = JointDistribution([d.variables[i] for i in union.indices], d.project(union))
     names = [inter.variables.index(d.variables[i]) for i in sorted(set(s1))]
-    twice = inter.marginalize(VariableSelector(names))
-    assert set(once.pmf) == set(twice.pmf)
-    assert all(abs(once.pmf[k] - twice.pmf[k]) <= 1e-12 for k in once.pmf)
+    twice = inter.project(VariableSelector(names))
+    assert set(once) == set(twice)
+    assert all(abs(once[k] - twice[k]) <= 1e-12 for k in once)
 
 
 @given(dist_params)
@@ -315,26 +338,11 @@ def test_tsv_round_trip(params):
     assert all(abs(again.pmf[k] - d.pmf[k]) <= 1e-12 for k in d.pmf)
 
 
-def test_to_tsv_without_target_is_rejected(xor):
-    # The format always names a target; writing "target: None" made a file
-    # the parser rejects.
-    marginal = xor.marginalize(xor.selector("X1", "X2"))
-    assert marginal.target is None
-    with pytest.raises(DistributionError, match="without a target"):
-        marginal.to_tsv()
-
-
 def test_to_tsv_without_target_never_picks_a_variable_named_none():
-    # Written as "target: None", this marginal would parse back with its
-    # variable "None" silently made the target.
+    # A variable named "None" round-trips as a predictor.
     d = JointDistribution(
         ("None", "X", "Y"), {("0", "0", "0"): 0.5, ("1", "1", "1"): 0.5}, target="Y"
     )
-    marginal = d.marginalize(d.selector("None", "X"))
-    assert marginal.target is None
-    with pytest.raises(DistributionError, match="without a target"):
-        marginal.to_tsv()
-    # With a target, a variable named "None" round-trips as a predictor.
     again = parse_distribution(d.to_tsv())
     assert again.target == "Y" and again.variables == d.variables
 

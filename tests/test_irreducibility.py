@@ -9,7 +9,6 @@ from pidirr.parts import (
     PartFamily,
     PartSpec,
     all_bipartitions,
-    all_partitions,
     all_parts,
     almost_pairs,
     almosts,
@@ -17,7 +16,7 @@ from pidirr.parts import (
 from pidirr import irreducibility, union_info
 from pidirr.union_info import MeasureKind, UnionMeasure, union_information
 
-from conftest import Calls, Lockstep, make_random, reordered, unordered_unions
+from conftest import Calls, Lockstep, all_partitions, make_random, reordered, unordered_unions
 
 MINSYN = UnionMeasure()
 

@@ -32,6 +32,11 @@ def _random_derived(rng, d: JointDistribution) -> DerivedVariable:
     return var
 
 
+def _given(u: DerivedVariable, v: DerivedVariable) -> float:
+    """H(u | v) = H(u ∨ v) − H(v), in bits."""
+    return join(u, v).entropy() - v.entropy()
+
+
 def test_from_selector_label_counts(xor, xor_unique):
     assert from_selector(xor, xor.selector("X1", "X2")).n_labels == 4
     assert from_selector(xor_unique, xor_unique.selector("X3")).n_labels == 2
@@ -54,7 +59,7 @@ def test_equivalence_basics(xor):
     x1 = from_selector(xor, xor.selector("X1"))
     y = from_selector(xor, xor.selector("Y"))
     assert is_equivalent(x1, x1)
-    flipped = x1.relabeled([1, 0])
+    flipped = DerivedVariable(xor, [1 - lab for lab in x1.labels])
     assert is_equivalent(x1, flipped)
     assert not is_equivalent(x1, y)
 
@@ -103,14 +108,6 @@ def test_labeling_must_cover_support(xor):
         DerivedVariable(xor, [0, 1])
 
 
-def test_relabeling_must_permute_the_labels(xor):
-    u = from_selector(xor, xor.selector("X1"))
-    assert u.relabeled([1, 0]).n_labels == 2
-    for permutation in ([0, 0], [0, 1, 2], [1, 2]):
-        with pytest.raises(ValueError, match=r"relabeling must permute 0\.\.n_labels-1"):
-            u.relabeled(permutation)
-
-
 @given(st.integers(min_value=0, max_value=5_000))
 def test_order_entropy_coherence(seed):
     rng = np.random.default_rng(seed)
@@ -120,21 +117,21 @@ def test_order_entropy_coherence(seed):
     w = _random_derived(rng, d)
 
     # (c) structural order agrees with the conditional-entropy test.
-    assert is_poorer(u, v) == (u.conditional_entropy(v) <= 1e-9)
+    assert is_poorer(u, v) == (_given(u, v) <= 1e-9)
 
     if is_poorer(u, v):
         # (b) monotonicity of entropy under the order.
         assert u.entropy() <= v.entropy() + 1e-9
-        assert u.conditional_entropy(w) <= v.conditional_entropy(w) + 1e-9
-        assert w.conditional_entropy(u) >= w.conditional_entropy(v) - 1e-9
+        assert _given(u, w) <= _given(v, w) + 1e-9
+        assert _given(w, u) >= _given(w, v) - 1e-9
 
     perm = list(rng.permutation(u.n_labels))
-    ueq = u.relabeled(perm)
+    ueq = DerivedVariable(d, [perm[lab] for lab in u.labels])
     # (a) equivalence leaves every entropy unchanged.
     assert is_equivalent(u, ueq)
     assert abs(u.entropy() - ueq.entropy()) <= 1e-12
-    assert abs(u.conditional_entropy(w) - ueq.conditional_entropy(w)) <= 1e-12
-    assert abs(w.conditional_entropy(u) - w.conditional_entropy(ueq)) <= 1e-12
+    assert abs(_given(u, w) - _given(ueq, w)) <= 1e-12
+    assert abs(_given(w, u) - _given(w, ueq)) <= 1e-12
 
     # Order is invariant within equivalence classes.
     if is_poorer(u, v):
@@ -159,7 +156,8 @@ def test_lattice_bounds(seed):
     assert is_poorer(w, u) and is_poorer(w, v) and is_poorer(w, lo)
 
     # Relabeling the inputs does not move join or meet (up to equivalence).
-    uperm = u.relabeled(list(rng.permutation(u.n_labels)))
+    perm = rng.permutation(u.n_labels)
+    uperm = DerivedVariable(d, [perm[lab] for lab in u.labels])
     assert is_equivalent(meet(uperm, v), lo)
     assert is_equivalent(join(uperm, v), hi)
 

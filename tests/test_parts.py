@@ -9,11 +9,12 @@ from pidirr.parts import (
     PartSpec,
     PartitionSpec,
     all_bipartitions,
-    all_partitions,
     all_parts,
     almost_pairs,
     almosts,
 )
+
+from conftest import all_partitions
 
 BELL = {2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 

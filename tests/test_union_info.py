@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pidirr.distributions import DistributionError, JointDistribution, VariableSelector
+from pidirr.distributions import JointDistribution, VariableSelector
 from pidirr.irreducibility import full_report
 from pidirr.parts import PartFamily, PartSpec, all_bipartitions, almost_pairs, almosts
 from pidirr import axioms, union_info
@@ -414,19 +414,6 @@ def test_order_check_catches_an_order_dependent_solver(monkeypatch, xor, xor_uni
         assert result.worst_violation == pytest.approx(1e-3, abs=1e-9)
         assert result.worst_case == "item 0: reorder"
         assert not report.all_passed
-
-
-def test_a_distribution_without_a_target_is_a_typed_error(xor):
-    # Every variable counts as a predictor here, so a family over all of them
-    # passes validation; the error comes from the missing target.
-    untargeted = JointDistribution(xor.variables, xor.pmf, target=None)
-    for fam in (singletons(2), PartFamily((PartSpec((0, 1, 2)),))):
-        for m in (MINSYN, MAXMI):
-            with pytest.raises(DistributionError, match="target"):
-                union_information(m, untargeted, fam)
-    for m in (MINSYN, MAXMI):
-        with pytest.raises(DistributionError, match="target"):
-            full_report(untargeted, m)
 
 
 def test_constant_target_gives_zero(xor_unique):
