@@ -175,7 +175,8 @@ class JointDistribution(_Value):
         variable.  Every distribution has a target.
 
     Its ``pmf`` maps each outcome of the support to its mass and refuses
-    changes.  Two distributions are equal when their :meth:`key` is.
+    changes.  Two distributions are equal when their variables, target and
+    pmf are equal.
     """
 
     def __init__(
@@ -230,11 +231,8 @@ class JointDistribution(_Value):
 
     # -- identity ---------------------------------------------------------
 
-    def key(self) -> tuple:
-        """Content key: equal distributions compare and hash equal."""
+    def _values(self) -> tuple:
         return (self.variables, self.target, tuple(self.pmf.items()))
-
-    _values = key
 
     def __repr__(self):
         return (
@@ -322,13 +320,11 @@ class JointDistribution(_Value):
         return JointDistribution(self.variables, pmf, target=self.target)
 
     def with_constant_target(self) -> "JointDistribution":
-        """Copy whose target is collapsed to the single symbol ``*``."""
+        """Copy whose target is collapsed to the single symbol ``*``; the
+        constructor sums the outcomes that then agree."""
         t = self.target_index
-        pmf: dict[tuple, float] = {}
-        for outcome, p in self.pmf.items():
-            k = outcome[:t] + ("*",) + outcome[t + 1 :]
-            pmf[k] = pmf.get(k, 0.0) + p
-        return JointDistribution(self.variables, pmf, target=self.target)
+        pairs = ((o[:t] + ("*",) + o[t + 1 :], p) for o, p in self.pmf.items())
+        return JointDistribution(self.variables, pairs, target=self.target)
 
     def to_tsv(self) -> str:
         """Serialize in the TSV format accepted by :func:`parse_distribution`.

@@ -2,7 +2,9 @@
 
 Each measure subtracts from the whole-target mutual information the largest
 union information obtainable from a family of parts, for four successively
-richer notions of "parts":
+richer notions of "parts".  All four, with their witnesses, are fields of
+one :class:`IrreducibilityReport`, which :func:`full_report` computes in one
+scan:
 
 * ``ibe``  - the n singleton elements (weakest);
 * ``ibdp`` - the best partition into disjoint parts, which is always realized
@@ -32,11 +34,6 @@ Every maximum is certified to lie at most the measure's ``tolerance`` above
 its minimum, and richer parts have a larger minimum, so the computed
 measures may break the weakest-to-strongest chain by at most ``tolerance``
 per link; :func:`full_report` raises on any larger break.
-
-The four measures are fields of one :func:`full_report`, the only scan:
-:func:`ibe`, :func:`ibdp`, :func:`ib2p` and :func:`ibap` each return its
-fields, so a measure asked for alone has the report's bits and raises as the
-report does.
 """
 
 from __future__ import annotations
@@ -57,10 +54,6 @@ from .union_info import UnionMeasure, _solve
 __all__ = [
     "OrderingViolationError",
     "IrreducibilityReport",
-    "ibe",
-    "ibdp",
-    "ib2p",
-    "ibap",
     "full_report",
 ]
 
@@ -128,35 +121,8 @@ def _scan_plan(n: int) -> tuple[tuple, tuple, tuple]:
     return families, tuple(tuple(map(index.__getitem__, scan)) for scan in scanned), witnesses
 
 
-def ibe(d: JointDistribution, m: UnionMeasure | None = None) -> float:
-    """Information beyond the elements: whole minus the singletons' union,
-    the ``ibe`` field of :func:`full_report`."""
-    return full_report(d, m).ibe
-
-
-def ibdp(d: JointDistribution, m: UnionMeasure | None = None) -> tuple[float, PartitionSpec]:
-    """Information beyond disjoint parts, with the maximizing bipartition:
-    the ``ibdp`` and ``witness_bipartition`` fields of :func:`full_report`."""
-    report = full_report(d, m)
-    return report.ibdp, report.witness_bipartition
-
-
-def ib2p(d: JointDistribution, m: UnionMeasure | None = None) -> tuple[float, PartFamily]:
-    """Information beyond two parts, with the maximizing Almost pair: the
-    ``ib2p`` and ``witness_almost_pair`` fields of :func:`full_report`."""
-    report = full_report(d, m)
-    return report.ib2p, report.witness_almost_pair
-
-
-def ibap(d: JointDistribution, m: UnionMeasure | None = None) -> float:
-    """Information beyond all parts: whole minus the Almosts' union, the
-    ``ibap`` field of :func:`full_report`."""
-    return full_report(d, m).ibap
-
-
 def full_report(d: JointDistribution, m: UnionMeasure | None = None) -> IrreducibilityReport:
-    """All four measures and their witnesses; :func:`ibe`, :func:`ibdp`,
-    :func:`ib2p` and :func:`ibap` return its fields.
+    """All four measures and their witnesses, computed in one scan.
 
     The union informations of all four scans' families (8 at n = 3, 15 at
     n = 4) are asked for in one :func:`pidirr.union_info._solve` call, so the

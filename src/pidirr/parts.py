@@ -109,9 +109,6 @@ class PartFamily(_Value):
         for p in self.parts:
             p.validate(n, allow_full=allow_full)
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
 
 def all_parts(n: int) -> list[PartSpec]:
     """All 2**n - 2 parts, lexicographic on index tuples."""

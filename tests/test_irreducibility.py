@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from pidirr.distributions import JointDistribution
-from pidirr.irreducibility import full_report, ib2p, ibap, ibdp, ibe
+from pidirr.irreducibility import full_report
 from pidirr.parts import (
     PartFamily,
     PartSpec,
@@ -27,19 +27,18 @@ def test_xor_all_measures_equal_one(xor):
 
 
 def test_xor_unique_profile_and_witness(xor_unique):
-    value, witness = ibdp(xor_unique, MINSYN)
-    assert abs(value) <= 1e-7
-    assert {b.member_indices for b in witness.blocks} == {(0, 1), (2,)}
-    assert math.isclose(ibe(xor_unique, MINSYN), 1.0, abs_tol=1e-7)
-    assert abs(ibap(xor_unique, MINSYN)) <= 1e-7
+    rep = full_report(xor_unique, MINSYN)
+    assert abs(rep.ibdp) <= 1e-7
+    assert {b.member_indices for b in rep.witness_bipartition.blocks} == {(0, 1), (2,)}
+    assert math.isclose(rep.ibe, 1.0, abs_tol=1e-7)
+    assert abs(rep.ibap) <= 1e-7
 
 
 def test_double_xor_pair_witness(double_xor):
-    value, witness = ib2p(double_xor, MINSYN)
-    assert abs(value) <= 1e-7
-    assert {p.member_indices for p in witness.parts} == {(0, 1), (1, 2)}
-    dp, _ = ibdp(double_xor, MINSYN)
-    assert math.isclose(dp, 1.0, abs_tol=1e-7)
+    rep = full_report(double_xor, MINSYN)
+    assert abs(rep.ib2p) <= 1e-7
+    assert {p.member_indices for p in rep.witness_almost_pair.parts} == {(0, 1), (1, 2)}
+    assert math.isclose(rep.ibdp, 1.0, abs_tol=1e-7)
 
 
 def test_triple_xor_profile(triple_xor):
@@ -50,9 +49,9 @@ def test_triple_xor_profile(triple_xor):
 def test_triple_xor_bipartitions_tie_at_the_earliest(triple_xor):
     # Each bipartition conveys exactly one bit, the sum of its blocks' bounds,
     # so all three tie and the earliest is the witness.
-    value, witness = ibdp(triple_xor, MINSYN)
-    assert value == 2.0
-    assert [b.member_indices for b in witness.blocks] == [(0,), (1, 2)]
+    rep = full_report(triple_xor, MINSYN)
+    assert rep.ibdp == 2.0
+    assert [b.member_indices for b in rep.witness_bipartition.blocks] == [(0,), (1, 2)]
 
 
 def test_bipartition_values_lie_between_their_part_bounds(monkeypatch, corpus):
@@ -75,22 +74,6 @@ def test_bipartition_values_lie_between_their_part_bounds(monkeypatch, corpus):
             mis = union_info._Tables(d).masses([bipartition.blocks])[3]
             value, _ = reported[bipartition.family().parts]
             assert max(mis) - 1e-12 <= value <= sum(mis)
-
-
-@pytest.mark.parametrize("n, alphabet, zeros, seeds", [
-    (3, 2, 0.0, 15), (3, 2, 0.3, 15), (4, 2, 0.0, 10), (3, 3, 0.0, 10), (3, 3, 0.2, 15),
-    (2, 3, 0.3, 15),
-])
-def test_single_measures_match_the_full_report(n, alphabet, zeros, seeds):
-    # Each measure asked for alone is a field of the full report, bit for bit,
-    # and so is its witness.
-    for seed in range(seeds):
-        d = make_random(seed, n, alphabet, zeros)
-        report = full_report(d)
-        assert ibdp(d) == (report.ibdp, report.witness_bipartition), seed
-        assert ib2p(d) == (report.ib2p, report.witness_almost_pair), seed
-        assert ibe(d) == report.ibe, seed
-        assert ibap(d) == report.ibap, seed
 
 
 def test_parity_utterly_irreducible(parity):
@@ -132,15 +115,6 @@ def test_an_order_the_unions_break_is_a_typed_error(monkeypatch):
         full_report(make_random(400), MINSYN)
 
 
-@pytest.mark.parametrize("measure", [ibe, ibdp, ib2p, ibap], ids=lambda f: f.__name__)
-def test_a_single_measure_raises_as_the_report_does(monkeypatch, measure):
-    # A measure asked for alone is a field of the full report, so a break of
-    # the chain raises even where that measure's own scan is in order.
-    unordered_unions(monkeypatch)
-    with pytest.raises(irreducibility.OrderingViolationError, match="ibap=.* exceeds ib2p="):
-        measure(make_random(400), MINSYN)
-
-
 def test_relabeling_leaves_measures_fixed(xor_unique):
     rep = full_report(xor_unique, MINSYN)
     swapped = xor_unique.relabeled("X2", {"0": "b", "1": "a"})
@@ -178,8 +152,8 @@ def test_constant_target_all_zero(xor_unique):
 
 def test_maxmi_profile_differs(xor_unique):
     maxmi = UnionMeasure(kind=MeasureKind.MAX_SINGLE_MI)
-    value, _ = ibdp(xor_unique, maxmi)
-    assert math.isclose(value, 1.0, abs_tol=1e-9)  # expected mismatch vs minsyn's 0
+    rep = full_report(xor_unique, maxmi)
+    assert math.isclose(rep.ibdp, 1.0, abs_tol=1e-9)  # expected mismatch vs minsyn's 0
 
 
 def _two_input_gate(y):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from importlib import import_module
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pidirr
 def test_every_public_name_resolves():
     # In a fresh interpreter, so that the lazily loaded modules are not yet
     # imported when dir() is asked: dir() lists every name, the star import
-    # binds every name, and each is the object its module defines.
+    # binds every name, and each is the object its module defines.  The
+    # oracle, which the star import leaves out, loads on its first access.
     code = (
         "import sys\n"
         "import pidirr\n"
@@ -27,6 +29,9 @@ def test_every_public_name_resolves():
         "assert namespace['join'] is lattice.join\n"
         "assert namespace['full_report'] is pidirr.irreducibility.full_report\n"
         "assert not hasattr(union_info, 'check_axioms')\n"
+        "loaded = {'pidirr.oracle', 'scipy.optimize'} & set(sys.modules)\n"
+        "assert not loaded, f'the oracle loads early: {sorted(loaded)}'\n"
+        "assert pidirr.brute_force_union_oracle is pidirr.oracle.brute_force_union_oracle\n"
     )
     src = str(Path(pidirr.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -73,3 +78,13 @@ def test_star_import_leaves_out_the_oracle():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_readme_python_example_runs():
+    # The indented block of README.md that starts with ``from pidirr import``.
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("    ") and line.strip().startswith("from pidirr import"))
+    end = next((i for i in range(start, len(lines))
+                if lines[i].strip() and not lines[i].startswith("    ")), len(lines))
+    exec(textwrap.dedent("\n".join(lines[start:end])), {})
